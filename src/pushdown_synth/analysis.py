@@ -8,7 +8,7 @@ bisimulation invariants are drawn.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional as Opt
 
@@ -16,9 +16,9 @@ from .syntax import (
     BOOL,
     BinOp, Case, Cond, CoerceSome, Expr, Index, Insert, IsNone, ListExpr,
     Lit, Match, Name, Not, SliceFrom, SomeVal, TInt, TOpt, TTuple, TupleExpr,
-    structurally_equal, walk,
+    children, map_children, structurally_equal, walk,
 )
-from .typecheck import PipelineTask, type_predicate
+from .typecheck import PipelineTask, cnf_clauses, type_predicate
 from .values import NEG_INF, NONE, Some, Value
 
 
@@ -85,7 +85,7 @@ def mk_and(*es) -> Expr:
 def mk_implies(ante: Expr, cons: Expr) -> Expr:
     if isinstance(cons, Lit) and cons.kind == "bool" and cons.value is False:
         return negate(ante)
-    return mk_or(negate(copy.deepcopy(ante)), cons)
+    return mk_or(negate(ante), cons)
 
 
 def mk_eq(a: Expr, b: Expr) -> Expr:
@@ -244,17 +244,12 @@ def normalize(e: Expr) -> Expr:
                 left, right = right, left
         if expr_key(left) == expr_key(right):
             return Lit(kind="bool", value=op in (">=", "<=", "=="))
-        out = BinOp(op=op, left=left, right=right)
-        out.ty = BOOL
-        return out
+        return BinOp(op=op, left=left, right=right, ty=BOOL)
     if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
         return normalize_term(e)
     if isinstance(e, IsNone):
-        none_lit = Lit(kind="none", value=None)
-        none_lit.ty = e.operand.ty
-        out = BinOp(op="==", left=normalize_term(e.operand), right=none_lit)
-        out.ty = BOOL
-        return out
+        none_lit = Lit(kind="none", value=None, ty=e.operand.ty)
+        return BinOp(op="==", left=normalize_term(e.operand), right=none_lit, ty=BOOL)
     return e
 
 
@@ -269,13 +264,9 @@ def normalize_term(e: Expr) -> Expr:
             }[e.op]
             if val is not None:
                 return _mk_num_lit(val, left)
-        out = BinOp(op=e.op, left=left, right=right)
-        out.ty = e.ty
-        return out
+        return BinOp(op=e.op, left=left, right=right, ty=e.ty)
     if isinstance(e, SomeVal):
-        out = SomeVal(operand=normalize_term(e.operand))
-        out.ty = e.ty
-        return out
+        return SomeVal(operand=normalize_term(e.operand), ty=e.ty)
     return e
 
 
@@ -300,7 +291,7 @@ def _rebuild_chain(op: str, lits, orig: Expr) -> Expr:
         seen.add(key)
         out.append(lit)
     if op == "or":
-        neg_keys = {expr_key(normalize(negate(copy.deepcopy(lit)))) for lit in out}
+        neg_keys = {expr_key(normalize(negate(lit))) for lit in out}
         if seen & neg_keys:
             return lit_true()
         out = _simplify_or_intervals(out)
@@ -311,8 +302,7 @@ def _rebuild_chain(op: str, lits, orig: Expr) -> Expr:
     out.sort(key=expr_key)
     expr = out[0]
     for lit in out[1:]:
-        expr = BinOp(op=op, left=expr, right=lit)
-        expr.ty = BOOL
+        expr = BinOp(op=op, left=expr, right=lit, ty=BOOL)
     return expr
 
 
@@ -379,10 +369,10 @@ def _simplify_or_intervals(lits):
         kept = []
         if lower is not None:
             kept.append(BinOp(op=">=" if lower[1] else ">", left=base,
-                              right=_mk_num_lit(lower[0], base)))
+                              right=_mk_num_lit(lower[0], base), ty=BOOL))
         if upper is not None:
             kept.append(BinOp(op="<=" if upper[1] else "<", left=base,
-                              right=_mk_num_lit(upper[0], base)))
+                              right=_mk_num_lit(upper[0], base), ty=BOOL))
         for c, lit in points:
             absorbed = False
             if lower is not None and (c > lower[0] or (c == lower[0] and lower[1])):
@@ -391,8 +381,6 @@ def _simplify_or_intervals(lits):
                 absorbed = True
             if not absorbed:
                 kept.append(lit)
-        for k in kept:
-            k.ty = BOOL
         out.extend(kept)
     return out
 
@@ -497,22 +485,17 @@ def project_component(body: Expr, i: int) -> Expr:
     if isinstance(body, TupleExpr):
         return body.items[i]
     if isinstance(body, Name):
-        out = Index(base=body, index=i)
-        if body.ty is not None and hasattr(body.ty, "elems"):
-            out.ty = body.ty.elems[i]
-        return out
+        ty = body.ty.elems[i] if hasattr(body.ty, "elems") else None
+        return Index(base=body, index=i, ty=ty)
     if isinstance(body, Index):
         # e.g. the whole accumulator selected from something; keep as-is
-        out = Index(base=body, index=i)
-        return out
+        return Index(base=body, index=i)
     if isinstance(body, Cond):
         then = project_component(body.then, i)
         other = project_component(body.other, i)
         if structurally_equal(then, other):
             return then
-        out = Cond(then=then, test=body.test, other=other)
-        out.ty = then.ty
-        return out
+        return Cond(then=then, test=body.test, other=other, ty=then.ty)
     if isinstance(body, Match):
         cases = []
         bodies = []
@@ -527,9 +510,7 @@ def project_component(body: Expr, i: int) -> Expr:
             for c, cs in zip(body.cases, cases)
         ):
             return bodies[0]
-        out = Match(scrutinee=body.scrutinee, cases=cases)
-        out.ty = bodies[0].ty
-        return out
+        return Match(scrutinee=body.scrutinee, cases=cases, ty=bodies[0].ty)
     raise ValueError(f"cannot project component from {type(body).__name__}")
 
 
@@ -565,29 +546,11 @@ def _reads(expr: Expr, binder_origins: Opt[dict] = None):
                     inner[case.pattern] = payload
                 go(case.body, inner)
             return
-        for child in _children(e):
+        for child in children(e):
             go(child, origins)
 
     go(expr, binder_origins)
     return acc, row
-
-
-def _children(e: Expr):
-    if isinstance(e, BinOp):
-        return [e.left, e.right]
-    if isinstance(e, (Not, CoerceSome, SomeVal, IsNone)):
-        return [e.operand]
-    if isinstance(e, (TupleExpr, ListExpr)):
-        return list(e.items)
-    if isinstance(e, (Index, SliceFrom)):
-        return [e.base]
-    if isinstance(e, Insert):
-        return [e.target, e.item]
-    if isinstance(e, Cond):
-        return [e.then, e.test, e.other]
-    if isinstance(e, Match):
-        return [e.scrutinee] + [c.body for c in e.cases]
-    return []
 
 
 def _strip_some(e: Expr) -> Expr:
@@ -747,7 +710,7 @@ def infer_dep_info(task: PipelineTask) -> DepInfo:
                 status = BLOCKED
                 break
             if row:
-                canon = normalize_term(copy.deepcopy(resolved_leaf))
+                canon = normalize_term(resolved_leaf)
                 key = expr_key(canon)
                 exprs.add(key)
                 expr_by_key.setdefault(key, canon)
@@ -787,25 +750,12 @@ def infer_dep_info(task: PipelineTask) -> DepInfo:
 
 
 def _resolve_binders(leaf: Expr, origins: dict) -> Expr:
-    if not origins:
-        return leaf
-    leaf = copy.deepcopy(leaf)
-
     def go(e):
         if isinstance(e, Name) and e.ident in origins:
-            return copy.deepcopy(origins[e.ident])
-        for attr in ("left", "right", "operand", "base", "then", "test",
-                     "other", "target", "item", "scrutinee"):
-            if hasattr(e, attr) and isinstance(getattr(e, attr), Expr):
-                setattr(e, attr, go(getattr(e, attr)))
-        if isinstance(e, (TupleExpr, ListExpr)):
-            e.items = [go(x) for x in e.items]
-        if isinstance(e, Match):
-            for case in e.cases:
-                case.body = go(case.body)
-        return e
+            return origins[e.ident]
+        return map_children(e, go)
 
-    return go(leaf)
+    return go(leaf) if origins else leaf
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +771,7 @@ def _or_chain(lits) -> Expr:
         return lit_false()
     out = lits[0]
     for lit in lits[1:]:
-        out = BinOp(op="or", left=out, right=lit)
-        out.ty = BOOL
+        out = BinOp(op="or", left=out, right=lit, ty=BOOL)
     return out
 
 
@@ -838,21 +787,16 @@ def _acc_comp_of_term(e: Expr) -> Opt[int]:
 def _relax_clause(lits, dep: DepInfo):
     out = []
     for lit in lits:
-        lit = copy.deepcopy(lit)
         if isinstance(lit, BinOp) and lit.op == "==":
+            if _const_of(lit.left) is not None \
+                    and _acc_comp_of_term(lit.right) is not None:
+                lit = replace(lit, left=lit.right, right=lit.left)
             comp = _acc_comp_of_term(lit.left)
-            if comp is None and _const_of(lit.left) is not None:
-                comp = _acc_comp_of_term(lit.right)
-                if comp is not None:
-                    lit.left, lit.right = lit.right, lit.left
             if comp is not None and _const_of(lit.right) is not None:
                 kind, _ = dep.mono[comp]
-                if kind == "inc":
-                    lit = BinOp(op=">=", left=lit.left, right=lit.right)
-                    lit.ty = BOOL
-                elif kind == "dec":
-                    lit = BinOp(op="<=", left=lit.left, right=lit.right)
-                    lit.ty = BOOL
+                if kind in ("inc", "dec"):
+                    lit = BinOp(op=">=" if kind == "inc" else "<=",
+                                left=lit.left, right=lit.right, ty=BOOL)
         out.append(lit)
     return out
 
@@ -872,17 +816,12 @@ def _substitute_clause(lits, dep: DepInfo):
         if comp is not None:
             if dep.contrib[comp] is None:
                 raise _SubstFail()
-            return copy.deepcopy(dep.contrib[comp])
-        if isinstance(e, (Name,)) and e.ident == "a":
+            return dep.contrib[comp]
+        if isinstance(e, Name) and e.ident == "a":
             raise _SubstFail()
-        e = copy.deepcopy(e)
-        for attr in ("left", "right", "operand", "base", "then", "test",
-                     "other", "target", "item"):
-            if hasattr(e, attr) and isinstance(getattr(e, attr), Expr):
-                setattr(e, attr, transform(getattr(e, attr)))
-        if isinstance(e, (TupleExpr, ListExpr)):
-            e.items = [transform(x) for x in e.items]
-        return e
+        if isinstance(e, Match):
+            return e  # not descended
+        return map_children(e, transform)
 
     out = []
     for lit in lits:
@@ -902,15 +841,10 @@ def _fresh_binder(counter=[0]):
 
 def _clause_display(lits) -> Expr:
     """DSL-printable form of a clause: optional payload accesses become match."""
-    lits = [copy.deepcopy(l) for l in lits]
-    base = None
-    for lit in lits:
-        for node in walk(lit):
-            if isinstance(node, SomeVal):
-                base = node.operand
-                break
-        if base is not None:
-            break
+    base = next(
+        (n.operand for lit in lits for n in walk(lit) if isinstance(n, SomeVal)),
+        None,
+    )
     if base is None:
         return _or_chain(lits)
     key = expr_key(base)
@@ -933,15 +867,11 @@ def _clause_display(lits) -> Expr:
         def sub(e):
             if isinstance(e, SomeVal) and expr_key(e.operand) == key:
                 return Name(ident=binder)
-            for attr in ("left", "right", "operand", "base", "then", "test",
-                         "other", "target", "item"):
-                if hasattr(e, attr) and isinstance(getattr(e, attr), Expr):
-                    setattr(e, attr, sub(getattr(e, attr)))
-            if isinstance(e, (TupleExpr, ListExpr)):
-                e.items = [sub(x) for x in e.items]
-            return e
+            if isinstance(e, Match):
+                return e  # not descended
+            return map_children(e, sub)
 
-        return sub(copy.deepcopy(lit)) if not is_none else lit
+        return sub(lit) if not is_none else lit
 
     def build(branch_lits):
         kept = []
@@ -958,7 +888,7 @@ def _clause_display(lits) -> Expr:
     none_body = build([branch(l, True) for l in lits])
     some_body = build([branch(l, False) for l in lits])
     return Match(
-        scrutinee=copy.deepcopy(base),
+        scrutinee=base,
         cases=[Case(pattern=None, body=none_body),
                Case(pattern=binder, body=some_body)],
     )
@@ -966,6 +896,12 @@ def _clause_display(lits) -> Expr:
 
 # ---------------------------------------------------------------------------
 # universe construction
+
+
+def _typed(expr: Expr, env: dict) -> Expr:
+    """A typed copy of `expr`, which may share nodes with other trees: the
+    annotator behind `type_predicate` writes `ty` into every node it checks."""
+    return type_predicate(copy.deepcopy(expr), env)
 
 
 def _collect_guards(body: Expr):
@@ -989,7 +925,7 @@ def _collect_guards(body: Expr):
                     )
                 go(case.body, inner)
             return
-        for child in _children(e):
+        for child in children(e):
             go(child, origins)
 
     go(body, {})
@@ -1000,9 +936,6 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
     """Pre-filter atom pool: substituted P conjuncts, their disjunction, the
     disjunction of the UDF's guard conjuncts, the combined disjunction, and
     per-row-field disjunctions of related substituted P conjuncts."""
-    from .typecheck import cnf_clauses, type_predicate
-
-    row_ty = TTuple(task.schema) if not isinstance(task.schema, TTuple) else task.schema
     env = {"r": TTuple(tuple(task.schema))}
 
     def finalize(expr):
@@ -1011,7 +944,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
             return None
         if not _row_fields(expr):
             return None
-        return type_predicate(expr, env)
+        return _typed(expr, env)
 
     dropped = []
     sub_p = []
@@ -1034,7 +967,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
 
     sub_f = []
     for guard in _collect_guards(task.f_body):
-        for clause in cnf_clauses(copy.deepcopy(guard)):
+        for clause in cnf_clauses(guard):
             try:
                 sub = _substitute_clause(clause, dep)
             except _SubstFail:
@@ -1047,15 +980,15 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
     for expr in sub_p:
         universe.add(expr)
     if sub_p:
-        expr = finalize(_or_chain([copy.deepcopy(e) for e in sub_p]))
+        expr = finalize(_or_chain(sub_p))
         if expr is not None:
             universe.add(expr)
     if sub_f:
-        expr = finalize(_or_chain([copy.deepcopy(e) for e in sub_f]))
+        expr = finalize(_or_chain(sub_f))
         if expr is not None:
             universe.add(expr)
     if sub_p and sub_f:
-        expr = finalize(_or_chain([copy.deepcopy(e) for e in sub_p + sub_f]))
+        expr = finalize(_or_chain(sub_p + sub_f))
         if expr is not None:
             universe.add(expr)
     # related atoms: substituted P conjuncts over the same single row field
@@ -1066,7 +999,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
             by_field.setdefault(next(iter(fields)), []).append(e)
     for _, group in sorted(by_field.items()):
         if len(group) >= 2:
-            expr = finalize(_or_chain([copy.deepcopy(e) for e in group]))
+            expr = finalize(_or_chain(group))
             if expr is not None:
                 universe.add(expr)
     return universe, dropped
@@ -1077,8 +1010,6 @@ def build_universe_residual(task: PipelineTask) -> Universe:
 
     Index order matters: the residual worklist breaks cardinality ties
     lexicographically, so the weaker disequality forms come first."""
-    from .typecheck import type_predicate
-
     env = {"a": task.acc_type}
     universe = Universe("residual")
     for i in range(task.arity):
@@ -1087,27 +1018,15 @@ def build_universe_residual(task: PipelineTask) -> Universe:
     for conj in task.post_conjuncts:
         lits = clause_literals(conj)
         display = _clause_display(lits)
-        expr = type_predicate(copy.deepcopy(conj), env)
-        universe.add(expr, display=display)
+        universe.add(_typed(conj, env), display=display)
     return universe
 
 
 def _subst_acc_var(expr: Expr, var: str) -> Expr:
-    expr = copy.deepcopy(expr)
-
     def go(e):
         if isinstance(e, Name) and e.ident == "a":
             return Name(ident=var)
-        for attr in ("left", "right", "operand", "base", "then", "test",
-                     "other", "target", "item", "scrutinee"):
-            if hasattr(e, attr) and isinstance(getattr(e, attr), Expr):
-                setattr(e, attr, go(getattr(e, attr)))
-        if isinstance(e, (TupleExpr, ListExpr)):
-            e.items = [go(x) for x in e.items]
-        if isinstance(e, Match):
-            for case in e.cases:
-                case.body = go(case.body)
-        return e
+        return map_children(e, go)
 
     return go(expr)
 
@@ -1120,8 +1039,6 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
     """Invariant atom pool: per-component equalities plus implication families
     drawn from the post-filter's atomic formulas, monotonicity bounds, and
     sentinel-initializer tests."""
-    from .typecheck import type_predicate
-
     env = {"a1": task.acc_type, "a2": task.acc_type}
     arity = task.arity
 
@@ -1133,15 +1050,12 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             clauses_of[next(iter(fields))].append(clause_literals(conj))
 
     def a_ki(k, i):
-        node = acc_index(f"a{k}", i)
-        node.ty = task.acc_type.elems[i]
-        return node
+        return Index(base=Name(ident=f"a{k}"), index=i, ty=task.acc_type.elems[i])
 
     def guarded(k, i, payload_pred_builder):
         """not IsNone(a_k[i]) and pred(SomeVal(a_k[i])) for optional comps."""
         target = a_ki(k, i)
-        payload = SomeVal(operand=copy.deepcopy(target))
-        payload.ty = task.acc_type.elems[i].elem
+        payload = SomeVal(operand=target, ty=task.acc_type.elems[i].elem)
         return mk_and(
             mk_not(IsNone(operand=target)),
             payload_pred_builder(payload),
@@ -1181,16 +1095,12 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             if cmps:
                 if is_optional(i):
                     def builder(payload, _cmps=cmps, _i=i):
-                        subbed = []
-                        for c in _cmps:
-                            c2 = copy.deepcopy(c)
-                            subbed.append(_replace_someval(c2, _i, payload))
-                        return _or_chain(subbed)
+                        return _or_chain(
+                            [_replace_someval(c, _i, payload) for c in _cmps])
 
                     fams.append(guarded(k, i, builder))
                 else:
-                    fams.append(_subst_acc_var(_or_chain(
-                        [copy.deepcopy(c) for c in cmps]), f"a{k}"))
+                    fams.append(_subst_acc_var(_or_chain(cmps), f"a{k}"))
             if kind in ("inc", "dec") and eq_consts:
                 op = ">=" if kind == "inc" else "<="
                 for c in sorted(eq_consts):
@@ -1228,7 +1138,7 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             lit_false(),
             eq_atom(j),
             mk_eq(a_ki(2, j), init_lit),
-            mk_not(mk_eq(a_ki(2, j), copy.deepcopy(init_lit))),
+            mk_not(mk_eq(a_ki(2, j), init_lit)),
         ]
 
     universe = Universe("psi")
@@ -1236,37 +1146,29 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
     for i in range(arity):
         u1_formulas[i] = []
         for phi in phi_family(1, i):
-            for ante in (phi, negate(copy.deepcopy(phi))):
+            for ante in (phi, negate(phi)):
                 for cons in l1(i):
-                    u1_formulas[i].append(
-                        mk_implies(copy.deepcopy(ante), copy.deepcopy(cons))
-                    )
+                    u1_formulas[i].append(mk_implies(ante, cons))
 
     for i in range(arity):
         universe.add(type_predicate(eq_atom(i), env))
         for formula in u1_formulas[i]:
-            universe.add(type_predicate(copy.deepcopy(formula), env))
+            universe.add(_typed(formula, env))
         fam2 = phi_family(2, i)
         for phi in fam2:
-            for ante in (phi, negate(copy.deepcopy(phi))):
+            for ante in (phi, negate(phi)):
                 for j in range(arity):
                     if not dep.is_dep[i][j]:
                         continue
                     for cons in l2(j):
-                        universe.add(type_predicate(
-                            mk_implies(copy.deepcopy(ante), copy.deepcopy(cons)),
-                            env,
-                        ))
+                        universe.add(_typed(mk_implies(ante, cons), env))
         for phi in fam2:
-            for ante in (phi, negate(copy.deepcopy(phi))):
+            for ante in (phi, negate(phi)):
                 for j in range(arity):
                     if j == i or not dep.is_dep[j][i]:
                         continue
                     for cons in u1_formulas[j]:
-                        universe.add(type_predicate(
-                            mk_implies(copy.deepcopy(ante), copy.deepcopy(cons)),
-                            env,
-                        ))
+                        universe.add(_typed(mk_implies(ante, cons), env))
     return universe
 
 
@@ -1277,12 +1179,10 @@ def _replace_someval(expr: Expr, comp: int, replacement: Expr) -> Expr:
             if isinstance(inner, Index) and isinstance(inner.base, Name) \
                     and inner.base.ident in ("a", "a1", "a2") \
                     and inner.index == comp:
-                return copy.deepcopy(replacement)
-        for attr in ("left", "right", "operand", "base", "then", "test",
-                     "other", "target", "item"):
-            if hasattr(e, attr) and isinstance(getattr(e, attr), Expr):
-                setattr(e, attr, go(getattr(e, attr)))
-        return e
+                return replacement
+        if isinstance(e, (TupleExpr, ListExpr, Match)):
+            return e  # not descended
+        return map_children(e, go)
 
     return go(expr)
 
@@ -1306,11 +1206,8 @@ def build_universes(task: PipelineTask) -> Universes:
     u_residual = build_universe_residual(task)
     u_psi = build_universe_invariant(task, dep)
     p_indices = []
-    from .typecheck import type_predicate
-
     for conj in task.post_conjuncts:
-        expr = normalize(type_predicate(
-            copy.deepcopy(conj), {"a": task.acc_type}))
+        expr = normalize(_typed(conj, {"a": task.acc_type}))
         atom = u_residual._by_key.get(expr_key(expr))
         if atom is not None:
             p_indices.append(atom.index)

@@ -59,14 +59,24 @@ def _universe_dump(universes):
     }
 
 
-def _base_stats(universes):
+def _base_stats(sizes):
+    u_q, u_residual, u_psi = sizes
     return {
         "wall_ms": 0.0,
         "solver_calls": 0,
         "worklist_iters": 0,
-        "u_q_size": len(universes.u_q),
-        "u_residual_size": len(universes.u_residual),
-        "u_psi_size": len(universes.u_psi),
+        "u_q_size": u_q,
+        "u_residual_size": u_residual,
+        "u_psi_size": u_psi,
+    }
+
+
+def _error_record(path, exc):
+    return {
+        "task": Path(path).stem,
+        "status": "error",
+        "error": str(exc),
+        "stats": _base_stats((0, 0, 0)),
     }
 
 
@@ -94,7 +104,7 @@ def _trace_fn(args):
 def _run_synth_one(path, args):
     task = _load_task(path)
     universes = build_universes(task)
-    record = {"task": task.name, "stats": _base_stats(universes)}
+    record = {"task": task.name, "stats": _base_stats(universes.sizes())}
     if task.post_pred is not None:
         record["stats"]["p_size"] = len(task.post_conjuncts)
     if args.dump_universe:
@@ -106,8 +116,7 @@ def _run_synth_one(path, args):
             task, universes, session, budget=budget, ctx=ctx,
             trace_fn=_trace_fn(args),
         )
-        stats = outcome.stats if not isinstance(outcome, PushdownSolution) \
-            else outcome.stats
+        stats = outcome.stats
         record["stats"].update({
             "wall_ms": stats.wall_ms,
             "solver_calls": stats.solver_calls,
@@ -155,15 +164,7 @@ def cmd_synth(args):
         try:
             record = _run_synth_one(path, args)
         except (DslSyntaxError, DslTypeError, SolverError, OSError) as exc:
-            record = {
-                "task": Path(path).stem,
-                "status": "error",
-                "error": str(exc),
-                "stats": {
-                    "wall_ms": 0.0, "solver_calls": 0, "worklist_iters": 0,
-                    "u_q_size": 0, "u_residual_size": 0, "u_psi_size": 0,
-                },
-            }
+            record = _error_record(path, exc)
         if record["status"] != "solved":
             failed = True
         records.append(record)
@@ -215,7 +216,7 @@ def cmd_verify(args):
             "status": "solved" if report.ok else (
                 "inconclusive" if report.inconclusive else "fail"
             ),
-            "stats": _base_stats(universes),
+            "stats": _base_stats(universes.sizes()),
         }
         if not report.ok:
             record["error"] = f"failing VC: {report.failing}"
@@ -242,7 +243,7 @@ def cmd_screen(args):
                 "witness": verdict.witness,
                 "reason": verdict.reason,
             },
-            "stats": _base_stats(universes),
+            "stats": _base_stats(universes.sizes()),
         }
         if verdict.kind == "Inconclusive":
             failed = True
@@ -266,7 +267,7 @@ def cmd_diff(args):
             "task": task.name,
             "status": "solved" if report.ok else "fail",
             "diff": report.to_json(),
-            "stats": _base_stats(universes),
+            "stats": _base_stats(universes.sizes()),
         }
         if not report.ok:
             failed = True
@@ -285,15 +286,7 @@ def cmd_bench(args):
         try:
             records.append(_run_synth_one(path, args))
         except (DslSyntaxError, DslTypeError, SolverError, OSError) as exc:
-            records.append({
-                "task": Path(path).stem,
-                "status": "error",
-                "error": str(exc),
-                "stats": {
-                    "wall_ms": 0.0, "solver_calls": 0, "worklist_iters": 0,
-                    "u_q_size": 0, "u_residual_size": 0, "u_psi_size": 0,
-                },
-            })
+            records.append(_error_record(path, exc))
     solved = [r for r in records if r["status"] == "solved"]
     by_mode = {}
     for r in solved:

@@ -20,7 +20,8 @@ class DiffReport:
     trials: int
     mismatch_count: int
     seed: int
-    mismatches: list = field(default_factory=list)  # first few, as源 rows
+    # up to 10 mismatching frames, each a list of rows of printed values
+    mismatches: list = field(default_factory=list)
 
     @property
     def ok(self):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 from .analysis import mk_and
 from .pretty import fmt_expr
 
@@ -19,9 +17,7 @@ def emit_rewritten(task, universes, solution) -> str:
     frame_var = "df"
     q_atoms = [universes.u_q[i].display for i in solution.q.sorted()]
     if q_atoms:
-        pred = q_atoms[0] if len(q_atoms) == 1 else mk_and(
-            *[copy.deepcopy(a) for a in q_atoms]
-        )
+        pred = q_atoms[0] if len(q_atoms) == 1 else mk_and(*q_atoms)
         lines.append(f"kept = filter(df, lambda r: {fmt_expr(pred)})")
         frame_var = "kept"
 
@@ -35,8 +31,6 @@ def emit_rewritten(task, universes, solution) -> str:
         universes.u_residual[i].display for i in solution.residual.sorted()
     ]
     if res_atoms:
-        pred = res_atoms[0] if len(res_atoms) == 1 else mk_and(
-            *[copy.deepcopy(a) for a in res_atoms]
-        )
+        pred = res_atoms[0] if len(res_atoms) == 1 else mk_and(*res_atoms)
         lines.append(f"out = filter(agg, lambda a: {fmt_expr(pred)})")
     return "\n".join(lines) + "\n"

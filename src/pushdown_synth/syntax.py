@@ -1,8 +1,15 @@
-"""AST nodes and types for the pipeline DSL."""
+"""AST nodes and types for the pipeline DSL.
+
+Ownership: trees may share subtrees, so code that rewrites a tree builds new
+nodes (`map_children`) and never assigns into the nodes it walks. The only
+writer of an existing node is the type annotator (`typecheck._Checker`, which
+sets `ty` and wraps `CoerceSome` around operands), and it writes only to a
+tree it owns: one it built, or a copy of a tree that may be shared.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional as Opt
 
@@ -308,6 +315,64 @@ def structurally_equal(a, b) -> bool:
     raise TypeError(f"unknown node {type(a)}")
 
 
+_CHILD_FIELDS = {
+    BinOp: ("left", "right"),
+    Not: ("operand",),
+    CoerceSome: ("operand",),
+    SomeVal: ("operand",),
+    IsNone: ("operand",),
+    Index: ("base",),
+    SliceFrom: ("base",),
+    Insert: ("target", "item"),
+    Cond: ("then", "test", "other"),
+    Lambda: ("body",),
+    Fold: ("source", "init", "fn"),
+    Filter: ("source", "fn"),
+}
+
+
+def children(e) -> list:
+    """The child expressions of `e` in field order; a Match's case bodies
+    follow its scrutinee."""
+    if isinstance(e, (TupleExpr, ListExpr)):
+        return list(e.items)
+    if isinstance(e, Match):
+        return [e.scrutinee] + [c.body for c in e.cases]
+    return [getattr(e, f) for f in _CHILD_FIELDS.get(type(e), ())]
+
+
+def map_children(e, fn):
+    """`e` with `fn` applied to each child; `e` itself when `fn` returns every
+    child unchanged, else a new node that keeps `span` and `ty`."""
+    if isinstance(e, (TupleExpr, ListExpr)):
+        items = [fn(x) for x in e.items]
+        return e if _same(items, e.items) else replace(e, items=items)
+    if isinstance(e, Match):
+        return rebuild_match(e, fn(e.scrutinee), [fn(c.body) for c in e.cases])
+    changed = {}
+    for f in _CHILD_FIELDS.get(type(e), ()):
+        old = getattr(e, f)
+        new = fn(old)
+        if new is not old:
+            changed[f] = new
+    return replace(e, **changed) if changed else e
+
+
+def rebuild_match(m: Match, scrutinee, bodies) -> Match:
+    """`m` with a new scrutinee and case bodies; `m` itself when none changed.
+
+    For rewriters whose treatment of a case body depends on its binder."""
+    if scrutinee is m.scrutinee and _same(bodies, [c.body for c in m.cases]):
+        return m
+    cases = [c if b is c.body else replace(c, body=b)
+             for c, b in zip(m.cases, bodies)]
+    return replace(m, scrutinee=scrutinee, cases=cases)
+
+
+def _same(new, old) -> bool:
+    return all(a is b for a, b in zip(new, old))
+
+
 def walk(expr):
     """Yield every node of the expression tree, preorder."""
     stack = [expr]
@@ -316,26 +381,4 @@ def walk(expr):
         if node is None:
             continue
         yield node
-        if isinstance(node, BinOp):
-            stack += [node.left, node.right]
-        elif isinstance(node, (Not, CoerceSome, SomeVal, IsNone)):
-            stack.append(node.operand)
-        elif isinstance(node, (TupleExpr, ListExpr)):
-            stack += node.items
-        elif isinstance(node, Index):
-            stack.append(node.base)
-        elif isinstance(node, SliceFrom):
-            stack.append(node.base)
-        elif isinstance(node, Insert):
-            stack += [node.target, node.item]
-        elif isinstance(node, Cond):
-            stack += [node.then, node.test, node.other]
-        elif isinstance(node, Match):
-            stack.append(node.scrutinee)
-            stack += [c.body for c in node.cases]
-        elif isinstance(node, Lambda):
-            stack.append(node.body)
-        elif isinstance(node, Fold):
-            stack += [node.source, node.init, node.fn]
-        elif isinstance(node, Filter):
-            stack += [node.source, node.fn]
+        stack += children(node)

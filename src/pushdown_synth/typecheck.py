@@ -8,7 +8,7 @@ the canonical names `a` (accumulator) and `r` (row).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional as Opt
 
@@ -17,7 +17,7 @@ from .syntax import (
     BinOp, Cond, CoerceSome, Expr, Filter, Fold, Index, Insert, IsNone,
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
     Span, TBool, TFloat, TInt, TList, TOpt, TTuple, TVar, Type,
-    TupleExpr, TypeTuple, walk,
+    TupleExpr, TypeTuple, map_children, rebuild_match, walk,
 )
 from .values import NEG_INF, NONE, Some, Value
 
@@ -128,9 +128,6 @@ class _Checker:
 
     # -- helpers
 
-    def clone(self, expr: Expr) -> Expr:
-        return copy.deepcopy(expr)
-
     def check(self, expr: Expr, env: dict) -> Type:
         ty = self._check(expr, env)
         expr.ty = ty
@@ -158,13 +155,11 @@ class _Checker:
             pass
         if isinstance(t1, TOpt) and not isinstance(t2, TOpt):
             self.uni.unify(t1.elem, t2, span)
-            wrapped = CoerceSome(span=e2.span, operand=e2)
-            wrapped.ty = self.uni.resolve(t1)
+            wrapped = CoerceSome(span=e2.span, operand=e2, ty=self.uni.resolve(t1))
             return wrapped.ty, e1, wrapped
         if isinstance(t2, TOpt) and not isinstance(t1, TOpt):
             self.uni.unify(t2.elem, t1, span)
-            wrapped = CoerceSome(span=e1.span, operand=e1)
-            wrapped.ty = self.uni.resolve(t2)
+            wrapped = CoerceSome(span=e1.span, operand=e1, ty=self.uni.resolve(t2))
             return wrapped.ty, wrapped, e2
         raise DslTypeError(f"type mismatch: {t1} vs {t2}", span)
 
@@ -327,63 +322,34 @@ def _type_leaves(t: Type):
 # name inlining
 
 
-def _inline_names(expr: Expr, bindings: dict, bound: set, clone) -> Expr:
+def _inline_names(expr: Expr, bindings: dict, bound: set) -> Expr:
     if isinstance(expr, Name) and expr.ident not in bound:
         if expr.ident in bindings:
-            return _inline_names(clone(bindings[expr.ident][0]), bindings, set(), clone)
+            # a copy per use: `_Checker.check` annotates each use site on its own
+            binding = copy.deepcopy(bindings[expr.ident][0])
+            return _inline_names(binding, bindings, set())
         raise DslTypeError(f"unbound identifier {expr.ident!r}", expr.span)
-    if isinstance(expr, BinOp):
-        expr.left = _inline_names(expr.left, bindings, bound, clone)
-        expr.right = _inline_names(expr.right, bindings, bound, clone)
-    elif isinstance(expr, (Not, CoerceSome, SomeVal, IsNone)):
-        expr.operand = _inline_names(expr.operand, bindings, bound, clone)
-    elif isinstance(expr, (TupleExpr, ListExpr)):
-        expr.items = [_inline_names(e, bindings, bound, clone) for e in expr.items]
-    elif isinstance(expr, (Index, SliceFrom)):
-        expr.base = _inline_names(expr.base, bindings, bound, clone)
-    elif isinstance(expr, Insert):
-        expr.target = _inline_names(expr.target, bindings, bound, clone)
-        expr.item = _inline_names(expr.item, bindings, bound, clone)
-    elif isinstance(expr, Cond):
-        expr.then = _inline_names(expr.then, bindings, bound, clone)
-        expr.test = _inline_names(expr.test, bindings, bound, clone)
-        expr.other = _inline_names(expr.other, bindings, bound, clone)
-    elif isinstance(expr, Match):
-        expr.scrutinee = _inline_names(expr.scrutinee, bindings, bound, clone)
-        for case in expr.cases:
-            inner = bound | ({case.pattern} if case.pattern else set())
-            case.body = _inline_names(case.body, bindings, inner, clone)
-    return expr
+    if isinstance(expr, (Fold, Filter, Lambda)):
+        return expr  # the checker rejects them; their lambdas bind names of their own
+    if isinstance(expr, Match):
+        return rebuild_match(
+            expr, _inline_names(expr.scrutinee, bindings, bound),
+            [_inline_names(c.body, bindings, bound | {c.pattern})
+             for c in expr.cases],
+        )
+    return map_children(expr, lambda e: _inline_names(e, bindings, bound))
 
 
 def _rename(expr: Expr, mapping: dict) -> Expr:
-    shadowed = set()
     if isinstance(expr, Name) and expr.ident in mapping:
-        expr.ident = mapping[expr.ident]
-        return expr
+        return replace(expr, ident=mapping[expr.ident])
     if isinstance(expr, Match):
-        expr.scrutinee = _rename(expr.scrutinee, mapping)
-        for case in expr.cases:
-            inner = {k: v for k, v in mapping.items() if k != case.pattern}
-            case.body = _rename(case.body, inner)
-        return expr
-    if isinstance(expr, BinOp):
-        expr.left = _rename(expr.left, mapping)
-        expr.right = _rename(expr.right, mapping)
-    elif isinstance(expr, (Not, CoerceSome, SomeVal, IsNone)):
-        expr.operand = _rename(expr.operand, mapping)
-    elif isinstance(expr, (TupleExpr, ListExpr)):
-        expr.items = [_rename(e, mapping) for e in expr.items]
-    elif isinstance(expr, (Index, SliceFrom)):
-        expr.base = _rename(expr.base, mapping)
-    elif isinstance(expr, Insert):
-        expr.target = _rename(expr.target, mapping)
-        expr.item = _rename(expr.item, mapping)
-    elif isinstance(expr, Cond):
-        expr.then = _rename(expr.then, mapping)
-        expr.test = _rename(expr.test, mapping)
-        expr.other = _rename(expr.other, mapping)
-    return expr
+        return rebuild_match(
+            expr, _rename(expr.scrutinee, mapping),
+            [_rename(c.body, {k: v for k, v in mapping.items() if k != c.pattern})
+             for c in expr.cases],
+        )
+    return map_children(expr, lambda e: _rename(e, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -425,61 +391,35 @@ def eval_const(expr: Expr) -> Value:
 
 
 def _true() -> Lit:
-    e = Lit(kind="bool", value=True)
-    e.ty = BOOL
-    return e
+    return Lit(kind="bool", value=True, ty=BOOL)
 
 
 def _false() -> Lit:
-    e = Lit(kind="bool", value=False)
-    e.ty = BOOL
-    return e
+    return Lit(kind="bool", value=False, ty=BOOL)
 
 
 def _not(e: Expr) -> Expr:
-    node = Not(operand=e)
-    node.ty = BOOL
-    return node
+    return Not(operand=e, ty=BOOL)
 
 
 def _or(a: Expr, b: Expr) -> Expr:
-    node = BinOp(op="or", left=a, right=b)
-    node.ty = BOOL
-    return node
+    return BinOp(op="or", left=a, right=b, ty=BOOL)
 
 
 def _and(a: Expr, b: Expr) -> Expr:
-    node = BinOp(op="and", left=a, right=b)
-    node.ty = BOOL
-    return node
+    return BinOp(op="and", left=a, right=b, ty=BOOL)
 
 
-def _subst_binder(expr: Expr, binder: str, replacement: Expr, clone) -> Expr:
+def _subst_binder(expr: Expr, binder: str, replacement: Expr) -> Expr:
     if isinstance(expr, Name) and expr.ident == binder:
-        return clone(replacement)
+        return replacement
     if isinstance(expr, Match):
-        expr.scrutinee = _subst_binder(expr.scrutinee, binder, replacement, clone)
-        for case in expr.cases:
-            if case.pattern != binder:
-                case.body = _subst_binder(case.body, binder, replacement, clone)
-        return expr
-    if isinstance(expr, BinOp):
-        expr.left = _subst_binder(expr.left, binder, replacement, clone)
-        expr.right = _subst_binder(expr.right, binder, replacement, clone)
-    elif isinstance(expr, (Not, CoerceSome, SomeVal, IsNone)):
-        expr.operand = _subst_binder(expr.operand, binder, replacement, clone)
-    elif isinstance(expr, (TupleExpr, ListExpr)):
-        expr.items = [_subst_binder(e, binder, replacement, clone) for e in expr.items]
-    elif isinstance(expr, (Index, SliceFrom)):
-        expr.base = _subst_binder(expr.base, binder, replacement, clone)
-    elif isinstance(expr, Insert):
-        expr.target = _subst_binder(expr.target, binder, replacement, clone)
-        expr.item = _subst_binder(expr.item, binder, replacement, clone)
-    elif isinstance(expr, Cond):
-        expr.then = _subst_binder(expr.then, binder, replacement, clone)
-        expr.test = _subst_binder(expr.test, binder, replacement, clone)
-        expr.other = _subst_binder(expr.other, binder, replacement, clone)
-    return expr
+        return rebuild_match(
+            expr, _subst_binder(expr.scrutinee, binder, replacement),
+            [c.body if c.pattern == binder
+             else _subst_binder(c.body, binder, replacement) for c in expr.cases],
+        )
+    return map_children(expr, lambda e: _subst_binder(e, binder, replacement))
 
 
 def compile_bool(expr: Expr) -> Expr:
@@ -488,24 +428,19 @@ def compile_bool(expr: Expr) -> Expr:
     match x: case None: b1 case v: b2 becomes
     (not IsNone(x) or b1) and (IsNone(x) or b2[v := SomeVal(x)]).
     """
-    clone = copy.deepcopy
     if isinstance(expr, Match):
         none_case = next(c for c in expr.cases if c.pattern is None)
         bind_case = next(c for c in expr.cases if c.pattern is not None)
-        isnone = IsNone(operand=expr.scrutinee)
-        isnone.ty = BOOL
-        payload = SomeVal(operand=clone(expr.scrutinee))
-        payload.ty = expr.scrutinee.ty.elem
+        isnone = IsNone(operand=expr.scrutinee, ty=BOOL)
+        payload = SomeVal(operand=expr.scrutinee, ty=expr.scrutinee.ty.elem)
         b1 = compile_bool(none_case.body)
-        b2 = compile_bool(
-            _subst_binder(clone(bind_case.body), bind_case.pattern, payload, clone)
-        )
-        return _and(_or(_not(isnone), b1), _or(clone(isnone), b2))
+        b2 = compile_bool(_subst_binder(bind_case.body, bind_case.pattern, payload))
+        return _and(_or(_not(isnone), b1), _or(isnone, b2))
     if isinstance(expr, Cond):
         test = compile_bool(expr.test)
         then = compile_bool(expr.then)
         other = compile_bool(expr.other)
-        return _and(_or(_not(test), then), _or(clone(test), other))
+        return _and(_or(_not(test), then), _or(test, other))
     if isinstance(expr, BinOp) and expr.op in ("and", "or"):
         return BinOp(op=expr.op, left=compile_bool(expr.left),
                      right=compile_bool(expr.right), span=expr.span)
@@ -521,18 +456,14 @@ def to_nnf(expr: Expr, negate: bool = False) -> Expr:
         op = expr.op
         if negate:
             op = "and" if op == "or" else "or"
-        node = BinOp(op=op, left=to_nnf(expr.left, negate),
-                     right=to_nnf(expr.right, negate))
-        node.ty = BOOL
-        return node
+        return BinOp(op=op, left=to_nnf(expr.left, negate),
+                     right=to_nnf(expr.right, negate), ty=BOOL)
     if isinstance(expr, Lit) and expr.kind == "bool":
         return Lit(kind="bool", value=(not expr.value) if negate else expr.value)
     if negate:
         if isinstance(expr, BinOp) and expr.op in (">", ">=", "<", "<="):
             flipped = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}[expr.op]
-            node = BinOp(op=flipped, left=expr.left, right=expr.right)
-            node.ty = BOOL
-            return node
+            return BinOp(op=flipped, left=expr.left, right=expr.right, ty=BOOL)
         return _not(expr)
     return expr
 
@@ -660,8 +591,8 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
     fold_var = None
     acc_type: Opt[TTuple] = None
     init_expr = None
-    f_lambda = None
-    post_lambdas = []
+    f_body = None
+    post_bodies = []
     post_var = None
     prefilters = []
 
@@ -695,14 +626,12 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
                 raise DslTypeError("fix lambdas are not supported", lam.span)
             if len(lam.params) != 1:
                 raise DslTypeError("row filter lambda takes one parameter", lam.span)
-            _rename(lam.body, {lam.params[0]: "r"})
-            lam.params = ["r"]
-            lam.body = _inline_names(
-                lam.body, checker.bindings, {"r"}, checker.clone
+            body = _inline_names(
+                _rename(lam.body, {lam.params[0]: "r"}), checker.bindings, {"r"}
             )
-            t = checker.check(lam.body, {"r": schema})
-            uni.unify(t, BOOL, lam.body.span)
-            frame_vars[stmt.name] = frame_vars[rhs.source.ident] + [lam.body]
+            t = checker.check(body, {"r": schema})
+            uni.unify(t, BOOL, body.span)
+            frame_vars[stmt.name] = frame_vars[rhs.source.ident] + [body]
             rhs.ty = TFrame(schema)
             checker.bindings[stmt.name] = (rhs, rhs.ty)
             continue
@@ -726,19 +655,16 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
                 raise DslTypeError(
                     "fold initializer must be a tuple of constants", rhs.init.span
                 )
-            init_expr = _inline_names(
-                init_expr, checker.bindings, set(), checker.clone
-            )
+            init_expr = _inline_names(init_expr, checker.bindings, set())
             it = checker.check(init_expr, {})
-            _rename(lam.body, {lam.params[0]: "a", lam.params[1]: "r"})
-            lam.params = ["a", "r"]
-            lam.body = _inline_names(
-                lam.body, checker.bindings, {"a", "r"}, checker.clone
+            f_body = _inline_names(
+                _rename(lam.body, {lam.params[0]: "a", lam.params[1]: "r"}),
+                checker.bindings, {"a", "r"},
             )
-            bt = checker.check(lam.body, {"a": it, "r": schema})
-            uni.unify(bt, it, lam.body.span)
+            bt = checker.check(f_body, {"a": it, "r": schema})
+            uni.unify(bt, it, f_body.span)
             acc_type = uni.resolve(it)
-            fold_stmt, fold_var, f_lambda = stmt, stmt.name, lam
+            fold_stmt, fold_var = stmt, stmt.name
             rhs.ty = acc_type
             checker.bindings[stmt.name] = (Name(ident=stmt.name), acc_type)
             post_var = stmt.name
@@ -750,14 +676,12 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
                 raise DslTypeError("fix lambdas are not supported", lam.span)
             if len(lam.params) != 1:
                 raise DslTypeError("post filter lambda takes one parameter", lam.span)
-            _rename(lam.body, {lam.params[0]: "a"})
-            lam.params = ["a"]
-            lam.body = _inline_names(
-                lam.body, checker.bindings, {"a"}, checker.clone
+            body = _inline_names(
+                _rename(lam.body, {lam.params[0]: "a"}), checker.bindings, {"a"}
             )
-            t = checker.check(lam.body, {"a": acc_type})
-            uni.unify(t, BOOL, lam.body.span)
-            post_lambdas.append(lam)
+            t = checker.check(body, {"a": acc_type})
+            uni.unify(t, BOOL, body.span)
+            post_bodies.append(body)
             rhs.ty = acc_type
             checker.bindings[stmt.name] = (Name(ident=stmt.name), acc_type)
             post_var = stmt.name
@@ -784,10 +708,10 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
 
     # combined post-filter
     post_pred: Opt[Expr] = None
-    for lam in post_lambdas:
-        post_pred = lam.body if post_pred is None else _and(post_pred, lam.body)
+    for body in post_bodies:
+        post_pred = body if post_pred is None else _and(post_pred, body)
 
-    checker.zonk(f_lambda.body)
+    checker.zonk(f_body)
     checker.zonk(init_expr)
     if post_pred is not None:
         checker.zonk(post_pred)
@@ -800,7 +724,7 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
     init_values = tuple(eval_const(e) for e in init_expr.items)
     conjuncts = []
     if post_pred is not None:
-        for clause in cnf_clauses(copy.deepcopy(post_pred)):
+        for clause in cnf_clauses(post_pred):
             conjuncts.append(_clause_to_expr(clause))
 
     source = program.source
@@ -824,7 +748,7 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
         init_exprs=list(init_expr.items),
         init_values=init_values,
         acc_type=acc_type,
-        f_body=f_lambda.body,
+        f_body=f_body,
         post_pred=post_pred,
         post_conjuncts=conjuncts,
         prefilters=list(prefilters),

@@ -62,12 +62,6 @@ def vc_init_holds(ctx, psi: Conjunction) -> bool:
     return conj_eval(ctx, psi, {"a1": init, "a2": init})
 
 
-def vc_init(ctx, psi: Conjunction):
-    init = ctx.init_sexp()
-    body = ctx.psi_app(psi.indices, "a1", "a2")
-    return ["let", [["a1", init], ["a2", init]], body]
-
-
 def _steps(ctx, optimized_moves: bool):
     eqs = [["=", "a1p", ["facc", "a1", "r"]]]
     if optimized_moves:

@@ -1,5 +1,6 @@
 """Data-flow analysis and predicate-universe construction."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from pushdown_synth.analysis import build_universes, infer_dep_info
 from pushdown_synth.parser import parse
 from pushdown_synth.pretty import fmt_expr
-from pushdown_synth.typecheck import typecheck
+from pushdown_synth.syntax import Case, Expr, Type, walk
+from pushdown_synth.typecheck import cnf_clauses, typecheck
 from pushdown_synth.values import NEG_INF
 
 from conftest import atom_index, make_task
@@ -140,3 +142,44 @@ def test_case_b_universe_size_logged_against_reported_count():
     # compared against the same order of magnitude, not asserted equal
     print(f"case_b invariant universe: {size} atoms (reported construction: 172)")
     assert 80 <= size <= 420
+
+
+def _field_state(value):
+    if isinstance(value, Expr):
+        return ("node", id(value))
+    if isinstance(value, Type):
+        return ("type", value, id(value))  # identity shows an equal type rewritten
+    if isinstance(value, Case):
+        return ("case", value.pattern, id(value.body), value.span)
+    if isinstance(value, list):
+        return tuple(_field_state(v) for v in value)
+    return value
+
+
+def _snapshot(task):
+    """{id: (class, fields)} of every node reachable from the task."""
+    roots = [task.f_body, *task.init_exprs, task.post_pred,
+             *task.post_conjuncts, *task.prefilters]
+    return {
+        id(node): (type(node), {
+            f.name: _field_state(getattr(node, f.name))
+            for f in dataclasses.fields(node)
+        })
+        for root in roots for node in walk(root)
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["top2", "discount", "case_a", "case_b", "count_taut", "frequent"]
+)
+def test_universe_construction_does_not_mutate_the_task(name):
+    task = make_task(name)
+    before = _snapshot(task)
+    u1 = build_universes(task)
+    u2 = build_universes(task)
+    if task.post_pred is not None:
+        cnf_clauses(task.post_pred)
+    assert _snapshot(task) == before
+    for role in ("u_q", "u_residual", "u_psi"):
+        assert atoms(getattr(u1, role)) == atoms(getattr(u2, role))
+    assert (u1.p_indices, u1.dropped_q) == (u2.p_indices, u2.dropped_q)

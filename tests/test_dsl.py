@@ -6,7 +6,10 @@ from pushdown_synth.lexer import DslSyntaxError
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr, fmt_program
 from pushdown_synth.syntax import (
-    FLOAT, Fold, Match, TFloat, TInt, TOpt, structurally_equal, walk,
+    FLOAT, INT, BinOp, Case, CoerceSome, Cond, Filter, Fold, Index, Insert,
+    IsNone, Lambda, ListExpr, Lit, Match, Name, Not, SliceFrom, SomeVal, Span,
+    TFloat, TInt, TOpt, TupleExpr, TypeTuple, map_children, structurally_equal,
+    walk,
 )
 from pushdown_synth.typecheck import DslTypeError, typecheck
 
@@ -168,3 +171,68 @@ def test_typecheck_is_deterministic():
 def test_parse_expression_rejects_trailing_tokens():
     with pytest.raises(DslSyntaxError):
         parse_expression("a[0] > 1.0 extra")
+
+
+def _every_kind():
+    """A tree with one node of every expression kind."""
+    def n(ident):
+        return Name(ident=ident)
+
+    return Fold(
+        source=Filter(source=n("df"),
+                      fn=Lambda(params=["r"], body=IsNone(operand=n("r")))),
+        init=TupleExpr(items=[Lit(value=0), TypeTuple(types=(INT,))]),
+        fn=Lambda(params=["a", "r"], body=Cond(
+            then=BinOp(op="+", left=Index(base=n("a"), index=0),
+                       right=SomeVal(operand=n("x"))),
+            test=Not(operand=Match(
+                scrutinee=CoerceSome(operand=n("y")),
+                cases=[Case(None, Lit(kind="bool", value=True)),
+                       Case("v", n("v"))],
+            )),
+            other=Insert(
+                target=SliceFrom(base=ListExpr(items=[n("p"), n("q")]), start=1),
+                item=n("z"),
+            ),
+        )),
+    )
+
+
+def test_walk_order_covers_every_node_kind():
+    order = [getattr(x, "ident", type(x).__name__) for x in walk(_every_kind())]
+    # children are pushed in field order and popped last first
+    assert order == [
+        "Fold", "Lambda", "Cond", "Insert", "z", "SliceFrom", "ListExpr", "q",
+        "p", "Not", "Match", "v", "Lit", "CoerceSome", "y", "BinOp", "SomeVal",
+        "x", "Index", "a", "TupleExpr", "TypeTuple", "Lit", "Filter", "Lambda",
+        "IsNone", "r", "df",
+    ]
+
+
+def test_map_children_is_copy_on_write():
+    for node in walk(_every_kind()):
+        assert map_children(node, lambda c: c) is node
+
+    e = BinOp(op="+", left=Name(ident="x"), right=Lit(value=1),
+              span=Span(3, 4), ty=INT)
+    out = map_children(
+        e, lambda c: Name(ident="y") if isinstance(c, Name) else c
+    )
+    assert out is not e and out.span == Span(3, 4) and out.ty == INT
+    assert out.left.ident == "y" and out.right is e.right
+    assert e.left.ident == "x"
+
+
+def test_map_children_reaches_match_case_bodies():
+    m = Match(scrutinee=Name(ident="s"),
+              cases=[Case(None, Name(ident="b1")), Case("v", Name(ident="b2"))])
+    seen = []
+    assert map_children(m, lambda c: seen.append(c.ident) or c) is m
+    assert seen == ["s", "b1", "b2"]
+
+    out = map_children(
+        m, lambda c: Lit(value=2) if getattr(c, "ident", "") == "b2" else c
+    )
+    assert out.cases[0] is m.cases[0] and out.cases[1].pattern == "v"
+    assert isinstance(out.cases[1].body, Lit)
+    assert m.cases[1].body.ident == "b2"

@@ -809,7 +809,8 @@ def _substitute_clause(lits, dep: DepInfo):
     """Rewrite accumulator accesses to contributing row expressions.
 
     Null-test literals have no row counterpart and are dropped from the
-    clause; a clause left with no literals (or an unresolvable access) fails."""
+    clause; a clause left with no literals, an unresolvable access or a
+    term-level match over the accumulator (not descended) fails."""
 
     def transform(e: Expr) -> Expr:
         comp = _acc_comp_of_term(e)
@@ -820,6 +821,8 @@ def _substitute_clause(lits, dep: DepInfo):
         if isinstance(e, Name) and e.ident == "a":
             raise _SubstFail()
         if isinstance(e, Match):
+            if _acc_fields(e):
+                raise _SubstFail()
             return e  # not descended
         return map_children(e, transform)
 
@@ -1083,7 +1086,10 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             cmps = []
             eq_consts = []
             for lit in lits:
-                if any(isinstance(n, IsNone) for n in walk(lit)):
+                # null tests, and matches _replace_someval does not enter
+                if any(isinstance(n, IsNone)
+                       or isinstance(n, Match) and _acc_fields(n)
+                       for n in walk(lit)):
                     continue
                 cmps.append(lit)
                 if isinstance(lit, BinOp) and lit.op == "==" \

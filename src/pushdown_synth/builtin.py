@@ -37,10 +37,7 @@ import time
 from fractions import Fraction
 from math import floor, gcd, lcm
 
-from .smt import (
-    BUILTIN, Model, QueryResult, SolverError, decode_value, parse_sexp,
-    sexp_str,
-)
+from .smt import BUILTIN, Session, SolverError, parse_sexp, sexp_str
 
 TRUE, FALSE = 1, -1
 MAX_INT_BRANCHES = 500
@@ -1191,28 +1188,18 @@ class _Check:
 # the session
 
 
-class BuiltinSession:
-    """In-process session with the surface of ``smt.SolverSession``."""
+class BuiltinSession(Session):
+    """In-process session over the elaborator and search of this module."""
 
     backend = BUILTIN
 
     def __init__(self, config):
-        self.config = config
-        self.poisoned = False
-        self.num_checks = 0
-        self.on_check = None  # budget hook
-        self._log = open(config.log_path, "w") if config.log_path else None
+        super().__init__(config)
         self._el = _Elaborator()
         self._frames = [[]]  # assertions per push frame
         self._declared = [[]]  # constants and functions per push frame
-        self._var_sorts = {}
         self._reason = ""
         self._model = None  # constant -> value tree of the last sat check
-
-    def _write(self, line):
-        if self._log:
-            self._log.write(line + "\n")
-            self._log.flush()
 
     # -- session operations
 
@@ -1223,10 +1210,6 @@ class BuiltinSession:
             self._el.declare(cmd)
             if cmd[0] in ("declare-const", "declare-fun"):
                 self._declared[-1].append(cmd[1])
-
-    def declare_const(self, name: str, sort_text: str, sort_desc):
-        self.declare(f"(declare-const {name} {sort_text})")
-        self._var_sorts[name] = sort_desc
 
     def push(self):
         self._write("(push 1)")
@@ -1245,10 +1228,7 @@ class BuiltinSession:
         self._write(f"(assert {sexp_str(formula)})")
         self._frames[-1].append(formula)
 
-    def check_sat(self) -> str:
-        if self.on_check is not None:
-            self.on_check()
-        self.num_checks += 1
+    def _check_sat(self) -> str:
         self._write("(check-sat)")
         deadline = time.monotonic() + self.config.timeout_ms / 1000.0
         self._model = None
@@ -1265,10 +1245,10 @@ class BuiltinSession:
     def reason_unknown(self) -> str:
         return f'(:reason-unknown "{self._reason}")'
 
-    def get_model(self, names) -> Model:
+    def _model_sexps(self, names):
         if self._model is None:
             raise SolverError("get-model failed: no model is available")
-        assignment, raw = {}, []
+        sexps, raw = {}, []
         for name in names:
             if name not in self._var_sorts:
                 continue
@@ -1276,43 +1256,16 @@ class BuiltinSession:
             tree = self._model.get(name)
             if tree is None:
                 tree = _default_tree(self._el, sort)
-            sx = _value_sexp(self._el, sort, tree)
-            raw.append(f"(define-fun {name} () {sort.name} {sexp_str(sx)})")
-            assignment[name] = decode_value(sx, self._var_sorts[name])
-        missing = [n for n in names if n not in assignment]
-        if missing:
-            raise SolverError(f"model lacks assignments for {missing}")
+            sexps[name] = _value_sexp(self._el, sort, tree)
+            raw.append(f"(define-fun {name} () {sort.name} "
+                       f"{sexp_str(sexps[name])})")
         text = "(model " + " ".join(raw) + ")"
         self._write(f"; -> {text}")
-        return Model(assignment=assignment, raw=text)
-
-    def check_valid(self, formula, model_names=()) -> QueryResult:
-        """Valid iff the negation is unsatisfiable; Invalid carries a model."""
-        self.push()
-        try:
-            self.assert_(["not", formula])
-            status = self.check_sat()
-            if status == "unsat":
-                return QueryResult("valid")
-            if status == "sat":
-                return QueryResult(
-                    "invalid", model=self.get_model(list(model_names)))
-            kind = "timeout" if self._reason == "timeout" else "incomplete"
-            return QueryResult("unknown", reason=kind)
-        finally:
-            self.pop()
+        return sexps, text
 
     def close(self):
-        if self._log:
-            self._write("(exit)")
-            self._log.close()
-            self._log = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        self._write("(exit)")
+        super().close()
 
     # -- deciding the asserted formulas
 

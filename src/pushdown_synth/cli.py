@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .analysis import build_universes
+from .analysis import build_universes, is_trivially_false, normalize
 from .bmc import screen
 from .encode import TaskContext
 from .fuzz import differential_check
@@ -24,6 +26,7 @@ from .typecheck import DslTypeError, typecheck, type_predicate
 from .lexer import DslSyntaxError
 from .vcgen import Conjunction, check_witness
 from .schema import validate_record
+from .syntax import Span, TTuple
 
 
 def _solver_config(args) -> SolverConfig:
@@ -101,90 +104,105 @@ def _trace_fn(args):
     return fn
 
 
-def _run_synth_one(path, args):
-    task = _load_task(path)
-    universes = build_universes(task)
-    record = {"task": task.name, "stats": _base_stats(universes.sizes())}
+def _run_files(args, paths, run_task, needs_session=True):
+    """For each file: load the task, build its universes once, and call
+    ``run_task(args, task, universes, record, session)`` with a fresh record
+    and a solver session (None unless ``needs_session``). A DSL, solver,
+    I/O or text-encoding error becomes the file's error record. Emits and
+    returns the records."""
+    records = []
+    for path in paths:
+        try:
+            task = _load_task(path)
+            universes = build_universes(task)
+            record = {"task": task.name,
+                      "stats": _base_stats(universes.sizes())}
+            with (start_session(_solver_config(args)) if needs_session
+                  else nullcontext()) as session:
+                run_task(args, task, universes, record, session)
+        except (DslSyntaxError, DslTypeError, SolverError, OSError,
+                UnicodeDecodeError) as exc:
+            record = _error_record(path, exc)
+        records.append(record)
+    _emit(records, args)
+    return records
+
+
+def _exit_code(records):
+    return 0 if all(r["status"] == "solved" for r in records) else 1
+
+
+def _synth_task(args, task, universes, record, session):
     if task.post_pred is not None:
         record["stats"]["p_size"] = len(task.post_conjuncts)
     if args.dump_universe:
         record["universes"] = _universe_dump(universes)
-    with start_session(_solver_config(args)) as session:
-        ctx = TaskContext(task, universes, session)
-        budget = Budget(wall_s=args.budget_s, max_solver_calls=args.max_calls)
-        outcome = synthesize(
-            task, universes, session, budget=budget, ctx=ctx,
-            trace_fn=_trace_fn(args),
-        )
-        stats = outcome.stats
-        record["stats"].update({
-            "wall_ms": stats.wall_ms,
-            "solver_calls": stats.solver_calls,
-            "worklist_iters": stats.iterations,
-            "measure_log": [list(m) for m in stats.measure_log],
-            "notes": list(stats.notes),
-        })
-        if not isinstance(outcome, PushdownSolution):
-            record["status"] = "budget" if outcome.reason == "budget" else "fail"
-            return record
-        # belt-and-braces: re-check the witness before reporting solved
-        report = check_witness(
-            ctx, outcome.q, outcome.certified_residual, outcome.psi
-        )
-        if not report.ok:
-            record["status"] = "inconclusive" if report.inconclusive else "error"
-            record["error"] = f"witness re-check failed at {report.failing}"
-            return record
-        diff = differential_check(
-            task, universes, outcome.q.indices, outcome.residual.indices,
-            trials=args.trials, seed=args.seed,
-        )
-        record.update({
-            "status": "solved" if diff.ok else "error",
-            "mode": outcome.mode,
-            "q_atoms": _atom_strings(universes.u_q, outcome.q),
-            "residual_atoms": _atom_strings(universes.u_residual,
-                                            outcome.residual),
-            "certified_residual_atoms": _atom_strings(
-                universes.u_residual, outcome.certified_residual
-            ),
-            "invariant_atoms": _atom_strings(universes.u_psi, outcome.psi),
-            "rewritten": emit_rewritten(task, universes, outcome),
-            "diff": diff.to_json(),
-        })
-        if not diff.ok:
-            record["error"] = "differential mismatch on a certified solution"
-        return record
+    ctx = TaskContext(task, universes, session)
+    budget = Budget(wall_s=args.budget_s, max_solver_calls=args.max_calls)
+    outcome = synthesize(ctx, budget=budget, trace_fn=_trace_fn(args))
+    stats = outcome.stats
+    record["stats"].update({
+        "wall_ms": stats.wall_ms,
+        "solver_calls": stats.solver_calls,
+        "worklist_iters": stats.iterations,
+        "measure_log": [list(m) for m in stats.measure_log],
+        "notes": list(stats.notes),
+    })
+    if not isinstance(outcome, PushdownSolution):
+        record["status"] = "budget" if outcome.reason == "budget" else "fail"
+        return
+    # belt-and-braces: re-check the witness before reporting solved
+    report = check_witness(
+        ctx, outcome.q, outcome.certified_residual, outcome.psi
+    )
+    if not report.ok:
+        record["status"] = "inconclusive" if report.inconclusive else "error"
+        record["error"] = f"witness re-check failed at {report.failing}"
+        return
+    diff = differential_check(
+        task, universes, outcome.q.indices, outcome.residual.indices,
+        trials=args.trials, seed=args.seed,
+    )
+    record.update({
+        "status": "solved" if diff.ok else "error",
+        "mode": outcome.mode,
+        "q_atoms": _atom_strings(universes.u_q, outcome.q),
+        "residual_atoms": _atom_strings(universes.u_residual,
+                                        outcome.residual),
+        "certified_residual_atoms": _atom_strings(
+            universes.u_residual, outcome.certified_residual
+        ),
+        "invariant_atoms": _atom_strings(universes.u_psi, outcome.psi),
+        "rewritten": emit_rewritten(task, universes, outcome),
+        "diff": diff.to_json(),
+    })
+    if not diff.ok:
+        record["error"] = "differential mismatch on a certified solution"
 
 
 def cmd_synth(args):
-    records = []
-    failed = False
-    for path in args.files:
-        try:
-            record = _run_synth_one(path, args)
-        except (DslSyntaxError, DslTypeError, SolverError, OSError) as exc:
-            record = _error_record(path, exc)
-        if record["status"] != "solved":
-            failed = True
-        records.append(record)
-    _emit(records, args)
-    return 1 if failed else 0
+    return _exit_code(_run_files(args, args.files, _synth_task))
 
 
 def _parse_triple(path, task, universes):
-    spec = json.loads(Path(path).read_text())
-    from .syntax import TTuple
-
+    try:
+        spec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DslSyntaxError(f"{exc.msg} in triple file {path}",
+                             Span(exc.lineno, exc.colno))
+    if not isinstance(spec, dict) or not all(
+            isinstance(spec.get(role, []), list)
+            and all(isinstance(text, str) for text in spec.get(role, []))
+            for role in ("q", "residual", "psi")):
+        raise DslTypeError(f"triple file {path} must hold an object whose "
+                           f"q, residual and psi are lists of strings")
     acc_env = {"a": task.acc_type}
     psi_env = {"a1": task.acc_type, "a2": task.acc_type}
     row_env = {"r": TTuple(tuple(task.schema))}
 
-    def conj(role, universe, env, texts):
-        from .analysis import is_trivially_false, normalize
-
+    def conj(role, universe, env):
         indices = []
-        for text in texts:
+        for text in spec.get(role, []):
             expr = type_predicate(parse_expression(text), env)
             if is_trivially_false(normalize(expr)):
                 raise DslTypeError(f"supplied {role} atom {text!r} is false")
@@ -195,85 +213,55 @@ def _parse_triple(path, task, universes):
         return Conjunction.of(role, indices)
 
     return (
-        conj("q", universes.u_q, row_env, spec.get("q", [])),
-        conj("residual", universes.u_residual, acc_env, spec.get("residual", [])),
-        conj("psi", universes.u_psi, psi_env, spec.get("psi", [])),
+        conj("q", universes.u_q, row_env),
+        conj("residual", universes.u_residual, acc_env),
+        conj("psi", universes.u_psi, psi_env),
     )
 
 
+def _verify_task(args, task, universes, record, session):
+    q, residual, psi = _parse_triple(args.triple, task, universes)
+    report = check_witness(TaskContext(task, universes, session),
+                           q, residual, psi)
+    record["status"] = "solved" if report.ok else (
+        "inconclusive" if report.inconclusive else "fail"
+    )
+    if not report.ok:
+        record["error"] = f"failing VC: {report.failing}"
+
+
 def cmd_verify(args):
-    records = []
-    failed = False
-    for path in args.files:
-        task = _load_task(path)
-        universes = build_universes(task)
-        q, residual, psi = _parse_triple(args.triple, task, universes)
-        with start_session(_solver_config(args)) as session:
-            ctx = TaskContext(task, universes, session)
-            report = check_witness(ctx, q, residual, psi)
-        record = {
-            "task": task.name,
-            "status": "solved" if report.ok else (
-                "inconclusive" if report.inconclusive else "fail"
-            ),
-            "stats": _base_stats(universes.sizes()),
-        }
-        if not report.ok:
-            record["error"] = f"failing VC: {report.failing}"
-            failed = True
-        records.append(record)
-    _emit(records, args)
-    return 1 if failed else 0
+    return _exit_code(_run_files(args, args.files, _verify_task))
+
+
+def _screen_task(args, task, universes, record, session):
+    verdict = screen(TaskContext(task, universes, session), args.bmc_rows)
+    record["status"] = "solved" if verdict.kind != "Inconclusive" \
+        else "inconclusive"
+    record["screen"] = {
+        "verdict": verdict.kind,
+        "witness": verdict.witness,
+        "reason": verdict.reason,
+    }
 
 
 def cmd_screen(args):
-    records = []
-    failed = False
-    for path in args.files:
-        task = _load_task(path)
-        universes = build_universes(task)
-        with start_session(_solver_config(args)) as session:
-            ctx = TaskContext(task, universes, session)
-            verdict = screen(ctx, args.bmc_rows)
-        record = {
-            "task": task.name,
-            "status": "solved" if verdict.kind != "Inconclusive" else "inconclusive",
-            "screen": {
-                "verdict": verdict.kind,
-                "witness": verdict.witness,
-                "reason": verdict.reason,
-            },
-            "stats": _base_stats(universes.sizes()),
-        }
-        if verdict.kind == "Inconclusive":
-            failed = True
-        records.append(record)
-    _emit(records, args)
-    return 1 if failed else 0
+    return _exit_code(_run_files(args, args.files, _screen_task))
+
+
+def _diff_task(args, task, universes, record, session):
+    q, residual, _ = _parse_triple(args.triple, task, universes)
+    report = differential_check(
+        task, universes, q.indices, residual.indices,
+        trials=args.trials, seed=args.seed,
+    )
+    record["status"] = "solved" if report.ok else "fail"
+    record["diff"] = report.to_json()
 
 
 def cmd_diff(args):
-    records = []
-    failed = False
-    for path in args.files:
-        task = _load_task(path)
-        universes = build_universes(task)
-        q, residual, _ = _parse_triple(args.triple, task, universes)
-        report = differential_check(
-            task, universes, q.indices, residual.indices,
-            trials=args.trials, seed=args.seed,
-        )
-        record = {
-            "task": task.name,
-            "status": "solved" if report.ok else "fail",
-            "diff": report.to_json(),
-            "stats": _base_stats(universes.sizes()),
-        }
-        if not report.ok:
-            failed = True
-        records.append(record)
-    _emit(records, args)
-    return 1 if failed else 0
+    return _exit_code(
+        _run_files(args, args.files, _diff_task, needs_session=False))
 
 
 def cmd_bench(args):
@@ -281,12 +269,7 @@ def cmd_bench(args):
     if not paths:
         sys.stderr.write(f"no .pdsl files under {args.directory}\n")
         return 2
-    records = []
-    for path in paths:
-        try:
-            records.append(_run_synth_one(path, args))
-        except (DslSyntaxError, DslTypeError, SolverError, OSError) as exc:
-            records.append(_error_record(path, exc))
+    records = _run_files(args, paths, _synth_task)
     solved = [r for r in records if r["status"] == "solved"]
     by_mode = {}
     for r in solved:
@@ -310,32 +293,21 @@ def cmd_bench(args):
                 r["stats"].get("p_size", 0) for r in group
             ),
         })
+    runtimes = [r["stats"]["wall_ms"] / 1000.0 for r in solved]
     summary = {
         "benchmarks": len(records),
         "solved": len(solved),
         "by_mode": summary_rows,
-        "median_runtime_s": _median(
-            [r["stats"]["wall_ms"] / 1000.0 for r in solved]
-        ),
+        "median_runtime_s":
+            round(statistics.median(runtimes), 3) if runtimes else None,
     }
-    _emit(records, args)
     out = sys.stdout if args.out is None else open(args.out, "a")
     try:
         out.write(json.dumps({"summary": summary}) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0 if len(solved) == len(records) else 1
-
-
-def _median(values):
-    if not values:
-        return None
-    values = sorted(values)
-    mid = len(values) // 2
-    if len(values) % 2:
-        return round(values[mid], 3)
-    return round((values[mid - 1] + values[mid]) / 2, 3)
+    return _exit_code(records)
 
 
 def build_arg_parser():

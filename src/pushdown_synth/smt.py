@@ -1,10 +1,11 @@
 """SMT-LIB 2 solver sessions: validity and model queries.
 
-Two backends share one session surface. ``SolverSession`` drives an external
-solver subprocess; every command is acknowledged under :print-success, which
-gives reliable framing over the pipe. ``builtin.BuiltinSession`` decides the
-quantifier-free fragment in process. Each validity check runs inside a
-push/pop frame, so session state is query-invariant.
+Two backends subclass one session base, ``Session``. ``SolverSession`` drives
+an external solver subprocess; every command is acknowledged under
+:print-success, which gives reliable framing over the pipe.
+``builtin.BuiltinSession`` decides the quantifier-free fragment in process.
+Each validity check runs inside a push/pop frame, so session state is
+query-invariant.
 """
 
 from __future__ import annotations
@@ -236,13 +237,89 @@ class SolverConfig:
     log_path: Opt[str] = None
 
 
-class SolverSession:
+class Session:
+    """What both backends share: the budget hook and query counter, the
+    transcript, the sorts of declared constants, model decoding and
+    validity checks. A backend supplies ``declare``, ``push``, ``pop``,
+    ``assert_``, ``_check_sat`` (the raw check, returning sat, unsat or
+    unknown), ``reason_unknown``, ``_model_sexps`` and ``close``."""
+
+    backend = ""
+
+    def __init__(self, config: SolverConfig):
+        self.config = config
+        self.poisoned = False
+        self.num_checks = 0
+        self.on_check = None  # budget hook
+        self._log = open(config.log_path, "w") if config.log_path else None
+        self._var_sorts = {}
+
+    def _write(self, line: str):
+        if self._log:
+            self._log.write(line + "\n")
+            self._log.flush()
+
+    def declare_const(self, name: str, sort_text: str, sort_desc: SortDesc):
+        self.declare(f"(declare-const {name} {sort_text})")
+        self._var_sorts[name] = sort_desc
+
+    def check_sat(self) -> str:
+        if self.on_check is not None:
+            self.on_check()
+        self.num_checks += 1
+        return self._check_sat()
+
+    def get_model(self, names) -> Model:
+        """The values of ``names``, decoded from the backend's
+        ``{name: value s-expression}`` map of the last sat check."""
+        sexps, raw = self._model_sexps(names)
+        assignment = {name: decode_value(sexps[name], self._var_sorts[name])
+                      for name in names
+                      if name in sexps and name in self._var_sorts}
+        missing = [n for n in names if n not in assignment]
+        if missing:
+            raise SolverError(f"model lacks assignments for {missing}")
+        return Model(assignment=assignment, raw=raw)
+
+    def check_valid(self, formula, model_names=()) -> QueryResult:
+        """Valid iff the negation is unsatisfiable; Invalid carries a model."""
+        if self.poisoned:
+            raise SolverCrashed("session is poisoned; restart required")
+        self.push()
+        try:
+            self.assert_(["not", formula])
+            status = self.check_sat()
+            if status == "unsat":
+                return QueryResult("valid")
+            if status == "sat":
+                model = self.get_model(list(model_names))
+                return QueryResult("invalid", model=model)
+            reason = self.reason_unknown()
+            kind = "timeout" if "timeout" in reason or "canceled" in reason \
+                else "incomplete"
+            return QueryResult("unknown", reason=kind)
+        finally:
+            if not self.poisoned:
+                self.pop()
+
+    def close(self):
+        if self._log:
+            self._log.close()
+            self._log = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class SolverSession(Session):
     """Single-owner session over one solver subprocess."""
 
     backend = "subprocess"
 
     def __init__(self, config: SolverConfig):
-        self.config = config
         path = find_solver(config.solver_path)
         args = [path, "-in", f"smt.random_seed={config.random_seed}"]
         try:
@@ -254,13 +331,8 @@ class SolverSession:
             )
         except OSError as exc:
             raise SolverError(f"cannot spawn solver {path!r}: {exc}")
+        super().__init__(config)
         self._rbuf = b""
-        self.poisoned = False
-        self.num_checks = 0
-        self._log = open(config.log_path, "w") if config.log_path else None
-        self._depth = 0
-        self.on_check = None  # budget hook
-        self._var_sorts = {}
         try:
             self.command("(set-option :print-success true)")
         except SolverError:
@@ -271,9 +343,7 @@ class SolverSession:
     # -- low-level I/O
 
     def _send(self, line: str):
-        if self._log:
-            self._log.write(line + "\n")
-            self._log.flush()
+        self._write(line)
         if self.proc.stdin is None or self.proc.poll() is not None:
             self.poisoned = True
             raise SolverCrashed("solver process is gone")
@@ -333,8 +403,7 @@ class SolverSession:
     def command(self, line: str, expect_success: bool = True) -> str:
         self._send(line)
         resp = self._read_response(self._deadline())
-        if self._log:
-            self._log.write(f"; -> {resp}\n")
+        self._write(f"; -> {resp}")
         if expect_success and resp != "success":
             if resp.startswith("(error"):
                 raise SolverError(f"solver error for {line!r}: {resp}")
@@ -346,29 +415,19 @@ class SolverSession:
     def declare(self, text):
         self.command(text if isinstance(text, str) else sexp_str(text))
 
-    def declare_const(self, name: str, sort_text: str, sort_desc: SortDesc):
-        self.command(f"(declare-const {name} {sort_text})")
-        self._var_sorts[name] = sort_desc
-
     def push(self):
         self.command("(push 1)")
-        self._depth += 1
 
     def pop(self):
         self.command("(pop 1)")
-        self._depth -= 1
 
     def assert_(self, formula):
         self.command(f"(assert {sexp_str(formula)})")
 
-    def check_sat(self) -> str:
-        if self.on_check is not None:
-            self.on_check()
-        self.num_checks += 1
+    def _check_sat(self) -> str:
         self._send("(check-sat)")
         resp = self._read_response(self._deadline())
-        if self._log:
-            self._log.write(f"; -> {resp}\n")
+        self._write(f"; -> {resp}")
         if resp not in ("sat", "unsat", "unknown"):
             self.poisoned = True
             raise SolverCrashed(f"unexpected check-sat response {resp!r}")
@@ -376,56 +435,25 @@ class SolverSession:
 
     def reason_unknown(self) -> str:
         self._send("(get-info :reason-unknown)")
-        resp = self._read_response(self._deadline())
-        return resp
+        return self._read_response(self._deadline())
 
     def model_text(self) -> str:
         """The solver's raw (get-model) response."""
         self._send("(get-model)")
         resp = self._read_response(self._deadline())
-        if self._log:
-            self._log.write(f"; -> {resp}\n")
+        self._write(f"; -> {resp}")
         if resp.startswith("(error"):
             raise SolverError(f"get-model failed: {resp}")
         return resp
 
-    def get_model(self, names) -> Model:
+    def _model_sexps(self, names):
         resp = self.model_text()
         parsed = parse_sexp(resp)[0]
         if parsed and parsed[0] == "model":
             parsed = parsed[1:]
-        assignment = {}
-        for entry in parsed:
-            if not (isinstance(entry, list) and entry and entry[0] == "define-fun"):
-                continue
-            name = entry[1]
-            if name in names and name in self._var_sorts and entry[2] == []:
-                assignment[name] = decode_value(entry[4], self._var_sorts[name])
-        missing = [n for n in names if n not in assignment]
-        if missing:
-            raise SolverError(f"model lacks assignments for {missing}")
-        return Model(assignment=assignment, raw=resp)
-
-    def check_valid(self, formula, model_names=()) -> QueryResult:
-        """Valid iff the negation is unsatisfiable; Invalid carries a model."""
-        if self.poisoned:
-            raise SolverCrashed("session is poisoned; restart required")
-        self.push()
-        try:
-            self.assert_(["not", formula])
-            status = self.check_sat()
-            if status == "unsat":
-                return QueryResult("valid")
-            if status == "sat":
-                model = self.get_model(list(model_names))
-                return QueryResult("invalid", model=model)
-            reason = self.reason_unknown()
-            kind = "timeout" if "timeout" in reason or "canceled" in reason \
-                else "incomplete"
-            return QueryResult("unknown", reason=kind)
-        finally:
-            if not self.poisoned:
-                self.pop()
+        return {entry[1]: entry[4] for entry in parsed
+                if isinstance(entry, list) and entry
+                and entry[0] == "define-fun" and entry[2] == []}, resp
 
     def close(self):
         try:
@@ -437,14 +465,7 @@ class SolverSession:
             self.proc.kill()
         except OSError:
             pass
-        if self._log:
-            self._log.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        super().close()
 
 
 def start_session(config: SolverConfig):

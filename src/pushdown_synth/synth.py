@@ -445,14 +445,10 @@ def _worklist_measure(entries):
     return (top, sizes.count(top))
 
 
-def synthesize(task, universes, session, budget: Opt[Budget] = None,
-               ctx=None, trace_fn=None):
+def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     """Worklist search from the strongest filter; returns the first certified
     solution (optimal within the universes) or a SynthFailure."""
-    from .encode import TaskContext
-
-    if ctx is None:
-        ctx = TaskContext(task, universes, session)
+    universes, session = ctx.universes, ctx.session
     ctx.trace_fn = trace_fn
     stats = SynthStats(sizes=universes.sizes())
     start_calls = session.num_checks

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .interp import eval_atom
-from .synth import PushdownSolution, SynthStats, classify_mode, collapse_residual
-from .vcgen import Conjunction, p_conjunction, vc_final, vc_stutter, vc_sync
+from pushdown_synth.interp import eval_atom
+from pushdown_synth.synth import (
+    PushdownSolution, SynthStats, classify_mode, collapse_residual,
+)
+from pushdown_synth.vcgen import (
+    Conjunction, p_conjunction, vc_final, vc_stutter, vc_sync,
+)
 
 
 class CapExceeded(Exception):

@@ -10,9 +10,6 @@ import pytest
 
 from pushdown_synth.bmc import screen
 from pushdown_synth.fuzz import differential_check
-from pushdown_synth.oracle import (
-    brute_force_optimal, brute_force_weakest_implicant,
-)
 from pushdown_synth.parser import parse_expression
 from pushdown_synth.pretty import fmt_expr
 from pushdown_synth.synth import (
@@ -23,6 +20,7 @@ from pushdown_synth.vcgen import Conjunction, check_witness
 
 from conftest import atom_index, fixture_source, make_context, requires_z3
 from microgen import micro_context
+from oracle import brute_force_optimal, brute_force_weakest_implicant
 
 FIXTURE_NAMES = ("top2", "discount", "case_a", "case_b", "frequent")
 
@@ -50,7 +48,7 @@ class _Bank:
             ctx = make_context(fixture_source(name), name, extra_q=extras)
             self.ctx[name] = ctx
             t0 = time.monotonic()
-            out = synthesize(ctx.task, ctx.universes, ctx.session, ctx=ctx)
+            out = synthesize(ctx)
             self.wall_s[name] = time.monotonic() - t0
             self.solution[name] = out
 
@@ -274,7 +272,7 @@ def test_criterion_6_optimality_oracle():
             oracle = brute_force_optimal(ctx)
             if oracle is None or len(oracle.q) == 0:
                 continue  # no genuine opportunity; culled like the benchmarks
-            engine = synthesize(ctx.task, ctx.universes, ctx.session, ctx=ctx)
+            engine = synthesize(ctx)
             assert isinstance(engine, PushdownSolution), source
             assert engine.q.sorted() == oracle.q.sorted(), source
             assert engine.certified_residual.sorted() == \

@@ -47,20 +47,24 @@ def test_synth_failure_exit_code(tmp_path):
     assert rec["status"] == "fail"
 
 
+# the paper's decomposition of top2
+PAPER_TRIPLE = {
+    "q": ["r[0] > 90.0"],
+    "residual": ["not (a[1] == -inf)"],
+    "psi": [
+        "a1[0] <= 90.0 or a1[0] == a2[0]",
+        "a2[0] <= 90.0 or a1[0] == a2[0]",
+        "a1[1] <= 90.0 or a1[1] == a2[1]",
+        "a2[1] <= 90.0 or a1[1] == a2[1]",
+        "a2[0] == -inf or a2[0] > 90.0",
+        "a2[1] == -inf or a2[1] > 90.0",
+        "a2[1] <= 90.0 or a1[0] > 90.0",
+    ],
+}
+
+
 def test_verify_paper_triple_and_corrupted(tmp_path):
-    triple = {
-        "q": ["r[0] > 90.0"],
-        "residual": ["not (a[1] == -inf)"],
-        "psi": [
-            "a1[0] <= 90.0 or a1[0] == a2[0]",
-            "a2[0] <= 90.0 or a1[0] == a2[0]",
-            "a1[1] <= 90.0 or a1[1] == a2[1]",
-            "a2[1] <= 90.0 or a1[1] == a2[1]",
-            "a2[0] == -inf or a2[0] > 90.0",
-            "a2[1] == -inf or a2[1] > 90.0",
-            "a2[1] <= 90.0 or a1[0] > 90.0",
-        ],
-    }
+    triple = PAPER_TRIPLE
     tfile = tmp_path / "triple.json"
     tfile.write_text(json.dumps(triple))
     out = tmp_path / "ok.json"
@@ -185,3 +189,51 @@ def test_verify_rejects_false_atom(tmp_path):
     tfile.write_text(json.dumps(triple))
     code = run(["verify", "--triple", str(tfile), fixture_path("top2")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "diff"])
+def test_bad_file_gets_an_error_record_after_the_good_one(tmp_path, command):
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps(PAPER_TRIPLE))
+    bad = tmp_path / "bad.pdsl"
+    bad.write_text("df = (float,)\nagg = fold(df, (0.0,), lambda a, r: (a[0],,))\n")
+    out = tmp_path / "records.json"
+    code = run([
+        command, "--triple", str(tfile), "--trials", "200", "--out", str(out),
+        fixture_path("top2"), str(bad),
+    ])
+    assert code == 1
+    records = read_records(out)
+    assert [(r["task"], r["status"]) for r in records] == \
+        [("top2", "solved"), ("bad", "error")]
+    assert "unexpected token" in records[1]["error"]
+
+
+@pytest.mark.parametrize("data", [
+    b'{"q": [', b'["r[0] > 1.0"]', b'{"q": "r[0] > 1.0"}', b'{"psi": [1]}',
+    b'\xff{"q": []}',
+], ids=["truncated", "list", "string-role", "number-atom", "not-utf8"])
+def test_malformed_triple_file_gets_an_error_record(tmp_path, data):
+    tfile = tmp_path / "triple.json"
+    tfile.write_bytes(data)
+    out = tmp_path / "records.json"
+    code = run(["diff", "--triple", str(tfile), "--out", str(out),
+                fixture_path("top2")])
+    assert code == 1
+    assert read_records(out)[0]["status"] == "error"
+
+
+def test_term_level_match_on_the_accumulator(tmp_path):
+    task = tmp_path / "match_acc.pdsl"
+    task.write_text(
+        "df = (float,)\n"
+        "agg = fold(df, (None,), lambda a, r: (r[0] if r[0] > 1.0 else a[0],))\n"
+        "out = filter(agg, lambda a: "
+        "(match a[0]: case None: 0.0 case v: v) > 3.0)\n"
+    )
+    out = tmp_path / "rec.json"
+    code = run(["synth", "--trials", "200", "--out", str(out), str(task)])
+    assert code == 0
+    rec = read_records(out)[0]
+    assert (rec["status"], rec["mode"]) == ("solved", "partial")
+    assert rec["q_atoms"] == ["r[0] > 1.0"]

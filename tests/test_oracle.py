@@ -2,9 +2,6 @@
 
 import pytest
 
-from pushdown_synth.oracle import (
-    CapExceeded, brute_force_optimal, brute_force_weakest_implicant,
-)
 from pushdown_synth.synth import (
     PushdownSolution, find_weakest_implicant, synthesize,
 )
@@ -12,6 +9,9 @@ from pushdown_synth.vcgen import check_witness
 
 from conftest import fixture_source, make_context
 from microgen import micro_context
+from oracle import (
+    CapExceeded, brute_force_optimal, brute_force_weakest_implicant,
+)
 
 
 def test_caps_are_enforced():
@@ -63,7 +63,7 @@ def test_oracle_agrees_with_engine_on_micro_tasks():
             oracle = brute_force_optimal(ctx, cap_psi=16)
             if oracle is None or len(oracle.q) == 0:
                 continue  # no genuine opportunity; mirrored benchmark culling
-            engine = synthesize(ctx.task, ctx.universes, ctx.session, ctx=ctx)
+            engine = synthesize(ctx)
             assert isinstance(engine, PushdownSolution)
             assert engine.q.sorted() == oracle.q.sorted()
             assert engine.certified_residual.sorted() == \

@@ -19,7 +19,7 @@ from conftest import fixture_source, make_context
 def test_emitted_program_reparses_and_agrees(name):
     ctx = make_context(fixture_source(name), name)
     try:
-        out = synthesize(ctx.task, ctx.universes, ctx.session, ctx=ctx)
+        out = synthesize(ctx)
         assert isinstance(out, PushdownSolution)
         text = emit_rewritten(ctx.task, ctx.universes, out)
         rewritten = typecheck(parse(text), name + "_rw")
@@ -39,7 +39,7 @@ def test_emitted_program_reparses_and_agrees(name):
 def test_exact_solution_emits_no_trailing_filter():
     ctx = make_context(fixture_source("discount"), "discount")
     try:
-        out = synthesize(ctx.task, ctx.universes, ctx.session, ctx=ctx)
+        out = synthesize(ctx)
         assert out.mode == "exact"
         text = emit_rewritten(ctx.task, ctx.universes, out)
         assert "kept = filter(df" in text

@@ -274,7 +274,7 @@ def test_handle_failure_false_rejection_enqueues_nothing():
 
 
 def test_synthesize_weakens_past_the_spurious_atom(top2x):
-    out = synthesize(top2x.task, top2x.universes, top2x.session, ctx=top2x)
+    out = synthesize(top2x)
     assert isinstance(out, PushdownSolution)
     assert out.q.sorted() == q_of(top2x, "r[0] > 90.0").sorted()
     res = atom_index(top2x.universes.u_residual, "not a[1] == (-inf)")
@@ -290,8 +290,7 @@ def test_synthesize_budget_exhaustion():
     ctx = make_context(fixture_source("case_b"), "case_b")
     try:
         out = synthesize(
-            ctx.task, ctx.universes, ctx.session, ctx=ctx,
-            budget=Budget(wall_s=600.0, max_solver_calls=3),
+            ctx, budget=Budget(wall_s=600.0, max_solver_calls=3),
         )
         assert isinstance(out, SynthFailure)
         assert out.reason == "budget"
@@ -302,7 +301,7 @@ def test_synthesize_budget_exhaustion():
 def test_synthesize_trivial_only_task_fails():
     ctx = make_context(fixture_source("count_taut"), "count")
     try:
-        out = synthesize(ctx.task, ctx.universes, ctx.session, ctx=ctx)
+        out = synthesize(ctx)
         assert isinstance(out, SynthFailure)
         assert out.reason == "exhausted"
     finally:

@@ -55,11 +55,10 @@ def screen(ctx, rows: int = 2) -> ScreenVerdict:
     # model-based quantifier instantiation handles the second-order shape of
     # this query; e-matching only gets in its way. Every other query in the
     # system is quantifier-free, so the options are harmless to leave set.
-    # They are z3 options: the builtin backend answers unknown on the
-    # quantifier instead, which makes the verdict Inconclusive.
-    if session.backend == "subprocess":
-        session.command("(set-option :smt.mbqi true)")
-        session.command("(set-option :smt.ematching false)")
+    # They are z3 options: the builtin backend ignores them and answers
+    # unknown on the quantifier instead, which makes the verdict Inconclusive.
+    session.set_option("smt.mbqi", "true")
+    session.set_option("smt.ematching", "false")
     session.push()
     try:
         session.declare(f"(declare-fun bmc_q ({row_sort}) Bool)")

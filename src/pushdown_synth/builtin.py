@@ -1211,6 +1211,9 @@ class BuiltinSession(Session):
             if cmd[0] in ("declare-const", "declare-fun"):
                 self._declared[-1].append(cmd[1])
 
+    def set_option(self, name, value):
+        """Solver options tune an external solver's search; none applies."""
+
     def push(self):
         self._write("(push 1)")
         self._frames.append([])

@@ -109,7 +109,9 @@ def _run_files(args, paths, run_task, needs_session=True):
     ``run_task(args, task, universes, record, session)`` with a fresh record
     and a solver session (None unless ``needs_session``). A DSL, solver,
     I/O or text-encoding error becomes the file's error record. Emits and
-    returns the records."""
+    returns the records. The sessions of one run append to one
+    ``--smt-log`` transcript, emptied before the first session opens."""
+    fresh_log = args.smt_log if needs_session else None
     records = []
     for path in paths:
         try:
@@ -117,6 +119,9 @@ def _run_files(args, paths, run_task, needs_session=True):
             universes = build_universes(task)
             record = {"task": task.name,
                       "stats": _base_stats(universes.sizes())}
+            if fresh_log:
+                Path(fresh_log).write_text("")
+                fresh_log = None
             with (start_session(_solver_config(args)) if needs_session
                   else nullcontext()) as session:
                 run_task(args, task, universes, record, session)

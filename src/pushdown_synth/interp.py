@@ -1,7 +1,12 @@
-"""Concrete evaluator for DSL expressions, folds, and Lift semantics."""
+"""Concrete evaluator for DSL expressions, folds, and Lift semantics.
+
+Expressions are compiled once into closures: node dispatch, literal
+conversion and the choice of operator happen at compile time."""
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,170 +43,232 @@ class LiftResult:
 
 
 def eval_expr(expr: Expr, env: dict) -> Value:
+    return compiled(expr)(env)
+
+
+_COMPILED = weakref.WeakKeyDictionary()  # root node -> its closure
+
+
+def compiled(expr: Expr):
+    """The closure `env -> Value` of a typed expression, compiled on first
+    use and cached per root node for the node's lifetime."""
+    fn = _COMPILED.get(expr)
+    if fn is None:
+        fn = _COMPILED[expr] = _compile(expr)
+    return fn
+
+
+def _fail(message):
+    def fail(env):
+        raise EvalError(message)
+    return fail
+
+
+# BinOp operators on two defined operands; arithmetic rejects -inf first
+def _div(left, right):
+    if right == 0:
+        raise EvalError("division by zero")
+    return Fraction(left) / Fraction(right)
+
+
+_COMPARE = {"==": values_equal, "<": num_lt, "<=": num_le,
+            ">": lambda lhs, rhs: num_lt(rhs, lhs),
+            ">=": lambda lhs, rhs: num_le(rhs, lhs)}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+_LITERALS = {"int": int, "float": Fraction, "bool": bool, "str": str,
+             "neginf": lambda v: NEG_INF, "none": lambda v: NONE}
+
+
+# Closures capture a node's fields, never the node itself, so a cache entry
+# does not keep its own key alive.
+def _compile(expr: Expr):
     if isinstance(expr, Lit):
-        if expr.kind == "int":
-            return int(expr.value)
-        if expr.kind == "float":
-            return Fraction(expr.value)
-        if expr.kind == "neginf":
-            return NEG_INF
-        if expr.kind == "bool":
-            return bool(expr.value)
-        if expr.kind == "str":
-            return str(expr.value)
-        if expr.kind == "none":
-            return NONE
-        raise EvalError(f"bad literal kind {expr.kind}")
+        convert = _LITERALS.get(expr.kind)
+        if convert is None:
+            return _fail(f"bad literal kind {expr.kind}")
+        value = convert(expr.value)
+        return lambda env: value
     if isinstance(expr, Name):
-        try:
-            return env[expr.ident]
-        except KeyError:
-            raise EvalError(f"unbound name {expr.ident!r} at {expr.span}")
-    if isinstance(expr, Not):
-        val = eval_expr(expr.operand, env)
-        return UNDEF if val is UNDEF else not val
-    if isinstance(expr, BinOp):
-        op = expr.op
-        if op in ("and", "or"):
-            left = eval_expr(expr.left, env)
-            right = eval_expr(expr.right, env)
-            if op == "and":
-                if left is False or right is False:
-                    return False
-                if left is UNDEF or right is UNDEF:
-                    return UNDEF
-                return bool(left) and bool(right)
-            if left is True or right is True:
-                return True
-            if left is UNDEF or right is UNDEF:
-                return UNDEF
-            return bool(left) or bool(right)
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        if left is UNDEF or right is UNDEF:
-            return UNDEF
-        if op == "==":
-            return values_equal(left, right)
-        if op == ">":
-            return num_lt(right, left)
-        if op == ">=":
-            return num_le(right, left)
-        if op == "<":
-            return num_lt(left, right)
-        if op == "<=":
-            return num_le(left, right)
-        if left is NEG_INF or right is NEG_INF:
-            raise EvalError("arithmetic on -inf")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise EvalError("division by zero")
-            return Fraction(left) / Fraction(right)
-        raise EvalError(f"bad operator {op}")
-    if isinstance(expr, Cond):
-        test = eval_expr(expr.test, env)
-        if test is UNDEF:
-            return UNDEF
-        if test:
-            return eval_expr(expr.then, env)
-        return eval_expr(expr.other, env)
-    if isinstance(expr, Match):
-        scrutinee = eval_expr(expr.scrutinee, env)
-        none_case = next(c for c in expr.cases if c.pattern is None)
-        bind_case = next(c for c in expr.cases if c.pattern is not None)
-        if scrutinee is NONE:
-            return eval_expr(none_case.body, env)
-        if not isinstance(scrutinee, Some):
-            raise EvalError("match scrutinee is not Optional")
-        inner = dict(env)
-        inner[bind_case.pattern] = scrutinee.value
-        return eval_expr(bind_case.body, inner)
-    if isinstance(expr, TupleExpr):
-        return tuple(eval_expr(e, env) for e in expr.items)
-    if isinstance(expr, ListExpr):
-        return [eval_expr(e, env) for e in expr.items]
-    if isinstance(expr, Index):
-        base = eval_expr(expr.base, env)
-        if isinstance(base, tuple):
-            return base[expr.index]
-        if isinstance(base, list):
+        ident, span = expr.ident, expr.span
+
+        def name(env):
             try:
-                return base[expr.index]
-            except IndexError:
-                raise EvalError(f"list index {expr.index} out of range")
-        raise EvalError("cannot index non-sequence")
+                return env[ident]
+            except KeyError:
+                raise EvalError(f"unbound name {ident!r} at {span}")
+        return name
+    if isinstance(expr, Not):
+        operand = _compile(expr.operand)
+
+        def negate(env):
+            val = operand(env)
+            return UNDEF if val is UNDEF else not val
+        return negate
+    if isinstance(expr, BinOp):
+        return _compile_binop(expr.op, _compile(expr.left),
+                              _compile(expr.right))
+    if isinstance(expr, Cond):
+        test, then, other = (_compile(expr.test), _compile(expr.then),
+                             _compile(expr.other))
+
+        def cond(env):
+            val = test(env)
+            if val is UNDEF:
+                return UNDEF
+            return then(env) if val else other(env)
+        return cond
+    if isinstance(expr, Match):
+        scrutinee = _compile(expr.scrutinee)
+        none_body = _compile(
+            next(c for c in expr.cases if c.pattern is None).body)
+        bind_case = next(c for c in expr.cases if c.pattern is not None)
+        binder, bind_body = bind_case.pattern, _compile(bind_case.body)
+
+        def match(env):
+            val = scrutinee(env)
+            if val is NONE:
+                return none_body(env)
+            if not isinstance(val, Some):
+                raise EvalError("match scrutinee is not Optional")
+            inner = dict(env)
+            inner[binder] = val.value
+            return bind_body(inner)
+        return match
+    if isinstance(expr, TupleExpr):
+        items = [_compile(e) for e in expr.items]
+        return lambda env: tuple([item(env) for item in items])
+    if isinstance(expr, ListExpr):
+        items = [_compile(e) for e in expr.items]
+        return lambda env: [item(env) for item in items]
+    if isinstance(expr, Index):
+        base, i = _compile(expr.base), expr.index
+
+        def index(env):
+            seq = base(env)
+            if isinstance(seq, tuple):
+                return seq[i]
+            if isinstance(seq, list):
+                try:
+                    return seq[i]
+                except IndexError:
+                    raise EvalError(f"list index {i} out of range")
+            raise EvalError("cannot index non-sequence")
+        return index
     if isinstance(expr, SliceFrom):
-        base = eval_expr(expr.base, env)
-        if not isinstance(base, list):
-            raise EvalError("cannot slice non-list")
-        return base[expr.start :]
+        base, start = _compile(expr.base), expr.start
+
+        def suffix(env):
+            seq = base(env)
+            if not isinstance(seq, list):
+                raise EvalError("cannot slice non-list")
+            return seq[start:]
+        return suffix
     if isinstance(expr, Insert):
-        target = eval_expr(expr.target, env)
-        item = eval_expr(expr.item, env)
-        if not isinstance(target, list):
-            raise EvalError("insert target is not a list")
-        out = list(target)
-        lo = 0
-        while lo < len(out) and num_lt(out[lo], item):
-            lo += 1
-        out.insert(lo, item)
-        return out
+        target, item = _compile(expr.target), _compile(expr.item)
+
+        def insert(env):
+            seq, val = target(env), item(env)
+            if not isinstance(seq, list):
+                raise EvalError("insert target is not a list")
+            lo = 0
+            while lo < len(seq) and num_lt(seq[lo], val):
+                lo += 1
+            return seq[:lo] + [val] + seq[lo:]
+        return insert
     if isinstance(expr, CoerceSome):
-        return Some(eval_expr(expr.operand, env))
+        operand = _compile(expr.operand)
+        return lambda env: Some(operand(env))
     if isinstance(expr, SomeVal):
-        val = eval_expr(expr.operand, env)
-        if not isinstance(val, Some):
-            return UNDEF
-        return val.value
+        operand = _compile(expr.operand)
+
+        def payload(env):
+            val = operand(env)
+            return val.value if isinstance(val, Some) else UNDEF
+        return payload
     if isinstance(expr, IsNone):
-        return eval_expr(expr.operand, env) is NONE
-    raise EvalError(f"cannot evaluate {type(expr).__name__}")
+        operand = _compile(expr.operand)
+        return lambda env: operand(env) is NONE
+    return _fail(f"cannot evaluate {type(expr).__name__}")
+
+
+def _compile_binop(op, left, right):
+    """Both operands are always evaluated, left first: `and` and `or` do not
+    short-circuit, so an error on either side is raised."""
+    if op in ("and", "or"):
+        decisive = op == "or"  # the operand value that decides the result
+        combine = operator.or_ if decisive else operator.and_
+
+        def connective(env):
+            lhs, rhs = left(env), right(env)
+            if lhs is decisive or rhs is decisive:
+                return decisive
+            if lhs is UNDEF or rhs is UNDEF:
+                return UNDEF
+            return combine(bool(lhs), bool(rhs))
+        return connective
+    compare = _COMPARE.get(op)
+    if compare is not None:
+        def comparison(env):
+            lhs, rhs = left(env), right(env)
+            if lhs is UNDEF or rhs is UNDEF:
+                return UNDEF
+            return compare(lhs, rhs)
+        return comparison
+    arith = _ARITH.get(op)
+
+    def arithmetic(env):
+        lhs, rhs = left(env), right(env)
+        if lhs is UNDEF or rhs is UNDEF:
+            return UNDEF
+        if lhs is NEG_INF or rhs is NEG_INF:
+            raise EvalError("arithmetic on -inf")
+        if arith is None:
+            raise EvalError(f"bad operator {op}")
+        return arith(lhs, rhs)
+    return arithmetic
 
 
 def eval_atom(expr: Expr, env: dict) -> bool:
     """Ground truth value of a predicate; well-guarded atoms never stay UNDEF."""
-    val = eval_expr(expr, env)
-    if val is UNDEF:
-        raise EvalError("atom is undefined under the given assignment")
-    return bool(val)
+    return _holds((compiled(expr),), env)
 
 
 def eval_fold(task, dataframe) -> LiftResult:
     """Left fold of the task's accumulator over the rows; empty input is Bottom."""
     if not dataframe:
         return LiftResult(BOTTOM)
+    step = compiled(task.f_body)
+    n_columns = task.n_columns
     acc: Value = task.init_values
     for row in dataframe:
-        if len(row) != task.n_columns:
+        if len(row) != n_columns:
             raise EvalError("row does not conform to schema")
-        acc = eval_expr(task.f_body, {"a": acc, "r": tuple(row)})
+        acc = step({"a": acc, "r": tuple(row)})
     return LiftResult(acc)
-
-
-def eval_pred(pred_exprs, acc: Value, var: str = "a") -> bool:
-    """Conjunction of predicate expressions over the accumulator variable."""
-    return all(eval_atom(p, {var: acc}) for p in pred_exprs)
 
 
 def lift_eval(pred_exprs, result: LiftResult, var: str = "a") -> LiftResult:
     if result.is_bottom:
         return result
-    if eval_pred(pred_exprs, result.value, var):
+    if _holds([compiled(p) for p in pred_exprs], {var: result.value}):
         return result
     return LiftResult(BOTTOM)
 
 
 def filter_rows(pred_exprs, dataframe):
-    return [
-        row
-        for row in dataframe
-        if all(eval_atom(p, {"r": tuple(row)}) for p in pred_exprs)
-    ]
+    preds = [compiled(p) for p in pred_exprs]
+    return [row for row in dataframe if _holds(preds, {"r": tuple(row)})]
+
+
+def _holds(preds, env) -> bool:
+    """The conjunction of compiled atoms, evaluated left to right."""
+    for pred in preds:
+        val = pred(env)
+        if val is UNDEF:
+            raise EvalError("atom is undefined under the given assignment")
+        if not val:
+            return False
+    return True
 
 
 def run_pipeline(task, dataframe) -> LiftResult:

@@ -240,9 +240,11 @@ class SolverConfig:
 class Session:
     """What both backends share: the budget hook and query counter, the
     transcript, the sorts of declared constants, model decoding and
-    validity checks. A backend supplies ``declare``, ``push``, ``pop``,
-    ``assert_``, ``_check_sat`` (the raw check, returning sat, unsat or
-    unknown), ``reason_unknown``, ``_model_sexps`` and ``close``."""
+    validity checks. A backend supplies ``declare``, ``set_option``,
+    ``push``, ``pop``, ``assert_``, ``_check_sat`` (the raw check, returning
+    sat, unsat or unknown), ``reason_unknown``, ``_model_sexps`` and
+    ``close``. The transcript is appended to, so one file can hold the
+    sessions of several tasks."""
 
     backend = ""
 
@@ -251,7 +253,7 @@ class Session:
         self.poisoned = False
         self.num_checks = 0
         self.on_check = None  # budget hook
-        self._log = open(config.log_path, "w") if config.log_path else None
+        self._log = open(config.log_path, "a") if config.log_path else None
         self._var_sorts = {}
 
     def _write(self, line: str):
@@ -414,6 +416,9 @@ class SolverSession(Session):
 
     def declare(self, text):
         self.command(text if isinstance(text, str) else sexp_str(text))
+
+    def set_option(self, name: str, value: str):
+        self.command(f"(set-option :{name} {value})")
 
     def push(self):
         self.command("(push 1)")

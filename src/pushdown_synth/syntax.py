@@ -4,7 +4,9 @@ Ownership: trees may share subtrees, so code that rewrites a tree builds new
 nodes (`map_children`) and never assigns into the nodes it walks. The only
 writer of an existing node is the type annotator (`typecheck._Checker`, which
 sets `ty` and wraps `CoerceSome` around operands), and it writes only to a
-tree it owns: one it built, or a copy of a tree that may be shared.
+tree it owns: one it built, or a copy of a tree that may be shared. A tree is
+compiled for evaluation (`interp.compiled`, cached per root node) only after
+the annotator has finished with it.
 """
 
 from __future__ import annotations

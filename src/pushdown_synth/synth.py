@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional as Opt
 
-from .interp import eval_atom
+from .interp import eval_atom, eval_expr
 from .smt import BudgetExceeded, Model
 from .vcgen import (
     Conjunction, VC_STUTTER, VC_SYNC, conj_eval, p_conjunction, vc_final,
@@ -182,8 +182,6 @@ def _init_filtered_max(ctx) -> Conjunction:
 
 def _stepped_env(ctx, model: Model, optimized_moves: bool) -> dict:
     """Ground post-step states from a one-step countermodel."""
-    from .interp import eval_expr
-
     a1, a2, row = model["a1"], model["a2"], model["r"]
     a1p = eval_expr(ctx.task.f_body, {"a": a1, "r": row})
     a2p = eval_expr(ctx.task.f_body, {"a": a2, "r": row}) if optimized_moves else a2

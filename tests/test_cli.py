@@ -183,6 +183,31 @@ def test_smt_log_transcript(tmp_path):
     assert "(check-sat)" in text and "(declare-datatypes" in text
 
 
+def test_smt_log_holds_every_file_of_a_run(tmp_path):
+    log = tmp_path / "transcript.smt2"
+
+    def transcript(*names):
+        log.write_text("(stale)\n")
+        code = run([
+            "synth", "--trials", "50", "--smt-log", str(log),
+            "--out", str(tmp_path / "rec.json"), *map(fixture_path, names),
+        ])
+        assert code == 0
+        return log.read_text()
+
+    def checks(text):
+        return text.splitlines().count("(check-sat)")
+
+    top2, discount = transcript("top2"), transcript("discount")
+    both = transcript("top2", "discount")
+    assert "(stale)" not in both
+    sessions = both.split("(exit)\n")
+    assert sessions[-1] == ""
+    assert [checks(s) for s in sessions[:-1]] == [checks(top2),
+                                                  checks(discount)]
+    assert checks(top2) > 0 and checks(discount) > 0
+
+
 def test_verify_rejects_false_atom(tmp_path):
     triple = {"q": ["r[0] > 90.0"], "residual": ["a[0] > a[0]"], "psi": []}
     tfile = tmp_path / "t.json"

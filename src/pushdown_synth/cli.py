@@ -107,7 +107,8 @@ def _trace_fn(args):
 def _run_files(args, paths, run_task, needs_session=True):
     """For each file: load the task, build its universes once, and call
     ``run_task(args, task, universes, record, session)`` with a fresh record
-    and a solver session (None unless ``needs_session``). A DSL, solver,
+    and a solver session (None unless ``needs_session``); the record's
+    ``stats.backend`` names the session's backend. A DSL, solver,
     I/O or text-encoding error becomes the file's error record. Emits and
     returns the records. The sessions of one run append to one
     ``--smt-log`` transcript, emptied before the first session opens."""
@@ -124,6 +125,8 @@ def _run_files(args, paths, run_task, needs_session=True):
                 fresh_log = None
             with (start_session(_solver_config(args)) if needs_session
                   else nullcontext()) as session:
+                if session is not None:
+                    record["stats"]["backend"] = session.backend
                 run_task(args, task, universes, record, session)
         except (DslSyntaxError, DslTypeError, SolverError, OSError,
                 UnicodeDecodeError) as exc:

@@ -34,6 +34,7 @@ RESULT_SCHEMA = {
                 "p_size": {"type": "integer"},
                 "measure_log": {"type": "array"},
                 "notes": {"type": "array"},
+                "backend": {"type": "string"},
             },
         },
     },

@@ -4,9 +4,13 @@ Ownership: trees may share subtrees, so code that rewrites a tree builds new
 nodes (`map_children`) and never assigns into the nodes it walks. The only
 writer of an existing node is the type annotator (`typecheck._Checker`, which
 sets `ty` and wraps `CoerceSome` around operands), and it writes only to a
-tree it owns: one it built, or a copy of a tree that may be shared. A tree is
-compiled for evaluation (`interp.compiled`, cached per root node) only after
-the annotator has finished with it.
+tree it owns: one it built, or a copy of a tree that may be shared.
+
+The evaluator reads `ty` too: `interp.compiled` picks each comparison,
+index and arithmetic closure from the operands' static types, and caches
+the result per root node without ever re-specialising it. So a node's `ty`
+must be final before the first `interp.compiled` call on any tree that holds
+it, and a node without a `ty` is evaluated by the generic, untyped path.
 """
 
 from __future__ import annotations

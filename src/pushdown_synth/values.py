@@ -7,6 +7,7 @@ and the solver (Real theory) agree on every ground term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -69,10 +70,19 @@ def num_lt(a: Value, b: Value) -> bool:
 
 
 def num_le(a: Value, b: Value) -> bool:
-    return values_equal(a, b) or num_lt(a, b)
+    if a is NEG_INF:
+        return True
+    if b is NEG_INF:
+        return False
+    return a <= b
+
+
+_SCALARS = frozenset((int, Fraction, str, bool))
 
 
 def values_equal(a: Value, b: Value) -> bool:
+    if type(a) is type(b) and type(a) in _SCALARS:
+        return a == b
     if a is NEG_INF or b is NEG_INF:
         return a is b
     if a is NONE or b is NONE:
@@ -107,9 +117,10 @@ def fmt_value(v: Value) -> str:
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return f"{v.numerator}.0"
-        f = float(v)
-        if Fraction(repr(f)) == v:
-            return repr(f)
+        # positional digits: the DSL has no exponent notation
+        text = format(Decimal(repr(float(v))), "f")
+        if Fraction(text) == v:
+            return text
         return f"({v.numerator}.0 / {v.denominator}.0)"
     if isinstance(v, int):
         return str(v)

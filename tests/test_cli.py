@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pushdown_synth.cli import run
+from pushdown_synth.parser import parse
 from pushdown_synth.schema import SchemaError, validate_record
 
 from conftest import FIXTURES, fixture_source, requires_z3
@@ -262,3 +263,44 @@ def test_term_level_match_on_the_accumulator(tmp_path):
     rec = read_records(out)[0]
     assert (rec["status"], rec["mode"]) == ("solved", "partial")
     assert rec["q_atoms"] == ["r[0] > 1.0"]
+
+
+def test_rewritten_program_with_a_small_float_constant_parses(tmp_path):
+    task = tmp_path / "small_eps.pdsl"
+    task.write_text(
+        "df = (float,)\n"
+        "agg = fold(df, (0,), lambda a, r: "
+        "(a[0] + 1,) if r[0] > 0.00001 else a)\n"
+        "out = filter(agg, lambda a: a[0] > 3)\n"
+    )
+    out = tmp_path / "rec.json"
+    code = run(["synth", "--trials", "200", "--out", str(out), str(task)])
+    assert code == 0
+    rec = read_records(out)[0]
+    assert rec["q_atoms"] == ["r[0] > 0.00001"]
+    parse(rec["rewritten"])
+
+
+def test_records_name_their_backend(tmp_path):
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps(PAPER_TRIPLE))
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "discount.pdsl").write_text(fixture_source("discount"))
+    trials = ["--trials", "100"]
+    runs = {
+        "synth": ["synth", *trials, fixture_path("discount")],
+        "verify": ["verify", *trials, "--triple", str(tfile),
+                   fixture_path("top2")],
+        "screen": ["screen", fixture_path("discount")],
+        "bench": ["bench", *trials, str(suite)],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / f"{command}.json"
+        run([*argv, "--solver", "builtin", "--out", str(out)])
+        assert read_records(out)[0]["stats"]["backend"] == "builtin", command
+    # diff opens no solver session, so its record names no backend
+    out = tmp_path / "diff.json"
+    run(["diff", *trials, "--triple", str(tfile), "--out", str(out),
+         fixture_path("top2")])
+    assert "backend" not in read_records(out)[0]["stats"]

@@ -7,17 +7,24 @@ the same exception with the same message.
 """
 
 import gc
+import itertools
+import operator
 import random
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from pushdown_synth import interp
+from pushdown_synth import interp, values
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.parser import parse_expression
-from pushdown_synth.syntax import BinOp, IsNone, Lit, Name, Not, SomeVal
+from pushdown_synth.syntax import (
+    BOOL, FLOAT, INT, STR, BinOp, IsNone, Lit, Name, Not, SomeVal, TOpt,
+    TTuple, walk,
+)
+from pushdown_synth.typecheck import compile_bool, type_predicate
 from pushdown_synth.values import NEG_INF, NONE, Some
 
 import tree_eval
@@ -156,3 +163,137 @@ def test_compiled_form_is_cached_per_root_and_dies_with_it():
     gc.collect()
     assert node() is None  # the closure does not keep its root alive
     assert fn({"x": 2}) == 3
+
+
+# Typed trees: the compiler picks each comparison from the operands' static
+# types, so these run the specialised paths.
+
+PYTHON_COMPARISONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
+                      ">": operator.gt, ">=": operator.ge}
+COMPARISONS = tuple(PYTHON_COMPARISONS)
+
+
+def _typed(source, **types):
+    return type_predicate(parse_expression(source), types)
+
+
+def _as_float(v):
+    return float("-inf") if v is NEG_INF else v
+
+
+@pytest.mark.parametrize("op", COMPARISONS)
+def test_typed_int_comparisons(op):
+    expr = _typed(f"x {op} y", x=INT, y=INT)
+    for x, y in itertools.product((-3, 0, 2, 7), repeat=2):
+        assert_agree(expr, {"x": x, "y": y})
+        assert interp.eval_expr(expr, {"x": x, "y": y}) is \
+            PYTHON_COMPARISONS[op](x, y)
+
+
+@pytest.mark.parametrize("op", COMPARISONS)
+def test_typed_float_comparisons_with_neg_inf(op):
+    """-inf on the left, the right and both sides; the expected truth values
+    come from IEEE floats, where -inf behaves as the DSL's -inf."""
+    expr = _typed(f"x {op} y", x=FLOAT, y=FLOAT)
+    operands = (NEG_INF, Fraction(-5, 2), Fraction(0), Fraction(7, 3))
+    for x, y in itertools.product(operands, repeat=2):
+        env = {"x": x, "y": y}
+        assert_agree(expr, env)
+        expected = PYTHON_COMPARISONS[op](_as_float(x), _as_float(y))
+        assert interp.eval_expr(expr, env) is expected, env
+    literal = _typed(f"-inf {op} x", x=FLOAT)
+    for x in operands:
+        assert_agree(literal, {"x": x})
+
+
+@pytest.mark.parametrize("op", COMPARISONS)
+@pytest.mark.parametrize("ty", [INT, FLOAT], ids=str)
+def test_typed_comparisons_of_int_and_fraction_values(op, ty):
+    expr = _typed(f"x {op} y", x=ty, y=ty)
+    for x, y in [(2, Fraction(2)), (Fraction(2), 2), (1, Fraction(3, 2)),
+                 (Fraction(3, 2), 1)]:
+        assert_agree(expr, {"x": x, "y": y})
+
+
+@pytest.mark.parametrize("ty,operands", [
+    (STR, ("time", "price", "")), (BOOL, (True, False)),
+], ids=["str", "bool"])
+def test_typed_str_and_bool_equality(ty, operands):
+    expr = _typed("x == y", x=ty, y=ty)
+    for x, y in itertools.product(operands, repeat=2):
+        assert_agree(expr, {"x": x, "y": y})
+
+
+@pytest.mark.parametrize("source,env", [
+    ("r[1] > 2 and r[0] == \"a\"", {"r": ("a", 3)}),
+    ("r[1] > 2", {"a": ("a", 3)}),                    # unbound tuple name
+    ("(r[1], 1)[0] + r[1] * 2 == 9", {"r": ("a", 3)}),
+], ids=["fields", "unbound", "tuple-literal"])
+def test_typed_tuple_indexing(source, env):
+    assert_agree(_typed(source, r=TTuple((STR, INT))), env)
+
+
+MATCH = "match x: case None: y > 3 case v: v > y and not v == 9"
+
+
+def test_guarded_root_from_a_lowered_match():
+    """`compile_bool` lowers the match to a tree with `SomeVal` payloads, so
+    its root keeps the UNDEF guards; on None the payload side is UNDEF and
+    `or` absorbs it."""
+    lowered = compile_bool(_typed(MATCH, x=TOpt(INT), y=INT))
+    assert any(isinstance(node, SomeVal) for node in walk(lowered))
+    for x, y in itertools.product([NONE, Some(2), Some(9), Some(12)],
+                                  (1, 5)):
+        assert_agree(lowered, {"x": x, "y": y})
+    assert interp.eval_expr(lowered, {"x": NONE, "y": 5}) is True
+
+
+def test_untyped_comparison_takes_the_generic_path():
+    """Without types `==` is the value domain's: a bool never equals an int,
+    although Python's `True == 1` holds."""
+    expr = BinOp(op="==", left=Name(ident="x"), right=Name(ident="y"))
+    assert expr.ty is None and expr.left.ty is None
+    for x, y in [(True, 1), (0, False), (NEG_INF, NEG_INF), (Some(1), 1)]:
+        assert_agree(expr, {"x": x, "y": y})
+    assert interp.eval_expr(expr, {"x": True, "y": 1}) is False
+
+
+def _calls_to(function, thunk):
+    """How often `thunk()` enters the Python function `function`."""
+    code, calls = function.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("source,types,env", [
+    ("x == y", {"x": INT, "y": INT}, {"x": 2, "y": 2}),
+    ("x <= y", {"x": INT, "y": INT}, {"x": 2, "y": 3}),
+    ("x == y", {"x": FLOAT, "y": FLOAT}, {"x": Fraction(1, 2), "y": NEG_INF}),
+    ("x <= y", {"x": FLOAT, "y": FLOAT}, {"x": NEG_INF, "y": NEG_INF}),
+    ("x >= y", {"x": FLOAT, "y": FLOAT}, {"x": Fraction(1), "y": 1}),
+    ("x == y", {"x": STR, "y": STR}, {"x": "a", "y": "a"}),
+    ("x == y", {"x": BOOL, "y": BOOL}, {"x": True, "y": False}),
+    ("r[0] >= 2 and r[1] == \"a\"", {"r": TTuple((INT, STR))},
+     {"r": (2, "a")}),
+])
+def test_typed_comparisons_do_not_reach_values_equal(source, types, env):
+    expr = _typed(source, **types)
+    fn = interp.compiled(expr)
+    assert _calls_to(values.values_equal, lambda: fn(env)) == 0
+
+
+@pytest.mark.parametrize("source,types,env", [
+    ("x == y", {"x": TOpt(INT), "y": TOpt(INT)}, {"x": Some(1), "y": NONE}),
+    ("x == (1, 2)", {"x": TTuple((INT, INT))}, {"x": (1, 2)}),
+])
+def test_structured_equality_keeps_values_equal(source, types, env):
+    fn = interp.compiled(_typed(source, **types))
+    assert _calls_to(values.values_equal, lambda: fn(env)) > 0

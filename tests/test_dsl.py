@@ -1,7 +1,10 @@
 """Parser, pretty-printer, and typechecker behavior."""
 
+from fractions import Fraction
+
 import pytest
 
+from pushdown_synth.interp import eval_expr
 from pushdown_synth.lexer import DslSyntaxError
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr, fmt_program
@@ -58,6 +61,19 @@ def test_pretty_roundtrip(name):
     for a, b in zip(program.stmts, reparsed.stmts):
         assert a.name == b.name
         assert structurally_equal(a.expr, b.expr)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction("1e-05"), Fraction("1.5e-20"), Fraction("-3e-7"), Fraction("0.9"),
+    Fraction(10**16) + Fraction(1, 2), Fraction(1, 3),
+], ids=str)
+def test_float_literal_reparses_to_its_value(value):
+    """The lexer reads no exponent notation, so none may be printed."""
+    text = fmt_expr(Lit(kind="float", value=value))
+    assert eval_expr(parse_expression(text), {}) == value, text
+    comparison = fmt_expr(BinOp(op=">", left=Name(ident="x"),
+                                right=Lit(kind="float", value=value)))
+    assert eval_expr(parse_expression(comparison), {"x": value}) is False
 
 
 def test_typecheck_top2():

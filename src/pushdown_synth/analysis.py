@@ -68,24 +68,11 @@ def mk_not(e: Expr) -> Expr:
     return Not(operand=e)
 
 
-def mk_or(*es) -> Expr:
-    out = es[0]
-    for e in es[1:]:
-        out = BinOp(op="or", left=out, right=e)
-    return out
-
-
 def mk_and(*es) -> Expr:
     out = es[0]
     for e in es[1:]:
         out = BinOp(op="and", left=out, right=e)
     return out
-
-
-def mk_implies(ante: Expr, cons: Expr) -> Expr:
-    if isinstance(cons, Lit) and cons.kind == "bool" and cons.value is False:
-        return negate(ante)
-    return mk_or(negate(ante), cons)
 
 
 def mk_eq(a: Expr, b: Expr) -> Expr:
@@ -114,7 +101,46 @@ def negate(e: Expr) -> Expr:
 # canonical keys and normalization
 
 
-def expr_key(e: Expr) -> str:
+class NormalMemo:
+    """Normal forms and canonical keys, memoized by node identity.
+
+    `normalize` and `expr_key` make a memo per call unless given one. A
+    universe build passes one memo to all of its calls, so each typed part
+    its candidates share is normalized and keyed once. An entry holds its
+    node, so no id is reused while the memo lives; a node must not change
+    once memoized, and the memo is dropped with the build."""
+
+    def __init__(self):
+        self._forms = {}
+        self._keys = {}
+        self._negated_keys = {}
+
+    def normalize(self, e: Expr) -> Expr:
+        hit = self._forms.get(id(e))
+        if hit is None:
+            hit = self._forms[id(e)] = (e, _normalize(e, self))
+        return hit[1]
+
+    def key(self, e: Expr) -> str:
+        hit = self._keys.get(id(e))
+        if hit is None:
+            hit = self._keys[id(e)] = (e, _key(e, self))
+        return hit[1]
+
+    def negated_key(self, e: Expr) -> str:
+        """The key of the normal form of `e`'s negation."""
+        hit = self._negated_keys.get(id(e))
+        if hit is None:
+            key = self.key(self.normalize(negate(e)))
+            hit = self._negated_keys[id(e)] = (e, key)
+        return hit[1]
+
+
+def expr_key(e: Expr, memo: Opt[NormalMemo] = None) -> str:
+    return (memo or NormalMemo()).key(e)
+
+
+def _key(e: Expr, memo: NormalMemo) -> str:
     if isinstance(e, Lit):
         if e.kind in ("int", "float"):
             frac = Fraction(e.value)
@@ -123,35 +149,35 @@ def expr_key(e: Expr) -> str:
     if isinstance(e, Name):
         return f"(var {e.ident})"
     if isinstance(e, Index):
-        return f"(idx {expr_key(e.base)} {e.index})"
+        return f"(idx {memo.key(e.base)} {e.index})"
     if isinstance(e, SliceFrom):
-        return f"(slice {expr_key(e.base)} {e.start})"
+        return f"(slice {memo.key(e.base)} {e.start})"
     if isinstance(e, Not):
-        return f"(not {expr_key(e.operand)})"
+        return f"(not {memo.key(e.operand)})"
     if isinstance(e, IsNone):
-        return f"(isnone {expr_key(e.operand)})"
+        return f"(isnone {memo.key(e.operand)})"
     if isinstance(e, SomeVal):
-        return f"(val {expr_key(e.operand)})"
+        return f"(val {memo.key(e.operand)})"
     if isinstance(e, CoerceSome):
-        return f"(some {expr_key(e.operand)})"
+        return f"(some {memo.key(e.operand)})"
     if isinstance(e, BinOp):
-        lk, rk = expr_key(e.left), expr_key(e.right)
+        lk, rk = memo.key(e.left), memo.key(e.right)
         if e.op in ("and", "or", "==", "+", "*") and rk < lk:
             lk, rk = rk, lk
         return f"({e.op} {lk} {rk})"
     if isinstance(e, Cond):
-        return f"(ite {expr_key(e.test)} {expr_key(e.then)} {expr_key(e.other)})"
+        return f"(ite {memo.key(e.test)} {memo.key(e.then)} {memo.key(e.other)})"
     if isinstance(e, Match):
         cases = " ".join(
-            f"(case {c.pattern or 'None'} {expr_key(c.body)})" for c in e.cases
+            f"(case {c.pattern or 'None'} {memo.key(c.body)})" for c in e.cases
         )
-        return f"(match {expr_key(e.scrutinee)} {cases})"
+        return f"(match {memo.key(e.scrutinee)} {cases})"
     if isinstance(e, TupleExpr):
-        return "(tup " + " ".join(expr_key(x) for x in e.items) + ")"
+        return "(tup " + " ".join(memo.key(x) for x in e.items) + ")"
     if isinstance(e, ListExpr):
-        return "(list " + " ".join(expr_key(x) for x in e.items) + ")"
+        return "(list " + " ".join(memo.key(x) for x in e.items) + ")"
     if isinstance(e, Insert):
-        return f"(insert {expr_key(e.target)} {expr_key(e.item)})"
+        return f"(insert {memo.key(e.target)} {memo.key(e.item)})"
     raise TypeError(f"no key for {type(e)}")
 
 
@@ -176,21 +202,25 @@ def _mk_num_lit(value: Fraction, like: Expr) -> Lit:
     return Lit(kind=kind, value=value if kind == "float" else int(value))
 
 
-def normalize(e: Expr) -> Expr:
+def normalize(e: Expr, memo: Opt[NormalMemo] = None) -> Expr:
     """Canonicalize a predicate AST: constants folded and moved to the right
     of comparisons, linear terms solved for the variable side, commutative
     operands ordered, or/and chains flattened, interval tautologies removed."""
+    return (memo or NormalMemo()).normalize(e)
+
+
+def _normalize(e: Expr, memo: NormalMemo) -> Expr:
     if isinstance(e, Not):
-        neg = negate(normalize(e.operand))
-        return neg if isinstance(neg, Not) else normalize(neg)
+        neg = negate(memo.normalize(e.operand))
+        return neg if isinstance(neg, Not) else memo.normalize(neg)
     if isinstance(e, BinOp) and e.op in ("and", "or"):
         # a literal may itself normalize into a chain of the same operator
         lits = [
             sub
             for x in _flatten(e.op, e)
-            for sub in _flatten(e.op, normalize(x))
+            for sub in _flatten(e.op, memo.normalize(x))
         ]
-        return _rebuild_chain(e.op, lits, e)
+        return _rebuild_chain(e.op, lits, memo)
     if isinstance(e, BinOp) and e.op in (">", ">=", "<", "<=", "=="):
         left, right = normalize_term(e.left), normalize_term(e.right)
         lc, rc = _const_of(left), _const_of(right)
@@ -240,9 +270,9 @@ def normalize(e: Expr) -> Expr:
                     right = _mk_num_lit(d - a_const, left)
                     changed = True
         if op == "==" and not isinstance(right, Lit):
-            if isinstance(left, Lit) or expr_key(right) < expr_key(left):
+            if isinstance(left, Lit) or memo.key(right) < memo.key(left):
                 left, right = right, left
-        if expr_key(left) == expr_key(right):
+        if memo.key(left) == memo.key(right):
             return Lit(kind="bool", value=op in (">=", "<=", "=="))
         return BinOp(op=op, left=left, right=right, ty=BOOL)
     if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
@@ -276,7 +306,7 @@ def _flatten(op: str, e: Expr):
     return [e]
 
 
-def _rebuild_chain(op: str, lits, orig: Expr) -> Expr:
+def _rebuild_chain(op: str, lits, memo: NormalMemo) -> Expr:
     unit = op == "and"  # True is the unit of and, False of or
     out = []
     seen = set()
@@ -285,28 +315,28 @@ def _rebuild_chain(op: str, lits, orig: Expr) -> Expr:
             if lit.value == unit:
                 continue
             return Lit(kind="bool", value=not unit)
-        key = expr_key(lit)
+        key = memo.key(lit)
         if key in seen:
             continue
         seen.add(key)
         out.append(lit)
     if op == "or":
-        neg_keys = {expr_key(normalize(negate(lit))) for lit in out}
+        neg_keys = {memo.negated_key(lit) for lit in out}
         if seen & neg_keys:
             return lit_true()
-        out = _simplify_or_intervals(out)
+        out = _simplify_or_intervals(out, memo)
         if out is True:
             return lit_true()
     if not out:
         return Lit(kind="bool", value=unit)
-    out.sort(key=expr_key)
+    out.sort(key=memo.key)
     expr = out[0]
     for lit in out[1:]:
         expr = BinOp(op=op, left=expr, right=lit, ty=BOOL)
     return expr
 
 
-def _simplify_or_intervals(lits):
+def _simplify_or_intervals(lits, memo: NormalMemo):
     """Absorb/merge same-term comparison disjuncts; detect tautologies.
 
     Returns True when the disjunction covers everything, else the reduced list.
@@ -317,7 +347,7 @@ def _simplify_or_intervals(lits):
         if isinstance(lit, BinOp) and lit.op in (">", ">=", "<", "<=", "=="):
             c = _const_of(lit.right)
             if c is not None:
-                groups.setdefault(expr_key(lit.left), []).append(lit)
+                groups.setdefault(memo.key(lit.left), []).append(lit)
                 continue
         passthrough.append(lit)
     out = list(passthrough)
@@ -419,21 +449,24 @@ class Universe:
         self.atoms = []
         self._by_key = {}
 
-    def add(self, expr: Expr, display: Opt[Expr] = None) -> Opt[Atom]:
-        expr = normalize(expr)
+    def add(self, expr: Expr, display: Opt[Expr] = None,
+            memo: Opt[NormalMemo] = None) -> Opt[Atom]:
+        memo = memo or NormalMemo()
+        expr = memo.normalize(expr)
         if is_trivially_true(expr) or is_trivially_false(expr):
             return None
-        key = expr_key(expr)
+        key = memo.key(expr)
         if key in self._by_key:
             return self._by_key[key]
+        row_fields, acc_fields = _fields(expr)
         atom = Atom(
             index=len(self.atoms),
             role=self.role,
             expr=expr,
             display=display if display is not None else expr,
             key=key,
-            row_fields=frozenset(_row_fields(expr)),
-            acc_fields=frozenset(_acc_fields(expr)),
+            row_fields=frozenset(row_fields),
+            acc_fields=frozenset(acc_fields),
         )
         self.atoms.append(atom)
         self._by_key[key] = atom
@@ -449,22 +482,16 @@ class Universe:
         return self.atoms[i]
 
 
-def _row_fields(expr: Expr):
-    out = set()
+def _fields(expr: Expr):
+    """The row columns and the accumulator components that `expr` indexes."""
+    row, acc = set(), set()
     for node in walk(expr):
-        if isinstance(node, Index) and isinstance(node.base, Name) \
-                and node.base.ident == "r":
-            out.add(node.index)
-    return out
-
-
-def _acc_fields(expr: Expr):
-    out = set()
-    for node in walk(expr):
-        if isinstance(node, Index) and isinstance(node.base, Name) \
-                and node.base.ident in ("a", "a1", "a2"):
-            out.add(node.index)
-    return out
+        if isinstance(node, Index) and isinstance(node.base, Name):
+            if node.base.ident == "r":
+                row.add(node.index)
+            elif node.base.ident in ("a", "a1", "a2"):
+                acc.add(node.index)
+    return row, acc
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +848,7 @@ def _substitute_clause(lits, dep: DepInfo):
         if isinstance(e, Name) and e.ident == "a":
             raise _SubstFail()
         if isinstance(e, Match):
-            if _acc_fields(e):
+            if _fields(e)[1]:
                 raise _SubstFail()
             return e  # not descended
         return map_children(e, transform)
@@ -903,7 +930,11 @@ def _clause_display(lits) -> Expr:
 
 def _typed(expr: Expr, env: dict) -> Expr:
     """A typed copy of `expr`, which may share nodes with other trees: the
-    annotator behind `type_predicate` writes `ty` into every node it checks."""
+    annotator behind `type_predicate` writes `ty` into every node it checks.
+
+    The ψ build calls it once per part (an antecedent's negation or a
+    consequent) and composes candidates from the typed parts, which the
+    annotator would type the same way inside the whole candidate."""
     return type_predicate(copy.deepcopy(expr), env)
 
 
@@ -945,7 +976,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
         expr = normalize(expr)
         if is_trivially_true(expr) or is_trivially_false(expr):
             return None
-        if not _row_fields(expr):
+        if not _fields(expr)[0]:
             return None
         return _typed(expr, env)
 
@@ -997,7 +1028,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
     # related atoms: substituted P conjuncts over the same single row field
     by_field = {}
     for e in sub_p:
-        fields = _row_fields(e)
+        fields = _fields(e)[0]
         if len(fields) == 1:
             by_field.setdefault(next(iter(fields)), []).append(e)
     for _, group in sorted(by_field.items()):
@@ -1044,11 +1075,12 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
     sentinel-initializer tests."""
     env = {"a1": task.acc_type, "a2": task.acc_type}
     arity = task.arity
+    memo = NormalMemo()
 
     # single-component P clauses
     clauses_of = {i: [] for i in range(arity)}
     for conj in task.post_conjuncts:
-        fields = _acc_fields(conj)
+        fields = _fields(conj)[1]
         if len(fields) == 1:
             clauses_of[next(iter(fields))].append(clause_literals(conj))
 
@@ -1088,7 +1120,7 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             for lit in lits:
                 # null tests, and matches _replace_someval does not enter
                 if any(isinstance(n, IsNone)
-                       or isinstance(n, Match) and _acc_fields(n)
+                       or isinstance(n, Match) and _fields(n)[1]
                        for n in walk(lit)):
                     continue
                 cmps.append(lit)
@@ -1125,56 +1157,53 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
         # dedup, preserving construction order
         seen, out = set(), []
         for f in fams:
-            f = normalize(f)
-            key = expr_key(f)
+            f = normalize(f, memo)
+            key = expr_key(f, memo)
             if key not in seen:
                 seen.add(key)
                 out.append(f)
         return out
 
-    def eq_atom(i):
-        return mk_eq(a_ki(1, i), a_ki(2, i))
+    def negations(phi):
+        """The typed antecedent sides of `phi => c` and `not phi => c`."""
+        return [_typed(negate(ante), env) for ante in (phi, negate(phi))]
 
-    def l1(i):
-        return [lit_false(), eq_atom(i)]
+    def implies(neg_ante, cons):
+        """`ante => cons` from the typed parts `not ante` and `cons`."""
+        if is_trivially_false(cons):
+            return neg_ante
+        return BinOp(op="or", left=neg_ante, right=cons, ty=BOOL)
 
-    def l2(j):
-        init_lit = value_to_lit(task.init_values[j])
-        return [
-            lit_false(),
-            eq_atom(j),
-            mk_eq(a_ki(2, j), init_lit),
-            mk_not(mk_eq(a_ki(2, j), init_lit)),
-        ]
+    eqs = [type_predicate(mk_eq(a_ki(1, i), a_ki(2, i)), env)
+           for i in range(arity)]
+    l1 = [[lit_false(), eqs[i]] for i in range(arity)]
+    l2 = []
+    for j in range(arity):
+        init_eq = mk_eq(a_ki(2, j), value_to_lit(task.init_values[j]))
+        l2.append([lit_false(), eqs[j], _typed(init_eq, env),
+                   _typed(mk_not(init_eq), env)])
+    u1_formulas = [
+        [implies(neg, cons) for phi in phi_family(1, i)
+         for neg in negations(phi) for cons in l1[i]]
+        for i in range(arity)
+    ]
 
     universe = Universe("psi")
-    u1_formulas = {}
     for i in range(arity):
-        u1_formulas[i] = []
-        for phi in phi_family(1, i):
-            for ante in (phi, negate(phi)):
-                for cons in l1(i):
-                    u1_formulas[i].append(mk_implies(ante, cons))
-
-    for i in range(arity):
-        universe.add(type_predicate(eq_atom(i), env))
+        universe.add(eqs[i], memo=memo)
         for formula in u1_formulas[i]:
-            universe.add(_typed(formula, env))
-        fam2 = phi_family(2, i)
-        for phi in fam2:
-            for ante in (phi, negate(phi)):
-                for j in range(arity):
-                    if not dep.is_dep[i][j]:
-                        continue
-                    for cons in l2(j):
-                        universe.add(_typed(mk_implies(ante, cons), env))
-        for phi in fam2:
-            for ante in (phi, negate(phi)):
-                for j in range(arity):
-                    if j == i or not dep.is_dep[j][i]:
-                        continue
+            universe.add(formula, memo=memo)
+        negs2 = [neg for phi in phi_family(2, i) for neg in negations(phi)]
+        for neg in negs2:
+            for j in range(arity):
+                if dep.is_dep[i][j]:
+                    for cons in l2[j]:
+                        universe.add(implies(neg, cons), memo=memo)
+        for neg in negs2:
+            for j in range(arity):
+                if j != i and dep.is_dep[j][i]:
                     for cons in u1_formulas[j]:
-                        universe.add(_typed(mk_implies(ante, cons), env))
+                        universe.add(implies(neg, cons), memo=memo)
     return universe
 
 

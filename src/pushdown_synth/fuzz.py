@@ -109,7 +109,8 @@ def differential_check(task, universes, q_indices, residual_indices,
     for _ in range(trials):
         frame = sample_dataframe(rng, pools, max_len)
         lhs = lift_eval(p_exprs, eval_fold(task, frame))
-        rhs = lift_eval(res_exprs, eval_fold(task, filter_rows(q_exprs, frame)))
+        kept = filter_rows(q_exprs, frame, task.n_columns)
+        rhs = lift_eval(res_exprs, eval_fold(task, kept))
         if lhs != rhs:
             mismatch_count += 1
             if len(examples) < 10:

@@ -355,11 +355,15 @@ def lift_eval(pred_exprs, result: LiftResult, var: str = "a") -> LiftResult:
     return LiftResult(BOTTOM)
 
 
-def filter_rows(pred_exprs, dataframe):
+def filter_rows(pred_exprs, dataframe, n_columns: int):
+    """The rows of `dataframe`, each `n_columns` wide, on which every
+    predicate holds."""
     preds = [compiled(p) for p in pred_exprs]
     env = {}
     kept = []
     for row in dataframe:
+        if len(row) != n_columns:
+            raise EvalError("row does not conform to schema")
         env["r"] = tuple(row)
         if _holds(preds, env):
             kept.append(row)
@@ -381,7 +385,7 @@ def run_pipeline(task, dataframe) -> LiftResult:
     """Execute a typechecked pipeline (prefilters, fold, post-filter) on rows."""
     rows = dataframe
     if task.prefilters:
-        rows = filter_rows(task.prefilters, rows)
+        rows = filter_rows(task.prefilters, rows, task.n_columns)
     result = eval_fold(task, rows)
     if task.post_pred is not None:
         result = lift_eval([task.post_pred], result)

@@ -5,6 +5,8 @@ nodes (`map_children`) and never assigns into the nodes it walks. The only
 writer of an existing node is the type annotator (`typecheck._Checker`, which
 sets `ty` and wraps `CoerceSome` around operands), and it writes only to a
 tree it owns: one it built, or a copy of a tree that may be shared.
+Universe atoms may share typed parts with each other, so nothing writes to
+an atom's nodes once its universe is built.
 
 The evaluator reads `ty` too: `interp.compiled` picks each comparison,
 index and arithmetic closure from the operands' static types, and caches

@@ -1,15 +1,21 @@
 """Data-flow analysis and predicate-universe construction."""
 
+import copy
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from pushdown_synth import analysis
 from pushdown_synth.analysis import build_universes, infer_dep_info
+from pushdown_synth.encode import TaskContext
+from pushdown_synth.fuzz import column_pools, sample_dataframe
+from pushdown_synth.interp import eval_atom, eval_fold
 from pushdown_synth.parser import parse
 from pushdown_synth.pretty import fmt_expr
-from pushdown_synth.syntax import Case, Expr, Type, walk
-from pushdown_synth.typecheck import cnf_clauses, typecheck
+from pushdown_synth.syntax import Case, Expr, Lit, Not, Type, walk
+from pushdown_synth.typecheck import cnf_clauses, type_predicate, typecheck
 from pushdown_synth.values import NEG_INF
 
 from conftest import atom_index, make_task
@@ -158,8 +164,12 @@ def _field_state(value):
 
 def _snapshot(task):
     """{id: (class, fields)} of every node reachable from the task."""
-    roots = [task.f_body, *task.init_exprs, task.post_pred,
-             *task.post_conjuncts, *task.prefilters]
+    return _snapshot_roots([task.f_body, *task.init_exprs, task.post_pred,
+                            *task.post_conjuncts, *task.prefilters])
+
+
+def _snapshot_roots(roots):
+    """{id: (class, fields)} of every node reachable from the roots."""
     return {
         id(node): (type(node), {
             f.name: _field_state(getattr(node, f.name))
@@ -183,3 +193,90 @@ def test_universe_construction_does_not_mutate_the_task(name):
     for role in ("u_q", "u_residual", "u_psi"):
         assert atoms(getattr(u1, role)) == atoms(getattr(u2, role))
     assert (u1.p_indices, u1.dropped_q) == (u2.p_indices, u2.dropped_q)
+
+
+FIXTURES = ["top2", "discount", "case_a", "case_b", "count_taut", "frequent"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_psi_atoms_are_typed_as_if_typed_whole(name):
+    """The ψ build types each antecedent and consequent on its own and joins
+    them; typing a copy of the whole atom must agree on every node it typed.
+    The nodes normalization makes without a type (a `Not` from `negate`, a
+    numeric `Lit` it folds) are the only ones left untyped."""
+    task = make_task(name)
+    env = {"a1": task.acc_type, "a2": task.acc_type}
+    for atom in build_universes(task).u_psi:
+        whole = type_predicate(copy.deepcopy(atom.expr), env)
+        for built, retyped in zip(walk(atom.expr), walk(whole), strict=True):
+            assert type(built) is type(retyped), atom
+            if built.ty is None:
+                assert isinstance(built, Not) or isinstance(built, Lit) \
+                    and built.kind in ("int", "float"), atom
+            else:
+                assert built.ty == retyped.ty, atom
+
+
+@pytest.mark.parametrize("name", ["top2", "case_a", "case_b"])
+def test_psi_build_types_parts_not_candidates(name, monkeypatch):
+    """Each typed copy is of a part shared by many candidates, so a build
+    makes fewer than one copy per two atoms (one per candidate before)."""
+    task = make_task(name)
+    dep = infer_dep_info(task)
+    calls = []
+
+    class CountingCopy:
+        @staticmethod
+        def deepcopy(x, memo=None):
+            calls.append(x)
+            return copy.deepcopy(x, memo)
+
+    monkeypatch.setattr(analysis, "copy", CountingCopy)
+    universe = analysis.build_universe_invariant(task, dep)
+    assert 0 < len(calls) < len(universe) / 2
+
+
+class _DeclarationStub:
+    """The declaration side of a solver session; starts no solver."""
+
+    def __init__(self):
+        self.decls = []
+
+    def declare(self, text):
+        self.decls.append(text)
+
+    def declare_const(self, name, sort_text, sort_desc):
+        self.decls.append((name, sort_text))
+
+
+def _fold_states(task, universes, n=12):
+    rng = random.Random(5)
+    pools = column_pools(task, universes)
+    states = [task.init_values]
+    while len(states) < n:
+        out = eval_fold(task, sample_dataframe(rng, pools, 6))
+        if not out.is_bottom:
+            states.append(out.value)
+    return states
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_shared_psi_parts_are_left_unchanged(name):
+    """ψ atoms share typed parts: encoding and evaluating them writes to
+    none of their nodes, and a second build gives the same keys."""
+    task = make_task(name)
+    universes = build_universes(task)
+    roots = [atom.expr for atom in universes.u_psi]
+    before = _snapshot_roots(roots)
+    stub = _DeclarationStub()
+    TaskContext(task, universes, stub)
+    assert len(stub.decls) > len(universes.u_psi)
+    states = _fold_states(task, universes)
+    for a1, a2 in zip(states, states[1:] + states[:1]):
+        for atom in universes.u_psi:
+            eval_atom(atom.expr, {"a1": a1, "a2": a2})
+    assert _snapshot_roots(roots) == before
+    again = build_universes(task).u_psi
+    assert [a.key for a in again] == [a.key for a in universes.u_psi]
+    assert [(a.row_fields, a.acc_fields) for a in again] == \
+        [(a.row_fields, a.acc_fields) for a in universes.u_psi]

@@ -10,8 +10,9 @@ from pushdown_synth.interp import (
     run_pipeline,
 )
 from pushdown_synth.parser import parse_expression
+from pushdown_synth.syntax import INT, TTuple
 from pushdown_synth.typecheck import type_predicate
-from pushdown_synth.values import NEG_INF, NONE, Some
+from pushdown_synth.values import NEG_INF, NONE, EvalError, Some
 
 from conftest import make_task
 
@@ -102,5 +103,13 @@ def test_filter_idempotence():
     for _ in range(200):
         frame = frames(*[rng.uniform(80, 100) for _ in range(rng.randint(0, 8))])
         frame = [(Fraction(x).limit_denominator(100),) for (x,) in frame]
-        once = filter_rows([pred], frame)
-        assert filter_rows([pred], once) == once
+        once = filter_rows([pred], frame, task.n_columns)
+        assert filter_rows([pred], once, task.n_columns) == once
+
+
+def test_filter_rejects_a_row_of_the_wrong_width():
+    pred = type_predicate(parse_expression("r[1] > 2"), {"r": TTuple((INT, INT))})
+    assert filter_rows([pred], [(1, 3), (4, 1)], 2) == [(1, 3)]
+    for row in ((1,), (1, 3, 5)):
+        with pytest.raises(EvalError, match="row does not conform to schema"):
+            filter_rows([pred], [row], 2)

@@ -225,15 +225,20 @@ class _Elaborator:
     def declare(self, cmd):
         head = cmd[0]
         if head == "declare-datatypes":
-            group = []
-            for (name, _), ctors in zip(cmd[1], cmd[2]):
-                sort = _Sort(name, "dt", [
+            group = [
+                _Sort(name, "dt", [
                     (c[0], [(f[0], f[1]) for f in c[1:]]) for c in ctors
                 ])
-                self.sorts[name] = sort
-                group.append(sort)
+                for (name, _), ctors in zip(cmd[1], cmd[2])
+            ]
+            taken = [s.name for s in group if s.name in self.sorts] + [
+                c for s in group for c, _ in s.ctors if c in self.ctors
+            ]
+            if taken:
+                raise SolverError(f"already declared: {' '.join(taken)}")
             names = {s.name for s in group}
             for sort in group:
+                self.sorts[sort.name] = sort
                 sort.recursive = any(
                     f in names for _, fields in sort.ctors for _, f in fields
                 )
@@ -1231,7 +1236,7 @@ class BuiltinSession(Session):
         self._write(f"(assert {sexp_str(formula)})")
         self._frames[-1].append(formula)
 
-    def _check_sat(self) -> str:
+    def check_sat(self) -> str:
         self._write("(check-sat)")
         deadline = time.monotonic() + self.config.timeout_ms / 1000.0
         self._model = None

@@ -157,7 +157,8 @@ def _synth_task(args, task, universes, record, session):
         "notes": list(stats.notes),
     })
     if not isinstance(outcome, PushdownSolution):
-        record["status"] = "budget" if outcome.reason == "budget" else "fail"
+        record["status"] = outcome.reason \
+            if outcome.reason in ("budget", "inconclusive") else "fail"
         return
     # belt-and-braces: re-check the witness before reporting solved
     report = check_witness(

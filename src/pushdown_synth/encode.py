@@ -256,7 +256,7 @@ class TaskEncoding:
                 out = [f"cons_{info.text}", self.value_sexp(item, ty.elem), out]
             return out
         if isinstance(ty, TTuple):
-            info = self._tuple_sort(ty, "Acc")
+            info = self.sort_of(ty)
             return [info.ctor] + [
                 self.value_sexp(x, e) for x, e in zip(v, ty.elems)
             ]
@@ -350,7 +350,7 @@ class TaskEncoding:
             info = self.sort_of(expr.ty)
             return [f"Some_{info.text}", self.translate(expr.operand, env)]
         if isinstance(expr, TupleExpr):
-            info = self._tuple_sort(expr.ty, "Acc")
+            info = self.sort_of(expr.ty)
             return [info.ctor] + [self.translate(e, env) for e in expr.items]
         if isinstance(expr, ListExpr):
             info = self.sort_of(expr.ty)
@@ -361,10 +361,9 @@ class TaskEncoding:
         if isinstance(expr, Index):
             base_ty = expr.base.ty
             base = self.translate(expr.base, env)
-            if isinstance(base_ty, TTuple):
-                info = self._tuple_sort(base_ty, "Acc")
-                return [info.fields[expr.index], base]
             info = self.sort_of(base_ty)
+            if isinstance(base_ty, TTuple):
+                return [info.fields[expr.index], base]
             if expr.index < 0:
                 raise EncodeError("negative list index is not encodable")
             out = base

@@ -30,12 +30,6 @@ class SolverCrashed(SolverError):
     pass
 
 
-class BudgetExceeded(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
 # ---------------------------------------------------------------------------
 # s-expressions: str atoms or nested lists
 
@@ -238,21 +232,20 @@ class SolverConfig:
 
 
 class Session:
-    """What both backends share: the budget hook and query counter, the
-    transcript, the sorts of declared constants, model decoding and
-    validity checks. A backend supplies ``declare``, ``set_option``,
-    ``push``, ``pop``, ``assert_``, ``_check_sat`` (the raw check, returning
-    sat, unsat or unknown), ``reason_unknown``, ``_model_sexps`` and
-    ``close``. The transcript is appended to, so one file can hold the
-    sessions of several tasks."""
+    """What both backends share: the transcript, the sorts of declared
+    constants, model decoding and validity checks. A backend supplies
+    ``declare``, ``set_option``, ``push``, ``pop``, ``assert_``,
+    ``check_sat`` (returning sat, unsat or unknown), ``reason_unknown``,
+    ``_model_sexps`` and ``close``. A session neither counts nor limits
+    its checks; a synthesis run does that for its own queries. The
+    transcript is appended to, so one file can hold the sessions of several
+    tasks."""
 
     backend = ""
 
     def __init__(self, config: SolverConfig):
         self.config = config
         self.poisoned = False
-        self.num_checks = 0
-        self.on_check = None  # budget hook
         self._log = open(config.log_path, "a") if config.log_path else None
         self._var_sorts = {}
 
@@ -264,12 +257,6 @@ class Session:
     def declare_const(self, name: str, sort_text: str, sort_desc: SortDesc):
         self.declare(f"(declare-const {name} {sort_text})")
         self._var_sorts[name] = sort_desc
-
-    def check_sat(self) -> str:
-        if self.on_check is not None:
-            self.on_check()
-        self.num_checks += 1
-        return self._check_sat()
 
     def get_model(self, names) -> Model:
         """The values of ``names``, decoded from the backend's
@@ -429,7 +416,7 @@ class SolverSession(Session):
     def assert_(self, formula):
         self.command(f"(assert {sexp_str(formula)})")
 
-    def _check_sat(self) -> str:
+    def check_sat(self) -> str:
         self._send("(check-sat)")
         resp = self._read_response(self._deadline())
         self._write(f"; -> {resp}")

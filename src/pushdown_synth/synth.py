@@ -8,14 +8,18 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional as Opt
 
 from .interp import eval_atom, eval_expr
-from .smt import BudgetExceeded, Model
+from .smt import Model, QueryResult
 from .vcgen import (
-    Conjunction, VC_STUTTER, VC_SYNC, conj_eval, p_conjunction, vc_final,
-    vc_stutter, vc_sync,
+    Conjunction, VC_STUTTER, VC_SYNC, conj_eval, final_agreement,
+    p_conjunction, vc_final, vc_stutter, vc_sync,
 )
+
+STEP_VARS = ("a1", "a2", "r")  # the free constants of a step VC's model
+STEP_VCS = {VC_SYNC: vc_sync, VC_STUTTER: vc_stutter}
 
 
 class UniverseInsufficiency(Exception):
@@ -26,23 +30,60 @@ class SynthInconclusive(Exception):
     """A solver unknown hit a must-keep atom; the candidate cannot be judged."""
 
 
+class BudgetExceeded(Exception):
+    """The run's wall deadline passed or its solver-call cap was reached."""
+
+
 @dataclass
 class Budget:
     wall_s: float = 600.0
     max_solver_calls: int = 20000
 
-    def start(self, session):
-        deadline = time.monotonic() + self.wall_s
-        start_calls = session.num_checks
-        cap = self.max_solver_calls
 
-        def on_check():
-            if time.monotonic() > deadline:
-                raise BudgetExceeded("wall")
-            if session.num_checks - start_calls >= cap:
-                raise BudgetExceeded("solver-calls")
+class Run:
+    """The state of one synthesis run over a task context: the budget's
+    deadline and call cap, the trace sink, the count of solver queries, and
+    the bounds computed once per run. Every query of the search goes through
+    ``valid``; nothing of the run is left on the context."""
 
-        session.on_check = on_check
+    def __init__(self, ctx, budget: Opt[Budget] = None, trace_fn=None):
+        self.ctx = ctx
+        self.budget = budget or Budget()
+        self.deadline = time.monotonic() + self.budget.wall_s
+        self.trace_fn = trace_fn
+        self.calls = 0
+
+    def valid(self, formula, model_names=()) -> QueryResult:
+        """The session's validity check, counted against the budget."""
+        if time.monotonic() > self.deadline:
+            raise BudgetExceeded("wall")
+        if self.calls >= self.budget.max_solver_calls:
+            raise BudgetExceeded("solver-calls")
+        self.calls += 1
+        return self.ctx.session.check_valid(formula, model_names)
+
+    def trace(self, event, **kw):
+        if self.trace_fn is not None:
+            self.trace_fn({"event": event, **kw})
+
+    @cached_property
+    def psi_min(self) -> Conjunction:
+        """Weakest implicant of P's acceptance agreement on a1 and a2: the
+        lower bound of every invariant, whatever the filter."""
+        p = p_conjunction(self.ctx)
+        return find_weakest_implicant(
+            self, range(len(self.ctx.universes.u_psi)),
+            final_agreement(self.ctx, p, p),
+        )
+
+    @cached_property
+    def init_max(self) -> Conjunction:
+        """The invariant atoms that hold on the initial state pair."""
+        init = self.ctx.task.init_values
+        env = {"a1": init, "a2": init}
+        return Conjunction.of("psi", [
+            a.index for a in self.ctx.universes.u_psi if eval_atom(a.expr, env)
+        ])
 
 
 @dataclass
@@ -79,43 +120,75 @@ class PushdownSolution:
 
 @dataclass
 class SynthFailure:
-    reason: str  # exhausted | budget | insufficiency
+    reason: str  # exhausted | budget | inconclusive
     stats: SynthStats
 
 
-def _trace(ctx, event, **kw):
-    fn = getattr(ctx, "trace_fn", None)
-    if fn is not None:
-        fn({"event": event, **kw})
+class _Worklist:
+    """Priority worklist of conjunctions over one universe, smallest first
+    (``sign`` 1) or largest first (``sign`` -1), ties broken by the sorted
+    indices. A conjunction is queued at most once and popped at most once."""
+
+    def __init__(self, sign: int):
+        self.sign = sign
+        self.visited = set()
+        self._heap = []
+        self._queued = set()
+
+    def __bool__(self):
+        return bool(self._heap)
+
+    def push(self, conj: Conjunction) -> bool:
+        """Queue ``conj`` unless it is queued or visited; True if queued."""
+        key = conj.sorted()
+        if key in self._queued or key in self.visited:
+            return False
+        self._queued.add(key)
+        heapq.heappush(self._heap, (self.sign * len(conj), key, conj))
+        return True
+
+    def pop(self) -> Opt[Conjunction]:
+        """The next entry, now visited; None when it was visited while
+        queued (a stale entry)."""
+        _, key, conj = heapq.heappop(self._heap)
+        self._queued.discard(key)
+        if key in self.visited:
+            return None
+        self.visited.add(key)
+        return conj
+
+    def measure(self) -> tuple:
+        """(largest size queued, how many entries have it)."""
+        sizes = [len(conj) for _, _, conj in self._heap]
+        top = max(sizes, default=0)
+        return (top, sizes.count(top))
 
 
 # ---------------------------------------------------------------------------
 # weakest-implicant computation
 
 
-def find_weakest_implicant(ctx, universe_indices, phi, model_names=("a1", "a2")):
+def find_weakest_implicant(run, universe_indices, phi, model_names=("a1", "a2")):
     """Weakest conjunction over the atom pool entailing phi.
 
     Prunes atoms not entailed by phi, then grows the candidate with every
     pruned-pool atom falsified by each countermodel to candidate => phi."""
-    session = ctx.session
+    ctx = run.ctx
     all_app = ctx.psi_app(frozenset(universe_indices))
-    pre = session.check_valid(["=>", all_app, phi])
+    pre = run.valid(["=>", all_app, phi])
     if not pre.is_valid:
         raise UniverseInsufficiency(
             "conjunction of the invariant universe does not entail the target"
         )
     pool = []
     for i in sorted(universe_indices):
-        res = session.check_valid(["=>", phi, ctx.psi_atom_app(i, "a1", "a2")])
+        res = run.valid(["=>", phi, ctx.psi_atom_app(i, "a1", "a2")])
         if res.is_valid:
             pool.append(i)
     chi = set()
     psi_universe = ctx.universes.u_psi
     while True:
-        res = session.check_valid(
-            ["=>", ctx.psi_app(frozenset(chi)), phi], model_names
-        )
+        res = run.valid(["=>", ctx.psi_app(frozenset(chi)), phi], model_names)
         if res.is_valid:
             break
         if res.is_unknown:
@@ -137,9 +210,7 @@ def find_weakest_implicant(ctx, universe_indices, phi, model_names=("a1", "a2"))
     pool_set = frozenset(pool)
     final = set()
     for p in sorted(chi):
-        res = session.check_valid(
-            ["=>", ctx.psi_app(pool_set - {p}), phi]
-        )
+        res = run.valid(["=>", ctx.psi_app(pool_set - {p}), phi])
         if not res.is_valid:
             final.add(p)
     return Conjunction.of("psi", final)
@@ -147,37 +218,6 @@ def find_weakest_implicant(ctx, universe_indices, phi, model_names=("a1", "a2"))
 
 # ---------------------------------------------------------------------------
 # symbolic bound refinement
-
-
-def _psi_min_once(ctx) -> Conjunction:
-    cached = getattr(ctx, "_psi_min_cache", None)
-    if cached is not None:
-        return cached
-    p = p_conjunction(ctx)
-    both_accept = ["and", ctx.res_app(p.indices, "a1"),
-                   ctx.res_app(p.indices, "a2"), ["=", "a1", "a2"]]
-    both_reject = ["and", ["not", ctx.res_app(p.indices, "a1")],
-                   ["not", ctx.res_app(p.indices, "a2")]]
-    phi = ["or", both_accept, both_reject]
-    psi_min = find_weakest_implicant(
-        ctx, range(len(ctx.universes.u_psi)), phi
-    )
-    ctx._psi_min_cache = psi_min
-    return psi_min
-
-
-def _init_filtered_max(ctx) -> Conjunction:
-    cached = getattr(ctx, "_init_max_cache", None)
-    if cached is not None:
-        return cached
-    init = ctx.task.init_values
-    env = {"a1": init, "a2": init}
-    keep = [
-        a.index for a in ctx.universes.u_psi if eval_atom(a.expr, env)
-    ]
-    out = Conjunction.of("psi", keep)
-    ctx._init_max_cache = out
-    return out
 
 
 def _stepped_env(ctx, model: Model, optimized_moves: bool) -> dict:
@@ -188,48 +228,42 @@ def _stepped_env(ctx, model: Model, optimized_moves: bool) -> dict:
     return {"a1": a1p, "a2": a2p}
 
 
-def _drop_pass(ctx, kind: str, q: Conjunction, cand: Conjunction,
-               droppable) -> tuple:
-    """Model-guided preservation pass: repeatedly query the whole droppable
-    sub-conjunction, removing every atom falsified by the countermodel's
-    ground post-step states. Returns (cand', failed_fixed_atoms, model)."""
-    build = vc_sync if kind == VC_SYNC else vc_stutter
+def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
+               keep: Conjunction) -> tuple:
+    """Model-guided preservation pass: repeatedly query the whole candidate,
+    removing every atom falsified by the countermodel's ground post-step
+    states. Returns (cand', model): model is the countermodel of a step that
+    breaks an atom of ``keep``, or None when no step does."""
+    ctx = run.ctx
+    build = STEP_VCS[kind]
     psi_universe = ctx.universes.u_psi
     while True:
-        targets = cand.indices & droppable if droppable is not None else cand.indices
-        fixed = cand.indices - targets
-        formula = build(ctx, cand, q, Conjunction.of("psi", cand.indices))
-        res = ctx.session.check_valid(formula, ("a1", "a2", "r"))
+        res = run.valid(build(ctx, cand, q, cand), STEP_VARS)
         if res.is_valid:
-            return cand, frozenset(), None
+            return cand, None
         if res.is_unknown:
             # conservative per-atom fallback: drop droppable atoms we cannot
-            # prove preserved; report unknowns on fixed atoms
-            bad_fixed = set()
+            # prove preserved; report unknowns on must-keep atoms
             for p in sorted(cand.indices):
-                single = build(ctx, cand, q, p, cons_is_atom=True)
-                r1 = ctx.session.check_valid(single, ("a1", "a2", "r"))
+                single = build(ctx, cand, q, Conjunction.of("psi", [p]))
+                r1 = run.valid(single, STEP_VARS)
                 if r1.is_valid:
                     continue
-                if p in fixed:
-                    bad_fixed.add(p)
+                if p in keep.indices:
                     if r1.is_invalid:
-                        return cand, frozenset(bad_fixed), r1.model
+                        return cand, r1.model
                     raise SynthInconclusive(
                         f"unknown on a must-keep atom ({kind})"
                     )
                 cand = cand.without(p)
-            if not bad_fixed:
-                return cand, frozenset(), None
-            continue
+            return cand, None
         env = _stepped_env(ctx, res.model, kind == VC_SYNC)
         failing = [
             p for p in sorted(cand.indices)
             if not eval_atom(psi_universe[p].expr, env)
         ]
-        bad_fixed = [p for p in failing if p in fixed]
-        if bad_fixed:
-            return cand, frozenset(bad_fixed), res.model
+        if any(p in keep.indices for p in failing):
+            return cand, res.model
         if not failing:
             # ground evaluation disagrees with the solver; should not happen
             raise SynthInconclusive(f"countermodel falsifies no atom ({kind})")
@@ -237,19 +271,14 @@ def _drop_pass(ctx, kind: str, q: Conjunction, cand: Conjunction,
             cand = cand.without(p)
 
 
-def refine_bounds(ctx, q: Conjunction, bounds: SymbolicBounds) -> SymbolicBounds:
+def refine_bounds(run, q: Conjunction, bounds: SymbolicBounds) -> SymbolicBounds:
     """Lower bound once (target independent of Q); upper bound filtered at the
     base case once, then pruned under the one-step synchronized update."""
-    if len(bounds.psi_min) == 0:
-        psi_min = _psi_min_once(ctx)
-    else:
-        psi_min = bounds.psi_min
+    psi_min = bounds.psi_min if len(bounds.psi_min) else run.psi_min
     psi_max = Conjunction.of(
-        "psi", bounds.psi_max.indices & _init_filtered_max(ctx).indices
+        "psi", (bounds.psi_max.indices & run.init_max.indices) | psi_min.indices
     )
-    psi_max = Conjunction.of("psi", psi_max.indices | psi_min.indices)
-    droppable = psi_max.indices - psi_min.indices
-    psi_max, _, _ = _drop_pass(ctx, VC_SYNC, q, psi_max, droppable)
+    psi_max, _ = _drop_pass(run, VC_SYNC, q, psi_max, psi_min)
     return SymbolicBounds(psi_min=psi_min, psi_max=psi_max)
 
 
@@ -257,15 +286,13 @@ def refine_bounds(ctx, q: Conjunction, bounds: SymbolicBounds) -> SymbolicBounds
 # unrealizability check
 
 
-def check_unrealizable(ctx, q: Conjunction, bounds: SymbolicBounds):
-    chi_sync = vc_sync(ctx, bounds.psi_max, q, bounds.psi_min)
-    res = ctx.session.check_valid(chi_sync, ("a1", "a2", "r"))
-    if res.is_invalid:
-        return True, Diagnosis("Sync", res.model["r"])
-    chi_stutter = vc_stutter(ctx, bounds.psi_max, q, bounds.psi_min)
-    res = ctx.session.check_valid(chi_stutter, ("a1", "a2", "r"))
-    if res.is_invalid:
-        return True, Diagnosis("Stutter", res.model["r"])
+def check_unrealizable(run, q: Conjunction, bounds: SymbolicBounds):
+    for kind, build in STEP_VCS.items():
+        res = run.valid(
+            build(run.ctx, bounds.psi_max, q, bounds.psi_min), STEP_VARS
+        )
+        if res.is_invalid:
+            return True, Diagnosis(kind, res.model["r"])
     return False, None
 
 
@@ -287,21 +314,21 @@ def repair(ctx, q: Conjunction, diagnosis: Diagnosis) -> Conjunction:
 # filter weakening against the bounds
 
 
-def weaken_via_bounds(ctx, q: Conjunction):
+def weaken_via_bounds(run, q: Conjunction):
     bounds = SymbolicBounds(
         psi_min=Conjunction.of("psi", ()),
-        psi_max=Conjunction.of("psi", range(len(ctx.universes.u_psi))),
+        psi_max=Conjunction.of("psi", range(len(run.ctx.universes.u_psi))),
     )
     while True:
         if len(q) == 0:
             return False, None, None
-        bounds = refine_bounds(ctx, q, bounds)
-        unreal, diagnosis = check_unrealizable(ctx, q, bounds)
+        bounds = refine_bounds(run, q, bounds)
+        unreal, diagnosis = check_unrealizable(run, q, bounds)
         if not unreal:
             return True, q, bounds
-        q2 = repair(ctx, q, diagnosis)
-        _trace(ctx, "repair", kind=diagnosis.kind,
-               before=sorted(q.indices), after=sorted(q2.indices))
+        q2 = repair(run.ctx, q, diagnosis)
+        run.trace("repair", kind=diagnosis.kind,
+                  before=sorted(q.indices), after=sorted(q2.indices))
         q = q2
 
 
@@ -309,27 +336,17 @@ def weaken_via_bounds(ctx, q: Conjunction):
 # invariant inference
 
 
-def weaken_via_vc(ctx, kind: str, q: Conjunction, psi_min: Conjunction,
-                  cand: Conjunction):
-    """Preservation pass; removes failing atoms, aborts on a must-keep."""
-    cand, bad_fixed, model = _drop_pass(
-        ctx, kind, q, cand, cand.indices - psi_min.indices
-    )
-    if bad_fixed:
-        return False, None, model["r"]
-    return True, cand, None
-
-
-def find_strongest_bisimulation(ctx, q: Conjunction, bounds: SymbolicBounds):
+def find_strongest_bisimulation(run, q: Conjunction, bounds: SymbolicBounds):
+    """Houdini from the upper bound: drop every atom a Sync or Stutter step
+    fails to preserve, until neither drops one. A failing atom of the lower
+    bound aborts with the step's countermodel row as the diagnosis."""
     cand = bounds.psi_max
     while True:
         before = cand.indices
-        ok, cand, row = weaken_via_vc(ctx, VC_SYNC, q, bounds.psi_min, cand)
-        if not ok:
-            return False, None, Diagnosis("Sync", row)
-        ok, cand, row = weaken_via_vc(ctx, VC_STUTTER, q, bounds.psi_min, cand)
-        if not ok:
-            return False, None, Diagnosis("Stutter", row)
+        for kind in STEP_VCS:
+            cand, model = _drop_pass(run, kind, q, cand, bounds.psi_min)
+            if model is not None:
+                return False, None, Diagnosis(kind, model["r"])
         if cand.indices == before:
             return True, cand, None
 
@@ -356,42 +373,25 @@ def handle_failure(ctx, p: Conjunction, cand: Conjunction, model: Model,
                 push(cand.with_(atom.index))
 
 
-def find_residual(ctx, psi: Conjunction):
-    session = ctx.session
+def find_residual(run, psi: Conjunction):
+    ctx = run.ctx
     p = p_conjunction(ctx)
-    early = session.check_valid(vc_final(ctx, psi, p, p), ("a1", "a2"))
+    early = run.valid(vc_final(ctx, psi, p, p), ("a1", "a2"))
     if early.is_invalid:
         return False, None
-    heap = []
-    seen_in_heap = set()
-    visited = set()
-    counter = 0
-
-    def push(conj):
-        nonlocal counter
-        key = conj.sorted()
-        if key in seen_in_heap or key in visited:
-            return
-        seen_in_heap.add(key)
-        counter += 1
-        heapq.heappush(heap, (len(conj), key, counter, conj))
-
-    push(Conjunction.of("residual", ()))
-    while heap:
-        _, key, _, cand = heapq.heappop(heap)
-        seen_in_heap.discard(key)
-        if key in visited:
+    worklist = _Worklist(1)
+    worklist.push(Conjunction.of("residual", ()))
+    while worklist:
+        cand = worklist.pop()
+        if cand is None:
             continue
-        visited.add(key)
-        res = session.check_valid(
-            vc_final(ctx, psi, p, cand), ("a1", "a2")
-        )
+        res = run.valid(vc_final(ctx, psi, p, cand), ("a1", "a2"))
         if res.is_valid:
             return True, cand
         if res.is_unknown:
-            _trace(ctx, "residual-unknown", candidate=sorted(cand.indices))
+            run.trace("residual-unknown", candidate=sorted(cand.indices))
             continue
-        handle_failure(ctx, p, cand, res.model, push)
+        handle_failure(ctx, p, cand, res.model, worklist.push)
     return False, None
 
 
@@ -399,31 +399,32 @@ def find_residual(ctx, psi: Conjunction):
 # definedness collapse and mode classification
 
 
-def _one_step_trivial(ctx, atom_index: int) -> bool:
+def _one_step_trivial(run, atom_index: int) -> bool:
     """Does the residual atom hold on every state reachable by one update?"""
     formula = [
         "=>",
         ["and", ["wfrow", "r"], ["=", "a1p", ["facc", "a1", "r"]]],
-        ctx.res_app(frozenset([atom_index]), "a1p"),
+        run.ctx.res_app(frozenset([atom_index]), "a1p"),
     ]
-    return ctx.session.check_valid(formula).is_valid
+    return run.valid(formula).is_valid
 
 
-def collapse_residual(ctx, certified: Conjunction) -> Conjunction:
+def collapse_residual(run, certified: Conjunction) -> Conjunction:
     kept = [
-        i for i in certified.indices if not _one_step_trivial(ctx, i)
+        i for i in certified.indices if not _one_step_trivial(run, i)
     ]
     return Conjunction.of("residual", kept)
 
 
-def classify_mode(ctx, reported: Conjunction) -> str:
+def classify_mode(run, reported: Conjunction) -> str:
     if len(reported) == 0:
         return "exact"
+    ctx = run.ctx
     p = p_conjunction(ctx)
-    fwd = ctx.session.check_valid(
+    fwd = run.valid(
         ["=>", ctx.res_app(reported.indices, "a1"), ctx.res_app(p.indices, "a1")]
     )
-    bwd = ctx.session.check_valid(
+    bwd = run.valid(
         ["=>", ctx.res_app(p.indices, "a1"), ctx.res_app(reported.indices, "a1")]
     )
     if fwd.is_valid and bwd.is_valid:
@@ -435,98 +436,73 @@ def classify_mode(ctx, reported: Conjunction) -> str:
 # top-level worklist search
 
 
-def _worklist_measure(entries):
-    if not entries:
-        return (0, 0)
-    sizes = [len(c) for (_, _, _, c) in entries]
-    top = max(sizes)
-    return (top, sizes.count(top))
-
-
 def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     """Worklist search from the strongest filter; returns the first certified
-    solution (optimal within the universes) or a SynthFailure."""
-    universes, session = ctx.universes, ctx.session
-    ctx.trace_fn = trace_fn
-    stats = SynthStats(sizes=universes.sizes())
-    start_calls = session.num_checks
+    solution (optimal within the universes) or a SynthFailure. A candidate
+    whose bounds or invariant a solver unknown leaves undecided is noted and
+    its subsets are searched; a search that then finds nothing fails as
+    ``inconclusive``."""
+    run = Run(ctx, budget, trace_fn)
+    stats = SynthStats(sizes=ctx.universes.sizes())
     t0 = time.monotonic()
-    if budget is None:
-        budget = Budget()
-    budget.start(session)
-
-    heap = []
-    counter = 0
-    in_heap = set()
-    visited = set()
+    worklist = _Worklist(-1)
 
     def push(conj):
-        nonlocal counter
-        key = conj.sorted()
-        if key in in_heap or key in visited:
-            return
-        in_heap.add(key)
-        counter += 1
-        heapq.heappush(heap, (-len(conj), key, counter, conj))
-        _trace(ctx, "enqueue", candidate=sorted(conj.indices))
+        if worklist.push(conj):
+            run.trace("enqueue", candidate=sorted(conj.indices))
 
-    def finish(outcome):
-        stats.solver_calls = session.num_checks - start_calls
-        stats.wall_ms = (time.monotonic() - t0) * 1000.0
-        session.on_check = None
-        return outcome
-
-    push(Conjunction.of("q", range(len(universes.u_q))))
+    inconclusive = False
+    push(Conjunction.of("q", range(len(ctx.universes.u_q))))
     try:
-        while heap:
-            stats.measure_log.append(_worklist_measure(heap))
+        while worklist:
+            stats.measure_log.append(worklist.measure())
             stats.iterations += 1
-            _, key, _, q0 = heapq.heappop(heap)
-            in_heap.discard(key)
-            if key in visited:
+            q = worklist.pop()
+            if q is None:
                 continue
-            visited.add(key)
-            _trace(ctx, "dequeue", candidate=sorted(q0.indices))
-
-            ok, q, bounds = weaken_via_bounds(ctx, q0)
-            if not ok:
-                _trace(ctx, "verdict", candidate=sorted(q0.indices),
-                       outcome="infeasible")
-                continue
-            visited.add(q.sorted())
+            run.trace("dequeue", candidate=sorted(q.indices))
             try:
-                ok, psi, diagnosis = find_strongest_bisimulation(ctx, q, bounds)
+                ok, weakened, bounds = weaken_via_bounds(run, q)
+                if not ok:
+                    run.trace("verdict", candidate=sorted(q.indices),
+                              outcome="infeasible")
+                    continue
+                q = weakened
+                worklist.visited.add(q.sorted())
+                ok, psi, diagnosis = find_strongest_bisimulation(run, q, bounds)
             except SynthInconclusive as exc:
                 stats.notes.append(str(exc))
-                ok, psi, diagnosis = False, None, None
+                inconclusive = True
+                ok, diagnosis = False, None
             if not ok:
-                _trace(ctx, "verdict", candidate=sorted(q.indices),
-                       outcome="no-bisimulation")
+                run.trace("verdict", candidate=sorted(q.indices),
+                          outcome="no-bisimulation")
                 if diagnosis is not None:
                     push(repair(ctx, q, diagnosis))
             else:
-                ok, residual = find_residual(ctx, psi)
+                ok, residual = find_residual(run, psi)
                 if ok:
-                    _trace(ctx, "verdict", candidate=sorted(q.indices),
-                           outcome="solved")
-                    reported = collapse_residual(ctx, residual)
-                    mode = classify_mode(ctx, reported)
-                    return finish(PushdownSolution(
+                    run.trace("verdict", candidate=sorted(q.indices),
+                              outcome="solved")
+                    reported = collapse_residual(run, residual)
+                    return PushdownSolution(
                         q=q,
                         residual=reported,
                         certified_residual=residual,
                         psi=psi,
-                        mode=mode,
+                        mode=classify_mode(run, reported),
                         stats=stats,
-                    ))
-                _trace(ctx, "verdict", candidate=sorted(q.indices),
-                       outcome="no-residual")
+                    )
+                run.trace("verdict", candidate=sorted(q.indices),
+                          outcome="no-residual")
             for a in sorted(q.indices):
                 push(q.without(a))
-        return finish(SynthFailure("exhausted", stats))
     except BudgetExceeded as exc:
-        stats.notes.append(f"budget exhausted: {exc.reason}")
-        return finish(SynthFailure("budget", stats))
+        stats.notes.append(f"budget exhausted: {exc}")
+        return SynthFailure("budget", stats)
     except UniverseInsufficiency as exc:
         stats.notes.append(str(exc))
-        return finish(SynthFailure("exhausted", stats))
+    finally:
+        stats.solver_calls = run.calls
+        stats.wall_ms = (time.monotonic() - t0) * 1000.0
+    return SynthFailure("inconclusive" if inconclusive else "exhausted", stats)

@@ -62,47 +62,38 @@ def vc_init_holds(ctx, psi: Conjunction) -> bool:
     return conj_eval(ctx, psi, {"a1": init, "a2": init})
 
 
-def _steps(ctx, optimized_moves: bool):
-    eqs = [["=", "a1p", ["facc", "a1", "r"]]]
-    if optimized_moves:
-        eqs.append(["=", "a2p", ["facc", "a2", "r"]])
-    else:
-        eqs.append(["=", "a2p", "a2"])
-    return eqs
-
-
-def vc_sync(ctx, ante: Conjunction, q: Conjunction, cons,
-            cons_is_atom: bool = False):
-    """(ante(a1,a2) & Q(r) & steps) => cons(a1p,a2p); cons may be one atom."""
+def _vc_step(ctx, ante: Conjunction, q: Conjunction, cons: Conjunction,
+             synchronized: bool):
+    q_app = ctx.q_app(q.indices)
+    a2_step = ["facc", "a2", "r"] if synchronized else "a2"
     hyp = ["and", ctx.psi_app(ante.indices, "a1", "a2"),
-           ctx.q_app(q.indices), ["wfrow", "r"]] + _steps(ctx, True)
-    concl = (
-        ctx.psi_atom_app(cons, "a1p", "a2p")
-        if cons_is_atom
-        else ctx.psi_app(cons.indices, "a1p", "a2p")
-    )
-    return ["=>", hyp, concl]
+           q_app if synchronized else ["not", q_app], ["wfrow", "r"],
+           ["=", "a1p", ["facc", "a1", "r"]], ["=", "a2p", a2_step]]
+    return ["=>", hyp, ctx.psi_app(cons.indices, "a1p", "a2p")]
 
 
-def vc_stutter(ctx, ante: Conjunction, q: Conjunction, cons,
-               cons_is_atom: bool = False):
-    hyp = ["and", ctx.psi_app(ante.indices, "a1", "a2"),
-           ["not", ctx.q_app(q.indices)], ["wfrow", "r"]] + _steps(ctx, False)
-    concl = (
-        ctx.psi_atom_app(cons, "a1p", "a2p")
-        if cons_is_atom
-        else ctx.psi_app(cons.indices, "a1p", "a2p")
-    )
-    return ["=>", hyp, concl]
+def vc_sync(ctx, ante: Conjunction, q: Conjunction, cons: Conjunction):
+    """(ante(a1,a2) & Q(r) & both take r) => cons(a1p,a2p)."""
+    return _vc_step(ctx, ante, q, cons, True)
 
 
-def vc_final(ctx, psi: Conjunction, p: Conjunction, p_res: Conjunction):
+def vc_stutter(ctx, ante: Conjunction, q: Conjunction, cons: Conjunction):
+    """(ante(a1,a2) & not Q(r) & only a1 takes r) => cons(a1p,a2p)."""
+    return _vc_step(ctx, ante, q, cons, False)
+
+
+def final_agreement(ctx, p: Conjunction, p_res: Conjunction):
+    """p on a1 and p_res on a2 both accept, with a1 = a2, or both reject."""
     both_accept = ["and", ctx.res_app(p.indices, "a1"),
                    ctx.res_app(p_res.indices, "a2"), ["=", "a1", "a2"]]
     both_reject = ["and", ["not", ctx.res_app(p.indices, "a1")],
                    ["not", ctx.res_app(p_res.indices, "a2")]]
+    return ["or", both_accept, both_reject]
+
+
+def vc_final(ctx, psi: Conjunction, p: Conjunction, p_res: Conjunction):
     return ["=>", ctx.psi_app(psi.indices, "a1", "a2"),
-            ["or", both_accept, both_reject]]
+            final_agreement(ctx, p, p_res)]
 
 
 @dataclass

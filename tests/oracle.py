@@ -13,7 +13,7 @@ from itertools import combinations
 
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.synth import (
-    PushdownSolution, SynthStats, classify_mode, collapse_residual,
+    PushdownSolution, Run, SynthStats, classify_mode, collapse_residual,
 )
 from pushdown_synth.vcgen import (
     Conjunction, p_conjunction, vc_final, vc_stutter, vc_sync,
@@ -50,10 +50,10 @@ def _strongest_invariant(ctx, q: Conjunction):
         changed = False
         for p in cand.sorted():
             ok_sync = ctx.session.check_valid(
-                vc_sync(ctx, cand, q, p, cons_is_atom=True)
+                vc_sync(ctx, cand, q, Conjunction.of("psi", [p]))
             ).is_valid
             ok_stutter = ok_sync and ctx.session.check_valid(
-                vc_stutter(ctx, cand, q, p, cons_is_atom=True)
+                vc_stutter(ctx, cand, q, Conjunction.of("psi", [p]))
             ).is_valid
             if not (ok_sync and ok_stutter):
                 cand = cand.without(p)
@@ -79,13 +79,13 @@ def brute_force_optimal(ctx, cap_q: int = 6, cap_r: int = 6, cap_psi: int = 10):
             residual = Conjunction.of("residual", r_combo)
             res = ctx.session.check_valid(vc_final(ctx, psi, p, residual))
             if res.is_valid:
-                reported = collapse_residual(ctx, residual)
+                reported = collapse_residual(Run(ctx), residual)
                 return PushdownSolution(
                     q=q,
                     residual=reported,
                     certified_residual=residual,
                     psi=psi,
-                    mode=classify_mode(ctx, reported),
+                    mode=classify_mode(Run(ctx), reported),
                     stats=SynthStats(sizes=universes.sizes()),
                 )
     return None

@@ -13,7 +13,7 @@ from pushdown_synth.fuzz import differential_check
 from pushdown_synth.parser import parse_expression
 from pushdown_synth.pretty import fmt_expr
 from pushdown_synth.synth import (
-    PushdownSolution, SynthFailure, find_weakest_implicant, synthesize,
+    PushdownSolution, Run, SynthFailure, find_weakest_implicant, synthesize,
 )
 from pushdown_synth.typecheck import type_predicate
 from pushdown_synth.vcgen import Conjunction, check_witness
@@ -301,7 +301,7 @@ def test_criterion_7_weakest_implicant_oracle():
             if rng.random() < 0.4:
                 other = rng.sample(range(n), k=rng.randint(1, max(1, n // 2)))
                 phi = ["or", phi, ctx.psi_app(frozenset(other))]
-            fast = find_weakest_implicant(ctx, range(n), phi)
+            fast = find_weakest_implicant(Run(ctx), range(n), phi)
             brute = brute_force_weakest_implicant(ctx, range(n), phi)
             assert fast.sorted() == brute.sorted(), (base, phi)
             checked += 1

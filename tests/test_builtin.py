@@ -141,6 +141,15 @@ def test_push_pop_scopes_declarations_and_assertions():
             s.check_valid([">", "y", "0"])
 
 
+def test_redeclaring_a_sort_or_constructor_is_an_error():
+    with session() as s:
+        s.declare("(declare-datatypes ((P 0)) (((MkP (p0 Int)))))")
+        for text in ["(declare-datatypes ((P 0)) (((MkQ (q0 Int)))))",
+                     "(declare-datatypes ((Q 0)) (((MkP (q0 Int)))))"]:
+            with pytest.raises(SolverError, match="already declared"):
+                s.declare(text)
+
+
 def _random_formula(rng, atoms, depth):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(atoms)

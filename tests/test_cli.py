@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from pushdown_synth.builtin import BuiltinSession
 from pushdown_synth.cli import run
 from pushdown_synth.parser import parse
 from pushdown_synth.schema import SchemaError, validate_record
+from pushdown_synth.smt import QueryResult
 
 from conftest import FIXTURES, fixture_source, requires_z3
 
@@ -46,6 +48,30 @@ def test_synth_failure_exit_code(tmp_path):
     assert code == 1
     rec = read_records(out)[0]
     assert rec["status"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["discount", "frequent"])
+def test_unknown_step_answers_give_an_inconclusive_record(
+        tmp_path, monkeypatch, name):
+    """Sync and Stutter queries (the ones with a model over a1, a2 and r)
+    answer unknown, so an atom of the lower bound cannot be judged: the
+    search notes it and ends inconclusive, not in a traceback."""
+    check_valid = BuiltinSession.check_valid
+
+    def unknown_on_steps(self, formula, model_names=()):
+        if len(model_names) == 3:
+            return QueryResult("unknown", reason="incomplete")
+        return check_valid(self, formula, model_names)
+
+    monkeypatch.setattr(BuiltinSession, "check_valid", unknown_on_steps)
+    out = tmp_path / "rec.json"
+    code = run(["synth", "--solver", "builtin", "--out", str(out),
+                fixture_path(name)])
+    assert code == 1
+    rec = read_records(out)[0]
+    validate_record(rec)
+    assert rec["status"] == "inconclusive"
+    assert "unknown on a must-keep atom (Sync)" in rec["stats"]["notes"]
 
 
 # the paper's decomposition of top2
@@ -279,6 +305,24 @@ def test_rewritten_program_with_a_small_float_constant_parses(tmp_path):
     rec = read_records(out)[0]
     assert rec["q_atoms"] == ["r[0] > 0.00001"]
     parse(rec["rewritten"])
+
+
+def test_tuple_constant_beside_a_tuple_accumulator(tmp_path):
+    """A tuple constant of another type than the accumulator gets a sort of
+    its own."""
+    task = tmp_path / "tuple_const.pdsl"
+    task.write_text(
+        "lim = (5, 7)\n"
+        "df = (int,)\n"
+        "agg = fold(df, (0.0,), lambda a, r: "
+        "(a[0] + 1.0,) if r[0] > lim[1] else a)\n"
+        "out = filter(agg, lambda a: a[0] >= 2.0)\n"
+    )
+    out = tmp_path / "rec.json"
+    code = run(["synth", "--trials", "200", "--out", str(out), str(task)])
+    assert code == 0
+    rec = read_records(out)[0]
+    assert (rec["status"], rec["mode"]) == ("solved", "partial")
 
 
 def test_records_name_their_backend(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from pushdown_synth.synth import (
-    PushdownSolution, find_weakest_implicant, synthesize,
+    PushdownSolution, Run, find_weakest_implicant, synthesize,
 )
 from pushdown_synth.vcgen import check_witness
 
@@ -84,7 +84,7 @@ def test_weakest_implicant_matches_brute_force():
         for _ in range(8):
             targets = rng.sample(range(n), k=rng.randint(1, max(1, n // 2)))
             phi = ctx.psi_app(frozenset(targets))
-            fast = find_weakest_implicant(ctx, range(n), phi)
+            fast = find_weakest_implicant(Run(ctx), range(n), phi)
             brute = brute_force_weakest_implicant(ctx, range(n), phi)
             assert fast.sorted() == brute.sorted()
     finally:

@@ -6,7 +6,7 @@ import pytest
 
 from pushdown_synth.smt import Model
 from pushdown_synth.synth import (
-    Budget, PushdownSolution, SynthFailure, check_unrealizable, Diagnosis,
+    Budget, PushdownSolution, Run, SynthFailure, check_unrealizable, Diagnosis,
     find_residual, find_strongest_bisimulation, find_weakest_implicant,
     handle_failure, refine_bounds, repair, synthesize, weaken_via_bounds,
     SymbolicBounds, UniverseInsufficiency,
@@ -66,7 +66,7 @@ out = filter(agg, lambda a: a[0] > 0)
     try:
         idx = atom_index(ctx.universes.u_psi, "a1[0] > 0")
         phi = ctx.psi_atom_app(idx, "a1", "a2")
-        out = find_weakest_implicant(ctx, [idx], phi)
+        out = find_weakest_implicant(Run(ctx), [idx], phi)
         assert out.sorted() == (idx,)
     finally:
         ctx.session.close()
@@ -88,7 +88,7 @@ out = filter(agg, lambda a: a[0] > 0)
         ne = atom_index(ctx.universes.u_psi, "not a1[0] == 5")
         phi = ["and", ctx.psi_atom_app(gt, "a1", "a2"),
                ctx.psi_atom_app(lt, "a1", "a2")]
-        out = find_weakest_implicant(ctx, [gt, lt, ne], phi)
+        out = find_weakest_implicant(Run(ctx), [gt, lt, ne], phi)
         assert out.sorted() == tuple(sorted((gt, lt)))
     finally:
         ctx.session.close()
@@ -106,7 +106,7 @@ out = filter(agg, lambda a: a[0] > 0)
         phi = ["<", "(acc0 a1)".replace("acc0", ctx.enc.acc_sort.fields[0]),
                "0"]
         with pytest.raises(UniverseInsufficiency):
-            find_weakest_implicant(ctx, [idx], phi)
+            find_weakest_implicant(Run(ctx), [idx], phi)
     finally:
         ctx.session.close()
 
@@ -116,13 +116,13 @@ out = filter(agg, lambda a: a[0] > 0)
 
 def test_weaken_via_bounds_keeps_feasible_filter(top2x):
     q = q_of(top2x, "r[0] > 90.0")
-    ok, q2, bounds = weaken_via_bounds(top2x, q)
+    ok, q2, bounds = weaken_via_bounds(Run(top2x), q)
     assert ok and q2.sorted() == q.sorted()
     assert bounds.psi_min.indices <= bounds.psi_max.indices
 
 
 def test_weaken_via_bounds_rejects_empty_filter(top2x):
-    ok, _, _ = weaken_via_bounds(top2x, Conjunction.of("q", ()))
+    ok, _, _ = weaken_via_bounds(Run(top2x), Conjunction.of("q", ()))
     assert not ok
 
 
@@ -135,16 +135,16 @@ def test_weaken_via_bounds_repairs_an_over_strong_filter():
     )
     try:
         q = q_of(ctx, "r[0] > 100", "r[0] > 200")
-        ok, weakened, bounds = weaken_via_bounds(ctx, q)
+        ok, weakened, bounds = weaken_via_bounds(Run(ctx), q)
         assert ok
         assert weakened.sorted() == q_of(ctx, "r[0] > 100").sorted()
         assert len(bounds.psi_min) >= 1
         # directly: the original filter is unrealizable with a stutter witness
-        refined = refine_bounds(ctx, q, SymbolicBounds(
+        refined = refine_bounds(Run(ctx), q, SymbolicBounds(
             psi_min=Conjunction.of("psi", ()),
             psi_max=Conjunction.of("psi", range(len(ctx.universes.u_psi))),
         ))
-        unreal, diagnosis = check_unrealizable(ctx, q, refined)
+        unreal, diagnosis = check_unrealizable(Run(ctx), q, refined)
         assert unreal and diagnosis.kind == "Stutter"
         row = diagnosis.row[0]
         assert 100 < row <= 200
@@ -158,9 +158,9 @@ def test_refine_bounds_fixed_point_and_monotonicity(top2x):
         psi_min=Conjunction.of("psi", ()),
         psi_max=Conjunction.of("psi", range(len(top2x.universes.u_psi))),
     )
-    once = refine_bounds(top2x, q, start)
+    once = refine_bounds(Run(top2x), q, start)
     assert once.psi_max.indices <= start.psi_max.indices
-    twice = refine_bounds(top2x, q, once)
+    twice = refine_bounds(Run(top2x), q, once)
     assert twice.psi_max.indices == once.psi_max.indices
     assert twice.psi_min.indices == once.psi_min.indices
 
@@ -171,8 +171,8 @@ def test_check_unrealizable_accepts_the_right_filter(top2x):
         psi_min=Conjunction.of("psi", ()),
         psi_max=Conjunction.of("psi", range(len(top2x.universes.u_psi))),
     )
-    bounds = refine_bounds(top2x, q, start)
-    unreal, diagnosis = check_unrealizable(top2x, q, bounds)
+    bounds = refine_bounds(Run(top2x), q, start)
+    unreal, diagnosis = check_unrealizable(Run(top2x), q, bounds)
     assert not unreal and diagnosis is None
 
 
@@ -181,9 +181,9 @@ def test_check_unrealizable_accepts_the_right_filter(top2x):
 
 def test_find_strongest_bisimulation_entails_the_known_invariant(top2x):
     q = q_of(top2x, "r[0] > 90.0")
-    ok, q2, bounds = weaken_via_bounds(top2x, q)
+    ok, q2, bounds = weaken_via_bounds(Run(top2x), q)
     assert ok
-    ok, psi, _ = find_strongest_bisimulation(top2x, q2, bounds)
+    ok, psi, _ = find_strongest_bisimulation(Run(top2x), q2, bounds)
     assert ok
     from test_vcgen import SEVEN_CONJUNCTS
 
@@ -212,7 +212,7 @@ def test_find_residual_weakest_in_universe():
     try:
         eq = atom_index(ctx.universes.u_psi, "a1[0] == a2[0]")
         psi = Conjunction.of("psi", [eq])
-        ok, residual = find_residual(ctx, psi)
+        ok, residual = find_residual(Run(ctx), psi)
         assert ok
         gt = atom_index(ctx.universes.u_residual, "a[0] > 0.0")
         assert residual.sorted() == (gt,)
@@ -228,7 +228,7 @@ agg = fold(df, (0.0,), lambda a, r: (r[0] if r[0] > a[0] else a[0],))
     ctx = make_context(source, "micro")
     try:
         eq = atom_index(ctx.universes.u_psi, "a1[0] == a2[0]")
-        ok, residual = find_residual(ctx, Conjunction.of("psi", [eq]))
+        ok, residual = find_residual(Run(ctx), Conjunction.of("psi", [eq]))
         assert ok and len(residual) == 0
     finally:
         ctx.session.close()
@@ -294,6 +294,23 @@ def test_synthesize_budget_exhaustion():
         )
         assert isinstance(out, SynthFailure)
         assert out.reason == "budget"
+        assert out.stats.solver_calls == 3
+    finally:
+        ctx.session.close()
+
+
+@pytest.mark.parametrize("name", ["top2", "discount", "frequent"])
+def test_runs_on_one_context_are_isolated(name):
+    """A second run on the same context repeats the first, queries and all:
+    no run leaves state on the context."""
+    ctx = make_context(fixture_source(name), name)
+    try:
+        def outcome(out):
+            return (out.q, out.residual, out.psi, out.mode,
+                    out.stats.solver_calls)
+
+        assert outcome(synthesize(ctx)) == outcome(synthesize(ctx))
+        assert set(vars(ctx)) == {"task", "universes", "session", "enc"}
     finally:
         ctx.session.close()
 

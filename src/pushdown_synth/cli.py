@@ -266,6 +266,9 @@ def _diff_task(args, task, universes, record, session):
     )
     record["status"] = "solved" if report.ok else "fail"
     record["diff"] = report.to_json()
+    trace = _trace_fn(args)
+    if trace is not None:
+        trace({"event": "fuzz-tables", "task": task.name, **report.tables})
 
 
 def cmd_diff(args):
@@ -337,7 +340,8 @@ def build_arg_parser():
         p.add_argument("--smt-log", default=None,
                        help="transcript of solver traffic")
         p.add_argument("--trace", action="store_true",
-                       help="emit worklist events on stderr")
+                       help="emit worklist (synth) and fuzz-table (diff) "
+                            "events on stderr")
         p.add_argument("--dump-universe", action="store_true")
         p.add_argument("--budget-s", type=float, default=600.0,
                        help="synthesis wall-clock budget")

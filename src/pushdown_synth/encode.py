@@ -417,29 +417,36 @@ class TaskContext:
         self.universes = universes
         self.session = session
         self.enc = TaskEncoding(task)
-        for decl in self.enc.decls:
-            session.declare(decl)
         acc = self.enc.acc_sort
         row = self.enc.row_sort
+        # translated before any declaration is sent: an atom may be the
+        # first to need a sort, which `enc.decls` then declares
+        definitions = [
+            *self._universe_definitions("uq", universes.u_q,
+                                        [("r", row.text)]),
+            *self._universe_definitions("up", universes.u_residual,
+                                        [("a", acc.text)]),
+            *self._universe_definitions("upsi", universes.u_psi,
+                                        [("a1", acc.text), ("a2", acc.text)]),
+        ]
         acc_desc = self.enc.desc_of(task.acc_type)
         row_desc = self.enc.desc_of(self.enc.row_type)
+        for decl in self.enc.decls:
+            session.declare(decl)
         for name in ("a1", "a2", "a1p", "a2p"):
             session.declare_const(name, acc.text, acc_desc)
         session.declare_const("r", row.text, row_desc)
-        self._declare_universe("uq", universes.u_q, [("r", row.text)])
-        self._declare_universe("up", universes.u_residual, [("a", acc.text)])
-        self._declare_universe(
-            "upsi", universes.u_psi, [("a1", acc.text), ("a2", acc.text)]
-        )
+        for definition in definitions:
+            session.declare(definition)
 
-    def _declare_universe(self, prefix, universe, params):
+    def _universe_definitions(self, prefix, universe, params):
         env = {name: name for name, _ in params}
         plist = " ".join(f"({n} {t})" for n, t in params)
-        for atom in universe:
-            body = self.enc.translate(atom.expr, env)
-            self.session.declare(
-                f"(define-fun {prefix}_{atom.index} ({plist}) Bool {sexp_str(body)})"
-            )
+        return [
+            f"(define-fun {prefix}_{atom.index} ({plist}) Bool "
+            f"{sexp_str(self.enc.translate(atom.expr, env))})"
+            for atom in universe
+        ]
 
     # application helpers used by vcgen/synth
 

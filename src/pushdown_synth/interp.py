@@ -332,13 +332,15 @@ def eval_atom(expr: Expr, env: dict) -> bool:
     return _holds((compiled(expr),), env)
 
 
-def eval_fold(task, dataframe) -> LiftResult:
-    """Left fold of the task's accumulator over the rows; empty input is Bottom."""
+def eval_fold(task, dataframe, start=None) -> LiftResult:
+    """Left fold of the task's accumulator over the rows, from `start` (by
+    default the task's initial value); empty input is Bottom."""
     if not dataframe:
         return LiftResult(BOTTOM)
     step = compiled(task.f_body)
     n_columns = task.n_columns
-    env = {"a": task.init_values}  # one env per fold; `match` copies it
+    # one env per fold; `match` copies it
+    env = {"a": task.init_values if start is None else start}
     for row in dataframe:
         if len(row) != n_columns:
             raise EvalError("row does not conform to schema")

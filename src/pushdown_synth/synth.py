@@ -42,9 +42,10 @@ class Budget:
 
 class Run:
     """The state of one synthesis run over a task context: the budget's
-    deadline and call cap, the trace sink, the count of solver queries, and
-    the bounds computed once per run. Every query of the search goes through
-    ``valid``; nothing of the run is left on the context."""
+    deadline and call cap, the trace sink, the count of solver queries, the
+    notes on what a solver unknown left undecided, and the bounds computed
+    once per run. Every query of the search goes through ``valid``; nothing
+    of the run is left on the context."""
 
     def __init__(self, ctx, budget: Opt[Budget] = None, trace_fn=None):
         self.ctx = ctx
@@ -52,6 +53,13 @@ class Run:
         self.deadline = time.monotonic() + self.budget.wall_s
         self.trace_fn = trace_fn
         self.calls = 0
+        self.notes = []  # each once, in the order first met
+
+    def undecided(self, note: str):
+        """Note that an unknown answer (or a solver fault) left part of the
+        search undecided: a search that then finds nothing is inconclusive."""
+        if note not in self.notes:
+            self.notes.append(note)
 
     def valid(self, formula, model_names=()) -> QueryResult:
         """The session's validity check, counted against the budget."""
@@ -176,6 +184,8 @@ def find_weakest_implicant(run, universe_indices, phi, model_names=("a1", "a2"))
     ctx = run.ctx
     all_app = ctx.psi_app(frozenset(universe_indices))
     pre = run.valid(["=>", all_app, phi])
+    if pre.is_unknown:
+        run.undecided("unknown on the invariant universe's entailment")
     if not pre.is_valid:
         raise UniverseInsufficiency(
             "conjunction of the invariant universe does not entail the target"
@@ -192,6 +202,7 @@ def find_weakest_implicant(run, universe_indices, phi, model_names=("a1", "a2"))
         if res.is_valid:
             break
         if res.is_unknown:
+            run.undecided("unknown in the weakest implicant")
             raise UniverseInsufficiency(f"solver unknown ({res.reason})")
         env = {name: res.model[name] for name in model_names}
         added = False
@@ -243,7 +254,8 @@ def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
             return cand, None
         if res.is_unknown:
             # conservative per-atom fallback: drop droppable atoms we cannot
-            # prove preserved; report unknowns on must-keep atoms
+            # prove preserved, noting those dropped on an unknown; report
+            # unknowns on must-keep atoms
             for p in sorted(cand.indices):
                 single = build(ctx, cand, q, Conjunction.of("psi", [p]))
                 r1 = run.valid(single, STEP_VARS)
@@ -255,6 +267,8 @@ def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
                     raise SynthInconclusive(
                         f"unknown on a must-keep atom ({kind})"
                     )
+                if r1.is_unknown:
+                    run.undecided(f"unknown on a dropped atom ({kind})")
                 cand = cand.without(p)
             return cand, None
         env = _stepped_env(ctx, res.model, kind == VC_SYNC)
@@ -390,6 +404,7 @@ def find_residual(run, psi: Conjunction):
             return True, cand
         if res.is_unknown:
             run.trace("residual-unknown", candidate=sorted(cand.indices))
+            run.undecided("unknown on a residual candidate (Final)")
             continue
         handle_failure(ctx, p, cand, res.model, worklist.push)
     return False, None
@@ -440,7 +455,8 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     """Worklist search from the strongest filter; returns the first certified
     solution (optimal within the universes) or a SynthFailure. A candidate
     whose bounds or invariant a solver unknown leaves undecided is noted and
-    its subsets are searched; a search that then finds nothing fails as
+    its subsets are searched; every other unknown that changes the search is
+    noted too, and a search that then finds nothing fails as
     ``inconclusive``."""
     run = Run(ctx, budget, trace_fn)
     stats = SynthStats(sizes=ctx.universes.sizes())
@@ -451,7 +467,6 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
         if worklist.push(conj):
             run.trace("enqueue", candidate=sorted(conj.indices))
 
-    inconclusive = False
     push(Conjunction.of("q", range(len(ctx.universes.u_q))))
     try:
         while worklist:
@@ -471,8 +486,7 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
                 worklist.visited.add(q.sorted())
                 ok, psi, diagnosis = find_strongest_bisimulation(run, q, bounds)
             except SynthInconclusive as exc:
-                stats.notes.append(str(exc))
-                inconclusive = True
+                run.undecided(str(exc))
                 ok, diagnosis = False, None
             if not ok:
                 run.trace("verdict", candidate=sorted(q.indices),
@@ -503,6 +517,7 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     except UniverseInsufficiency as exc:
         stats.notes.append(str(exc))
     finally:
+        stats.notes[:0] = run.notes
         stats.solver_calls = run.calls
         stats.wall_ms = (time.monotonic() - t0) * 1000.0
-    return SynthFailure("inconclusive" if inconclusive else "exhausted", stats)
+    return SynthFailure("inconclusive" if run.notes else "exhausted", stats)

@@ -50,12 +50,21 @@ def test_synth_failure_exit_code(tmp_path):
     assert rec["status"] == "fail"
 
 
-@pytest.mark.parametrize("name", ["discount", "frequent"])
+UNKNOWN_STEP_NOTES = {
+    "discount": "unknown on a must-keep atom (Sync)",
+    "frequent": "unknown on a must-keep atom (Sync)",
+    # top2's lower bound is empty: every atom is dropped on an unknown
+    "top2": "unknown on a dropped atom (Sync)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_STEP_NOTES))
 def test_unknown_step_answers_give_an_inconclusive_record(
         tmp_path, monkeypatch, name):
     """Sync and Stutter queries (the ones with a model over a1, a2 and r)
-    answer unknown, so an atom of the lower bound cannot be judged: the
-    search notes it and ends inconclusive, not in a traceback."""
+    answer unknown, so atoms cannot be judged: the search notes each such
+    unknown and ends inconclusive, neither in a traceback nor as a silent
+    fail."""
     check_valid = BuiltinSession.check_valid
 
     def unknown_on_steps(self, formula, model_names=()):
@@ -71,7 +80,7 @@ def test_unknown_step_answers_give_an_inconclusive_record(
     rec = read_records(out)[0]
     validate_record(rec)
     assert rec["status"] == "inconclusive"
-    assert "unknown on a must-keep atom (Sync)" in rec["stats"]["notes"]
+    assert UNKNOWN_STEP_NOTES[name] in rec["stats"]["notes"]
 
 
 # the paper's decomposition of top2
@@ -325,6 +334,29 @@ def test_tuple_constant_beside_a_tuple_accumulator(tmp_path):
     assert (rec["status"], rec["mode"]) == ("solved", "partial")
 
 
+def test_sort_first_needed_by_a_universe_atom_is_declared(tmp_path):
+    """The tuple constant appears only in the post-filter, so a universe
+    atom is the first to need its sort: the sort is still declared before
+    the atom's definition."""
+    task = tmp_path / "lim_only_in_post.pdsl"
+    task.write_text(
+        "lim = (5, 7)\n"
+        "df = (int,)\n"
+        "agg = fold(df, (0,), lambda a, r: (a[0] + 1,) if r[0] > 3 else a)\n"
+        "out = filter(agg, lambda a: a[0] >= lim[1])\n"
+    )
+    out = tmp_path / "rec.json"
+    log = tmp_path / "smt.log"
+    code = run(["synth", "--solver", "builtin", "--trials", "200",
+                "--smt-log", str(log), "--out", str(out), str(task)])
+    assert code == 0
+    rec = read_records(out)[0]
+    assert (rec["status"], rec["mode"]) == ("solved", "partial")
+    transcript = log.read_text()
+    assert transcript.index("(declare-datatypes ((Tup") < \
+        transcript.index("(define-fun up_")
+
+
 def test_records_name_their_backend(tmp_path):
     tfile = tmp_path / "triple.json"
     tfile.write_text(json.dumps(PAPER_TRIPLE))
@@ -348,3 +380,27 @@ def test_records_name_their_backend(tmp_path):
     run(["diff", *trials, "--triple", str(tfile), "--out", str(out),
          fixture_path("top2")])
     assert "backend" not in read_records(out)[0]["stats"]
+
+
+def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
+    triple = {"q": ["r[0] > 95.0"], "residual": ["not (a[1] == -inf)"]}
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps(triple))
+    copy = tmp_path / "top2_copy.pdsl"
+    copy.write_text(fixture_source("top2"))
+    records = {}
+    for trace in ([], ["--trace"]):
+        out = tmp_path / f"diff{len(trace)}.json"
+        run(["diff", "--triple", str(tfile), "--trials", "10000", "--seed",
+             "7", *trace, "--out", str(out), fixture_path("top2"), str(copy)])
+        records[bool(trace)] = out.read_text()
+    assert records[True] == records[False]  # tracing leaves records alone
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert len(events) == 2 and events[0] == {**events[1], "task": "top2"}
+    top2 = events[0]
+    assert top2["event"] == "fuzz-tables"
+    assert set(top2) == {"event", "task", "rows", "states", "transitions",
+                         "steps", "clears"}
+    # 10,000 frames of up to 8 rows: 1,365 distinct one-row fold steps
+    assert (top2["transitions"], top2["steps"], top2["clears"]) == \
+        (1365, 1365, 0)

@@ -60,10 +60,6 @@ def acc_index(var: str, i: int) -> Index:
     return Index(base=Name(ident=var), index=i)
 
 
-def row_index(j: int) -> Index:
-    return Index(base=Name(ident="r"), index=j)
-
-
 def mk_not(e: Expr) -> Expr:
     return Not(operand=e)
 

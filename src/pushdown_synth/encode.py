@@ -47,6 +47,11 @@ class TaskEncoding:
         self.float_adt = task.uses_neginf
         self.decls = []
         self._sorts = {}
+        # id(type object) -> (the object, its sort), in front of the
+        # value-keyed `_sorts`: hashing a frozen tuple type recurses through
+        # its elements, and `translate` asks for the same few type objects
+        # over and over; holding the object keeps its id from being reused
+        self._sorts_by_id = {}
         self._list_ops = set()
         self.str_labels = tuple(task.str_labels)
         self._str_ctors = {}
@@ -78,9 +83,16 @@ class TaskEncoding:
             )
 
     def sort_of(self, ty: Type) -> _SortInfo:
-        key = ty
-        if key in self._sorts:
-            return self._sorts[key]
+        hit = self._sorts_by_id.get(id(ty))
+        if hit is not None:
+            return hit[1]
+        info = self._sorts.get(ty)
+        if info is None:
+            info = self._new_sort(ty)
+        self._sorts_by_id[id(ty)] = (ty, info)
+        return info
+
+    def _new_sort(self, ty: Type) -> _SortInfo:
         if isinstance(ty, TBool):
             info = _SortInfo("Bool", BOOL_SORT)
         elif isinstance(ty, TInt):
@@ -118,7 +130,7 @@ class TaskEncoding:
             info = self._tuple_sort(ty, f"Tup{len(self._sorts)}")
         else:
             raise EncodeError(f"cannot encode type {ty}")
-        self._sorts[key] = info
+        self._sorts[ty] = info
         return info
 
     def _tuple_sort(self, ty: TTuple, name: str) -> _SortInfo:

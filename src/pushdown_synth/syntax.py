@@ -8,10 +8,11 @@ tree it owns: one it built, or a copy of a tree that may be shared.
 Universe atoms may share typed parts with each other, so nothing writes to
 an atom's nodes once its universe is built.
 
-The evaluator reads `ty` too: `interp.compiled` picks each comparison,
-index and arithmetic closure from the operands' static types, and caches
-the result per root node without ever re-specialising it. So a node's `ty`
-must be final before the first `interp.compiled` call on any tree that holds
+The evaluator reads `ty` too: the function `interp` generates for a root
+(through `interp.compiled`, `eval_fold`, `filter_rows` or `lift_eval`) picks
+each comparison, index and arithmetic operator from the operands' static
+types, and is cached per root node without ever being re-specialised. So a
+node's `ty` must be final before the first evaluation of any tree that holds
 it, and a node without a `ty` is evaluated by the generic, untyped path.
 """
 

@@ -390,10 +390,6 @@ def eval_const(expr: Expr) -> Value:
 # boolean normalization (match/conditional compilation, NNF, CNF)
 
 
-def _true() -> Lit:
-    return Lit(kind="bool", value=True, ty=BOOL)
-
-
 def _false() -> Lit:
     return Lit(kind="bool", value=False, ty=BOOL)
 

@@ -46,7 +46,7 @@ class _NoneVal:
 NONE = _NoneVal()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Some:
     value: "Value"
 

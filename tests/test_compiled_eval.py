@@ -1,6 +1,6 @@
 """The compiled evaluator against the reference tree walker.
 
-`interp.eval_expr` runs each expression as closures compiled once;
+`interp.eval_expr` runs each expression as a function generated once;
 `tree_eval.eval_expr` walks the tree. On every input below both must give
 the same value (compared by `repr`, so types count too), the same UNDEF, and
 the same exception with the same message.
@@ -8,9 +8,11 @@ the same exception with the same message.
 
 import gc
 import itertools
+import linecache
 import operator
 import random
 import sys
+import traceback
 import weakref
 from fractions import Fraction
 
@@ -21,8 +23,8 @@ from pushdown_synth.analysis import build_universes
 from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.parser import parse_expression
 from pushdown_synth.syntax import (
-    BOOL, FLOAT, INT, STR, BinOp, IsNone, Lit, Name, Not, SomeVal, TOpt,
-    TTuple, walk,
+    BOOL, FLOAT, INT, STR, BinOp, Cond, IsNone, Lit, Name, Not, SomeVal,
+    TOpt, TTuple, walk,
 )
 from pushdown_synth.typecheck import compile_bool, type_predicate
 from pushdown_synth.values import NEG_INF, NONE, Some
@@ -161,7 +163,7 @@ def test_compiled_form_is_cached_per_root_and_dies_with_it():
     node = weakref.ref(expr)
     del expr
     gc.collect()
-    assert node() is None  # the closure does not keep its root alive
+    assert node() is None  # the function does not keep its root alive
     assert fn({"x": 2}) == 3
 
 
@@ -297,3 +299,154 @@ def test_typed_comparisons_do_not_reach_values_equal(source, types, env):
 def test_structured_equality_keeps_values_equal(source, types, env):
     fn = interp.compiled(_typed(source, **types))
     assert _calls_to(values.values_equal, lambda: fn(env)) > 0
+
+
+# Generated functions: deep trees, binder shadowing, hostile literals, folds
+# from a given state, and tracebacks that name the DSL expression.
+
+DEPTH = 260  # deeper than CPython's 200 nested parentheses
+
+
+def _int_gt(k):
+    return BinOp(op=">", left=Name(ident="x", ty=INT),
+                 right=Lit(kind="int", value=k, ty=INT), ty=BOOL)
+
+
+def _deep_and(guarded):
+    atom = _payload_gt if guarded else _int_gt
+    expr = atom(0)
+    for k in range(1, DEPTH):
+        expr = BinOp(op="and", left=expr, right=atom(k), ty=BOOL)
+    return expr
+
+
+def _deep_not():
+    expr = _int_gt(3)
+    for _ in range(DEPTH):
+        expr = Not(operand=expr, ty=BOOL)
+    return expr
+
+
+def _deep_cond():
+    expr = Lit(kind="int", value=-1, ty=INT)
+    for k in range(DEPTH):
+        expr = Cond(test=_int_gt(k), then=Lit(kind="int", value=k, ty=INT),
+                    other=expr, ty=INT)
+    return expr
+
+
+def _source_of(fn):
+    return "".join(linecache.getlines(fn.__code__.co_filename))
+
+
+@pytest.mark.parametrize("build,envs", [
+    (lambda: _deep_and(False), [{"x": x} for x in (-1, 100, DEPTH)]),
+    (lambda: _deep_and(True),
+     [{"x": x} for x in (NONE, Some(0), Some(DEPTH))]),
+    (_deep_not, [{"x": x} for x in (2, 4)]),
+    (_deep_cond, [{"x": x} for x in (-5, 0, 7, DEPTH + 1)]),
+], ids=["and", "guarded-and", "not", "cond"])
+def test_deep_trees_agree_with_walker(build, envs):
+    expr = build()
+    for env in envs:
+        assert_agree(expr, env)
+    assert _source_of(interp.compiled(expr)).count("def ") > 1  # split
+
+
+NESTED_MATCH = ("match x: case None: 0 case v: "
+                "(match y: case None: v case v: v * 10) + v")
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+def test_nested_match_rebinding_a_binder(typed):
+    """The inner `case v` shadows the outer binder only inside its body; the
+    `+ v` after it reads the outer payload again."""
+    expr = parse_expression(NESTED_MATCH)
+    if typed:
+        expr = type_predicate(expr, {"x": TOpt(INT), "y": TOpt(INT)},
+                              expect=None)
+    for x, y in itertools.product([NONE, Some(1), Some(4)],
+                                  [NONE, Some(0), Some(3)]):
+        assert_agree(expr, {"x": x, "y": y})
+    assert interp.eval_expr(expr, {"x": Some(4), "y": Some(3)}) == 34
+    assert interp.eval_expr(expr, {"x": Some(4), "y": NONE}) == 8
+
+
+def test_nested_match_in_a_kernel():
+    """The same shadowing through `lift_eval`, whose kernel takes `a` as a
+    positional argument."""
+    pred = parse_expression(
+        "(match a[0]: case None: 0 case v: "
+        "(match a[1]: case None: v case v: v * 10) + v) == 34")
+    for pair in itertools.product([NONE, Some(1), Some(4)],
+                                  [NONE, Some(0), Some(3)]):
+        expected = tree_eval.eval_expr(pred, {"a": pair})
+        result = interp.lift_eval([pred], interp.LiftResult(pair))
+        assert result.is_bottom is not expected, pair
+    assert not interp.lift_eval([pred], interp.LiftResult(
+        (Some(4), Some(3)))).is_bottom
+
+
+HOSTILE = 'say "hi"\n__import__(\'os\').system("true")'
+
+
+def test_string_literals_and_names_stay_data():
+    literal = Lit(kind="str", value=HOSTILE, ty=STR)
+    assert_agree(literal, {})
+    assert interp.eval_expr(literal, {}) == HOSTILE
+    ident = 'r")\nimport os\n("'
+    expr = BinOp(op="==", left=Name(ident=ident, ty=STR), right=literal,
+                 ty=BOOL)
+    for value in (HOSTILE, "x"):
+        assert_agree(expr, {ident: value})
+    assert_agree(expr, {})  # unbound: the identifier is only in the message
+    for fn in (interp.compiled(literal), interp.compiled(expr)):
+        assert "import" not in _source_of(fn)
+
+
+def _tree_fold(task, frame, start):
+    acc = start
+    for row in frame:
+        acc = tree_eval.eval_expr(task.f_body, {"a": acc, "r": tuple(row)})
+    return acc
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_eval_fold_from_a_start_state_agrees_with_walker(name):
+    task = make_task(name)
+    universes = build_universes(task)
+    _, states = _walk_frames(task, universes, seed=3 * len(name), frames=10)
+    rng = random.Random(len(name))
+    pools = column_pools(task, universes)
+    for _ in range(40):
+        frame = sample_dataframe(rng, pools)
+        start = rng.choice(states)
+        result = interp.eval_fold(task, frame, start=start)
+        if not frame:
+            assert result.is_bottom
+            continue
+        assert repr(result.value) == repr(_tree_fold(task, frame, start))
+
+
+@pytest.mark.parametrize("source,env", [
+    ("1.0 / a[0] > 2.0", {"a": (Fraction(0),)}),
+    ("y > 1", {"x": 1}),
+], ids=["helper", "unbound"])
+def test_tracebacks_name_the_dsl_expression(source, env):
+    expr = parse_expression(source)
+    with pytest.raises(values.EvalError) as info:
+        interp.eval_expr(expr, env)
+    text = "".join(traceback.format_exception(info.value))
+    assert f'File "<dsl {expr.span} #' in text
+    assert "return " in text  # the generated line, read from linecache
+
+
+def test_generated_source_leaves_linecache_with_its_root():
+    expr = parse_expression("x + 1 > 2")
+    filenames = [fn.__code__.co_filename for fn in
+                 (interp.compiled(expr), interp._kernel(expr, ("x",)))]
+    assert len(set(filenames)) == 2
+    assert all(name in linecache.cache for name in filenames)
+    del expr
+    gc.collect()
+    assert not any(name in linecache.cache for name in filenames)

@@ -1,7 +1,7 @@
 """Reference tree-walking evaluator for DSL expressions.
 
-The evaluator `pushdown_synth.interp` compiles each expression into closures;
-this walker re-dispatches on every node instead. The tests keep it as the
+The evaluator `pushdown_synth.interp` generates one Python function per
+expression; this walker re-dispatches on every node instead. The tests keep it as the
 reference the compiled form is checked against.
 """
 

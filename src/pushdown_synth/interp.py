@@ -53,9 +53,11 @@ def eval_expr(expr: Expr, env: dict) -> Value:
     return compiled(expr)(env)
 
 
-# root node -> {parameters: generated function}; `None` keys the `env`-dict
-# form, a tuple of identifiers a kernel taking those names positionally
-_COMPILED = weakref.WeakKeyDictionary()
+# id of a root node -> {parameters: generated function}; `None` keys the
+# `env`-dict form, a tuple of identifiers a kernel taking those names
+# positionally. An entry leaves with its root (`weakref.finalize`), so no id
+# is reused while it is cached.
+_COMPILED = {}
 
 
 def compiled(expr: Expr):
@@ -68,12 +70,16 @@ def _kernel(expr: Expr, params):
     """The generated function of `expr` taking the values of the names
     `params` positionally (`env` when `params` is None). A name outside
     `params` is unbound in a kernel."""
-    fns = _COMPILED.get(expr)
+    key = id(expr)
+    try:
+        return _COMPILED[key][params]
+    except KeyError:
+        pass
+    fns = _COMPILED.get(key)
     if fns is None:
-        fns = _COMPILED[expr] = {}
-    fn = fns.get(params)
-    if fn is None:
-        fn = fns[params] = _Generator(expr, params).function()
+        fns = _COMPILED[key] = {}
+        weakref.finalize(expr, _COMPILED.pop, key, None).atexit = False
+    fn = fns[params] = _Generator(expr, params).function()
     return fn
 
 

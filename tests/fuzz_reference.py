@@ -1,18 +1,28 @@
-"""Reference per-trial differential fuzzer.
+"""Reference per-trial differential fuzzer and frame sampler.
 
 `pushdown_synth.fuzz.differential_check` evaluates each distinct fold step,
 row verdict and lift verdict once per call; this loop re-evaluates the whole
-original and rewritten pipeline on every sampled frame instead. The tests
-keep it as the reference the tabled fuzzer is checked against.
+original and rewritten pipeline on every sampled frame instead. Its frames
+come from `random.Random.randint` and `random.Random.choice`, which
+`pushdown_synth.fuzz.sample_dataframe` reproduces from `getrandbits`. The
+tests keep both as the references the tabled fuzzer and its sampler are
+checked against.
 """
 
 from __future__ import annotations
 
 import random
 
-from pushdown_synth.fuzz import DiffReport, column_pools, sample_dataframe
+from pushdown_synth.fuzz import DiffReport, column_pools
 from pushdown_synth.interp import eval_fold, filter_rows, lift_eval
 from pushdown_synth.values import fmt_value
+
+
+def sample_dataframe(rng: random.Random, pools, max_len: int = 8):
+    length = rng.randint(0, max_len)
+    return [
+        tuple(rng.choice(pool) for pool in pools) for _ in range(length)
+    ]
 
 
 def differential_check(task, universes, q_indices, residual_indices,

@@ -400,7 +400,9 @@ def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
     top2 = events[0]
     assert top2["event"] == "fuzz-tables"
     assert set(top2) == {"event", "task", "rows", "states", "transitions",
-                         "steps", "clears"}
-    # 10,000 frames of up to 8 rows: 1,365 distinct one-row fold steps
+                         "steps", "clears", "pairs", "pair_hits"}
+    # 10,000 frames of up to 8 rows: 1,365 distinct one-row fold steps, and
+    # 9,230 frames judged from a path the pair table held
     assert (top2["transitions"], top2["steps"], top2["clears"]) == \
         (1365, 1365, 0)
+    assert (top2["pairs"], top2["pair_hits"]) == (105, 9230)

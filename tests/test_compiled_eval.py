@@ -450,3 +450,14 @@ def test_generated_source_leaves_linecache_with_its_root():
     del expr
     gc.collect()
     assert not any(name in linecache.cache for name in filenames)
+
+
+def test_generated_functions_leave_the_cache_with_their_root():
+    expr = parse_expression("x + 1 > 2")
+    key = id(expr)
+    interp.compiled(expr)
+    interp._kernel(expr, ("x",))
+    assert set(interp._COMPILED[key]) == {None, ("x",)}
+    del expr
+    gc.collect()
+    assert key not in interp._COMPILED

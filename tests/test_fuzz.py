@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,46 +197,126 @@ out = filter(agg, lambda a: a[0][0] > 3.0)
 """
 
 
+RAISING_RESIDUAL = {"fixture": "top2", "q": ["r[0] > 90.0"],
+                    "residual": ["a[0] + a[1] > 180.0"]}
+
+
 def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
-    task = typecheck(parse(RAISING_STEP), "raising")
-    universes = build_universes(task)
-    outcomes = []
-    for module in (fuzz, fuzz_reference):
-        frames = []
-        sample = module.sample_dataframe
+    """A fold step that raises on some rows, and a residual `P'` that raises
+    on the states with one kept row (arithmetic on -inf). At seed 2 the
+    residual first raises on a frame whose whole path the pair table holds,
+    so on the pair verdict judged late."""
+    step_task = typecheck(parse(RAISING_STEP), "raising")
+    top2 = make_task("top2")
+    top2_universes = build_universes(top2)
+    cases = [(step_task, build_universes(step_task), [], [], 1, True),
+             (top2, top2_universes,
+              *_triple_indices(top2, top2_universes, RAISING_RESIDUAL), 2,
+              False)]
+    resume = FoldTables._resume
+    resuming = []
 
-        def counted(*args, _sample=sample, _frames=frames):
-            _frames.append(_sample(*args))
-            return _frames[-1]
+    def tracked(self, *args):
+        resuming.append(True)
+        verdict = resume(self, *args)
+        resuming.pop()
+        return verdict
 
-        monkeypatch.setattr(module, "sample_dataframe", counted)
-        with pytest.raises(EvalError) as err:
-            module.differential_check(task, universes, [], [], trials=200,
-                                      seed=1)
-        outcomes.append((str(err.value), len(frames)))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1] > 1  # not every frame raises
+    monkeypatch.setattr(FoldTables, "_resume", tracked)
+    for task, universes, q, res, seed, raised_resuming in cases:
+        outcomes = []
+        for module in (fuzz, fuzz_reference):
+            frames = []
+            sample = module.sample_dataframe
+
+            def counted(*args, _sample=sample, _frames=frames):
+                _frames.append(_sample(*args))
+                return _frames[-1]
+
+            monkeypatch.setattr(module, "sample_dataframe", counted)
+            with pytest.raises(EvalError) as err:
+                module.differential_check(task, universes, q, res,
+                                          trials=200, seed=seed)
+            outcomes.append((str(err.value), len(frames)))
+            monkeypatch.setattr(module, "sample_dataframe", sample)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] > 1  # not every frame raises
+        assert bool(resuming) == raised_resuming
+        resuming.clear()
+
+
+# -- the sampler against `randint` and `choice`
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 8])
+def test_sampler_draws_the_frames_of_randint_and_choice(max_len):
+    sizes = (1, 2, 7, 8, 13, 16, 1107)
+    index_pools = [list(range(n)) for n in sizes]
+    value_pools = [[Fraction(i, 3) if n % 2 else f"v{i}" for i in range(n)]
+                   for n in sizes]
+    for pools in ([[p] for p in index_pools] + [[p] for p in value_pools]
+                  + [index_pools, value_pools]):
+        got, want = random.Random(max_len), random.Random(max_len)
+        for _ in range(200):
+            assert fuzz.sample_dataframe(got, pools, max_len) == \
+                fuzz_reference.sample_dataframe(want, pools, max_len)
+        assert got.getstate() == want.getstate()
+
+
+def test_sampler_errors_match_randint_and_choice():
+    for sample in (fuzz.sample_dataframe, fuzz_reference.sample_dataframe):
+        with pytest.raises(ValueError):
+            sample(random.Random(0), [[1, 2]], -1)
+        # an empty pool fails once a row is drawn, and only then
+        assert sample(random.Random(0), [[1], []], 0) == []
+        with pytest.raises(IndexError):
+            sample(random.Random(0), [[1], []], 8)  # a frame of 6 rows
 
 
 # -- the work the tables save
 
 
-def test_top2_folds_each_distinct_transition_once(monkeypatch):
+# `eval_fold`, `filter_rows` and `lift_eval` calls at seed 7, 10,000 trials;
+# the per-trial loop took 56,713 fold steps on top2's frames
+EVALUATIONS = {
+    "top2": (252, 7, 44),
+    "discount": (182, 13, 17),
+    "case_a": (32460, 87, 14246),
+    "case_b": (40901, 1107, 17468),
+    "frequent": (77, 12, 13),
+    "top2_wrong": (1365, 13, 113),
+    "count_taut": (40, 5, 16),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVALUATIONS))
+def test_folds_each_distinct_transition_once(kind, monkeypatch):
+    spec = REFERENCE[kind]
+    task = make_task(spec["fixture"])
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes, spec)
+    names = ("eval_fold", "filter_rows", "lift_eval")
+    folds, calls = [], Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(fuzz, name), _name=name, **kwargs):
+            calls[_name] += 1
+            if _name == "eval_fold":
+                folds.append(len(args[1]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz, name, counted)
+    report = differential_check(task, universes, q, res, trials=10000, seed=7)
+    assert tuple(calls[name] for name in names) == EVALUATIONS[kind]
+    assert len(folds) == sum(folds) == report.tables["steps"]
+
+
+def test_the_pair_table_judges_most_top2_frames():
     spec = REFERENCE["top2"]
     task = make_task(spec["fixture"])
     universes = build_universes(task)
     q, res = _triple_indices(task, universes, spec)
-    calls = []
-    eval_fold = fuzz.eval_fold
-
-    def counted(task, rows, start=None):
-        calls.append(len(rows))
-        return eval_fold(task, rows, start=start)
-
-    monkeypatch.setattr(fuzz, "eval_fold", counted)
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
-    # the per-trial loop took 56,713 fold steps on these frames
-    assert len(calls) == sum(calls) == report.tables["steps"] <= 252
+    assert report.tables["pair_hits"] >= 9000
     assert report.tables["clears"] == 0
 
 
@@ -247,5 +328,35 @@ def test_tables_stay_within_their_bound_on_case_b():
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     tables = report.tables
     assert tables["clears"] > 0
-    assert max(tables["rows"], tables["states"] - 1,
-               tables["transitions"]) <= TABLE_BOUND
+    assert max(tables["rows"], tables["states"] - 1, tables["transitions"],
+               tables["pairs"] - 1) <= TABLE_BOUND
+
+
+CAPPED_COUNT = """
+df = (int,)
+agg = fold(df, (0,), lambda a, r: (a[0] + 1,) if a[0] < 5 else a)
+out = filter(agg, lambda a: a[0] > 3)
+"""
+
+
+def test_pairs_are_cleared_alone_within_the_bound(monkeypatch):
+    """A count capped at 5 has 6 states, but its count of all rows and its
+    count of kept rows make 21 pairs. With the bound at 100, the pairs'
+    transitions pass it and the 48 fold steps do not: the pair table is
+    cleared alone, and no step is evaluated twice. At 200, above the 21 × 8
+    transitions the pairs can have, it is never cleared."""
+    task = typecheck(parse(CAPPED_COUNT), "capped")
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes,
+                             {"q": ["r[0] > 2"], "residual": ["a[0] > 3"]})
+    unbounded = differential_check(task, universes, q, res, trials=2000,
+                                   seed=3)
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 200)
+    assert differential_check(task, universes, q, res, trials=2000,
+                              seed=3).tables == unbounded.tables
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 100)
+    bounded = _assert_same_report(task, universes, q, res, 2000, 3)
+    assert bounded.tables["steps"] == unbounded.tables["steps"] == 48
+    assert bounded.tables["clears"] == 0
+    assert bounded.tables["pairs"] == unbounded.tables["pairs"] == 21
+    assert bounded.tables["pair_hits"] < unbounded.tables["pair_hits"]

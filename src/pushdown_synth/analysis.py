@@ -16,7 +16,8 @@ from .syntax import (
     BOOL,
     BinOp, Case, Cond, CoerceSome, Expr, Index, Insert, IsNone, ListExpr,
     Lit, Match, Name, Not, SliceFrom, SomeVal, TInt, TOpt, TTuple, TupleExpr,
-    children, map_children, structurally_equal, walk,
+    children, map_children, rebuild_match, structurally_equal, substitute,
+    walk,
 )
 from .typecheck import PipelineTask, cnf_clauses, type_predicate
 from .values import NEG_INF, NONE, Some, Value
@@ -500,7 +501,6 @@ class DepInfo:
     is_dep_row: tuple
     mono: tuple  # per component: ('inc', bound) | ('dec', bound) | ('none', None)
     contrib: tuple  # per component: canonical row expression or None
-    comp_defs: tuple  # projected per-component definitions
 
 
 def project_component(body: Expr, i: int) -> Expr:
@@ -541,39 +541,18 @@ def _mentions_name(expr: Expr, ident: str) -> bool:
     return any(isinstance(n, Name) and n.ident == ident for n in walk(expr))
 
 
-def _reads(expr: Expr, binder_origins: Opt[dict] = None):
-    """Accumulator components and row columns read by expr (guards included).
-
-    binder_origins maps match binders to their replacement expressions."""
-    binder_origins = binder_origins or {}
-    acc, row = set(), set()
-
-    def go(e, origins):
-        if isinstance(e, Name):
-            if e.ident in origins:
-                go(origins[e.ident], {})
-            return
-        if isinstance(e, Index) and isinstance(e.base, Name):
-            if e.base.ident in ("a", "a1", "a2"):
-                acc.add(e.index)
-                return
-            if e.base.ident == "r":
-                row.add(e.index)
-                return
-        if isinstance(e, Match):
-            go(e.scrutinee, origins)
-            for case in e.cases:
-                inner = dict(origins)
-                if case.pattern is not None:
-                    payload = SomeVal(operand=_resolve_binders(e.scrutinee, origins))
-                    inner[case.pattern] = payload
-                go(case.body, inner)
-            return
-        for child in children(e):
-            go(child, origins)
-
-    go(expr, binder_origins)
-    return acc, row
+def _resolve_binders(expr: Expr) -> Expr:
+    """`expr` with each match binder replaced by `SomeVal` of its scrutinee,
+    which is resolved first: what the analyses read through a binder."""
+    if isinstance(expr, Match):
+        scrutinee = _resolve_binders(expr.scrutinee)
+        payload = SomeVal(operand=scrutinee)
+        bodies = [c.body if c.pattern is None
+                  else substitute(c.body, {c.pattern: payload})
+                  for c in expr.cases]
+        return rebuild_match(expr, scrutinee,
+                             [_resolve_binders(b) for b in bodies])
+    return map_children(expr, _resolve_binders)
 
 
 def _strip_some(e: Expr) -> Expr:
@@ -669,40 +648,26 @@ def _detect_optional_extremum(defn: Match, i: int):
     return descend(defn, None)
 
 
-def _collect_value_leaves(defn: Expr, i: int, binder_origins: dict):
+def _collect_value_leaves(defn: Expr, i: int) -> list:
     """Leaves assigned into component i, other than keeping the old value."""
-    leaves = []
-
-    def go(e, origins):
-        if isinstance(e, Cond):
-            go(e.then, origins)
-            go(e.other, origins)
-            return
-        if isinstance(e, Match):
-            for case in e.cases:
-                inner = dict(origins)
-                if case.pattern is not None:
-                    inner[case.pattern] = SomeVal(
-                        operand=_resolve_binders(e.scrutinee, origins)
-                    )
-                go(case.body, inner)
-            return
-        stripped = _strip_some(e)
-        if _is_acc_i(stripped, i):
-            return
-        leaves.append((stripped, dict(origins)))
-
-    go(defn, binder_origins)
-    return leaves
+    if isinstance(defn, Cond):
+        return (_collect_value_leaves(defn.then, i)
+                + _collect_value_leaves(defn.other, i))
+    if isinstance(defn, Match):
+        return [leaf for c in defn.cases
+                for leaf in _collect_value_leaves(c.body, i)]
+    leaf = _strip_some(defn)
+    return [] if _is_acc_i(leaf, i) else [leaf]
 
 
 def infer_dep_info(task: PipelineTask) -> DepInfo:
     arity = task.arity
-    comp_defs = tuple(project_component(task.f_body, i) for i in range(arity))
+    comp_defs = [project_component(task.f_body, i) for i in range(arity)]
+    resolved = [_resolve_binders(defn) for defn in comp_defs]
     is_dep = [[i == j for j in range(arity)] for i in range(arity)]
     is_dep_row = [False] * arity
-    for j, defn in enumerate(comp_defs):
-        acc, row = _reads(defn)
+    for j, defn in enumerate(resolved):
+        row, acc = _fields(defn)
         for i in acc:
             is_dep[i][j] = True
         is_dep_row[j] = bool(row)
@@ -719,21 +684,17 @@ def infer_dep_info(task: PipelineTask) -> DepInfo:
         exprs = set()
         deps = set()
         status = "ok"
-        for leaf, origins in _collect_value_leaves(comp_defs[i], i, {}):
-            resolved_leaf = _strip_some(_resolve_binders(leaf, origins))
-            under_some = _strip_some(resolved_leaf)
-            if isinstance(under_some, SomeVal):
-                under_some = under_some.operand
-            if isinstance(under_some, Index) and isinstance(under_some.base, Name) \
-                    and under_some.base.ident == "a":
-                deps.add(under_some.index)
+        for leaf in _collect_value_leaves(resolved[i], i):
+            comp = _acc_comp_of_term(leaf)
+            if comp is not None:
+                deps.add(comp)
                 continue
-            acc, row = _reads(resolved_leaf)
+            row, acc = _fields(leaf)
             if acc:
                 status = BLOCKED
                 break
             if row:
-                canon = normalize_term(resolved_leaf)
+                canon = normalize_term(leaf)
                 key = expr_key(canon)
                 exprs.add(key)
                 expr_by_key.setdefault(key, canon)
@@ -768,17 +729,7 @@ def infer_dep_info(task: PipelineTask) -> DepInfo:
         is_dep_row=tuple(is_dep_row),
         mono=mono,
         contrib=contrib,
-        comp_defs=comp_defs,
     )
-
-
-def _resolve_binders(leaf: Expr, origins: dict) -> Expr:
-    def go(e):
-        if isinstance(e, Name) and e.ident in origins:
-            return origins[e.ident]
-        return map_children(e, go)
-
-    return go(leaf) if origins else leaf
 
 
 # ---------------------------------------------------------------------------
@@ -934,31 +885,11 @@ def _typed(expr: Expr, env: dict) -> Expr:
     return type_predicate(copy.deepcopy(expr), env)
 
 
-def _collect_guards(body: Expr):
-    """All conditional guards in the accumulator body, binder-resolved."""
-    guards = []
-
-    def go(e, origins):
-        if isinstance(e, Cond):
-            guards.append(_resolve_binders(e.test, origins))
-            go(e.test, origins)
-            go(e.then, origins)
-            go(e.other, origins)
-            return
-        if isinstance(e, Match):
-            go(e.scrutinee, origins)
-            for case in e.cases:
-                inner = dict(origins)
-                if case.pattern is not None:
-                    inner[case.pattern] = SomeVal(
-                        operand=_resolve_binders(e.scrutinee, origins)
-                    )
-                go(case.body, inner)
-            return
-        for child in children(e):
-            go(child, origins)
-
-    go(body, {})
+def _collect_guards(body: Expr) -> list:
+    """The conditional tests of `body`, left to right in preorder."""
+    guards = [body.test] if isinstance(body, Cond) else []
+    for child in children(body):
+        guards += _collect_guards(child)
     return guards
 
 
@@ -996,7 +927,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
         sub_p.append(expr)
 
     sub_f = []
-    for guard in _collect_guards(task.f_body):
+    for guard in _collect_guards(_resolve_binders(task.f_body)):
         for clause in cnf_clauses(guard):
             try:
                 sub = _substitute_clause(clause, dep)
@@ -1050,15 +981,6 @@ def build_universe_residual(task: PipelineTask) -> Universe:
         display = _clause_display(lits)
         universe.add(_typed(conj, env), display=display)
     return universe
-
-
-def _subst_acc_var(expr: Expr, var: str) -> Expr:
-    def go(e):
-        if isinstance(e, Name) and e.ident == "a":
-            return Name(ident=var)
-        return map_children(e, go)
-
-    return go(expr)
 
 
 def _is_sentinel(v: Value) -> bool:
@@ -1134,7 +1056,8 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
 
                     fams.append(guarded(k, i, builder))
                 else:
-                    fams.append(_subst_acc_var(_or_chain(cmps), f"a{k}"))
+                    fams.append(substitute(_or_chain(cmps),
+                                           {"a": Name(ident=f"a{k}")}))
             if kind in ("inc", "dec") and eq_consts:
                 op = ">=" if kind == "inc" else "<="
                 for c in sorted(eq_consts):

@@ -330,6 +330,12 @@ def build_arg_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text):  # argparse names the type in its errors
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+        return value
+
     def common(p, files=True):
         p.add_argument("--solver", default=None,
                        help="SMT solver binary, or 'builtin'")
@@ -347,9 +353,9 @@ def build_arg_parser():
                        help="synthesis wall-clock budget")
         p.add_argument("--max-calls", type=int, default=20000,
                        help="synthesis solver-call budget")
-        p.add_argument("--trials", type=int, default=2000,
+        p.add_argument("--trials", type=count, default=2000,
                        help="differential trials")
-        p.add_argument("--bmc-rows", type=int, default=2)
+        p.add_argument("--bmc-rows", type=int, choices=range(1, 5), default=2)
         if files:
             p.add_argument("files", nargs="+", metavar="FILE")
 

@@ -463,25 +463,24 @@ class TaskContext:
     # application helpers used by vcgen/synth
 
     def q_app(self, indices, row_var="r"):
-        apps = [[f"uq_{i}", row_var] for i in sorted(indices)]
-        if not apps:
-            return "true"
-        return ["and"] + apps if len(apps) > 1 else apps[0]
+        return _conjoin("uq", indices, [row_var])
 
     def res_app(self, indices, acc_var):
-        apps = [[f"up_{i}", acc_var] for i in sorted(indices)]
-        if not apps:
-            return "true"
-        return ["and"] + apps if len(apps) > 1 else apps[0]
+        return _conjoin("up", indices, [acc_var])
 
     def psi_app(self, indices, v1="a1", v2="a2"):
-        apps = [[f"upsi_{i}", v1, v2] for i in sorted(indices)]
-        if not apps:
-            return "true"
-        return ["and"] + apps if len(apps) > 1 else apps[0]
+        return _conjoin("upsi", indices, [v1, v2])
 
     def psi_atom_app(self, index, v1, v2):
         return [f"upsi_{index}", v1, v2]
 
     def init_sexp(self):
         return self.enc.init_sexp()
+
+
+def _conjoin(prefix, indices, args):
+    """The `and` of the applications of universe atoms `indices` to `args`."""
+    apps = [[f"{prefix}_{i}", *args] for i in sorted(indices)]
+    if not apps:
+        return "true"
+    return ["and"] + apps if len(apps) > 1 else apps[0]

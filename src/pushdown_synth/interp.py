@@ -22,7 +22,8 @@ from .syntax import (
     TFloat, TInt, TStr, TTuple, TupleExpr, walk,
 )
 from .values import (
-    NEG_INF, NONE, EvalError, Some, Value, num_le, num_lt, values_equal,
+    LITERALS, NEG_INF, NONE, EvalError, Some, Value, num_le, num_lt,
+    values_equal,
 )
 
 BOTTOM = object()  # distinguished undefined result of empty folds
@@ -133,8 +134,6 @@ _NEG_INF_COMPARE = {"<": num_lt, "<=": num_le, ">": _num_gt, ">=": _num_ge}
 _FINITE = {op: _finite(arith) for op, arith in
            (("+", operator.add), ("-", operator.sub), ("*", operator.mul),
             ("/", _div))}
-_LITERALS = {"int": int, "float": Fraction, "bool": bool, "str": str,
-             "neginf": lambda v: NEG_INF, "none": lambda v: NONE}
 _LITERAL_TYPES = {"int": INT, "float": FLOAT, "neginf": FLOAT, "bool": BOOL,
                   "str": STR}
 
@@ -282,7 +281,7 @@ class _Generator:
     def node(self, expr: Expr, scope: dict, depth: int) -> str:
         guard = self.guard
         if isinstance(expr, Lit):
-            convert = _LITERALS.get(expr.kind)
+            convert = LITERALS.get(expr.kind)
             if convert is None:
                 return self.fail(f"bad literal kind {expr.kind}")
             return self.const(convert(expr.value))

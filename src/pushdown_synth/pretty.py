@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .syntax import (
     BinOp, Cond, CoerceSome, Expr, Filter, Fold, Index, Insert, IsNone,
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
     TupleExpr, TypeTuple,
 )
-from .values import fmt_value
+from .values import LITERALS, fmt_value
 
 # precedence levels, loosest to tightest
 _PREC_COND = 1
@@ -28,24 +26,9 @@ _BINOP_PREC = {
 }
 
 
-def _lit_text(node: Lit) -> str:
-    if node.kind == "neginf":
-        return "-inf"
-    if node.kind == "none":
-        return "None"
-    if node.kind == "bool":
-        return "True" if node.value else "False"
-    if node.kind == "str":
-        return '"' + str(node.value) + '"'
-    if node.kind == "int":
-        return str(node.value)
-    frac = Fraction(node.value)
-    return fmt_value(frac)
-
-
 def fmt_expr(node: Expr, prec: int = 0) -> str:
     if isinstance(node, Lit):
-        text = _lit_text(node)
+        text = fmt_value(LITERALS[node.kind](node.value))
         # negative literals need parens wherever a binary op could capture them
         if text.startswith("-") and prec >= _PREC_CMP:
             return f"({text})"

@@ -14,11 +14,15 @@ each comparison, index and arithmetic operator from the operands' static
 types, and is cached per root node without ever being re-specialised. So a
 node's `ty` must be final before the first evaluation of any tree that holds
 it, and a node without a `ty` is evaluated by the generic, untyped path.
+
+Which fields of a node hold its children is written down once, in
+`_CHILD_FIELDS`. Equality (`structurally_equal`), traversal (`children`,
+`map_children`, `walk`) and substitution (`substitute`) all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional as Opt
 
@@ -108,8 +112,6 @@ STR = TStr()
 
 # ---------------------------------------------------------------------------
 # Expressions
-
-_node_counter = 0
 
 
 @dataclass(eq=False)
@@ -254,76 +256,6 @@ COMPARISONS = ("==", ">=", ">", "<=", "<")
 ARITH = ("+", "-", "*", "/")
 
 
-def structurally_equal(a, b) -> bool:
-    """AST equality ignoring spans and inferred types."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Lit):
-        if a.kind != b.kind:
-            return False
-        if a.kind in ("int", "float"):
-            return Fraction(a.value) == Fraction(b.value)
-        return a.value == b.value
-    if isinstance(a, Name):
-        return a.ident == b.ident
-    if isinstance(a, BinOp):
-        return (
-            a.op == b.op
-            and structurally_equal(a.left, b.left)
-            and structurally_equal(a.right, b.right)
-        )
-    if isinstance(a, Not):
-        return structurally_equal(a.operand, b.operand)
-    if isinstance(a, TypeTuple):
-        return a.types == b.types
-    if isinstance(a, (TupleExpr, ListExpr)):
-        return len(a.items) == len(b.items) and all(
-            structurally_equal(x, y) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, Index):
-        return a.index == b.index and structurally_equal(a.base, b.base)
-    if isinstance(a, SliceFrom):
-        return a.start == b.start and structurally_equal(a.base, b.base)
-    if isinstance(a, Insert):
-        return structurally_equal(a.target, b.target) and structurally_equal(
-            a.item, b.item
-        )
-    if isinstance(a, Cond):
-        return (
-            structurally_equal(a.then, b.then)
-            and structurally_equal(a.test, b.test)
-            and structurally_equal(a.other, b.other)
-        )
-    if isinstance(a, Match):
-        if len(a.cases) != len(b.cases):
-            return False
-        if not structurally_equal(a.scrutinee, b.scrutinee):
-            return False
-        return all(
-            ca.pattern == cb.pattern and structurally_equal(ca.body, cb.body)
-            for ca, cb in zip(a.cases, b.cases)
-        )
-    if isinstance(a, Lambda):
-        return (
-            a.params == b.params
-            and a.is_fix == b.is_fix
-            and structurally_equal(a.body, b.body)
-        )
-    if isinstance(a, Fold):
-        return (
-            structurally_equal(a.source, b.source)
-            and structurally_equal(a.init, b.init)
-            and structurally_equal(a.fn, b.fn)
-        )
-    if isinstance(a, Filter):
-        return structurally_equal(a.source, b.source) and structurally_equal(
-            a.fn, b.fn
-        )
-    if isinstance(a, (CoerceSome, SomeVal, IsNone)):
-        return structurally_equal(a.operand, b.operand)
-    raise TypeError(f"unknown node {type(a)}")
-
-
 _CHILD_FIELDS = {
     BinOp: ("left", "right"),
     Not: ("operand",),
@@ -337,7 +269,46 @@ _CHILD_FIELDS = {
     Lambda: ("body",),
     Fold: ("source", "init", "fn"),
     Filter: ("source", "fn"),
+    # list-valued: `children` and `map_children` spell these out
+    TupleExpr: ("items",),
+    ListExpr: ("items",),
+    Match: ("scrutinee", "cases"),
 }
+
+# the fields equality compares before the children
+_SCALAR_FIELDS = {
+    cls: tuple(f.name for f in fields(cls)
+               if f.name not in ("span", "ty", *_CHILD_FIELDS.get(cls, ())))
+    for cls in Expr.__subclasses__()
+}
+
+
+def _scalars(e) -> list:
+    if isinstance(e, Lit) and e.kind in ("int", "float"):
+        return [e.kind, Fraction(e.value)]
+    if isinstance(e, Match):
+        return [c.pattern for c in e.cases]
+    return [getattr(e, f) for f in _SCALAR_FIELDS[type(e)]]
+
+
+def structurally_equal(a, b) -> bool:
+    """AST equality ignoring spans and inferred types: the same node type,
+    equal non-child fields (numeric literals by value, a match's case
+    patterns), then the children pairwise, left to right."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) not in _SCALAR_FIELDS:
+            raise TypeError(f"unknown node {type(a)}")
+        if _scalars(a) != _scalars(b):
+            return False
+        kids_a, kids_b = children(a), children(b)
+        if len(kids_a) != len(kids_b):
+            return False
+        stack += zip(reversed(kids_a), reversed(kids_b))
+    return True
 
 
 def children(e) -> list:
@@ -376,6 +347,22 @@ def rebuild_match(m: Match, scrutinee, bodies) -> Match:
     cases = [c if b is c.body else replace(c, body=b)
              for c, b in zip(m.cases, bodies)]
     return replace(m, scrutinee=scrutinee, cases=cases)
+
+
+def substitute(expr, mapping: dict):
+    """`expr` with each free `Name` whose ident `mapping` holds replaced by
+    its expression; a match case that binds the ident shadows it."""
+    if not mapping:
+        return expr
+    if isinstance(expr, Name):
+        return mapping.get(expr.ident, expr)
+    if isinstance(expr, Match):
+        return rebuild_match(
+            expr, substitute(expr.scrutinee, mapping),
+            [substitute(c.body, {k: v for k, v in mapping.items()
+                                 if k != c.pattern})
+             for c in expr.cases])
+    return map_children(expr, lambda e: substitute(e, mapping))
 
 
 def _same(new, old) -> bool:

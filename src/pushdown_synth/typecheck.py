@@ -17,9 +17,9 @@ from .syntax import (
     BinOp, Cond, CoerceSome, Expr, Filter, Fold, Index, Insert, IsNone,
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
     Span, TBool, TFloat, TInt, TList, TOpt, TTuple, TVar, Type,
-    TupleExpr, TypeTuple, map_children, rebuild_match, walk,
+    TupleExpr, TypeTuple, map_children, rebuild_match, substitute, walk,
 )
-from .values import NEG_INF, NONE, Some, Value
+from .values import LITERALS, NEG_INF, Some, Value
 
 
 class DslTypeError(Exception):
@@ -357,19 +357,8 @@ def _rename(expr: Expr, mapping: dict) -> Expr:
 
 
 def eval_const(expr: Expr) -> Value:
-    if isinstance(expr, Lit):
-        if expr.kind == "int":
-            return int(expr.value)
-        if expr.kind == "float":
-            return Fraction(expr.value)
-        if expr.kind == "neginf":
-            return NEG_INF
-        if expr.kind == "bool":
-            return bool(expr.value)
-        if expr.kind == "str":
-            return str(expr.value)
-        if expr.kind == "none":
-            return NONE
+    if isinstance(expr, Lit) and expr.kind in LITERALS:
+        return LITERALS[expr.kind](expr.value)
     if isinstance(expr, CoerceSome):
         return Some(eval_const(expr.operand))
     if isinstance(expr, TupleExpr):
@@ -406,18 +395,6 @@ def _and(a: Expr, b: Expr) -> Expr:
     return BinOp(op="and", left=a, right=b, ty=BOOL)
 
 
-def _subst_binder(expr: Expr, binder: str, replacement: Expr) -> Expr:
-    if isinstance(expr, Name) and expr.ident == binder:
-        return replacement
-    if isinstance(expr, Match):
-        return rebuild_match(
-            expr, _subst_binder(expr.scrutinee, binder, replacement),
-            [c.body if c.pattern == binder
-             else _subst_binder(c.body, binder, replacement) for c in expr.cases],
-        )
-    return map_children(expr, lambda e: _subst_binder(e, binder, replacement))
-
-
 def compile_bool(expr: Expr) -> Expr:
     """Lower match/conditional inside a Boolean expression to and/or/not.
 
@@ -430,7 +407,7 @@ def compile_bool(expr: Expr) -> Expr:
         isnone = IsNone(operand=expr.scrutinee, ty=BOOL)
         payload = SomeVal(operand=expr.scrutinee, ty=expr.scrutinee.ty.elem)
         b1 = compile_bool(none_case.body)
-        b2 = compile_bool(_subst_binder(bind_case.body, bind_case.pattern, payload))
+        b2 = compile_bool(substitute(bind_case.body, {bind_case.pattern: payload}))
         return _and(_or(_not(isnone), b1), _or(isnone, b2))
     if isinstance(expr, Cond):
         test = compile_bool(expr.test)

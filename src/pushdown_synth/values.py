@@ -56,6 +56,10 @@ class Some:
 
 Value = Union[bool, int, Fraction, str, _NegInf, _NoneVal, Some, tuple, list]
 
+# literal kind -> the value of a `Lit` of that kind, from its `value` field
+LITERALS = {"int": int, "float": Fraction, "bool": bool, "str": str,
+            "neginf": lambda v: NEG_INF, "none": lambda v: NONE}
+
 
 class EvalError(Exception):
     """Raised when evaluation hits a case the type system should have ruled out."""

@@ -173,6 +173,25 @@ def test_usage_error_exit_code():
     assert run(["synth"]) == 2  # missing FILE
 
 
+@pytest.mark.parametrize("rows", ["0", "5", "9"])
+def test_bmc_rows_outside_one_to_four_is_a_usage_error(rows, capsys):
+    code = run(["screen", "--solver", "builtin", "--bmc-rows", rows,
+                fixture_path("top2")])
+    assert code == 2
+    assert "--bmc-rows: invalid choice" in capsys.readouterr().err
+
+
+def test_negative_trials_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "records.json"
+    argv = ["synth", "--solver", "builtin", "--out", str(out),
+            fixture_path("discount")]
+    assert run(argv[:1] + ["--trials", "-5"] + argv[1:]) == 2
+    assert "--trials: must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv[:1] + ["--trials", "0"] + argv[1:]) == 0
+    assert read_records(out)[0]["diff"]["trials"] == 0
+
+
 def test_dump_universe(tmp_path):
     out = tmp_path / "rec.json"
     code = run([

@@ -1,5 +1,6 @@
 """Parser, pretty-printer, and typechecker behavior."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,10 @@ from pushdown_synth.lexer import DslSyntaxError
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr, fmt_program
 from pushdown_synth.syntax import (
-    FLOAT, INT, BinOp, Case, CoerceSome, Cond, Filter, Fold, Index, Insert,
-    IsNone, Lambda, ListExpr, Lit, Match, Name, Not, SliceFrom, SomeVal, Span,
-    TFloat, TInt, TOpt, TupleExpr, TypeTuple, map_children, structurally_equal,
-    walk,
+    FLOAT, INT, BinOp, Case, CoerceSome, Cond, Expr, Filter, Fold, Index,
+    Insert, IsNone, Lambda, ListExpr, Lit, Match, Name, Not, SliceFrom,
+    SomeVal, Span, TFloat, TInt, TOpt, TupleExpr, TypeTuple, children,
+    map_children, structurally_equal, substitute, walk,
 )
 from pushdown_synth.typecheck import DslTypeError, typecheck
 
@@ -252,3 +253,88 @@ def test_map_children_reaches_match_case_bodies():
     assert out.cases[0] is m.cases[0] and out.cases[1].pattern == "v"
     assert isinstance(out.cases[1].body, Lit)
     assert m.cases[1].body.ident == "b2"
+
+
+# -- structural equality: every kind, through the one child table
+
+_ONE_OF_EACH = {}
+for _node in walk(_every_kind()):
+    _ONE_OF_EACH.setdefault(type(_node), _node)
+
+# a different value for each non-child field
+_CHANGED = {"kind": "float", "value": 2, "ident": "w", "op": "-",
+            "types": (FLOAT,), "index": 1, "start": 2, "params": ["b"],
+            "is_fix": True}
+
+
+def _respanned(e):
+    """A deep copy of `e` with a new span and type on every node and case."""
+    e = map_children(e, _respanned)
+    if isinstance(e, Match):
+        e = replace(e, cases=[replace(c, span=Span(7, 7)) for c in e.cases])
+    return replace(e, span=Span(9, 9), ty=FLOAT)
+
+
+def test_every_expression_kind_has_an_equality_case():
+    assert set(_ONE_OF_EACH) == set(Expr.__subclasses__())
+
+
+@pytest.mark.parametrize("node", _ONE_OF_EACH.values(),
+                         ids=lambda n: type(n).__name__)
+def test_structural_equality_ignores_span_and_type(node):
+    copy = _respanned(node)
+    assert copy is not node and copy.span != node.span
+    assert structurally_equal(node, copy) and structurally_equal(copy, node)
+
+
+@pytest.mark.parametrize("node", _ONE_OF_EACH.values(),
+                         ids=lambda n: type(n).__name__)
+def test_structural_equality_sees_each_field_child_and_count(node):
+    variants = [replace(node, **{f: v}) for f, v in _CHANGED.items()
+                if hasattr(node, f)]
+    for kid in children(node):
+        variants.append(map_children(
+            node, lambda c, kid=kid: Name(ident="other") if c is kid else c))
+    if isinstance(node, (TupleExpr, ListExpr)):
+        variants += [replace(node, items=node.items + [Name(ident="x")]),
+                     replace(node, items=node.items[:1] + node.items),
+                     replace(node, items=node.items[:-1])]
+    if isinstance(node, Match):
+        variants += [
+            replace(node, cases=node.cases + [Case("w", Name(ident="w"))]),
+            replace(node, cases=node.cases[:-1]),
+            replace(node, cases=[node.cases[0], replace(node.cases[1],
+                                                        pattern="w")]),
+        ]
+    assert variants
+    for variant in variants:
+        assert not structurally_equal(node, variant), variant
+        assert not structurally_equal(variant, node), variant
+
+
+def test_structural_equality_compares_numbers_by_value():
+    assert structurally_equal(Lit(kind="int", value=1),
+                              Lit(kind="int", value=Fraction(1)))
+    assert structurally_equal(Lit(kind="float", value=0.5),
+                              Lit(kind="float", value=Fraction(1, 2)))
+    assert not structurally_equal(Lit(kind="int", value=1),
+                                  Lit(kind="float", value=1))
+    assert not structurally_equal(Lit(kind="str", value="1"),
+                                  Lit(kind="str", value="2"))
+    with pytest.raises(TypeError):
+        structurally_equal(1, 1)
+    with pytest.raises(TypeError):
+        structurally_equal(Case(None, Name(ident="x")),
+                           Case(None, Name(ident="x")))
+
+
+def test_substitute_respects_match_binders():
+    payload = SomeVal(operand=Name(ident="s"))
+    e = BinOp(op="+", left=Name(ident="v"), right=Match(
+        scrutinee=Name(ident="v"),
+        cases=[Case(None, Name(ident="v")), Case("v", Name(ident="v"))]))
+    out = substitute(e, {"v": payload})
+    assert out.left is payload and out.right.scrutinee is payload
+    assert out.right.cases[0].body is payload
+    assert out.right.cases[1] is e.right.cases[1]  # bound by its case
+    assert substitute(e, {}) is e and substitute(e, {"q": payload}) is e

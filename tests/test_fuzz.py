@@ -200,19 +200,34 @@ out = filter(agg, lambda a: a[0][0] > 3.0)
 RAISING_RESIDUAL = {"fixture": "top2", "q": ["r[0] > 90.0"],
                     "residual": ["a[0] + a[1] > 180.0"]}
 
+# `P` raises on every frame with a zero row (the list is emptied), and so
+# does the `Q` atom `1.0 / r[0] > 0.0`
+RAISING_POST = """
+df = (float,)
+agg = fold(df, ([1.0],), lambda a, r: ([],) if r[0] == 0.0 else a)
+out = filter(agg, lambda a: a[0][0] > 0.0)
+"""
+
 
 def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
     """A fold step that raises on some rows, and a residual `P'` that raises
     on the states with one kept row (arithmetic on -inf). At seed 2 the
     residual first raises on a frame whose whole path the pair table holds,
-    so on the pair verdict judged late."""
+    so on the pair verdict judged late. Last, a `P` and a `Q` that raise
+    different errors on one frame: `P` is judged first, so its error wins."""
     step_task = typecheck(parse(RAISING_STEP), "raising")
     top2 = make_task("top2")
     top2_universes = build_universes(top2)
+    post_task = typecheck(parse(RAISING_POST), "raising_post")
+    post_universes = build_universes(post_task)
+    # untyped: the checker admits constant divisors only
+    zero_divisor = post_universes.u_q.add(
+        parse_expression("1.0 / r[0] > 0.0")).index
     cases = [(step_task, build_universes(step_task), [], [], 1, True),
              (top2, top2_universes,
               *_triple_indices(top2, top2_universes, RAISING_RESIDUAL), 2,
-              False)]
+              False),
+             (post_task, post_universes, [zero_divisor], [], 0, True)]
     resume = FoldTables._resume
     resuming = []
 
@@ -241,6 +256,8 @@ def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
             monkeypatch.setattr(module, "sample_dataframe", sample)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] > 1  # not every frame raises
+        if task is post_task:
+            assert outcomes[0][0] == "list index 0 out of range"
         assert bool(resuming) == raised_resuming
         resuming.clear()
 

@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Optional as Opt
 
 from .syntax import (
-    BOOL,
+    BOOL, MIRRORED, OPERATORS,
     BinOp, Case, Cond, CoerceSome, Expr, Index, Insert, IsNone, ListExpr,
     Lit, Match, Name, Not, SliceFrom, SomeVal, TInt, TOpt, TTuple, TupleExpr,
-    children, map_children, rebuild_match, structurally_equal, substitute,
-    walk,
+    bool_lit, children, map_children, mk_and, mk_not, mk_or, negate,
+    rebuild_match, structurally_equal, substitute, walk,
 )
 from .typecheck import PipelineTask, cnf_clauses, type_predicate
 from .values import NEG_INF, NONE, Some, Value
@@ -25,14 +25,6 @@ from .values import NEG_INF, NONE, Some, Value
 
 # ---------------------------------------------------------------------------
 # small AST builders
-
-
-def lit_true() -> Lit:
-    return Lit(kind="bool", value=True)
-
-
-def lit_false() -> Lit:
-    return Lit(kind="bool", value=False)
 
 
 def value_to_lit(v: Value) -> Expr:
@@ -61,37 +53,8 @@ def acc_index(var: str, i: int) -> Index:
     return Index(base=Name(ident=var), index=i)
 
 
-def mk_not(e: Expr) -> Expr:
-    return Not(operand=e)
-
-
-def mk_and(*es) -> Expr:
-    out = es[0]
-    for e in es[1:]:
-        out = BinOp(op="and", left=out, right=e)
-    return out
-
-
 def mk_eq(a: Expr, b: Expr) -> Expr:
     return BinOp(op="==", left=a, right=b)
-
-
-_FLIP = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
-
-
-def negate(e: Expr) -> Expr:
-    if isinstance(e, Not):
-        return e.operand
-    if isinstance(e, Lit) and e.kind == "bool":
-        return Lit(kind="bool", value=not e.value)
-    if isinstance(e, BinOp):
-        if e.op in _FLIP:
-            return BinOp(op=_FLIP[e.op], left=e.left, right=e.right)
-        if e.op == "and":
-            return BinOp(op="or", left=negate(e.left), right=negate(e.right))
-        if e.op == "or":
-            return BinOp(op="and", left=negate(e.left), right=negate(e.right))
-    return Not(operand=e)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +185,9 @@ def _normalize(e: Expr, memo: NormalMemo) -> Expr:
         left, right = normalize_term(e.left), normalize_term(e.right)
         lc, rc = _const_of(left), _const_of(right)
         if lc is not None and rc is not None:
-            res = {
-                ">": lc > rc, ">=": lc >= rc, "<": lc < rc,
-                "<=": lc <= rc, "==": lc == rc,
-            }[e.op]
-            return Lit(kind="bool", value=res)
+            return bool_lit(OPERATORS[e.op](lc, rc))
         if lc is not None:
-            flip = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}
-            left, right, op = right, left, flip[e.op]
+            left, right, op = right, left, MIRRORED[e.op]
         else:
             op = e.op
         # solve linear shapes: (c * X) rel d, (X * c) rel d, (X + c) rel d, ...
@@ -245,7 +203,7 @@ def _normalize(e: Expr, memo: NormalMemo) -> Expr:
                     term = left.right if a_const is not None else left.left
                     if c != 0 and not _is_int_expr(term):
                         if c < 0:
-                            op = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}[op]
+                            op = MIRRORED[op]
                         left = term
                         right = _mk_num_lit(d / c, term)
                         changed = True
@@ -253,7 +211,7 @@ def _normalize(e: Expr, memo: NormalMemo) -> Expr:
                     term = left.left
                     c = b_const
                     if c < 0:
-                        op = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}[op]
+                        op = MIRRORED[op]
                     left = term
                     right = _mk_num_lit(d * c, term)
                     changed = True
@@ -270,7 +228,7 @@ def _normalize(e: Expr, memo: NormalMemo) -> Expr:
             if isinstance(left, Lit) or memo.key(right) < memo.key(left):
                 left, right = right, left
         if memo.key(left) == memo.key(right):
-            return Lit(kind="bool", value=op in (">=", "<=", "=="))
+            return bool_lit(op in (">=", "<=", "=="))
         return BinOp(op=op, left=left, right=right, ty=BOOL)
     if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
         return normalize_term(e)
@@ -284,13 +242,8 @@ def normalize_term(e: Expr) -> Expr:
     if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
         left, right = normalize_term(e.left), normalize_term(e.right)
         lc, rc = _const_of(left), _const_of(right)
-        if lc is not None and rc is not None:
-            val = {
-                "+": lc + rc, "-": lc - rc, "*": lc * rc,
-                "/": lc / rc if rc != 0 else None,
-            }[e.op]
-            if val is not None:
-                return _mk_num_lit(val, left)
+        if lc is not None and rc is not None and (e.op != "/" or rc != 0):
+            return _mk_num_lit(OPERATORS[e.op](lc, rc), left)
         return BinOp(op=e.op, left=left, right=right, ty=e.ty)
     if isinstance(e, SomeVal):
         return SomeVal(operand=normalize_term(e.operand), ty=e.ty)
@@ -311,7 +264,7 @@ def _rebuild_chain(op: str, lits, memo: NormalMemo) -> Expr:
         if isinstance(lit, Lit) and lit.kind == "bool":
             if lit.value == unit:
                 continue
-            return Lit(kind="bool", value=not unit)
+            return bool_lit(not unit)
         key = memo.key(lit)
         if key in seen:
             continue
@@ -320,17 +273,12 @@ def _rebuild_chain(op: str, lits, memo: NormalMemo) -> Expr:
     if op == "or":
         neg_keys = {memo.negated_key(lit) for lit in out}
         if seen & neg_keys:
-            return lit_true()
+            return bool_lit(True)
         out = _simplify_or_intervals(out, memo)
         if out is True:
-            return lit_true()
-    if not out:
-        return Lit(kind="bool", value=unit)
+            return bool_lit(True)
     out.sort(key=memo.key)
-    expr = out[0]
-    for lit in out[1:]:
-        expr = BinOp(op=op, left=expr, right=lit, ty=BOOL)
-    return expr
+    return (mk_and if op == "and" else mk_or)(*out)
 
 
 def _simplify_or_intervals(lits, memo: NormalMemo):
@@ -358,17 +306,10 @@ def _simplify_or_intervals(lits, memo: NormalMemo):
         points = []
         for lit in items:
             c = _const_of(lit.right)
-            if lit.op == ">":
-                cand = (c, False)
-            elif lit.op == ">=":
-                cand = (c, True)
-            elif lit.op == "<":
-                cand = (c, False)
-            elif lit.op == "<=":
-                cand = (c, True)
-            else:
+            if lit.op == "==":
                 points.append((c, lit))
                 continue
+            cand = (c, lit.op in (">=", "<="))
             if lit.op in (">", ">="):
                 if lower is None or cand[0] < lower[0] or (
                     cand[0] == lower[0] and cand[1] and not lower[1]
@@ -431,8 +372,6 @@ class Atom:
     expr: Expr  # normalized semantic form
     display: Expr  # DSL-printable form (differs for match-derived residuals)
     key: str
-    row_fields: frozenset = frozenset()
-    acc_fields: frozenset = frozenset()
 
     def __repr__(self):
         from .pretty import fmt_expr
@@ -455,15 +394,12 @@ class Universe:
         key = memo.key(expr)
         if key in self._by_key:
             return self._by_key[key]
-        row_fields, acc_fields = _fields(expr)
         atom = Atom(
             index=len(self.atoms),
             role=self.role,
             expr=expr,
             display=display if display is not None else expr,
             key=key,
-            row_fields=frozenset(row_fields),
-            acc_fields=frozenset(acc_fields),
         )
         self.atoms.append(atom)
         self._by_key[key] = atom
@@ -740,15 +676,6 @@ def clause_literals(conjunct: Expr):
     return _flatten("or", conjunct)
 
 
-def _or_chain(lits) -> Expr:
-    if not lits:
-        return lit_false()
-    out = lits[0]
-    for lit in lits[1:]:
-        out = BinOp(op="or", left=out, right=lit, ty=BOOL)
-    return out
-
-
 def _acc_comp_of_term(e: Expr) -> Opt[int]:
     """Component index when e is a[i] or SomeVal(a[i])."""
     if isinstance(e, SomeVal):
@@ -823,7 +750,7 @@ def _clause_display(lits) -> Expr:
         None,
     )
     if base is None:
-        return _or_chain(lits)
+        return mk_or(*lits)
     key = expr_key(base)
     binder = _fresh_binder()
 
@@ -854,12 +781,12 @@ def _clause_display(lits) -> Expr:
         kept = []
         for b in branch_lits:
             if b is True:
-                return lit_true()
+                return bool_lit(True)
             if b is False:
                 continue
             kept.append(b)
         if not kept:
-            return lit_false()
+            return bool_lit(False)
         return _clause_display(kept)
 
     none_body = build([branch(l, True) for l in lits])
@@ -918,7 +845,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
 
             dropped.append(fmt_expr(conj))
             continue
-        expr = finalize(_or_chain(sub))
+        expr = finalize(mk_or(*sub))
         if expr is None:
             from .pretty import fmt_expr
 
@@ -933,7 +860,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
                 sub = _substitute_clause(clause, dep)
             except _SubstFail:
                 continue
-            expr = finalize(_or_chain(sub))
+            expr = finalize(mk_or(*sub))
             if expr is not None:
                 sub_f.append(expr)
 
@@ -941,15 +868,15 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
     for expr in sub_p:
         universe.add(expr)
     if sub_p:
-        expr = finalize(_or_chain(sub_p))
+        expr = finalize(mk_or(*sub_p))
         if expr is not None:
             universe.add(expr)
     if sub_f:
-        expr = finalize(_or_chain(sub_f))
+        expr = finalize(mk_or(*sub_f))
         if expr is not None:
             universe.add(expr)
     if sub_p and sub_f:
-        expr = finalize(_or_chain(sub_p + sub_f))
+        expr = finalize(mk_or(*sub_p, *sub_f))
         if expr is not None:
             universe.add(expr)
     # related atoms: substituted P conjuncts over the same single row field
@@ -960,7 +887,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
             by_field.setdefault(next(iter(fields)), []).append(e)
     for _, group in sorted(by_field.items()):
         if len(group) >= 2:
-            expr = finalize(_or_chain(group))
+            expr = finalize(mk_or(*group))
             if expr is not None:
                 universe.add(expr)
     return universe, dropped
@@ -1051,12 +978,12 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             if cmps:
                 if is_optional(i):
                     def builder(payload, _cmps=cmps, _i=i):
-                        return _or_chain(
-                            [_replace_someval(c, _i, payload) for c in _cmps])
+                        return mk_or(*(_replace_someval(c, _i, payload)
+                                       for c in _cmps))
 
                     fams.append(guarded(k, i, builder))
                 else:
-                    fams.append(substitute(_or_chain(cmps),
+                    fams.append(substitute(mk_or(*cmps),
                                            {"a": Name(ident=f"a{k}")}))
             if kind in ("inc", "dec") and eq_consts:
                 op = ">=" if kind == "inc" else "<="
@@ -1091,15 +1018,15 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
         """`ante => cons` from the typed parts `not ante` and `cons`."""
         if is_trivially_false(cons):
             return neg_ante
-        return BinOp(op="or", left=neg_ante, right=cons, ty=BOOL)
+        return mk_or(neg_ante, cons)
 
     eqs = [type_predicate(mk_eq(a_ki(1, i), a_ki(2, i)), env)
            for i in range(arity)]
-    l1 = [[lit_false(), eqs[i]] for i in range(arity)]
+    l1 = [[bool_lit(False), eqs[i]] for i in range(arity)]
     l2 = []
     for j in range(arity):
         init_eq = mk_eq(a_ki(2, j), value_to_lit(task.init_values[j]))
-        l2.append([lit_false(), eqs[j], _typed(init_eq, env),
+        l2.append([bool_lit(False), eqs[j], _typed(init_eq, env),
                    _typed(mk_not(init_eq), env)])
     u1_formulas = [
         [implies(neg, cons) for phi in phi_family(1, i)

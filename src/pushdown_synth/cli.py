@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import build_universes, is_trivially_false, normalize
 from .bmc import screen
-from .encode import TaskContext
+from .encode import EncodeError, TaskContext
 from .fuzz import differential_check
 from .parser import parse, parse_expression
 from .pretty import fmt_expr
@@ -108,9 +108,9 @@ def _run_files(args, paths, run_task, needs_session=True):
     """For each file: load the task, build its universes once, and call
     ``run_task(args, task, universes, record, session)`` with a fresh record
     and a solver session (None unless ``needs_session``); the record's
-    ``stats.backend`` names the session's backend. A DSL, solver,
-    I/O or text-encoding error becomes the file's error record. Emits and
-    returns the records. The sessions of one run append to one
+    ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
+    solver, I/O or text-encoding error becomes the file's error record.
+    Emits and returns the records. The sessions of one run append to one
     ``--smt-log`` transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
@@ -128,8 +128,8 @@ def _run_files(args, paths, run_task, needs_session=True):
                 if session is not None:
                     record["stats"]["backend"] = session.backend
                 run_task(args, task, universes, record, session)
-        except (DslSyntaxError, DslTypeError, SolverError, OSError,
-                UnicodeDecodeError) as exc:
+        except (DslSyntaxError, DslTypeError, EncodeError, SolverError,
+                OSError, UnicodeDecodeError) as exc:
             record = _error_record(path, exc)
         records.append(record)
     _emit(records, args)
@@ -336,10 +336,16 @@ def build_arg_parser():
             raise argparse.ArgumentTypeError(f"must not be negative: {value}")
         return value
 
+    def milliseconds(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+        return value
+
     def common(p, files=True):
         p.add_argument("--solver", default=None,
                        help="SMT solver binary, or 'builtin'")
-        p.add_argument("--timeout-ms", type=int, default=30000,
+        p.add_argument("--timeout-ms", type=milliseconds, default=30000,
                        help="per-query solver timeout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write records here")

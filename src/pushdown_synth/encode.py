@@ -462,8 +462,8 @@ class TaskContext:
 
     # application helpers used by vcgen/synth
 
-    def q_app(self, indices, row_var="r"):
-        return _conjoin("uq", indices, [row_var])
+    def q_app(self, indices):
+        return _conjoin("uq", indices, ["r"])
 
     def res_app(self, indices, acc_var):
         return _conjoin("up", indices, [acc_var])

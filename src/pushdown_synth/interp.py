@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import linecache
-import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .syntax import (
-    BOOL, FLOAT, INT, STR, BinOp, Cond, CoerceSome, Expr, Index, Insert,
+    LITERAL_TYPES, OPERATORS, BinOp, Cond, CoerceSome, Expr, Index, Insert,
     IsNone, ListExpr, Lit, Match, Name, Not, SliceFrom, SomeVal, TBool,
     TFloat, TInt, TStr, TTuple, TupleExpr, walk,
 )
@@ -131,18 +130,15 @@ _COMPARE = {"==": values_equal, "<": num_lt, "<=": num_le,
 _NATIVE = {"==": "==", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
            "+": "+", "-": "-", "*": "*"}
 _NEG_INF_COMPARE = {"<": num_lt, "<=": num_le, ">": _num_gt, ">=": _num_ge}
-_FINITE = {op: _finite(arith) for op, arith in
-           (("+", operator.add), ("-", operator.sub), ("*", operator.mul),
-            ("/", _div))}
-_LITERAL_TYPES = {"int": INT, "float": FLOAT, "neginf": FLOAT, "bool": BOOL,
-                  "str": STR}
+_FINITE = {op: _finite(_div if op == "/" else OPERATORS[op])
+           for op in ("+", "-", "*", "/")}
 
 
 def _static_type(expr: Expr):
     """The checker's type of `expr`; an unannotated literal's follows from
     its kind. None when unknown."""
     if expr.ty is None and isinstance(expr, Lit):
-        return _LITERAL_TYPES.get(expr.kind)
+        return LITERAL_TYPES.get(expr.kind)
     return expr.ty
 
 

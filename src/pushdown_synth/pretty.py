@@ -7,7 +7,7 @@ from .syntax import (
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
     TupleExpr, TypeTuple,
 )
-from .values import LITERALS, fmt_value
+from .values import LITERALS, fmt_value, tuple_text
 
 # precedence levels, loosest to tightest
 _PREC_COND = 1
@@ -69,11 +69,9 @@ def fmt_expr(node: Expr, prec: int = 0) -> str:
         )
         return f"(match {fmt_expr(node.scrutinee, _PREC_AND)}: {cases})"
     if isinstance(node, TypeTuple):
-        inner = ", ".join(str(t) for t in node.types)
-        return f"({inner},)" if len(node.types) == 1 else f"({inner})"
+        return tuple_text(str(t) for t in node.types)
     if isinstance(node, TupleExpr):
-        inner = ", ".join(fmt_expr(e, 0) for e in node.items)
-        return f"({inner},)" if len(node.items) == 1 else f"({inner})"
+        return tuple_text(fmt_expr(e, 0) for e in node.items)
     if isinstance(node, ListExpr):
         return "[" + ", ".join(fmt_expr(e, 0) for e in node.items) + "]"
     if isinstance(node, Index):
@@ -98,10 +96,6 @@ def fmt_expr(node: Expr, prec: int = 0) -> str:
 def fmt_program(program: Program) -> str:
     lines = []
     for stmt in program.stmts:
-        if stmt.annot is not None:
-            inner = ", ".join(str(t) for t in stmt.annot.elems)
-            annot = f": ({inner},)" if len(stmt.annot.elems) == 1 else f": ({inner})"
-        else:
-            annot = ""
+        annot = "" if stmt.annot is None else f": {stmt.annot}"
         lines.append(f"{stmt.name}{annot} = {fmt_expr(stmt.expr, 0)}")
     return "\n".join(lines) + "\n"

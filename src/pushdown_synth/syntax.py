@@ -22,9 +22,12 @@ Which fields of a node hold its children is written down once, in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional as Opt
+
+from .values import tuple_text
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,7 @@ class TTuple(Type):
     elems: tuple
 
     def __str__(self):
-        inner = ", ".join(str(t) for t in self.elems)
-        return f"({inner},)" if len(self.elems) == 1 else f"({inner})"
+        return tuple_text(str(t) for t in self.elems)
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,11 @@ BOOL = TBool()
 INT = TInt()
 FLOAT = TFloat()
 STR = TStr()
+
+# literal kind -> its static type; a `none` literal's is `Optional` of a
+# type the checker infers
+LITERAL_TYPES = {"int": INT, "float": FLOAT, "neginf": FLOAT, "bool": BOOL,
+                 "str": STR}
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +259,6 @@ class Program:
     source: str = ""
 
 
-COMPARISONS = ("==", ">=", ">", "<=", "<")
-ARITH = ("+", "-", "*", "/")
-
-
 _CHILD_FIELDS = {
     BinOp: ("left", "right"),
     Not: ("operand",),
@@ -378,3 +381,60 @@ def walk(expr):
             continue
         yield node
         stack += children(node)
+
+
+# ---------------------------------------------------------------------------
+# Predicates: the Boolean builders and operator tables of the checker, the
+# analyses and the emitter. Every node built here is a `bool`.
+
+# each comparison and arithmetic operator on constants, numbers as Fractions
+OPERATORS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt,
+             "<=": operator.le, "<": operator.lt, "+": operator.add,
+             "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# `x op y` is `not (x _NEGATED[op] y)`
+_NEGATED = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
+# `x op y` is `y MIRRORED[op] x`
+MIRRORED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}
+
+
+def bool_lit(value: bool) -> Lit:
+    return Lit(kind="bool", value=value, ty=BOOL)
+
+
+def mk_not(e: Expr) -> Not:
+    return Not(operand=e, ty=BOOL)
+
+
+def mk_and(*es) -> Expr:
+    """`es` joined left to right by `and`; True when there are none."""
+    return _chain("and", es)
+
+
+def mk_or(*es) -> Expr:
+    """`es` joined left to right by `or`; False when there are none."""
+    return _chain("or", es)
+
+
+def _chain(op, es) -> Expr:
+    if not es:
+        return bool_lit(op == "and")
+    out = es[0]
+    for e in es[1:]:
+        out = BinOp(op=op, left=out, right=e, ty=BOOL)
+    return out
+
+
+def negate(e: Expr) -> Expr:
+    """The negation of `e`, pushed through `and`/`or` and into comparisons;
+    a double negation cancels."""
+    if isinstance(e, Not):
+        return e.operand
+    if isinstance(e, Lit) and e.kind == "bool":
+        return bool_lit(not e.value)
+    if isinstance(e, BinOp):
+        if e.op in _NEGATED:
+            return BinOp(op=_NEGATED[e.op], left=e.left, right=e.right, ty=BOOL)
+        if e.op in ("and", "or"):
+            dual = mk_or if e.op == "and" else mk_and
+            return dual(negate(e.left), negate(e.right))
+    return mk_not(e)

@@ -111,7 +111,6 @@ class SynthStats:
     iterations: int = 0
     solver_calls: int = 0
     wall_ms: float = 0.0
-    sizes: tuple = (0, 0, 0)
     measure_log: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
@@ -176,7 +175,7 @@ class _Worklist:
 # weakest-implicant computation
 
 
-def find_weakest_implicant(run, universe_indices, phi, model_names=("a1", "a2")):
+def find_weakest_implicant(run, universe_indices, phi):
     """Weakest conjunction over the atom pool entailing phi.
 
     Prunes atoms not entailed by phi, then grows the candidate with every
@@ -197,6 +196,7 @@ def find_weakest_implicant(run, universe_indices, phi, model_names=("a1", "a2"))
             pool.append(i)
     chi = set()
     psi_universe = ctx.universes.u_psi
+    model_names = ("a1", "a2")
     while True:
         res = run.valid(["=>", ctx.psi_app(frozenset(chi)), phi], model_names)
         if res.is_valid:
@@ -459,7 +459,7 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     noted too, and a search that then finds nothing fails as
     ``inconclusive``."""
     run = Run(ctx, budget, trace_fn)
-    stats = SynthStats(sizes=ctx.universes.sizes())
+    stats = SynthStats()
     t0 = time.monotonic()
     worklist = _Worklist(-1)
 

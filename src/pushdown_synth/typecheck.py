@@ -13,11 +13,12 @@ from fractions import Fraction
 from typing import Optional as Opt
 
 from .syntax import (
-    BOOL, FLOAT, INT, STR,
+    BOOL, INT, LITERAL_TYPES, OPERATORS,
     BinOp, Cond, CoerceSome, Expr, Filter, Fold, Index, Insert, IsNone,
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
     Span, TBool, TFloat, TInt, TList, TOpt, TTuple, TVar, Type,
-    TupleExpr, TypeTuple, map_children, rebuild_match, substitute, walk,
+    TupleExpr, TypeTuple, map_children, mk_and, mk_not, mk_or, negate,
+    rebuild_match, substitute, walk,
 )
 from .values import LITERALS, NEG_INF, Some, Value
 
@@ -52,8 +53,6 @@ class PipelineTask:
     prefilters: list = field(default_factory=list)
     uses_neginf: bool = False
     str_labels: tuple = ()
-    source: str = ""
-    neginf_taint: tuple = ()
 
     @property
     def arity(self) -> int:
@@ -167,10 +166,7 @@ class _Checker:
 
     def _check(self, expr: Expr, env: dict) -> Type:
         if isinstance(expr, Lit):
-            return {
-                "int": INT, "float": FLOAT, "neginf": FLOAT, "bool": BOOL,
-                "str": STR,
-            }.get(expr.kind) or (
+            return LITERAL_TYPES.get(expr.kind) or (
                 TOpt(self.uni.fresh()) if expr.kind == "none" else None
             )
         if isinstance(expr, Name):
@@ -371,28 +367,12 @@ def eval_const(expr: Expr) -> Value:
         left, right = eval_const(expr.left), eval_const(expr.right)
         if left is NEG_INF or right is NEG_INF:
             raise DslTypeError("arithmetic on -inf in constant", expr.span)
-        return {"+": left + right, "-": left - right, "*": left * right}[expr.op]
+        return OPERATORS[expr.op](left, right)
     raise DslTypeError("initializer components must be constants", expr.span)
 
 
 # ---------------------------------------------------------------------------
 # boolean normalization (match/conditional compilation, NNF, CNF)
-
-
-def _false() -> Lit:
-    return Lit(kind="bool", value=False, ty=BOOL)
-
-
-def _not(e: Expr) -> Expr:
-    return Not(operand=e, ty=BOOL)
-
-
-def _or(a: Expr, b: Expr) -> Expr:
-    return BinOp(op="or", left=a, right=b, ty=BOOL)
-
-
-def _and(a: Expr, b: Expr) -> Expr:
-    return BinOp(op="and", left=a, right=b, ty=BOOL)
 
 
 def compile_bool(expr: Expr) -> Expr:
@@ -408,37 +388,28 @@ def compile_bool(expr: Expr) -> Expr:
         payload = SomeVal(operand=expr.scrutinee, ty=expr.scrutinee.ty.elem)
         b1 = compile_bool(none_case.body)
         b2 = compile_bool(substitute(bind_case.body, {bind_case.pattern: payload}))
-        return _and(_or(_not(isnone), b1), _or(isnone, b2))
+        return mk_and(mk_or(mk_not(isnone), b1), mk_or(isnone, b2))
     if isinstance(expr, Cond):
         test = compile_bool(expr.test)
         then = compile_bool(expr.then)
         other = compile_bool(expr.other)
-        return _and(_or(_not(test), then), _or(test, other))
+        return mk_and(mk_or(mk_not(test), then), mk_or(test, other))
     if isinstance(expr, BinOp) and expr.op in ("and", "or"):
         return BinOp(op=expr.op, left=compile_bool(expr.left),
                      right=compile_bool(expr.right), span=expr.span)
     if isinstance(expr, Not):
-        return _not(compile_bool(expr.operand))
+        return mk_not(compile_bool(expr.operand))
     return expr
 
 
-def to_nnf(expr: Expr, negate: bool = False) -> Expr:
+def to_nnf(expr: Expr, negated: bool = False) -> Expr:
     if isinstance(expr, Not):
-        return to_nnf(expr.operand, not negate)
+        return to_nnf(expr.operand, not negated)
     if isinstance(expr, BinOp) and expr.op in ("and", "or"):
-        op = expr.op
-        if negate:
-            op = "and" if op == "or" else "or"
-        return BinOp(op=op, left=to_nnf(expr.left, negate),
-                     right=to_nnf(expr.right, negate), ty=BOOL)
-    if isinstance(expr, Lit) and expr.kind == "bool":
-        return Lit(kind="bool", value=(not expr.value) if negate else expr.value)
-    if negate:
-        if isinstance(expr, BinOp) and expr.op in (">", ">=", "<", "<="):
-            flipped = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}[expr.op]
-            return BinOp(op=flipped, left=expr.left, right=expr.right, ty=BOOL)
-        return _not(expr)
-    return expr
+        # De Morgan: a negated `and` is an `or` of negations, and vice versa
+        join = mk_and if (expr.op == "and") != negated else mk_or
+        return join(to_nnf(expr.left, negated), to_nnf(expr.right, negated))
+    return negate(expr) if negated else expr
 
 
 def cnf_clauses(expr: Expr, cap: int = CNF_CLAUSE_CAP):
@@ -547,7 +518,6 @@ def _taint_check(task: PipelineTask):
         expr_taint(task.post_pred, taint, {})
     for conjunct in task.post_conjuncts:
         expr_taint(conjunct, taint, {})
-    task.neginf_taint = tuple(taint)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +650,7 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
         raise DslTypeError("accumulator must be a tuple", fold_stmt.span)
 
     # combined post-filter
-    post_pred: Opt[Expr] = None
-    for body in post_bodies:
-        post_pred = body if post_pred is None else _and(post_pred, body)
+    post_pred: Opt[Expr] = mk_and(*post_bodies) if post_bodies else None
 
     checker.zonk(f_body)
     checker.zonk(init_expr)
@@ -695,12 +663,9 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
         checker.zonk(pf)
 
     init_values = tuple(eval_const(e) for e in init_expr.items)
-    conjuncts = []
-    if post_pred is not None:
-        for clause in cnf_clauses(post_pred):
-            conjuncts.append(_clause_to_expr(clause))
+    conjuncts = [] if post_pred is None else \
+        [mk_or(*clause) for clause in cnf_clauses(post_pred)]
 
-    source = program.source
     uses_neginf = any(
         isinstance(n, Lit) and n.kind == "neginf"
         for s in program.stmts
@@ -727,19 +692,9 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
         prefilters=list(prefilters),
         uses_neginf=uses_neginf,
         str_labels=tuple(labels),
-        source=source,
     )
     _taint_check(task)
     return task
-
-
-def _clause_to_expr(literals) -> Expr:
-    if not literals:
-        return _false()
-    expr = literals[0]
-    for lit in literals[1:]:
-        expr = _or(expr, lit)
-    return expr
 
 
 def type_predicate(expr: Expr, env: dict, expect: Opt[Type] = BOOL) -> Expr:

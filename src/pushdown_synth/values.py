@@ -103,8 +103,6 @@ def values_equal(a: Value, b: Value) -> bool:
         return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return a == b
     return a == b
 
 
@@ -131,8 +129,14 @@ def fmt_value(v: Value) -> str:
     if isinstance(v, str):
         return '"' + v + '"'
     if isinstance(v, tuple):
-        inner = ", ".join(fmt_value(x) for x in v)
-        return f"({inner},)" if len(v) == 1 else f"({inner})"
+        return tuple_text(fmt_value(x) for x in v)
     if isinstance(v, list):
         return "[" + ", ".join(fmt_value(x) for x in v) + "]"
     raise EvalError(f"unprintable value {v!r}")
+
+
+def tuple_text(parts) -> str:
+    """The DSL text of a tuple of the given item texts: `(x,)` for one."""
+    parts = list(parts)
+    inner = ", ".join(parts)
+    return f"({inner},)" if len(parts) == 1 else f"({inner})"

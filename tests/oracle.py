@@ -86,7 +86,7 @@ def brute_force_optimal(ctx, cap_q: int = 6, cap_r: int = 6, cap_psi: int = 10):
                     certified_residual=residual,
                     psi=psi,
                     mode=classify_mode(Run(ctx), reported),
-                    stats=SynthStats(sizes=universes.sizes()),
+                    stats=SynthStats(),
                 )
     return None
 

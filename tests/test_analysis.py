@@ -278,5 +278,3 @@ def test_shared_psi_parts_are_left_unchanged(name):
     assert _snapshot_roots(roots) == before
     again = build_universes(task).u_psi
     assert [a.key for a in again] == [a.key for a in universes.u_psi]
-    assert [(a.row_fields, a.acc_fields) for a in again] == \
-        [(a.row_fields, a.acc_fields) for a in universes.u_psi]

@@ -192,6 +192,38 @@ def test_negative_trials_is_a_usage_error(tmp_path, capsys):
     assert read_records(out)[0]["diff"]["trials"] == 0
 
 
+@pytest.mark.parametrize("timeout", ["0", "-5"])
+def test_timeout_below_one_ms_is_a_usage_error(timeout, tmp_path, capsys):
+    """A query whose deadline has passed before it starts is no timeout."""
+    out = tmp_path / "records.json"
+    code = run(["synth", "--solver", "builtin", "--timeout-ms", timeout,
+                "--out", str(out), fixture_path("discount")])
+    assert code == 2
+    assert "--timeout-ms: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unencodable_program_is_an_error_record(tmp_path, capsys):
+    """The fold reads a negative list index, which the SMT encoding lacks:
+    the file gets an error record, not a traceback."""
+    src = tmp_path / "neg_index.pdsl"
+    src.write_text(
+        "df = (float,)\n"
+        "agg = fold(df, ([0.0], 0.0),\n"
+        "  lambda a, r: (insert(a[0], r[0]), a[0][-1]))\n"
+        "out = filter(agg, lambda a: a[1] > 5.0)\n")
+    out = tmp_path / "records.json"
+    code = run(["synth", "--solver", "builtin", "--out", str(out),
+                str(src), fixture_path("discount")])
+    assert code == 1
+    first, second = read_records(out)
+    validate_record(first)
+    assert first["status"] == "error"
+    assert first["error"] == "negative list index is not encodable"
+    assert second["status"] == "solved"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_dump_universe(tmp_path):
     out = tmp_path / "rec.json"
     code = run([

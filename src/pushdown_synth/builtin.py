@@ -1258,7 +1258,7 @@ class BuiltinSession(Session):
             raise SolverError("get-model failed: no model is available")
         sexps, raw = {}, []
         for name in names:
-            if name not in self._var_sorts:
+            if name not in self._decoders:
                 continue
             sort = self._el.consts[name]
             tree = self._model.get(name)
@@ -1267,9 +1267,8 @@ class BuiltinSession(Session):
             sexps[name] = _value_sexp(self._el, sort, tree)
             raw.append(f"(define-fun {name} () {sort.name} "
                        f"{sexp_str(sexps[name])})")
-        text = "(model " + " ".join(raw) + ")"
-        self._write(f"; -> {text}")
-        return sexps, text
+        self._write(f"; -> (model {' '.join(raw)})")
+        return sexps
 
     def close(self):
         self._write("(exit)")

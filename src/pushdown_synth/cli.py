@@ -74,12 +74,12 @@ def _base_stats(sizes):
     }
 
 
-def _error_record(path, exc):
+def _error_record(path, exc, sizes):
     return {
         "task": Path(path).stem,
         "status": "error",
         "error": str(exc),
-        "stats": _base_stats((0, 0, 0)),
+        "stats": _base_stats(sizes),
     }
 
 
@@ -109,17 +109,19 @@ def _run_files(args, paths, run_task, needs_session=True):
     ``run_task(args, task, universes, record, session)`` with a fresh record
     and a solver session (None unless ``needs_session``); the record's
     ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
-    solver, I/O or text-encoding error becomes the file's error record.
-    Emits and returns the records. The sessions of one run append to one
-    ``--smt-log`` transcript, emptied before the first session opens."""
+    solver, I/O or text-encoding error becomes the file's error record,
+    which keeps the universe sizes if they were built. Emits and returns the
+    records. The sessions of one run append to one ``--smt-log``
+    transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
     for path in paths:
+        sizes = (0, 0, 0)  # until the universes are built
         try:
             task = _load_task(path)
             universes = build_universes(task)
-            record = {"task": task.name,
-                      "stats": _base_stats(universes.sizes())}
+            sizes = universes.sizes()
+            record = {"task": task.name, "stats": _base_stats(sizes)}
             if fresh_log:
                 Path(fresh_log).write_text("")
                 fresh_log = None
@@ -130,7 +132,7 @@ def _run_files(args, paths, run_task, needs_session=True):
                 run_task(args, task, universes, record, session)
         except (DslSyntaxError, DslTypeError, EncodeError, SolverError,
                 OSError, UnicodeDecodeError) as exc:
-            record = _error_record(path, exc)
+            record = _error_record(path, exc, sizes)
         records.append(record)
     _emit(records, args)
     return records

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .smt import BOOL_SORT, INT_SORT, REAL_SORT, FLOAT_SORT, SortDesc, sexp_str
+from functools import partial
+from .smt import SolverError, decode_number, sexp_str
 from .syntax import (
-    BinOp, Cond, CoerceSome, Expr, Index, Insert, IsNone, ListExpr, Lit,
-    Match, Name, Not, SliceFrom, SomeVal, TBool, TFloat, TInt, TList, TOpt,
-    TStr, TTuple, Type, TupleExpr,
+    LITERAL_TYPES, BinOp, Cond, CoerceSome, Expr, Index, Insert, IsNone,
+    ListExpr, Lit, Match, Name, Not, SliceFrom, SomeVal, TBool, TFloat, TInt,
+    TList, TOpt, TStr, TTuple, Type, TupleExpr,
 )
 from .typecheck import PipelineTask
-from .values import NEG_INF, NONE, Some, Value
+from .values import LITERALS, NEG_INF, NONE, Some, Value
 
 LIST_UNROLL_DEPTH = 8
 STR_SPARES = 3
@@ -36,7 +37,6 @@ def _sanitize(label: str) -> str:
 @dataclass
 class _SortInfo:
     text: str
-    desc: SortDesc
     ctor: str = ""
     fields: tuple = ()
 
@@ -55,6 +55,7 @@ class TaskEncoding:
         self._list_ops = set()
         self.str_labels = tuple(task.str_labels)
         self._str_ctors = {}
+        self._str_labels_by_ctor = {}
         self._build_base_sorts()
         self.row_type = TTuple(tuple(task.schema))
         self.row_sort = self._tuple_sort(self.row_type, "Row")
@@ -75,6 +76,7 @@ class TaskEncoding:
             for label in self.str_labels:
                 name = f"S_{_sanitize(label)}"
                 self._str_ctors[label] = name
+                self._str_labels_by_ctor[name] = label
                 ctors.append(f"({name})")
             for k in range(STR_SPARES):
                 ctors.append(f"(S_other{k})")
@@ -94,19 +96,13 @@ class TaskEncoding:
 
     def _new_sort(self, ty: Type) -> _SortInfo:
         if isinstance(ty, TBool):
-            info = _SortInfo("Bool", BOOL_SORT)
+            info = _SortInfo("Bool")
         elif isinstance(ty, TInt):
-            info = _SortInfo("Int", INT_SORT)
+            info = _SortInfo("Int")
         elif isinstance(ty, TFloat):
-            if self.float_adt:
-                info = _SortInfo("F", FLOAT_SORT)
-            else:
-                info = _SortInfo("Real", REAL_SORT)
+            info = _SortInfo("F" if self.float_adt else "Real")
         elif isinstance(ty, TStr):
-            pairs = tuple(
-                (self._str_ctors[label], label) for label in self.str_labels
-            )
-            info = _SortInfo("Str", SortDesc("str", labels=pairs))
+            info = _SortInfo("Str")
         elif isinstance(ty, TOpt):
             inner = self.sort_of(ty.elem)
             name = f"Opt_{_sanitize(inner.text)}"
@@ -114,9 +110,7 @@ class TaskEncoding:
                 f"(declare-datatypes (({name} 0)) "
                 f"(((None_{name}) (Some_{name} (val_{name} {inner.text})))))"
             )
-            info = _SortInfo(
-                name, SortDesc("opt", inner=(inner.desc,)), ctor=f"Some_{name}"
-            )
+            info = _SortInfo(name, ctor=f"Some_{name}")
         elif isinstance(ty, TList):
             inner = self.sort_of(ty.elem)
             name = f"Lst_{_sanitize(inner.text)}"
@@ -125,7 +119,7 @@ class TaskEncoding:
                 f"(((nil_{name}) (cons_{name} (hd_{name} {inner.text}) "
                 f"(tl_{name} {name})))))"
             )
-            info = _SortInfo(name, SortDesc("list", inner=(inner.desc,)))
+            info = _SortInfo(name, ctor=f"cons_{name}")
         elif isinstance(ty, TTuple):
             info = self._tuple_sort(ty, f"Tup{len(self._sorts)}")
         else:
@@ -144,12 +138,7 @@ class TaskEncoding:
         self.decls.append(
             f"(declare-datatypes (({name} 0)) (((Mk{name} {field_decls}))))"
         )
-        info = _SortInfo(
-            name,
-            SortDesc("tuple", inner=tuple(e.desc for e in elems)),
-            ctor=f"Mk{name}",
-            fields=fields,
-        )
+        info = _SortInfo(name, ctor=f"Mk{name}", fields=fields)
         self._sorts[ty] = info
         return info
 
@@ -189,21 +178,17 @@ class TaskEncoding:
 
     # -- list operation unrolling
 
-    def _need_list_ops(self, info: _SortInfo, op: str) -> str:
-        elem = info.desc.inner[0]
-        name = info.text
+    def _need_list_ops(self, list_type: TList, op: str) -> str:
+        name = self.sort_of(list_type).text
         key = (name, op)
         base = f"{op}_{name}"
         if key in self._list_ops:
             return f"{base}_{LIST_UNROLL_DEPTH}"
         self._list_ops.add(key)
-        elem_text = {
-            "int": "Int", "real": "Real", "float": "F", "bool": "Bool",
-            "str": "Str",
-        }.get(elem.kind)
-        if elem_text is None:
+        if isinstance(list_type.elem, (TOpt, TList, TTuple)):
             raise EncodeError("nested collection element sorts are unsupported")
-        le = "fle" if elem.kind == "float" else "<="
+        elem_text = self.sort_of(list_type.elem).text
+        le = "fle" if elem_text == "F" else "<="
         if op == "ins":
             self.decls.append(
                 f"(define-fun ins_{name}_0 ((v {elem_text}) (l {name})) {name} l)"
@@ -260,12 +245,12 @@ class TaskEncoding:
             if v is NONE:
                 return f"(as None_{info.text} {info.text})"
             assert isinstance(v, Some)
-            return [f"Some_{info.text}", self.value_sexp(v.value, ty.elem)]
+            return [info.ctor, self.value_sexp(v.value, ty.elem)]
         if isinstance(ty, TList):
             info = self.sort_of(ty)
             out = f"(as nil_{info.text} {info.text})"
             for item in reversed(v):
-                out = [f"cons_{info.text}", self.value_sexp(item, ty.elem), out]
+                out = [info.ctor, self.value_sexp(item, ty.elem), out]
             return out
         if isinstance(ty, TTuple):
             info = self.sort_of(ty)
@@ -274,35 +259,48 @@ class TaskEncoding:
             ]
         raise EncodeError(f"cannot embed value of type {ty}")
 
+    def decode(self, sx, ty: Type) -> Value:
+        """The value of type ``ty`` that the model term ``sx`` denotes: the
+        inverse of ``value_sexp``, also reading what a solver prints besides
+        (bare numerals for ``F``, spare ``Str`` elements as ``⟨name⟩``).
+        A malformed term raises SolverError."""
+        if isinstance(ty, TBool):
+            return sx == "true"
+        if isinstance(ty, TInt):
+            return int(decode_number(sx))
+        if isinstance(ty, TFloat):
+            if self.float_adt and (sx == "NegInf" or sx[:1] == ["NegInf"]):
+                return NEG_INF
+            if self.float_adt and sx[:1] == ["Fin"]:
+                return decode_number(sx[1])
+            return decode_number(sx)
+        if isinstance(ty, TStr):
+            name = sx if isinstance(sx, str) else sx[0]
+            return self._str_labels_by_ctor.get(name, f"⟨{name}⟩")
+        info = self.sort_of(ty)
+        if isinstance(ty, TOpt):
+            if sx[:1] == [info.ctor]:
+                return Some(self.decode(sx[1], ty.elem))
+            return NONE
+        if isinstance(ty, TList):
+            out = []
+            while sx[:1] == [info.ctor]:
+                out.append(self.decode(sx[1], ty.elem))
+                sx = sx[2]
+            return out
+        if not isinstance(sx, list):
+            raise SolverError(f"expected constructor application, got {sx!r}")
+        return tuple(self.decode(x, e) for x, e in zip(sx[1:], ty.elems))
+
     def init_sexp(self):
         return self.value_sexp(self.task.init_values, self.task.acc_type)
-
-    def desc_of(self, ty: Type) -> SortDesc:
-        return self.sort_of(ty).desc
 
     # -- expression translation
 
     def translate(self, expr: Expr, env: dict):
         if isinstance(expr, Lit):
-            if expr.kind == "int":
-                n = int(expr.value)
-                return str(n) if n >= 0 else ["-", str(-n)]
-            if expr.kind == "float":
-                sx = _real_sexp(Fraction(expr.value))
-                return ["Fin", sx] if self.float_adt else sx
-            if expr.kind == "neginf":
-                return "NegInf"
-            if expr.kind == "bool":
-                return "true" if expr.value else "false"
-            if expr.kind == "str":
-                ctor = self._str_ctors.get(expr.value)
-                if ctor is None:
-                    raise EncodeError(f"unknown string label {expr.value!r}")
-                return ctor
-            if expr.kind == "none":
-                info = self.sort_of(expr.ty)
-                return f"(as None_{info.text} {info.text})"
-            raise EncodeError(f"bad literal {expr.kind}")
+            return self.value_sexp(LITERALS[expr.kind](expr.value),
+                                   LITERAL_TYPES.get(expr.kind) or expr.ty)
         if isinstance(expr, Name):
             if expr.ident not in env:
                 raise EncodeError(f"unbound variable {expr.ident!r} in encoding")
@@ -360,7 +358,7 @@ class TaskEncoding:
             return [f"val_{info.text}", self.translate(expr.operand, env)]
         if isinstance(expr, CoerceSome):
             info = self.sort_of(expr.ty)
-            return [f"Some_{info.text}", self.translate(expr.operand, env)]
+            return [info.ctor, self.translate(expr.operand, env)]
         if isinstance(expr, TupleExpr):
             info = self.sort_of(expr.ty)
             return [info.ctor] + [self.translate(e, env) for e in expr.items]
@@ -368,7 +366,7 @@ class TaskEncoding:
             info = self.sort_of(expr.ty)
             out = f"(as nil_{info.text} {info.text})"
             for item in reversed(expr.items):
-                out = [f"cons_{info.text}", self.translate(item, env), out]
+                out = [info.ctor, self.translate(item, env), out]
             return out
         if isinstance(expr, Index):
             base_ty = expr.base.ty
@@ -390,12 +388,11 @@ class TaskEncoding:
                 for _ in range(expr.start):
                     out = [f"tl_{info.text}", out]
                 return out
-            leng = self._need_list_ops(info, "len")
-            drop = self._need_list_ops(info, "drop")
+            leng = self._need_list_ops(expr.base.ty, "len")
+            drop = self._need_list_ops(expr.base.ty, "drop")
             return [drop, ["-", [leng, base], str(-expr.start)], base]
         if isinstance(expr, Insert):
-            info = self.sort_of(expr.target.ty)
-            ins = self._need_list_ops(info, "ins")
+            ins = self._need_list_ops(expr.target.ty, "ins")
             return [
                 ins,
                 self.translate(expr.item, env),
@@ -441,13 +438,13 @@ class TaskContext:
             *self._universe_definitions("upsi", universes.u_psi,
                                         [("a1", acc.text), ("a2", acc.text)]),
         ]
-        acc_desc = self.enc.desc_of(task.acc_type)
-        row_desc = self.enc.desc_of(self.enc.row_type)
         for decl in self.enc.decls:
             session.declare(decl)
+        decode_acc = partial(self.enc.decode, ty=task.acc_type)
         for name in ("a1", "a2", "a1p", "a2p"):
-            session.declare_const(name, acc.text, acc_desc)
-        session.declare_const("r", row.text, row_desc)
+            session.declare_const(name, acc.text, decode_acc)
+        session.declare_const("r", row.text,
+                              partial(self.enc.decode, ty=self.enc.row_type))
         for definition in definitions:
             session.declare(definition)
 

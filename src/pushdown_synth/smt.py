@@ -1,7 +1,9 @@
-"""SMT-LIB 2 solver sessions: validity and model queries.
+"""SMT-LIB 2 solver sessions: validity and model queries over s-expressions.
 
-Two backends subclass one session base, ``Session``. ``SolverSession`` drives
-an external solver subprocess; every command is acknowledged under
+It carries s-expressions and SMT-LIB numerals only: each declared constant
+comes with the decoder that reads its model term (``encode`` supplies them).
+Two backends subclass one session base, ``Session``. ``SolverSession``
+drives an external solver subprocess; every command is acknowledged under
 :print-success, which gives reliable framing over the pipe.
 ``builtin.BuiltinSession`` decides the quantifier-free fragment in process.
 Each validity check runs inside a push/pop frame, so session state is
@@ -18,8 +20,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional as Opt
-
-from .values import NEG_INF, NONE, Some, Value
 
 
 class SolverError(Exception):
@@ -96,39 +96,10 @@ def _tokenize_sexp(text: str):
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# sort descriptors for model decoding
-
-
-@dataclass(frozen=True)
-class SortDesc:
-    kind: str  # int real bool float str opt tuple list
-    inner: tuple = ()
-    labels: tuple = ()  # str: known labels (constructor order), then spares
-
-
-INT_SORT = SortDesc("int")
-REAL_SORT = SortDesc("real")
-BOOL_SORT = SortDesc("bool")
-FLOAT_SORT = SortDesc("float")  # two-constructor sentinel encoding
-
-
-@dataclass
-class Model:
-    assignment: dict  # var name -> Value
-    raw: str = ""
-
-    def __getitem__(self, name):
-        return self.assignment[name]
-
-    def get(self, name, default=None):
-        return self.assignment.get(name, default)
-
-
 @dataclass
 class QueryResult:
     status: str  # valid | invalid | unknown
-    model: Opt[Model] = None
+    model: Opt[dict] = None  # name -> decoded value
     reason: str = ""
 
     @property
@@ -144,59 +115,21 @@ class QueryResult:
         return self.status == "unknown"
 
 
-def _decode_number(sx) -> Fraction:
+def decode_number(sx) -> Fraction:
+    """The rational an SMT-LIB numeral term denotes: a decimal, ``(- x)``,
+    ``(/ x y)`` or ``(to_real x)``."""
     if isinstance(sx, str):
-        return Fraction(sx)
+        try:
+            return Fraction(sx)
+        except ValueError:
+            raise SolverError(f"cannot decode numeral {sx!r}") from None
     if sx and sx[0] == "-":
-        return -_decode_number(sx[1])
+        return -decode_number(sx[1])
     if sx and sx[0] == "/":
-        return _decode_number(sx[1]) / _decode_number(sx[2])
+        return decode_number(sx[1]) / decode_number(sx[2])
     if sx and sx[0] == "to_real":
-        return _decode_number(sx[1])
+        return decode_number(sx[1])
     raise SolverError(f"cannot decode numeral {sx!r}")
-
-
-def decode_value(sx, sort: SortDesc) -> Value:
-    if sort.kind == "bool":
-        return sx == "true"
-    if sort.kind == "int":
-        return int(_decode_number(sx))
-    if sort.kind == "real":
-        return Fraction(_decode_number(sx))
-    if sort.kind == "float":
-        if sx == "NegInf" or (isinstance(sx, list) and sx and sx[0] == "NegInf"):
-            return NEG_INF
-        if isinstance(sx, list) and sx and sx[0] == "Fin":
-            return Fraction(_decode_number(sx[1]))
-        # bare numerals show up when the solver simplifies
-        return Fraction(_decode_number(sx))
-    if sort.kind == "str":
-        name = sx if isinstance(sx, str) else sx[0]
-        for ctor, label in sort.labels:
-            if ctor == name:
-                return label
-        return f"⟨{name}⟩"  # spare element: distinct from all labels
-    if sort.kind == "opt":
-        if isinstance(sx, str):
-            return NONE
-        if sx and str(sx[0]).startswith("Some"):
-            return Some(decode_value(sx[1], sort.inner[0]))
-        return NONE
-    if sort.kind == "tuple":
-        if not isinstance(sx, list):
-            raise SolverError(f"expected constructor application, got {sx!r}")
-        args = sx[1:]
-        return tuple(
-            decode_value(a, s) for a, s in zip(args, sort.inner)
-        )
-    if sort.kind == "list":
-        out = []
-        node = sx
-        while isinstance(node, list) and node and str(node[0]).startswith("cons"):
-            out.append(decode_value(node[1], sort.inner[0]))
-            node = node[2]
-        return out
-    raise SolverError(f"unknown sort {sort!r}")
 
 
 BUILTIN = "builtin"
@@ -232,8 +165,8 @@ class SolverConfig:
 
 
 class Session:
-    """What both backends share: the transcript, the sorts of declared
-    constants, model decoding and validity checks. A backend supplies
+    """What both backends share: the transcript, a decoder per declared
+    constant, model reading and validity checks. A backend supplies
     ``declare``, ``set_option``, ``push``, ``pop``, ``assert_``,
     ``check_sat`` (returning sat, unsat or unknown), ``reason_unknown``,
     ``_model_sexps`` and ``close``. A session neither counts nor limits
@@ -247,28 +180,28 @@ class Session:
         self.config = config
         self.poisoned = False
         self._log = open(config.log_path, "a") if config.log_path else None
-        self._var_sorts = {}
+        self._decoders = {}
 
     def _write(self, line: str):
         if self._log:
             self._log.write(line + "\n")
             self._log.flush()
 
-    def declare_const(self, name: str, sort_text: str, sort_desc: SortDesc):
+    def declare_const(self, name: str, sort_text: str, decode):
+        """Declare ``name``; ``decode`` turns its model term into a value."""
         self.declare(f"(declare-const {name} {sort_text})")
-        self._var_sorts[name] = sort_desc
+        self._decoders[name] = decode
 
-    def get_model(self, names) -> Model:
+    def get_model(self, names) -> dict:
         """The values of ``names``, decoded from the backend's
         ``{name: value s-expression}`` map of the last sat check."""
-        sexps, raw = self._model_sexps(names)
-        assignment = {name: decode_value(sexps[name], self._var_sorts[name])
-                      for name in names
-                      if name in sexps and name in self._var_sorts}
-        missing = [n for n in names if n not in assignment]
+        sexps = self._model_sexps(names)
+        model = {name: self._decoders[name](sexps[name]) for name in names
+                 if name in sexps and name in self._decoders}
+        missing = [n for n in names if n not in model]
         if missing:
             raise SolverError(f"model lacks assignments for {missing}")
-        return Model(assignment=assignment, raw=raw)
+        return model
 
     def check_valid(self, formula, model_names=()) -> QueryResult:
         """Valid iff the negation is unsatisfiable; Invalid carries a model."""
@@ -445,7 +378,7 @@ class SolverSession(Session):
             parsed = parsed[1:]
         return {entry[1]: entry[4] for entry in parsed
                 if isinstance(entry, list) and entry
-                and entry[0] == "define-fun" and entry[2] == []}, resp
+                and entry[0] == "define-fun" and entry[2] == []}
 
     def close(self):
         try:

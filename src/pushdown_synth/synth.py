@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Optional as Opt
 
 from .interp import eval_atom, eval_expr
-from .smt import Model, QueryResult
+from .smt import QueryResult
 from .vcgen import (
     Conjunction, VC_STUTTER, VC_SYNC, conj_eval, final_agreement,
     p_conjunction, vc_final, vc_stutter, vc_sync,
@@ -231,7 +231,7 @@ def find_weakest_implicant(run, universe_indices, phi):
 # symbolic bound refinement
 
 
-def _stepped_env(ctx, model: Model, optimized_moves: bool) -> dict:
+def _stepped_env(ctx, model: dict, optimized_moves: bool) -> dict:
     """Ground post-step states from a one-step countermodel."""
     a1, a2, row = model["a1"], model["a2"], model["r"]
     a1p = eval_expr(ctx.task.f_body, {"a": a1, "r": row})
@@ -369,7 +369,7 @@ def find_strongest_bisimulation(run, q: Conjunction, bounds: SymbolicBounds):
 # residual search
 
 
-def handle_failure(ctx, p: Conjunction, cand: Conjunction, model: Model,
+def handle_failure(ctx, p: Conjunction, cand: Conjunction, model: dict,
                    push):
     a1v, a2v = model["a1"], model["a2"]
     accepts_p = conj_eval(ctx, p, {"a": a1v})

@@ -363,7 +363,7 @@ def eval_const(expr: Expr) -> Value:
         return [eval_const(e) for e in expr.items]
     if isinstance(expr, Not):
         return not eval_const(expr.operand)
-    if isinstance(expr, BinOp) and expr.op in ("+", "-", "*"):
+    if isinstance(expr, BinOp) and expr.op in ("+", "-", "*", "/"):
         left, right = eval_const(expr.left), eval_const(expr.right)
         if left is NEG_INF or right is NEG_INF:
             raise DslTypeError("arithmetic on -inf in constant", expr.span)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional as Opt
 
 from .interp import eval_atom
-from .smt import Model
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def vc_final(ctx, psi: Conjunction, p: Conjunction, p_res: Conjunction):
 class WitnessReport:
     ok: bool
     failing: Opt[str] = None  # VC kind on failure
-    model: Opt[Model] = None
+    model: Opt[dict] = None
     inconclusive: bool = False
     reason: str = ""
 

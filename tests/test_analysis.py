@@ -245,7 +245,7 @@ class _DeclarationStub:
     def declare(self, text):
         self.decls.append(text)
 
-    def declare_const(self, name, sort_text, sort_desc):
+    def declare_const(self, name, sort_text, decode):
         self.decls.append((name, sort_text))
 
 

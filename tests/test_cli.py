@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from pushdown_synth.analysis import build_universes
 from pushdown_synth.builtin import BuiltinSession
 from pushdown_synth.cli import run
 from pushdown_synth.parser import parse
 from pushdown_synth.schema import SchemaError, validate_record
 from pushdown_synth.smt import QueryResult
+from pushdown_synth.typecheck import typecheck
 
 from conftest import FIXTURES, fixture_source, requires_z3
 
@@ -220,8 +222,27 @@ def test_unencodable_program_is_an_error_record(tmp_path, capsys):
     validate_record(first)
     assert first["status"] == "error"
     assert first["error"] == "negative list index is not encodable"
+    # the universes were built before the encoding failed
+    sizes = build_universes(typecheck(parse(src.read_text()))).sizes()
+    stats = first["stats"]
+    assert (stats["u_q_size"], stats["u_residual_size"],
+            stats["u_psi_size"]) == sizes
+    assert stats["u_psi_size"] > 0
     assert second["status"] == "solved"
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_constant_division_in_the_initializer_synthesizes(tmp_path):
+    src = tmp_path / "half.pdsl"
+    src.write_text(
+        "df = (float,)\n"
+        "agg = fold(df, (1.0 / 2.0,), lambda a, r: (a[0] + r[0],))\n"
+        "out = filter(agg, lambda a: a[0] > 5.0)\n")
+    out = tmp_path / "records.json"
+    run(["synth", "--solver", "builtin", "--trials", "50", "--out", str(out),
+         str(src)])
+    record, = read_records(out)
+    assert record["status"] != "error", record.get("error")
 
 
 def test_dump_universe(tmp_path):

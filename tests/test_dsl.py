@@ -166,6 +166,15 @@ out = filter(agg, lambda a: a[0] > 0.0)
     assert "divisor" in str(exc.value)
 
 
+def test_constant_division_folds_in_the_initializer():
+    source = """
+df = (float,)
+agg = fold(df, (1.0 / 2.0,), lambda a, r: (a[0] + r[0],))
+out = filter(agg, lambda a: a[0] > 5.0)
+"""
+    assert typecheck(parse(source)).init_values == (Fraction(1, 2),)
+
+
 def test_arithmetic_on_possible_sentinel_rejected():
     source = """
 df = (float,)

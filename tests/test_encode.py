@@ -1,0 +1,96 @@
+"""The SMT value encoding: `TaskEncoding.decode` inverts `value_sexp` for
+every DSL type, and also reads the other forms a solver prints for a value
+(bare `F` numerals, negated and divided numerals, qualified `nil`, spare
+`Str` elements)."""
+
+from fractions import Fraction
+
+import pytest
+
+from pushdown_synth.encode import TaskEncoding
+from pushdown_synth.parser import parse
+from pushdown_synth.smt import SolverError, parse_sexp
+from pushdown_synth.syntax import BOOL, FLOAT, INT, STR, TList, TOpt, TTuple
+from pushdown_synth.typecheck import typecheck
+from pushdown_synth.values import NEG_INF, NONE, Some
+
+from conftest import make_task
+
+# floats as Reals; a list, an option, a bool and two string labels
+REAL_SOURCE = """
+df = (float, int, str, bool)
+agg = fold(df, ([0.0], 0, None, False, "low"),
+  lambda a, r: (insert(a[0], r[0]), a[1] + r[1],
+                r[1] if r[3] else a[2], r[3],
+                r[2] if r[2] == "high" else a[4]))
+out = filter(agg, lambda a: a[1] > 3)
+"""
+
+ACC = TTuple((TList(FLOAT), INT, TOpt(INT), BOOL, STR))
+
+
+@pytest.fixture(scope="module")
+def real_enc():
+    enc = TaskEncoding(typecheck(parse(REAL_SOURCE), "enc"))
+    assert not enc.float_adt and enc.task.acc_type == ACC
+    return enc
+
+
+@pytest.fixture(scope="module")
+def f_enc():
+    # top2 mentions -inf: floats are the NegInf | Fin datatype F
+    enc = TaskEncoding(make_task("top2"))
+    assert enc.float_adt
+    return enc
+
+
+@pytest.mark.parametrize("value, ty", [
+    (True, BOOL), (False, BOOL), (0, INT), (-7, INT),
+    (Fraction(-5, 3), FLOAT), (Fraction(4), FLOAT),
+    ("high", STR), ("low", STR),
+    (NONE, TOpt(INT)), (Some(-4), TOpt(INT)),
+    ([], TList(FLOAT)), ([Fraction(1), Fraction(-1, 2)], TList(FLOAT)),
+    (([Fraction(2)], 3, Some(0), True, "high"), ACC),
+])
+def test_decode_inverts_value_sexp_over_reals(real_enc, value, ty):
+    assert real_enc.decode(real_enc.value_sexp(value, ty), ty) == value
+
+
+@pytest.mark.parametrize("value", [
+    NEG_INF, Fraction(0), Fraction(-5), Fraction(7, 3),
+])
+def test_decode_inverts_value_sexp_over_f(f_enc, value):
+    assert f_enc.decode(f_enc.value_sexp(value, FLOAT), FLOAT) == value
+    pair = (value, Fraction(1))
+    assert f_enc.decode(f_enc.value_sexp(pair, f_enc.task.acc_type),
+                        f_enc.task.acc_type) == pair
+
+
+def _printed(enc, text, ty):
+    return enc.decode(parse_sexp(text)[0], ty)
+
+
+def test_decode_reads_the_forms_a_solver_prints(real_enc, f_enc):
+    # a solver may simplify an F value to a bare numeral
+    assert _printed(f_enc, "5.0", FLOAT) == 5
+    assert _printed(f_enc, "(- 5.0)", FLOAT) == -5
+    assert _printed(f_enc, "(Fin (/ 1.0 3.0))", FLOAT) == Fraction(1, 3)
+    assert _printed(real_enc, "(- 5.0)", FLOAT) == -5
+    assert _printed(real_enc, "(/ 1.0 3.0)", FLOAT) == Fraction(1, 3)
+    assert _printed(real_enc, "(to_real (- 2))", FLOAT) == -2
+    assert _printed(real_enc, "(- 3)", INT) == -3
+    lst = real_enc.sort_of(TList(FLOAT)).text
+    assert _printed(real_enc, f"(as nil_{lst} {lst})", TList(FLOAT)) == []
+    assert _printed(real_enc, f"(cons_{lst} 1.0 (as nil_{lst} {lst}))",
+                    TList(FLOAT)) == [1]
+    # a spare Str element is distinct from every label of the program
+    assert _printed(real_enc, "S_other0", STR) == "⟨S_other0⟩"
+
+
+def test_malformed_model_terms_raise_solver_error(real_enc):
+    with pytest.raises(SolverError):
+        real_enc.decode("true", ACC)  # a tuple needs its constructor
+    with pytest.raises(SolverError):
+        real_enc.decode("NegInf", FLOAT)  # no -inf in the Real encoding
+    with pytest.raises(SolverError):
+        real_enc.decode(["*", "2", "3"], INT)

@@ -7,7 +7,7 @@ import pytest
 
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.smt import (
-    INT_SORT, REAL_SORT, SolverConfig, SolverError, start_session,
+    SolverConfig, SolverError, decode_number, start_session,
 )
 
 from conftest import make_context, fixture_source, requires_z3
@@ -25,7 +25,7 @@ def test_nonexistent_solver_path_errors():
 
 def test_check_valid_basic():
     with start_session(SolverConfig()) as session:
-        session.declare_const("x", "Real", REAL_SORT)
+        session.declare_const("x", "Real", decode_number)
         res = session.check_valid(["=>", [">", "x", "0.0"], [">=", "x", "0.0"]])
         assert res.is_valid
         res = session.check_valid(
@@ -38,7 +38,7 @@ def test_check_valid_basic():
 
 def test_frame_discipline_identical_queries_identical_verdicts():
     with start_session(SolverConfig()) as session:
-        session.declare_const("n", "Int", INT_SORT)
+        session.declare_const("n", "Int", decode_number)
         formula = ["=>", [">", "n", "3"], [">", "n", "1"]]
         first = session.check_valid(formula)
         second = session.check_valid(formula)
@@ -48,7 +48,7 @@ def test_frame_discipline_identical_queries_identical_verdicts():
 def test_tiny_timeout_yields_unknown():
     with start_session(SolverConfig(timeout_ms=1)) as session:
         for name in "abcdef":
-            session.declare_const(name, "Int", INT_SORT)
+            session.declare_const(name, "Int", decode_number)
         # nonlinear integer arithmetic, far beyond a 1 ms budget
         product = ["*", "a", ["*", "b", ["*", "c", ["*", "d", ["*", "e", "f"]]]]]
         clauses = ["and"]
@@ -115,7 +115,7 @@ def test_crashed_solver_poisons_the_session():
     from pushdown_synth.smt import SolverCrashed, find_solver
 
     session = start_session(SolverConfig(solver_path=find_solver()))
-    session.declare_const("x", "Int", INT_SORT)
+    session.declare_const("x", "Int", decode_number)
     session.proc.kill()
     session.proc.wait()
     with pytest.raises(SolverCrashed):

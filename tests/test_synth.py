@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from pushdown_synth.smt import Model
 from pushdown_synth.synth import (
     Budget, PushdownSolution, Run, SynthFailure, check_unrealizable, Diagnosis,
     find_residual, find_strongest_bisimulation, find_weakest_implicant,
@@ -238,10 +237,10 @@ def test_handle_failure_spurious_acceptance_enqueues_false_atoms():
     ctx = _residual_micro_ctx()
     try:
         pushed = []
-        model = Model(assignment={
+        model = {
             "a1": (Fraction(-3),),  # rejected by P
             "a2": (Fraction(0),),   # accepted by the empty candidate
-        })
+        }
         handle_failure(
             ctx, p_conjunction(ctx), Conjunction.of("residual", ()),
             model, pushed.append,
@@ -257,10 +256,10 @@ def test_handle_failure_false_rejection_enqueues_nothing():
     try:
         pushed = []
         gt = atom_index(ctx.universes.u_residual, "a[0] > 0.0")
-        model = Model(assignment={
+        model = {
             "a1": (Fraction(5),),
             "a2": (Fraction(0),),
-        })
+        }
         handle_failure(
             ctx, p_conjunction(ctx), Conjunction.of("residual", [gt]),
             model, pushed.append,

@@ -231,8 +231,10 @@ class _Elaborator:
                 ])
                 for (name, _), ctors in zip(cmd[1], cmd[2])
             ]
+            new_ctors = [c for s in group for c, _ in s.ctors]
             taken = [s.name for s in group if s.name in self.sorts] + [
-                c for s in group for c, _ in s.ctors if c in self.ctors
+                c for i, c in enumerate(new_ctors)
+                if c in self.ctors or c in new_ctors[:i]
             ]
             if taken:
                 raise SolverError(f"already declared: {' '.join(taken)}")

@@ -23,6 +23,7 @@ from .rewrite import emit_rewritten
 from .smt import SolverConfig, SolverError, start_session
 from .synth import Budget, PushdownSolution, synthesize
 from .typecheck import DslTypeError, typecheck, type_predicate
+from .values import EvalError
 from .lexer import DslSyntaxError
 from .vcgen import Conjunction, check_witness
 from .schema import validate_record
@@ -109,9 +110,9 @@ def _run_files(args, paths, run_task, needs_session=True):
     ``run_task(args, task, universes, record, session)`` with a fresh record
     and a solver session (None unless ``needs_session``); the record's
     ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
-    solver, I/O or text-encoding error becomes the file's error record,
-    which keeps the universe sizes if they were built. Emits and returns the
-    records. The sessions of one run append to one ``--smt-log``
+    evaluation, solver, I/O or text-encoding error becomes the file's error
+    record, which keeps the universe sizes if they were built. Emits and
+    returns the records. The sessions of one run append to one ``--smt-log``
     transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
@@ -130,8 +131,8 @@ def _run_files(args, paths, run_task, needs_session=True):
                 if session is not None:
                     record["stats"]["backend"] = session.backend
                 run_task(args, task, universes, record, session)
-        except (DslSyntaxError, DslTypeError, EncodeError, SolverError,
-                OSError, UnicodeDecodeError) as exc:
+        except (DslSyntaxError, DslTypeError, EncodeError, EvalError,
+                SolverError, OSError, UnicodeDecodeError) as exc:
             record = _error_record(path, exc, sizes)
         records.append(record)
     _emit(records, args)

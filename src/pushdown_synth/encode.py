@@ -72,17 +72,21 @@ class TaskEncoding:
                 "(declare-datatypes ((F 0)) (((NegInf) (Fin (fval Real)))))"
             )
         if self.str_labels:
-            ctors = []
+            spares = [f"S_other{k}" for k in range(STR_SPARES)]
+            taken = set(spares)
             for label in self.str_labels:
-                name = f"S_{_sanitize(label)}"
+                # a suffix only where two labels sanitize alike, or a label
+                # to a spare's name
+                name = base = f"S_{_sanitize(label)}"
+                k = 0
+                while name in taken:
+                    k += 1
+                    name = f"{base}_{k}"
+                taken.add(name)
                 self._str_ctors[label] = name
                 self._str_labels_by_ctor[name] = label
-                ctors.append(f"({name})")
-            for k in range(STR_SPARES):
-                ctors.append(f"(S_other{k})")
-            self.decls.append(
-                f"(declare-datatypes ((Str 0)) (({' '.join(ctors)})))"
-            )
+            ctors = " ".join(f"({c})" for c in [*self._str_ctors.values(), *spares])
+            self.decls.append(f"(declare-datatypes ((Str 0)) (({ctors})))")
 
     def sort_of(self, ty: Type) -> _SortInfo:
         hit = self._sorts_by_id.get(id(ty))

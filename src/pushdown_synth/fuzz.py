@@ -34,6 +34,8 @@ from .values import NONE, Some, fmt_value, values_equal
 # the states and the pairs never outnumber their transitions by more than one
 # (Bottom, and the pair of two Bottoms).
 TABLE_BOUND = 4096
+# the most rows a sampled frame has
+FRAME_ROWS = 8
 
 
 @dataclass
@@ -110,7 +112,7 @@ def _pool_for(ty, consts, task):
     raise ValueError(f"cannot build a sampling pool for column type {ty}")
 
 
-def sample_dataframe(rng: random.Random, pools, max_len: int = 8):
+def sample_dataframe(rng: random.Random, pools, max_len: int = FRAME_ROWS):
     """A frame of 0 to `max_len` rows whose cells are drawn uniformly from
     their columns' pools, the length first, then the cells row by row.
 
@@ -384,8 +386,7 @@ class FoldTables:
 
 
 def differential_check(task, universes, q_indices, residual_indices,
-                       trials: int = 10000, seed: int = 0,
-                       max_len: int = 8) -> DiffReport:
+                       trials: int = 10000, seed: int = 0) -> DiffReport:
     """Sample dataframes and compare the lifted original against the lifted
     rewritten pipeline, pointwise; deterministic under the seed. Frames are
     drawn as column-pool indices (`sample_dataframe` consumes the same
@@ -401,8 +402,8 @@ def differential_check(task, universes, q_indices, residual_indices,
     mismatch_count = 0
     examples = []
     for _ in range(trials):
-        tables.make_room(max_len)
-        frame = sample_dataframe(rng, index_pools, max_len)
+        tables.make_room(FRAME_ROWS)
+        frame = sample_dataframe(rng, index_pools)
         if tables.mismatch(frame):
             mismatch_count += 1
             if len(examples) < 10:

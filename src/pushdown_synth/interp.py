@@ -401,6 +401,7 @@ def eval_atom(expr: Expr, env: dict) -> bool:
 
 _FOLD_PARAMS = ("a", "r")
 _ROW_PARAMS = ("r",)
+_ACC_PARAMS = ("a",)
 
 
 def eval_fold(task, dataframe, start=None) -> LiftResult:
@@ -418,10 +419,10 @@ def eval_fold(task, dataframe, start=None) -> LiftResult:
     return LiftResult(a)
 
 
-def lift_eval(pred_exprs, result: LiftResult, var: str = "a") -> LiftResult:
+def lift_eval(pred_exprs, result: LiftResult) -> LiftResult:
     if result.is_bottom:
         return result
-    if _holds([_kernel(p, (var,)) for p in pred_exprs], result.value):
+    if _holds([_kernel(p, _ACC_PARAMS) for p in pred_exprs], result.value):
         return result
     return LiftResult(BOTTOM)
 

@@ -1,8 +1,13 @@
 """Type checking and pipeline extraction.
 
 Produces a PipelineTask: schema, initializer, accumulator function, and the
-post-filter split into CNF conjuncts. Lambda parameters are alpha-renamed to
-the canonical names `a` (accumulator) and `r` (row).
+post-filter split into CNF conjuncts.
+
+Every name is closed before it is checked (`_close`): a lambda parameter is
+renamed to its canonical name, `a` (accumulator) or `r` (row); a constant
+becomes a copy of its value; a match binder shadows both. A binder that would
+capture a renamed parameter is an error, and any other name, the input frame
+and the stages of the pipeline included, is unbound.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from .syntax import (
     BOOL, INT, LITERAL_TYPES, OPERATORS,
     BinOp, Cond, CoerceSome, Expr, Filter, Fold, Index, Insert, IsNone,
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
-    Span, TBool, TFloat, TInt, TList, TOpt, TTuple, TVar, Type,
-    TupleExpr, TypeTuple, map_children, mk_and, mk_not, mk_or, negate,
-    rebuild_match, substitute, walk,
+    Span, TFloat, TInt, TList, TOpt, TTuple, TVar, Type,
+    TupleExpr, TypeTuple, children, map_children, mk_and, mk_not, mk_or,
+    negate, rebuild_match, substitute, walk,
 )
 from .values import LITERALS, NEG_INF, Some, Value
 
@@ -28,16 +33,6 @@ class DslTypeError(Exception):
         self.message = message
         self.span = span
         super().__init__(f"{span}: {message}")
-
-
-@dataclass(frozen=True)
-class TFrame(Type):
-    """Internal type of a dataframe value; never written in source."""
-
-    schema: TTuple
-
-    def __str__(self):
-        return f"Frame{self.schema}"
 
 
 @dataclass
@@ -88,8 +83,6 @@ class _Unifier:
             return TOpt(self.resolve(t.elem))
         if isinstance(t, TTuple):
             return TTuple(tuple(self.resolve(e) for e in t.elems))
-        if isinstance(t, TFrame):
-            return TFrame(self.resolve(t.schema))
         return t
 
     def unify(self, t1: Type, t2: Type, span: Span):
@@ -120,10 +113,8 @@ class _Unifier:
 
 
 class _Checker:
-    def __init__(self, program: Program):
-        self.program = program
+    def __init__(self):
         self.uni = _Unifier()
-        self.bindings = {}  # name -> (expr, type)
 
     # -- helpers
 
@@ -172,8 +163,6 @@ class _Checker:
         if isinstance(expr, Name):
             if expr.ident in env:
                 return env[expr.ident]
-            if expr.ident in self.bindings:
-                return self.bindings[expr.ident][1]
             raise DslTypeError(f"unbound identifier {expr.ident!r}", expr.span)
         if isinstance(expr, Not):
             t = self.check(expr.operand, env)
@@ -289,12 +278,10 @@ class _Checker:
             elem = self.uni.fresh()
             self.uni.unify(t, TOpt(elem), expr.span)
             return self.uni.resolve(elem)
-        if isinstance(expr, (Fold, Filter, Lambda, TypeTuple)):
-            raise DslTypeError(
-                f"{type(expr).__name__.lower()} is not allowed in this position",
-                expr.span,
-            )
-        raise DslTypeError(f"cannot type {type(expr).__name__}", expr.span)
+        raise DslTypeError(
+            f"{type(expr).__name__.lower()} is not allowed in this position",
+            expr.span,
+        )
 
     def zonk(self, expr: Expr):
         for node in walk(expr):
@@ -315,37 +302,46 @@ def _type_leaves(t: Type):
 
 
 # ---------------------------------------------------------------------------
-# name inlining
+# names
 
 
-def _inline_names(expr: Expr, bindings: dict, bound: set) -> Expr:
-    if isinstance(expr, Name) and expr.ident not in bound:
-        if expr.ident in bindings:
+def _close(expr: Expr, params: dict, constants: dict) -> Expr:
+    """`expr` with each parameter in `params` renamed to its canonical name and
+    each constant replaced by a copy of its closed value; a match binder
+    shadows both. Any other name is unbound."""
+    if isinstance(expr, Name):
+        if expr.ident in params:
+            return replace(expr, ident=params[expr.ident])
+        if expr.ident in constants:
             # a copy per use: `_Checker.check` annotates each use site on its own
-            binding = copy.deepcopy(bindings[expr.ident][0])
-            return _inline_names(binding, bindings, set())
+            return copy.deepcopy(constants[expr.ident])
         raise DslTypeError(f"unbound identifier {expr.ident!r}", expr.span)
     if isinstance(expr, (Fold, Filter, Lambda)):
         return expr  # the checker rejects them; their lambdas bind names of their own
-    if isinstance(expr, Match):
-        return rebuild_match(
-            expr, _inline_names(expr.scrutinee, bindings, bound),
-            [_inline_names(c.body, bindings, bound | {c.pattern})
-             for c in expr.cases],
-        )
-    return map_children(expr, lambda e: _inline_names(e, bindings, bound))
+    if not isinstance(expr, Match):
+        return map_children(expr, lambda e: _close(e, params, constants))
+    scrutinee = _close(expr.scrutinee, params, constants)
+    bodies = []
+    for case in expr.cases:
+        inner = params
+        if case.pattern is not None:
+            for param, canonical in params.items():
+                if canonical == case.pattern != param:
+                    raise DslTypeError(
+                        f"match binder {case.pattern!r} would capture parameter "
+                        f"{param!r}, which is renamed to {canonical!r}", case.span)
+            inner = {**params, case.pattern: case.pattern}
+        bodies.append(_close(case.body, inner, constants))
+    return rebuild_match(expr, scrutinee, bodies)
 
 
-def _rename(expr: Expr, mapping: dict) -> Expr:
-    if isinstance(expr, Name) and expr.ident in mapping:
-        return replace(expr, ident=mapping[expr.ident])
-    if isinstance(expr, Match):
-        return rebuild_match(
-            expr, _rename(expr.scrutinee, mapping),
-            [_rename(c.body, {k: v for k, v in mapping.items() if k != c.pattern})
-             for c in expr.cases],
-        )
-    return map_children(expr, lambda e: _rename(e, mapping))
+def _params(lam: Lambda, canonical: tuple, arity_error: str) -> dict:
+    """The renaming of `lam`'s parameters to their canonical names."""
+    if lam.is_fix:
+        raise DslTypeError("fix lambdas are not supported", lam.span)
+    if len(lam.params) != len(canonical):
+        raise DslTypeError(arity_error, lam.span)
+    return dict(zip(lam.params, canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +408,7 @@ def to_nnf(expr: Expr, negated: bool = False) -> Expr:
     return negate(expr) if negated else expr
 
 
-def cnf_clauses(expr: Expr, cap: int = CNF_CLAUSE_CAP):
+def cnf_clauses(expr: Expr):
     """Return the CNF of a lowered, NNF Boolean expression as a clause list.
 
     Each clause is a list of literal expressions (interpreted as a disjunction).
@@ -425,9 +421,9 @@ def cnf_clauses(expr: Expr, cap: int = CNF_CLAUSE_CAP):
         if isinstance(e, BinOp) and e.op == "or":
             left, right = go(e.left), go(e.right)
             clauses = [lc + rc for lc in left for rc in right]
-            if len(clauses) > cap:
+            if len(clauses) > CNF_CLAUSE_CAP:
                 raise DslTypeError(
-                    f"CNF of the post-filter exceeds {cap} clauses", e.span
+                    f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", e.span
                 )
             return clauses
         if isinstance(e, Lit) and e.kind == "bool":
@@ -435,8 +431,9 @@ def cnf_clauses(expr: Expr, cap: int = CNF_CLAUSE_CAP):
         return [[e]]
 
     clauses = go(expr)
-    if len(clauses) > cap:
-        raise DslTypeError(f"CNF of the post-filter exceeds {cap} clauses", expr.span)
+    if len(clauses) > CNF_CLAUSE_CAP:
+        raise DslTypeError(
+            f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", expr.span)
     return clauses
 
 
@@ -454,52 +451,25 @@ def _taint_check(task: PipelineTask):
             return expr.kind == "neginf"
         if isinstance(expr, Name):
             return binders.get(expr.ident, False)
-        if isinstance(expr, Index):
-            if isinstance(expr.base, Name) and expr.base.ident == "a":
-                return acc_taint[expr.index]
-            if isinstance(expr.base, Name) and expr.base.ident == "r":
-                return False
-            return expr_taint(expr.base, acc_taint, binders)
-        if isinstance(expr, BinOp):
-            lt = expr_taint(expr.left, acc_taint, binders)
-            rt = expr_taint(expr.right, acc_taint, binders)
-            if expr.op in ("+", "-", "*", "/"):
-                if lt or rt:
-                    raise DslTypeError(
-                        "arithmetic on a float that may be -inf", expr.span
-                    )
-                return False
-            return False
-        if isinstance(expr, Not):
-            expr_taint(expr.operand, acc_taint, binders)
-            return False
-        if isinstance(expr, (CoerceSome, SomeVal, IsNone)):
-            return expr_taint(expr.operand, acc_taint, binders)
-        if isinstance(expr, Cond):
-            expr_taint(expr.test, acc_taint, binders)
-            t1 = expr_taint(expr.then, acc_taint, binders)
-            t2 = expr_taint(expr.other, acc_taint, binders)
-            return t1 or t2
+        if isinstance(expr, Index) and isinstance(expr.base, Name) \
+                and expr.base.ident in ("a", "r"):
+            return expr.base.ident == "a" and acc_taint[expr.index]
         if isinstance(expr, Match):
-            expr_taint(expr.scrutinee, acc_taint, binders)
-            out = False
-            for case in expr.cases:
-                inner = dict(binders)
-                if case.pattern is not None:
-                    inner[case.pattern] = expr_taint(
-                        expr.scrutinee, acc_taint, binders
-                    )
-                out = expr_taint(case.body, acc_taint, inner) or out
-            return out
-        if isinstance(expr, (TupleExpr, ListExpr)):
-            return any(expr_taint(e, acc_taint, binders) for e in expr.items)
-        if isinstance(expr, (SliceFrom,)):
-            return expr_taint(expr.base, acc_taint, binders)
-        if isinstance(expr, Insert):
-            t1 = expr_taint(expr.target, acc_taint, binders)
-            t2 = expr_taint(expr.item, acc_taint, binders)
-            return t1 or t2
-        return False
+            tainted = expr_taint(expr.scrutinee, acc_taint, binders)
+            return any([expr_taint(c.body, acc_taint, {**binders, c.pattern: tainted})
+                        for c in expr.cases])
+        if isinstance(expr, Cond):
+            # the test first, so that its error is the one reported
+            expr_taint(expr.test, acc_taint, binders)
+            kids = [expr.then, expr.other]
+        else:
+            kids = children(expr)
+        tainted = [expr_taint(e, acc_taint, binders) for e in kids]
+        if isinstance(expr, BinOp) and expr.op in ("+", "-", "*", "/") \
+                and any(tainted):
+            raise DslTypeError("arithmetic on a float that may be -inf", expr.span)
+        # neither a Boolean nor the result of arithmetic is ever -inf
+        return not isinstance(expr, (BinOp, Not)) and any(tainted)
 
     # fixpoint over accumulator components (the check itself must run even on
     # components already known tainted, so no short-circuiting)
@@ -525,19 +495,24 @@ def _taint_check(task: PipelineTask):
 
 
 def typecheck(program: Program, name: str = "task") -> PipelineTask:
-    checker = _Checker(program)
+    checker = _Checker()
     uni = checker.uni
 
     schema: Opt[TTuple] = None
-    frame_vars = {}  # name -> list of prefilter (Lambda) applied so far
+    frames = {}  # frame name -> the prefilters (bodies) applied so far
+    constants = {}  # constant name -> its closed, typed value
     fold_stmt = None
-    fold_var = None
     acc_type: Opt[TTuple] = None
     init_expr = None
     f_body = None
     post_bodies = []
     post_var = None
     prefilters = []
+
+    def filter_body(lam: Lambda, var: str, ty: Type, arity_error: str) -> Expr:
+        body = _close(lam.body, _params(lam, (var,), arity_error), constants)
+        uni.unify(checker.check(body, {var: ty}), BOOL, body.span)
+        return body
 
     fold_count = sum(
         1 for s in program.stmts for n in walk(s.expr) if isinstance(n, Fold)
@@ -555,78 +530,41 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
             if not rhs.types:
                 raise DslTypeError("schema must have at least one column", stmt.span)
             schema = TTuple(tuple(rhs.types))
-            rhs.ty = TFrame(schema)
-            frame_vars[stmt.name] = []
-            checker.bindings[stmt.name] = (rhs, rhs.ty)
+            frames[stmt.name] = []
             continue
         if isinstance(rhs, Filter) and isinstance(rhs.source, Name) \
-                and rhs.source.ident in frame_vars:
+                and rhs.source.ident in frames:
             # row prefilter (appears in rewritten pipelines)
-            if schema is None:
-                raise DslTypeError("filter before schema declaration", stmt.span)
-            lam = rhs.fn
-            if lam.is_fix:
-                raise DslTypeError("fix lambdas are not supported", lam.span)
-            if len(lam.params) != 1:
-                raise DslTypeError("row filter lambda takes one parameter", lam.span)
-            body = _inline_names(
-                _rename(lam.body, {lam.params[0]: "r"}), checker.bindings, {"r"}
-            )
-            t = checker.check(body, {"r": schema})
-            uni.unify(t, BOOL, body.span)
-            frame_vars[stmt.name] = frame_vars[rhs.source.ident] + [body]
-            rhs.ty = TFrame(schema)
-            checker.bindings[stmt.name] = (rhs, rhs.ty)
+            body = filter_body(rhs.fn, "r", schema,
+                               "row filter lambda takes one parameter")
+            frames[stmt.name] = frames[rhs.source.ident] + [body]
             continue
         if isinstance(rhs, Fold):
             if schema is None:
                 raise DslTypeError("fold before schema declaration", stmt.span)
-            if not (isinstance(rhs.source, Name) and rhs.source.ident in frame_vars):
+            if not (isinstance(rhs.source, Name) and rhs.source.ident in frames):
                 raise DslTypeError(
                     "fold must consume the declared input dataframe", stmt.span
                 )
-            prefilters = frame_vars[rhs.source.ident]
-            lam = rhs.fn
-            if lam.is_fix:
-                raise DslTypeError("fix lambdas are not supported", lam.span)
-            if len(lam.params) != 2:
-                raise DslTypeError(
-                    "fold lambda takes two parameters (accumulator, row)", lam.span
-                )
-            init_expr = rhs.init
-            if not isinstance(init_expr, TupleExpr):
+            prefilters = frames[rhs.source.ident]
+            params = _params(rhs.fn, ("a", "r"),
+                             "fold lambda takes two parameters (accumulator, row)")
+            if not isinstance(rhs.init, TupleExpr):
                 raise DslTypeError(
                     "fold initializer must be a tuple of constants", rhs.init.span
                 )
-            init_expr = _inline_names(init_expr, checker.bindings, set())
+            init_expr = _close(rhs.init, {}, constants)
             it = checker.check(init_expr, {})
-            f_body = _inline_names(
-                _rename(lam.body, {lam.params[0]: "a", lam.params[1]: "r"}),
-                checker.bindings, {"a", "r"},
-            )
+            f_body = _close(rhs.fn.body, params, constants)
             bt = checker.check(f_body, {"a": it, "r": schema})
             uni.unify(bt, it, f_body.span)
             acc_type = uni.resolve(it)
-            fold_stmt, fold_var = stmt, stmt.name
-            rhs.ty = acc_type
-            checker.bindings[stmt.name] = (Name(ident=stmt.name), acc_type)
-            post_var = stmt.name
+            fold_stmt, post_var = stmt, stmt.name
             continue
         if isinstance(rhs, Filter) and isinstance(rhs.source, Name) \
-                and fold_var is not None and rhs.source.ident == post_var:
-            lam = rhs.fn
-            if lam.is_fix:
-                raise DslTypeError("fix lambdas are not supported", lam.span)
-            if len(lam.params) != 1:
-                raise DslTypeError("post filter lambda takes one parameter", lam.span)
-            body = _inline_names(
-                _rename(lam.body, {lam.params[0]: "a"}), checker.bindings, {"a"}
-            )
-            t = checker.check(body, {"a": acc_type})
-            uni.unify(t, BOOL, body.span)
-            post_bodies.append(body)
-            rhs.ty = acc_type
-            checker.bindings[stmt.name] = (Name(ident=stmt.name), acc_type)
+                and rhs.source.ident == post_var:
+            post_bodies.append(filter_body(
+                rhs.fn, "a", acc_type, "post filter lambda takes one parameter"))
             post_var = stmt.name
             continue
         if any(isinstance(n, (Fold, Filter)) for n in walk(rhs)):
@@ -634,20 +572,18 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
                 "fold/filter must be the whole right-hand side of a statement",
                 stmt.span,
             )
-        # plain constant binding
-        ty = checker.check(rhs, {})
+        # a constant, closed and typed once here and copied at each use
+        value = _close(rhs, {}, constants)
+        ty = checker.check(value, {})
         if stmt.annot is not None:
             uni.unify(ty, TTuple(tuple(stmt.annot.elems)), stmt.span)
-        checker.bindings[stmt.name] = (rhs, uni.resolve(ty))
+        constants[stmt.name] = value
 
-    if fold_stmt is None:
-        raise DslTypeError("program contains no fold", Span(0, 0))
-    if isinstance(fold_stmt.expr, Fold) and fold_stmt.annot is not None:
+    # one fold was counted, and a statement that holds it is either the fold
+    # branch above or an error
+    if fold_stmt.annot is not None:
         uni.unify(acc_type, TTuple(tuple(fold_stmt.annot.elems)), fold_stmt.span)
-
     acc_type = uni.resolve(acc_type)
-    if not isinstance(acc_type, TTuple):
-        raise DslTypeError("accumulator must be a tuple", fold_stmt.span)
 
     # combined post-filter
     post_pred: Opt[Expr] = mk_and(*post_bodies) if post_bodies else None
@@ -656,9 +592,6 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
     checker.zonk(init_expr)
     if post_pred is not None:
         checker.zonk(post_pred)
-        t = post_pred.ty
-        if not isinstance(t, TBool):
-            raise DslTypeError("post-filter is not Boolean", post_pred.span)
     for pf in prefilters:
         checker.zonk(pf)
 
@@ -703,7 +636,7 @@ def type_predicate(expr: Expr, env: dict, expect: Opt[Type] = BOOL) -> Expr:
     Used for universe atoms built programmatically and for triples supplied to
     the verify subcommand. Mutates and returns `expr` with types annotated.
     """
-    checker = _Checker(Program([], ""))
+    checker = _Checker()
     ty = checker.check(expr, dict(env))
     if expect is not None:
         checker.uni.unify(ty, expect, expr.span)

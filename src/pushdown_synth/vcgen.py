@@ -36,9 +36,6 @@ class Conjunction:
     def with_(self, i):
         return Conjunction(self.role, self.indices | {i})
 
-    def __le__(self, other):
-        return self.indices <= other.indices
-
 
 VC_INIT = "Init"
 VC_SYNC = "Sync"
@@ -102,9 +99,6 @@ class WitnessReport:
     model: Opt[dict] = None
     inconclusive: bool = False
     reason: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 def p_conjunction(ctx) -> Conjunction:

@@ -1,4 +1,5 @@
 import importlib.resources
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from pushdown_synth.parser import parse
 from pushdown_synth.smt import (
     BUILTIN, SolverConfig, session_backend, start_session,
 )
+from pushdown_synth.synth import synthesize
 from pushdown_synth.typecheck import typecheck
 
 FIXTURES = importlib.resources.files("pushdown_synth") / "fixtures"
@@ -72,6 +74,50 @@ def taskbank():
     yield get
     for ctx in cache.values():
         ctx.session.close()
+
+
+FIXTURE_NAMES = ("top2", "discount", "case_a", "case_b", "frequent")
+
+# one strictly stronger pre-filter atom per fixture, used by the mutation suite
+EXTRA_Q = {
+    "top2": "r[0] > 95.0",
+    "discount": "r[0] >= 1100.0",
+    "case_a": "r[1] <= 1985",
+    "case_b": "r[1] <= 30",
+    "frequent": "r[0] > 200",
+}
+
+
+class _Bank:
+    """Synthesizes every fixture once, on universes extended with the
+    mutation atom (appended after construction, so canonical indices are
+    unchanged)."""
+
+    def __init__(self):
+        self.ctx = {}
+        self.solution = {}
+        self.wall_s = {}
+        for name in FIXTURE_NAMES + ("count_taut",):
+            extras = [EXTRA_Q[name]] if name in EXTRA_Q else []
+            ctx = make_context(fixture_source(name), name, extra_q=extras)
+            self.ctx[name] = ctx
+            t0 = time.monotonic()
+            out = synthesize(ctx)
+            self.wall_s[name] = time.monotonic() - t0
+            self.solution[name] = out
+
+    def close(self):
+        for ctx in self.ctx.values():
+            ctx.session.close()
+
+
+@pytest.fixture(scope="session")
+def bank():
+    """Every fixture synthesized once for the whole run; tests read it and
+    write nothing to it."""
+    b = _Bank()
+    yield b
+    b.close()
 
 
 def atom_index(universe, text: str) -> int:

@@ -18,50 +18,9 @@ from pushdown_synth.synth import (
 from pushdown_synth.typecheck import type_predicate
 from pushdown_synth.vcgen import Conjunction, check_witness
 
-from conftest import atom_index, fixture_source, make_context, requires_z3
+from conftest import FIXTURE_NAMES, atom_index, requires_z3
 from microgen import micro_context
 from oracle import brute_force_optimal, brute_force_weakest_implicant
-
-FIXTURE_NAMES = ("top2", "discount", "case_a", "case_b", "frequent")
-
-# one strictly stronger pre-filter atom per fixture, used by the mutation suite
-EXTRA_Q = {
-    "top2": "r[0] > 95.0",
-    "discount": "r[0] >= 1100.0",
-    "case_a": "r[1] <= 1985",
-    "case_b": "r[1] <= 30",
-    "frequent": "r[0] > 200",
-}
-
-
-class _Bank:
-    """Synthesizes every fixture once, on universes extended with the
-    mutation atom (appended after construction, so canonical indices are
-    unchanged)."""
-
-    def __init__(self):
-        self.ctx = {}
-        self.solution = {}
-        self.wall_s = {}
-        for name in FIXTURE_NAMES + ("count_taut",):
-            extras = [EXTRA_Q[name]] if name in EXTRA_Q else []
-            ctx = make_context(fixture_source(name), name, extra_q=extras)
-            self.ctx[name] = ctx
-            t0 = time.monotonic()
-            out = synthesize(ctx)
-            self.wall_s[name] = time.monotonic() - t0
-            self.solution[name] = out
-
-    def close(self):
-        for ctx in self.ctx.values():
-            ctx.session.close()
-
-
-@pytest.fixture(scope="module")
-def bank(request):
-    b = _Bank()
-    request.addfinalizer(b.close)
-    return b
 
 
 def _q_texts(ctx, sol):

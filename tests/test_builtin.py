@@ -144,7 +144,9 @@ def test_redeclaring_a_sort_or_constructor_is_an_error():
     with session() as s:
         s.declare("(declare-datatypes ((P 0)) (((MkP (p0 Int)))))")
         for text in ["(declare-datatypes ((P 0)) (((MkQ (q0 Int)))))",
-                     "(declare-datatypes ((Q 0)) (((MkP (q0 Int)))))"]:
+                     "(declare-datatypes ((Q 0)) (((MkP (q0 Int)))))",
+                     "(declare-datatypes ((S 0)) (((S_a) (S_b) (S_a))))",
+                     "(declare-datatypes ((A 0) (B 0)) (((MkA)) ((MkA))))"]:
             with pytest.raises(SolverError, match="already declared"):
                 s.declare(text)
 

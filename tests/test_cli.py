@@ -232,6 +232,37 @@ def test_unencodable_program_is_an_error_record(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source, error", [
+    ("synth",
+     "df = (float,)\n"
+     "agg = fold(df, (0.0,), lambda a, r: (a[0] + r[0],))\n"
+     "out = filter(agg, lambda x: x[0] > agg[0])\n",
+     "3:36: unbound identifier 'agg'"),
+    # the residual reads the head of the list that a zero row empties
+    ("diff",
+     "df = (float,)\n"
+     "agg = fold(df, ([1.0],), lambda a, r: ([],) if r[0] == 0.0 else a)\n"
+     "out = filter(agg, lambda a: a[0][0] > 0.0)\n",
+     "list index 0 out of range"),
+], ids=["fold-result-in-the-post-filter", "raising-residual"])
+def test_a_program_error_is_an_error_record(tmp_path, capsys, command,
+                                             source, error):
+    src = tmp_path / "task.pdsl"
+    src.write_text(source)
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps(
+        {"q": [], "residual": ["a[0][0] > 0.0"], "psi": []}))
+    triple = ["--triple", str(tfile)] if command == "diff" else []
+    out = tmp_path / "records.json"
+    code = run([command, *triple, "--solver", "builtin", "--out", str(out),
+                str(src)])
+    assert code == 1
+    record, = read_records(out)
+    validate_record(record)
+    assert (record["status"], record["error"]) == ("error", error)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_constant_division_in_the_initializer_synthesizes(tmp_path):
     src = tmp_path / "half.pdsl"
     src.write_text(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pushdown_synth.interp import eval_expr
+from pushdown_synth.interp import BOTTOM, LiftResult, eval_expr, run_pipeline
 from pushdown_synth.lexer import DslSyntaxError
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr, fmt_program
@@ -16,6 +16,7 @@ from pushdown_synth.syntax import (
     map_children, structurally_equal, substitute, walk,
 )
 from pushdown_synth.typecheck import DslTypeError, typecheck
+from pushdown_synth.values import Some
 
 from conftest import fixture_source, make_task
 
@@ -192,6 +193,207 @@ def test_typecheck_is_deterministic():
     assert [fmt_expr(c) for c in t1.post_conjuncts] == [
         fmt_expr(c) for c in t2.post_conjuncts
     ]
+
+
+# -- the front end's errors: each message with its span
+
+_SCHEMA = "df = (float,)\n"
+_FOLD = "agg = fold(df, (0.0,), lambda a, r: (a[0] + r[0],))\n"
+_POST = "out = filter(agg, lambda a: a[0] > 1.0)\n"
+_KEPT_FOLD = "agg = fold(kept, (0.0,), lambda a, r: (a[0] + r[0],))\n"
+
+
+def _with_fold(fold_stmt, post=_POST):
+    return _SCHEMA + fold_stmt + "\n" + post
+
+
+FRONT_END_ERRORS = {
+    "multiple-schema": (_SCHEMA + "dg = (int,)\n" + _FOLD + _POST,
+                        "2:1: multiple schema declarations"),
+    "empty-schema": ("df = ()\n" + _FOLD + _POST,
+                     "1:6: tuple arity must be >= 1"),
+    "fold-before-schema": (_FOLD + _SCHEMA + _POST,
+                           "1:1: fold before schema declaration"),
+    "fold-source": (
+        _SCHEMA + "x = (1.0,)\nagg = fold(x, (0.0,), lambda a, r: (a[0],))\n"
+        + _POST, "3:1: fold must consume the declared input dataframe"),
+    "fold-arity": (_with_fold("agg = fold(df, (0.0,), lambda a: (a[0],))"),
+                   "2:24: fold lambda takes two parameters (accumulator, row)"),
+    "prefilter-arity": (
+        _SCHEMA + "kept = filter(df, lambda r, s: r[0] > 1.0)\n" + _KEPT_FOLD
+        + _POST, "2:19: row filter lambda takes one parameter"),
+    "post-arity": (_SCHEMA + _FOLD + "out = filter(agg, lambda a, b: True)\n",
+                   "3:19: post filter lambda takes one parameter"),
+    "prefilter-fix": (
+        _SCHEMA + "kept = filter(df, fix r: r[0] > 1.0)\n" + _KEPT_FOLD
+        + _POST, "2:19: fix lambdas are not supported"),
+    "post-fix": (_SCHEMA + _FOLD + "out = filter(agg, fix a: a[0] > 1.0)\n",
+                 "3:19: fix lambdas are not supported"),
+    "non-tuple-initializer": (
+        _with_fold("agg = fold(df, 0.0, lambda a, r: (a[0],))"),
+        "2:16: fold initializer must be a tuple of constants"),
+    "named-initializer": (
+        _SCHEMA + "z = (0.0,)\nagg = fold(df, z, lambda a, r: (a[0],))\n"
+        + _POST, "3:16: fold initializer must be a tuple of constants"),
+    "nested-filter-statement": (
+        _SCHEMA + _FOLD + "out = (1, filter(agg, lambda a: True))\n",
+        "3:1: fold/filter must be the whole right-hand side of a statement"),
+    "filter-in-a-lambda": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: "
+                   "(a[0] if filter(df, lambda q: True) else r[0],))"),
+        "2:46: filter is not allowed in this position"),
+    "type-tuple-in-a-lambda": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: (int,))"),
+        "2:37: typetuple is not allowed in this position"),
+    "non-tuple-accumulator": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: r[0])"),
+        "2:38: type mismatch: float vs (float,)"),
+    "accumulator-annotation": (
+        _with_fold("agg: (int,) = fold(df, (0.0,), lambda a, r: (r[0],))"),
+        "2:1: type mismatch: float vs int"),
+    "constant-annotation": (_SCHEMA + "c: (int,) = (1.0,)\n" + _FOLD + _POST,
+                            "2:1: type mismatch: float vs int"),
+    "empty-initializer": (_with_fold("agg = fold(df, (), lambda a, r: a)"),
+                          "2:16: tuple arity must be >= 1"),
+    "nested-tuple": (
+        _with_fold("agg = fold(df, ((0.0, 1.0),), lambda a, r: a)"),
+        "2:17: nested tuples are not allowed"),
+    "tuple-index": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: (a[0] + r[3],))"),
+        "2:46: tuple index 3 out of range for (float,)"),
+    "index-a-scalar": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: (a[0] + r[0][0],))"),
+        "2:49: cannot index value of type float"),
+    "slice-a-scalar": (
+        _with_fold("agg = fold(df, ([0.0],), lambda a, r: (r[0][1:],))"),
+        "2:44: cannot slice value of type float"),
+    "insert-target": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: "
+                   "(insert(a[0], r[0]),))"),
+        "2:38: insert target must be a list, got float"),
+    "insert-element": (
+        _with_fold("agg = fold(df, ([True],), lambda a, r: "
+                   "(insert(a[0], r[0] > 1.0),))",
+                   "out = filter(agg, lambda a: a[0][0])\n"),
+        "2:41: insert requires a numeric element type"),
+    "ambiguous-type": (
+        _with_fold("agg = fold(df, ([], 0.0), lambda a, r: "
+                   "(a[0], a[1] + r[0]))",
+                   "out = filter(agg, lambda a: a[1] > 1.0)\n"),
+        "2:40: ambiguous type; add a concrete value"),
+    "numeric-operand": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: (a[0] + True,))"),
+        "2:43: numeric operand expected, got bool"),
+    "integer-division": (
+        "df = (int,)\nagg = fold(df, (0,), lambda a, r: (a[0] / 2,))\n"
+        "out = filter(agg, lambda a: a[0] > 1)\n",
+        "2:41: division is defined on float only"),
+    "unbound-name": (
+        _with_fold("agg = fold(df, (0.0,), lambda a, r: (a[0] + x[0],))"),
+        "2:45: unbound identifier 'x'"),
+    "non-constant-initializer": (
+        _with_fold("agg = fold(df, (1.0 > 0.0,), lambda a, r: a)",
+                   "out = filter(agg, lambda a: a[0])\n"),
+        "2:21: initializer components must be constants"),
+    "initializer-arithmetic-on-neginf": (
+        _with_fold("agg = fold(df, (-inf + 1.0,), lambda a, r: a)"),
+        "2:22: arithmetic on -inf in constant"),
+    # a conditional's test is checked before its branches
+    "arithmetic-on-neginf-in-a-test": (
+        _with_fold("agg = fold(df, (-inf,), lambda a, r: "
+                   "(a[0] + 1.0 if a[0] + 2.0 > 0.0 else r[0],))"),
+        "2:58: arithmetic on a float that may be -inf"),
+    "prefilter-not-boolean": (
+        _SCHEMA + "kept = filter(df, lambda r: r[0])\n" + _KEPT_FOLD + _POST,
+        "2:30: type mismatch: float vs bool"),
+    "post-filter-not-boolean": (
+        _SCHEMA + _FOLD + "out = filter(agg, lambda a: a[0] + 1.0)\n",
+        "3:34: type mismatch: float vs bool"),
+    # the CNF is built from nodes without a source span
+    "cnf-of-a-disjunction": (
+        _SCHEMA + _FOLD + "out = filter(agg, lambda a: " + " or ".join(
+            f"(a[0] > {i}.0 and a[0] < {i}.5)" for i in range(7)) + ")\n",
+        "0:0: CNF of the post-filter exceeds 64 clauses"),
+    "cnf-of-a-conjunction": (
+        _SCHEMA + _FOLD + "out = filter(agg, lambda a: " + " and ".join(
+            f"a[0] > {i}.0" for i in range(65)) + ")\n",
+        "0:0: CNF of the post-filter exceeds 64 clauses"),
+}
+
+
+@pytest.mark.parametrize("source, error", FRONT_END_ERRORS.values(),
+                         ids=FRONT_END_ERRORS)
+def test_front_end_error_message_and_span(source, error):
+    with pytest.raises(DslTypeError) as exc:
+        typecheck(parse(source))
+    assert str(exc.value) == error
+
+
+def test_a_schema_without_columns_is_rejected():
+    """The parser reads no empty type tuple, but a built program may hold
+    one."""
+    program = parse(_SCHEMA + _FOLD + _POST)
+    program.stmts[0].expr = replace(program.stmts[0].expr, types=())
+    with pytest.raises(DslTypeError) as exc:
+        typecheck(program)
+    assert str(exc.value) == "1:1: schema must have at least one column"
+
+
+# -- names: parameters are renamed, constants inlined, stages unbound
+
+
+@pytest.mark.parametrize("source, rows, expected", [
+    ("r = (5,)\ndf = (int,)\n"
+     "agg = fold(df, (0,), lambda acc, row: (acc[0] + r[0],))\n"
+     "out = filter(agg, lambda x: x[0] > 5)\n", [(1,), (1,)], (10,)),
+    ("a = (3,)\ndf = (int,)\n"
+     "agg = fold(df, (0,), lambda acc, row: (acc[0] + row[0],))\n"
+     "out = filter(agg, lambda x: x[0] > a[0])\n", [(2,), (2,)], (4,)),
+    ("r = 2\ndf = (int,)\n"
+     "kept = filter(df, lambda x: x[0] > r)\n"
+     "agg = fold(kept, (0,), lambda a, y: (a[0] + y[0],))\n"
+     "out = filter(agg, lambda a: a[0] > 0)\n", [(1,), (3,), (4,)], (7,)),
+], ids=["r-in-the-fold", "a-in-the-post-filter", "r-in-the-prefilter"])
+def test_a_constant_named_like_a_canonical_parameter_is_not_captured(
+        source, rows, expected):
+    task = typecheck(parse(source))
+    assert run_pipeline(task, rows) == LiftResult(expected)
+
+
+@pytest.mark.parametrize("source, error", [
+    (_SCHEMA + _FOLD + "out = filter(agg, lambda x: x[0] > agg[0])\n",
+     "3:36: unbound identifier 'agg'"),
+    (_with_fold("agg = fold(df, (0.0,), lambda a, r: (a[0] + df[0],))"),
+     "2:45: unbound identifier 'df'"),
+    (_SCHEMA + "c = df\n" + _FOLD + _POST, "2:5: unbound identifier 'df'"),
+], ids=["fold-result-in-the-post-filter", "frame-in-the-fold",
+        "frame-in-a-constant"])
+def test_a_stage_name_is_unbound(source, error):
+    with pytest.raises(DslTypeError) as exc:
+        typecheck(parse(source))
+    assert str(exc.value) == error
+
+
+def test_a_binder_that_would_capture_a_renamed_parameter_is_rejected():
+    source = ("df = (int,)\n"
+              "agg = fold(df, (None, 0), lambda acc, r: ((match acc[0]: "
+              "case None: r[0] case a: a + acc[1]), acc[1] + 1))\n"
+              "out = filter(agg, lambda x: x[1] > 1)\n")
+    with pytest.raises(DslTypeError) as exc:
+        typecheck(parse(source))
+    assert str(exc.value) == ("2:74: match binder 'a' would capture "
+                              "parameter 'acc', which is renamed to 'a'")
+
+
+def test_a_binder_shadows_parameters_and_constants():
+    task = typecheck(parse(
+        "v = 7\ndf = (int,)\n"
+        "agg = fold(df, (None,), lambda a, r: ((match a[0]: "
+        "case None: (None if r[0] < 0 else r[0]) case v: v + r[0]),))\n"
+        "out = filter(agg, lambda a: match a[0]: case None: False "
+        "case a: a > v)\n"))
+    assert run_pipeline(task, [(1,), (7,)]) == LiftResult((Some(8),))
+    assert run_pipeline(task, [(1,), (2,)]) == LiftResult(BOTTOM)
 
 
 def test_parse_expression_rejects_trailing_tokens():

@@ -14,7 +14,7 @@ from pushdown_synth.syntax import BOOL, FLOAT, INT, STR, TList, TOpt, TTuple
 from pushdown_synth.typecheck import typecheck
 from pushdown_synth.values import NEG_INF, NONE, Some
 
-from conftest import make_task
+from conftest import make_context, make_task
 
 # floats as Reals; a list, an option, a bool and two string labels
 REAL_SOURCE = """
@@ -94,3 +94,26 @@ def test_malformed_model_terms_raise_solver_error(real_enc):
         real_enc.decode("NegInf", FLOAT)  # no -inf in the Real encoding
     with pytest.raises(SolverError):
         real_enc.decode(["*", "2", "3"], INT)
+
+
+# "a b" and "a_b" sanitize alike, and "other0" to the first spare's name
+CLASHING_LABELS = """
+df = (str,)
+agg = fold(df, (0, 0, 0), lambda a, r: (
+  a[0] + 1 if r[0] == "a b" else a[0], a[1] + 1 if r[0] == "a_b" else a[1],
+  a[2] + 1 if r[0] == "other0" else a[2]))
+out = filter(agg, lambda a: a[0] > a[1])
+"""
+
+
+def test_labels_that_sanitize_alike_get_distinct_constructors():
+    ctx = make_context(CLASHING_LABELS, "labels")
+    try:
+        enc = ctx.enc
+        assert "(declare-datatypes ((Str 0)) (((S_a_b) (S_a_b_1) "\
+            "(S_other0_1) (S_other0) (S_other1) (S_other2))))" in enc.decls
+        for label in ("a b", "a_b", "other0"):
+            assert enc.decode(enc.value_sexp(label, STR), STR) == label
+        assert enc.decode("S_other0", STR) == "⟨S_other0⟩"
+    finally:
+        ctx.session.close()

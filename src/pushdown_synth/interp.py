@@ -1,11 +1,34 @@
 """Concrete evaluator for DSL expressions, folds, and Lift semantics.
 
-Each typed root is compiled once into a generated Python function whose body
-is a single expression: node dispatch, literal conversion and the choice of
-operator happen while the source text is built, so a call runs straight-line
-bytecode with no interpreter frame per node. The source names only generated
-identifiers; every constant, string labels included, lives in the function's
-globals, so no DSL text ever reaches `compile()`."""
+Each typed root is compiled once into a generated Python function: node
+dispatch, literal conversion and the choice of operator happen while the
+source text is built, so a call runs straight-line bytecode with no
+interpreter frame per node. The source names only generated identifiers;
+every constant, string labels included, lives in the function's globals, so
+no DSL text ever reaches `compile()`.
+
+A root's code follows its static types (type-specialised nodes after
+Würthinger et al., Onward! 2013). Two ints combine and compare through
+Python's own operators. Numbers are exact, an `int` or a `Fraction` (a
+`float` field holds a `Fraction`, an int, or the -inf sentinel), and where a
+`Fraction` may appear the generated code works on the integer parts:
+
+- `<`, `<=`, `>` and `>=` compare cross-multiplied parts,
+  `x.numerator * y.denominator < y.numerator * x.denominator`;
+- `+`, `-` and `*` with a float literal build
+  `Fraction(numerator, denominator)` from them, a `Fraction` exactly when
+  Python's operator would give one, since the literal is one.
+
+A literal operand's parts are ints fixed when the source is built. Any other
+operand is first tested with `is` for UNDEF (only in a root that holds a
+`SomeVal`) and for -inf, on which a comparison is decided by the value
+domain's order and arithmetic raises. `==`, `/` and arithmetic between two
+non-literal numbers keep Python's operators or their helpers.
+
+`eval_fold` and `filter_rows` each run one generated loop over the rows,
+with the fold step or the conjunction of the row predicates inlined in its
+body (per-row code fused into the loop, as in data-centric query compilation;
+Neumann, VLDB 2011); `lift_eval` runs one generated conjunction."""
 
 from __future__ import annotations
 
@@ -53,33 +76,33 @@ def eval_expr(expr: Expr, env: dict) -> Value:
     return compiled(expr)(env)
 
 
-# id of a root node -> {parameters: generated function}; `None` keys the
-# `env`-dict form, a tuple of identifiers a kernel taking those names
-# positionally. An entry leaves with its root (`weakref.finalize`), so no id
-# is reused while it is cached.
+# The shapes of generated function, each the first part of a `_COMPILED` key
+_EXPR = "expr"      # env -> the root's value
+_FOLD = "fold"      # (rows, a, width) -> the root folded over the rows from a
+_FILTER = "filter"  # (rows, width) -> the rows on which every root holds
+_TEST = "test"      # a -> whether every root holds
+
+# (shape, id of each root) -> generated function. An entry leaves with any of
+# its roots (`weakref.finalize`), so no id is reused while it is cached.
 _COMPILED = {}
 
 
 def compiled(expr: Expr):
     """The function `env -> Value` of a typed expression, generated on first
     use and cached per root node for the node's lifetime."""
-    return _kernel(expr, None)
+    return _kernel(_EXPR, expr)
 
 
-def _kernel(expr: Expr, params):
-    """The generated function of `expr` taking the values of the names
-    `params` positionally (`env` when `params` is None). A name outside
-    `params` is unbound in a kernel."""
-    key = id(expr)
-    try:
-        return _COMPILED[key][params]
-    except KeyError:
-        pass
-    fns = _COMPILED.get(key)
-    if fns is None:
-        fns = _COMPILED[key] = {}
-        weakref.finalize(expr, _COMPILED.pop, key, None).atexit = False
-    fn = fns[params] = _Generator(expr, params).function()
+def _kernel(shape, *roots):
+    """The generated function of the given shape over `roots`. Only the
+    `env` form reads names from a dict; in the others a name the shape does
+    not bind (`a`, `r`) is unbound."""
+    key = (shape, *map(id, roots))
+    fn = _COMPILED.get(key)
+    if fn is None:
+        fn = _COMPILED[key] = _Generator(shape, roots).function()
+        for root in roots:
+            weakref.finalize(root, _COMPILED.pop, key, None).atexit = False
     return fn
 
 
@@ -107,10 +130,13 @@ def _num_ge(lhs, rhs):
     return lhs >= rhs
 
 
+_NEG_INF_ARITH = "arithmetic on -inf"
+
+
 def _finite(arith):
     def checked(lhs, rhs):
         if lhs is NEG_INF or rhs is NEG_INF:
-            raise EvalError("arithmetic on -inf")
+            raise EvalError(_NEG_INF_ARITH)
         return arith(lhs, rhs)
     return checked
 
@@ -124,14 +150,11 @@ def _bad_operator(op):
 _COMPARE = {"==": values_equal, "<": num_lt, "<=": num_le,
             ">": lambda lhs, rhs: num_lt(rhs, lhs),
             ">=": lambda lhs, rhs: num_le(rhs, lhs)}
-# Python's own operators; on typed numbers they are exact except where an
-# operand is -inf (the `-inf` literal is a float, so never on ints), and `==`
-# needs no -inf check: -inf is a singleton equal only to itself
-_NATIVE = {"==": "==", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-           "+": "+", "-": "-", "*": "*"}
-_NEG_INF_COMPARE = {"<": num_lt, "<=": num_le, ">": _num_gt, ">=": _num_ge}
+# the order on numbers, -inf included: `_COMPARE`'s, with no reflected call
+_ORDER = {"<": num_lt, "<=": num_le, ">": _num_gt, ">=": _num_ge}
 _FINITE = {op: _finite(_div if op == "/" else OPERATORS[op])
            for op in ("+", "-", "*", "/")}
+_NUMBER = (TInt, TFloat)
 
 
 def _static_type(expr: Expr):
@@ -142,24 +165,36 @@ def _static_type(expr: Expr):
     return expr.ty
 
 
+def _rational(expr: BinOp) -> bool:
+    """Whether `expr` takes a rational form: an order comparison of two
+    numbers not both int, or `+`, `-`, `*` of a number and a float
+    literal."""
+    lt, rt = _static_type(expr.left), _static_type(expr.right)
+    if not (isinstance(lt, _NUMBER) and isinstance(rt, _NUMBER)):
+        return False
+    if expr.op in _ORDER:
+        return not (isinstance(lt, TInt) and isinstance(rt, TInt))
+    return expr.op in ("+", "-", "*") and any(
+        isinstance(e, Lit) and e.kind == "float"
+        for e in (expr.left, expr.right))
+
+
 def _pair(op, left: Expr, right: Expr):
-    """How two defined operands of `op` combine, as `(native, helper)`: the
-    Python operator alone, the helper function alone, or both, where the
-    native operator is exact unless an operand is -inf and the helper then
-    decides."""
+    """How two defined operands of `op` outside the rational forms combine,
+    as `(native, helper)`: the Python operator or the helper function."""
     lt, rt = _static_type(left), _static_type(right)
     ints = isinstance(lt, TInt) and isinstance(rt, TInt)
-    nums = isinstance(lt, (TInt, TFloat)) and isinstance(rt, (TInt, TFloat))
+    nums = isinstance(lt, _NUMBER) and isinstance(rt, _NUMBER)
+    # an int is never -inf (the `-inf` literal is a float), and `==` needs
+    # no -inf check: -inf is a singleton equal only to itself
     if op in _COMPARE:
         if ints or (nums and op == "=="):
-            return _NATIVE[op], None
-        if nums:
-            return _NATIVE[op], _NEG_INF_COMPARE[op]
+            return op, None
         if op == "==" and isinstance(lt, (TStr, TBool)) and lt == rt:
-            return "==", None
+            return op, None
         return None, _COMPARE[op]
     if ints and op in ("+", "-", "*"):
-        return _NATIVE[op], None
+        return op, None
     return None, _FINITE.get(op) or _finite(_bad_operator(op))
 
 
@@ -196,32 +231,35 @@ def _insert(seq, val):
 
 
 _RUNTIME = {"_U": UNDEF, "_NONE": NONE, "_NI": NEG_INF, "_Some": Some,
-            "_fail": _fail, "_index": _index, "_suffix": _suffix,
-            "_insert": _insert}
+            "_Fraction": Fraction, "_fail": _fail, "_index": _index,
+            "_suffix": _suffix, "_insert": _insert}
+
+_BAD_ROW = "row does not conform to schema"
+_UNDEFINED_ATOM = "atom is undefined under the given assignment"
 
 _SPLIT_DEPTH = 24  # tree levels per generated function; see `_Generator.emit`
 _SERIAL = itertools.count(1)
 
 
 class _Generator:
-    """Builds and compiles the source of one root's function.
+    """Builds and compiles the source of one generated function.
 
     Every DSL name resolves through `scope` (identifier -> Python local) or,
-    in the `env` form, through the dict; a kernel's parameters and each
+    in the `env` form, through the dict; the shape's parameters and each
     `match` binder get fresh locals, so a rebound binder shadows exactly as a
-    nested environment would. `guard` says whether the root contains a
-    `SomeVal`; without one no operand is ever UNDEF and no check is emitted.
-    Operands that must be tested after evaluation go through walrus
-    temporaries, and both operands of every binary node are evaluated, left
-    first."""
+    nested environment would. `guard` says whether the root being emitted
+    contains a `SomeVal`; without one no operand is ever UNDEF and no check
+    is emitted. Operands that must be tested after evaluation go through
+    walrus temporaries, and both operands of every binary node are
+    evaluated, left first."""
 
-    def __init__(self, root: Expr, params):
-        self.root = root
-        self.params = params
-        self.guard = any(isinstance(node, SomeVal) for node in walk(root))
+    def __init__(self, shape, roots):
+        self.shape, self.roots = shape, roots
+        self.env = shape == _EXPR
+        self.guard = False
         self.namespace = dict(_RUNTIME)
         self.defs = []
-        self.pending = []  # split-off subtrees: (name, args, expr, scope)
+        self.pending = []  # split-off subtrees: (name, args, expr, scope, guard)
         self._fresh = itertools.count()
 
     def fresh(self, prefix):
@@ -236,29 +274,74 @@ class _Generator:
         return f"_fail({self.const(message)})"
 
     def function(self):
-        if self.params is None:
-            args, scope = ["env"], {}
-        else:
-            scope = {ident: self.fresh("_p") for ident in self.params}
-            args = list(scope.values())
-        self.define("_dsl", args, self.emit(self.root, scope, 0))
+        args, lines = getattr(self, f"{self.shape}_shape")()
+        self.define("_dsl", args, lines)
         while self.pending:
-            name, args, expr, scope = self.pending.pop()
-            self.define(name, args, self.emit(expr, scope, 0))
+            name, args, expr, scope, self.guard = self.pending.pop()
+            self.define(name, args, [f"return {self.emit(expr, scope, 0)}"])
         source = "".join(self.defs)
-        filename = f"<dsl {self.root.span} #{next(_SERIAL)}>"
+        span = f"{self.roots[0].span} " if self.roots else ""
+        filename = f"<dsl {span}#{next(_SERIAL)}>"
         exec(compile(source, filename, "exec"), self.namespace)
         # the source stays readable to tracebacks and profilers while the
-        # root lives
+        # roots live
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(True), filename)
-        weakref.finalize(self.root, linecache.cache.pop, filename,
-                         None).atexit = False
+        for root in self.roots:
+            weakref.finalize(root, linecache.cache.pop, filename,
+                             None).atexit = False
         return self.namespace.pop("_dsl")
 
-    def define(self, name, args, body):
-        self.defs.append(f"def {name}({', '.join(args)}):\n"
-                         f"    return {body}\n")
+    def define(self, name, args, lines):
+        body = "".join(f"    {line}\n" for line in lines)
+        self.defs.append(f"def {name}({', '.join(args)}):\n{body}")
+
+    # The shapes: each returns the parameters and body lines of `_dsl`.
+    def expr_shape(self):
+        (root,) = self.roots
+        return ["env"], [f"return {self.root(root, {})}"]
+
+    def fold_shape(self):
+        (root,) = self.roots
+        a, r = self.fresh("_p"), self.fresh("_p")
+        step = self.root(root, {"a": a, "r": r})
+        return ["_rows", a, "_width"], [
+            *self.row_loop(r), f"    {a} = {step}", f"return {a}"]
+
+    def filter_shape(self):
+        r = self.fresh("_p")
+        test = self.conjunction({"r": r})
+        return ["_rows", "_width"], [
+            "_kept = []", *self.row_loop(r), f"    if {test}:",
+            "        _kept.append(_row)", "return _kept"]
+
+    def test_shape(self):
+        a = self.fresh("_p")
+        return [a], [f"return {self.conjunction({'a': a})}"]
+
+    def row_loop(self, r):
+        """The head of a loop binding each row of `_rows`, once its width
+        is checked, to `r` as a tuple."""
+        return ["for _row in _rows:", "    if len(_row) != _width:",
+                f"        {self.fail(_BAD_ROW)}", f"    {r} = tuple(_row)"]
+
+    def root(self, expr: Expr, scope: dict) -> str:
+        """The source of one root, with `guard` set for it."""
+        self.guard = any(isinstance(node, SomeVal) for node in walk(expr))
+        return self.emit(expr, scope, 0)
+
+    def conjunction(self, scope) -> str:
+        """The roots joined by Python's `and`: evaluated left to right up to
+        the first that fails. A root that may be UNDEF raises on it."""
+        terms = []
+        for expr in self.roots:
+            term = self.root(expr, scope)
+            if self.guard:
+                t = self.fresh("_t")
+                term = (f"{self.fail(_UNDEFINED_ATOM)} if ({t} := {term}) "
+                        f"is _U else {t}")
+            terms.append(f"({term})")
+        return " and ".join(terms) or "True"
 
     def emit(self, expr: Expr, scope: dict, depth: int) -> str:
         """The source of `expr`. A subtree `_SPLIT_DEPTH` levels down becomes
@@ -268,9 +351,9 @@ class _Generator:
         if depth == _SPLIT_DEPTH:
             name = self.fresh("_f")
             args = sorted(set(scope.values()))
-            if self.params is None:
+            if self.env:
                 args.insert(0, "env")
-            self.pending.append((name, args, expr, scope))
+            self.pending.append((name, args, expr, scope, self.guard))
             return f"{name}({', '.join(args)})"
         return self.node(expr, scope, depth + 1)
 
@@ -286,7 +369,7 @@ class _Generator:
             if local is not None:
                 return local
             unbound = self.fail(f"unbound name {expr.ident!r} at {expr.span}")
-            if self.params is not None:
+            if not self.env:
                 return unbound
             key = self.const(expr.ident)
             return f"(env[{key}] if {key} in env else {unbound})"
@@ -299,6 +382,8 @@ class _Generator:
         if isinstance(expr, BinOp):
             if expr.op in ("and", "or"):
                 return self.connective(expr, scope, depth)
+            if _rational(expr):
+                return self.rational(expr, scope, depth)
             return self.binop(expr, scope, depth)
         if isinstance(expr, Cond):
             test = self.emit(expr.test, scope, depth)
@@ -365,18 +450,69 @@ class _Generator:
         right = self.emit(expr.right, scope, depth)
         if helper is not None:
             helper = self.const(helper)
-        a, b = self.fresh("_t"), self.fresh("_t")
-        if self.guard:  # a helper alone is exact on any defined operands
+        if self.guard:
+            a, b = self.fresh("_t"), self.fresh("_t")
             pair = f"{a} {native} {b}" if helper is None else \
                 f"{helper}({a}, {b})"
             return (f"(_U if (({a} := {left}) is _U) | "
                     f"(({b} := {right}) is _U) else {pair})")
         if helper is None:
             return f"({left} {native} {right})"
-        if native is None:
-            return f"{helper}({left}, {right})"
-        return (f"({helper}({a}, {b}) if (({a} := {left}) is _NI) | "
-                f"(({b} := {right}) is _NI) else {a} {native} {b})")
+        return f"{helper}({left}, {right})"
+
+    def rational(self, expr: BinOp, scope, depth):
+        """An order comparison on cross-multiplied integer parts, or `+`,
+        `-`, `*` as a `Fraction` of them. A literal operand's parts are known
+        ints; any other operand is bound to a temporary, its parts read as
+        attributes (an int has them too). On -inf a comparison with a
+        literal is decided now, one of two other operands by the order
+        helper, and arithmetic raises."""
+        parts, temps, at_neg_inf = [], [], []
+        for operand in (expr.left, expr.right):
+            if isinstance(operand, Lit) and operand.kind in ("int", "float"):
+                value = LITERALS[operand.kind](operand.value)
+                parts.append((value.numerator, value.denominator))
+                at_neg_inf.append(value)
+                continue
+            t = self.fresh("_t")
+            temps.append((t, self.emit(operand, scope, depth)))
+            at_neg_inf.append(NEG_INF)
+            parts.append((f"{t}.numerator", f"{t}.denominator"))
+        (ln, ld), (rn, rd) = parts
+        op = expr.op
+        if op in _ORDER:
+            exact = f"{self.times(ln, rd)} {op} {self.times(rn, ld)}"
+            if len(temps) == 2:
+                on_neg_inf = (f"{self.const(_ORDER[op])}"
+                              f"({temps[0][0]}, {temps[1][0]})")
+            else:
+                on_neg_inf = repr(_ORDER[op](*at_neg_inf))
+        else:
+            cross = f"{self.times(ln, rd)} {op} {self.times(rn, ld)}"
+            numerator = self.times(ln, rn) if op == "*" else cross
+            exact = f"_Fraction({numerator}, {self.times(ld, rd)})"
+            on_neg_inf = self.fail(_NEG_INF_ARITH)
+        if not temps:
+            return f"({exact})"
+        if not self.guard:
+            bound = " | ".join(f"(({t} := {source}) is _NI)"
+                               for t, source in temps)
+            return f"({on_neg_inf} if {bound} else {exact})"
+        bound = " | ".join(f"(({t} := {source}) is _U)" for t, source in temps)
+        tested = " | ".join(f"({t} is _NI)" for t, _ in temps)
+        return (f"(_U if {bound} else "
+                f"({on_neg_inf} if {tested} else {exact}))")
+
+    def times(self, x, y) -> str:
+        """The source of the product of two integer parts, each a known int
+        or the source that reads it; a known 1 drops out."""
+        x, y = (self.const(v) if isinstance(v, int) and v != 1 else v
+                for v in (x, y))
+        if y == 1:
+            return str(x)
+        if x == 1:
+            return y
+        return f"{x} * {y}"
 
     def match(self, expr: Match, scope, depth):
         scrutinee = self.emit(expr.scrutinee, scope, depth)
@@ -396,12 +532,10 @@ class _Generator:
 
 def eval_atom(expr: Expr, env: dict) -> bool:
     """Ground truth value of a predicate; well-guarded atoms never stay UNDEF."""
-    return _holds((compiled(expr),), env)
-
-
-_FOLD_PARAMS = ("a", "r")
-_ROW_PARAMS = ("r",)
-_ACC_PARAMS = ("a",)
+    val = compiled(expr)(env)
+    if val is UNDEF:
+        raise EvalError(_UNDEFINED_ATOM)
+    return bool(val)
 
 
 def eval_fold(task, dataframe, start=None) -> LiftResult:
@@ -409,47 +543,21 @@ def eval_fold(task, dataframe, start=None) -> LiftResult:
     default the task's initial value); empty input is Bottom."""
     if not dataframe:
         return LiftResult(BOTTOM)
-    step = _kernel(task.f_body, _FOLD_PARAMS)
-    n_columns = task.n_columns
     a = task.init_values if start is None else start
-    for row in dataframe:
-        if len(row) != n_columns:
-            raise EvalError("row does not conform to schema")
-        a = step(a, tuple(row))
-    return LiftResult(a)
+    return LiftResult(_kernel(_FOLD, task.f_body)(dataframe, a,
+                                                  task.n_columns))
 
 
 def lift_eval(pred_exprs, result: LiftResult) -> LiftResult:
-    if result.is_bottom:
-        return result
-    if _holds([_kernel(p, _ACC_PARAMS) for p in pred_exprs], result.value):
+    if result.is_bottom or _kernel(_TEST, *pred_exprs)(result.value):
         return result
     return LiftResult(BOTTOM)
 
 
 def filter_rows(pred_exprs, dataframe, n_columns: int):
     """The rows of `dataframe`, each `n_columns` wide, on which every
-    predicate holds."""
-    preds = [_kernel(p, _ROW_PARAMS) for p in pred_exprs]
-    kept = []
-    for row in dataframe:
-        if len(row) != n_columns:
-            raise EvalError("row does not conform to schema")
-        if _holds(preds, tuple(row)):
-            kept.append(row)
-    return kept
-
-
-def _holds(preds, arg) -> bool:
-    """The conjunction of generated atoms on one argument, evaluated left to
-    right."""
-    for pred in preds:
-        val = pred(arg)
-        if val is UNDEF:
-            raise EvalError("atom is undefined under the given assignment")
-        if not val:
-            return False
-    return True
+    predicate holds, evaluated left to right."""
+    return _kernel(_FILTER, *pred_exprs)(dataframe, n_columns)
 
 
 def run_pipeline(task, dataframe) -> LiftResult:

@@ -412,7 +412,10 @@ def cnf_clauses(expr: Expr):
     """Return the CNF of a lowered, NNF Boolean expression as a clause list.
 
     Each clause is a list of literal expressions (interpreted as a disjunction).
+    Exceeding the clause cap is an error at `expr`'s span: the lowered nodes
+    carry none.
     """
+    span = expr.span
     expr = to_nnf(compile_bool(expr))
 
     def go(e):
@@ -423,8 +426,7 @@ def cnf_clauses(expr: Expr):
             clauses = [lc + rc for lc in left for rc in right]
             if len(clauses) > CNF_CLAUSE_CAP:
                 raise DslTypeError(
-                    f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", e.span
-                )
+                    f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", span)
             return clauses
         if isinstance(e, Lit) and e.kind == "bool":
             return [] if e.value else [[]]
@@ -433,7 +435,7 @@ def cnf_clauses(expr: Expr):
     clauses = go(expr)
     if len(clauses) > CNF_CLAUSE_CAP:
         raise DslTypeError(
-            f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", expr.span)
+            f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", span)
     return clauses
 
 
@@ -471,16 +473,32 @@ def _taint_check(task: PipelineTask):
         # neither a Boolean nor the result of arithmetic is ever -inf
         return not isinstance(expr, (BinOp, Not)) and any(tainted)
 
+    def vector_taint(expr: Expr, acc_taint, binders):
+        """Per component of the accumulator-typed `expr`, whether it may be
+        -inf; raises on tainted arithmetic. A conditional or `match` joins
+        its branches component by component."""
+        if isinstance(expr, TupleExpr):
+            return [expr_taint(e, acc_taint, binders) for e in expr.items]
+        if isinstance(expr, Name) and expr.ident == "a" and "a" not in binders:
+            return list(acc_taint)
+        if isinstance(expr, Cond):
+            expr_taint(expr.test, acc_taint, binders)
+            branches = [vector_taint(e, acc_taint, binders)
+                        for e in (expr.then, expr.other)]
+        elif isinstance(expr, Match):
+            tainted = expr_taint(expr.scrutinee, acc_taint, binders)
+            branches = [vector_taint(c.body, acc_taint,
+                                     {**binders, c.pattern: tainted})
+                        for c in expr.cases]
+        else:
+            return [expr_taint(expr, acc_taint, binders)] * arity
+        return [any(column) for column in zip(*branches)]
+
     # fixpoint over accumulator components (the check itself must run even on
     # components already known tainted, so no short-circuiting)
     for _ in range(arity + 1):
-        body = task.f_body
-        if isinstance(body, TupleExpr):
-            component = [expr_taint(body.items[i], taint, {}) for i in range(arity)]
-            new = [taint[i] or component[i] for i in range(arity)]
-        else:
-            whole = expr_taint(body, taint, {})
-            new = [True] * arity if whole else taint
+        component = vector_taint(task.f_body, taint, {})
+        new = [t or c for t, c in zip(taint, component)]
         if new == taint:
             break
         taint = new

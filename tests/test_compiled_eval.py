@@ -23,7 +23,7 @@ from pushdown_synth.analysis import build_universes
 from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.parser import parse_expression
 from pushdown_synth.syntax import (
-    BOOL, FLOAT, INT, STR, BinOp, Cond, IsNone, Lit, Name, Not, SomeVal,
+    BOOL, FLOAT, INT, STR, BinOp, Cond, Index, IsNone, Lit, Name, Not, SomeVal,
     TOpt, TTuple, walk,
 )
 from pushdown_synth.typecheck import compile_bool, type_predicate
@@ -301,6 +301,95 @@ def test_structured_equality_keeps_values_equal(source, types, env):
     assert _calls_to(values.values_equal, lambda: fn(env)) > 0
 
 
+# Rational forms: an order comparison of numbers not both int works on
+# cross-multiplied integer parts, and `+`, `-`, `*` with a float literal
+# build a `Fraction` from them. A float field may hold an int, a `Fraction`
+# or -inf; `fmt_value` prints `5` and `5.0` differently, so the type of an
+# arithmetic result must be the walker's too.
+
+ORDER = ("<", "<=", ">", ">=")
+ARITHMETIC = ("+", "-", "*")
+RATIONAL_OPERANDS = (-3, 0, 2, Fraction(-5, 2), Fraction(0), Fraction(4),
+                     Fraction(7, 3), NEG_INF)
+RATIONAL_LITERALS = (Fraction(5, 2), Fraction(-3, 4), Fraction(3),
+                     Fraction(0), 3, -2)
+
+
+def _number(guarded, ident="x"):
+    """`x`, or in the guarded form the payload of an Optional `x`."""
+    if not guarded:
+        return Name(ident=ident, ty=FLOAT)
+    return SomeVal(operand=Name(ident=ident, ty=TOpt(FLOAT)), ty=FLOAT)
+
+
+def _rational_tree(op, literal, on_left, guarded):
+    kind = "int" if isinstance(literal, int) else "float"
+    lit = Lit(kind=kind, value=literal)  # typed by its kind
+    var = _number(guarded)
+    left, right = (lit, var) if on_left else (var, lit)
+    return BinOp(op=op, left=left, right=right,
+                 ty=BOOL if op in ORDER else FLOAT)
+
+
+def _rational_envs(guarded, names=("x",)):
+    wrap = Some if guarded else (lambda v: v)
+    pools = [[wrap(v) for v in RATIONAL_OPERANDS] + ([NONE] if guarded else [])
+             for _ in names]
+    return [dict(zip(names, values)) for values in itertools.product(*pools)]
+
+
+def _assert_same_type(expr, env):
+    try:
+        walked = tree_eval.eval_expr(expr, env)
+    except values.EvalError:
+        return
+    assert type(interp.eval_expr(expr, env)) is type(walked), env
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+@pytest.mark.parametrize("on_left", [False, True], ids=["right", "left"])
+@pytest.mark.parametrize("op", ORDER + ARITHMETIC)
+def test_rational_forms_with_a_literal_agree_with_walker(op, on_left,
+                                                         guarded):
+    for literal in RATIONAL_LITERALS:
+        expr = _rational_tree(op, literal, on_left, guarded)
+        for env in _rational_envs(guarded):
+            assert_agree(expr, env)
+            _assert_same_type(expr, env)
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+@pytest.mark.parametrize("op", ORDER)
+def test_rational_comparisons_of_two_operands_agree_with_walker(op, guarded):
+    expr = BinOp(op=op, left=_number(guarded, "x"),
+                 right=_number(guarded, "y"), ty=BOOL)
+    for env in _rational_envs(guarded, ("x", "y")):
+        assert_agree(expr, env)
+
+
+@pytest.mark.parametrize("op", ORDER + ARITHMETIC)
+def test_rational_forms_of_two_literals_agree_with_walker(op):
+    for left, right in itertools.product(RATIONAL_LITERALS, repeat=2):
+        lits = [Lit(kind="int" if isinstance(v, int) else "float", value=v)
+                for v in (left, right)]
+        expr = BinOp(op=op, left=lits[0], right=lits[1])
+        assert_agree(expr, {})
+        _assert_same_type(expr, {})
+
+
+@pytest.mark.parametrize("op", ORDER + ARITHMETIC)
+def test_rational_forms_call_no_fraction_operator(op):
+    """On finite operands the rational forms run without entering
+    `Fraction`'s comparison or arithmetic methods."""
+    expr = _rational_tree(op, Fraction(9, 10), False, False)
+    fn = interp.compiled(expr)
+    env = {"x": Fraction(7, 3)}
+    for method in (Fraction._richcmp, Fraction._add, Fraction._sub,
+                   Fraction._mul):
+        assert _calls_to(method, lambda: fn(env)) == 0
+    assert "numerator" in _source_of(fn)
+
+
 # Generated functions: deep trees, binder shadowing, hostile literals, folds
 # from a given state, and tracebacks that name the DSL expression.
 
@@ -428,6 +517,118 @@ def test_eval_fold_from_a_start_state_agrees_with_walker(name):
         assert repr(result.value) == repr(_tree_fold(task, frame, start))
 
 
+# Loop kernels: `eval_fold` and `filter_rows` each run one generated loop;
+# the reference below is the row loop they replace, on the walker.
+
+def _check_width(row, width):
+    if len(row) != width:
+        raise values.EvalError("row does not conform to schema")
+
+
+def _reference_fold(task, frame, start=None):
+    if not frame:
+        return interp.BOTTOM
+    acc = task.init_values if start is None else start
+    for row in frame:
+        _check_width(row, task.n_columns)
+        acc = tree_eval.eval_expr(task.f_body, {"a": acc, "r": tuple(row)})
+    return acc
+
+
+def _reference_filter(preds, frame, width):
+    kept = []
+    for row in frame:
+        _check_width(row, width)
+        for pred in preds:
+            val = tree_eval.eval_expr(pred, {"r": tuple(row)})
+            if val is interp.UNDEF:
+                raise values.EvalError(
+                    "atom is undefined under the given assignment")
+            if not val:
+                break
+        else:
+            kept.append(row)
+    return kept
+
+
+def _float_row_pred(source):
+    return _typed(source, r=TTuple((FLOAT,)))
+
+
+# each frame meets a wrong-width row and a row whose step raises, in
+# either order, after rows that run
+_WIDTH_FRAMES = [
+    [(Fraction(5),), (NEG_INF,), (Fraction(1), Fraction(2))],
+    [(Fraction(5),), (Fraction(1), Fraction(2)), (NEG_INF,)],
+    [(Fraction(5),), ()],
+]
+
+
+@pytest.mark.parametrize("frame", _WIDTH_FRAMES,
+                         ids=["step-first", "width-first", "empty-row"])
+def test_loop_kernels_raise_at_the_row_the_row_loop_does(frame):
+    task = make_task("discount")  # `r[0] * 0.9` raises on -inf
+    preds = [_float_row_pred("r[0] * 0.9 > 100.0")]
+    for start in (None, (Fraction(7),)):
+        assert _outcome(lambda t, f: interp.eval_fold(t, f, start).value,
+                        task, frame) == \
+            _outcome(lambda t, f: _reference_fold(t, f, start), task, frame)
+    assert _outcome(lambda p, f: interp.filter_rows(p, f, 1), preds, frame) \
+        == _outcome(lambda p, f: _reference_filter(p, f, 1), preds, frame)
+
+
+def test_loop_kernels_accept_list_rows():
+    task = make_task("top2")
+    rows = [[Fraction(95)], [Fraction(80)], [Fraction(92)]]
+    result = interp.eval_fold(task, rows)
+    assert result == interp.eval_fold(task, [tuple(row) for row in rows])
+    assert repr(result.value) == repr(_reference_fold(task, rows))
+    kept = interp.filter_rows([_float_row_pred("r[0] > 90.0")], rows, 1)
+    assert kept == [rows[0], rows[2]] and kept[0] is rows[0]
+
+
+def _optional_pred(k, ident="r"):
+    """The payload of `ident[0]`, an Optional int, exceeds `k`: UNDEF when
+    it is None."""
+    base = Name(ident=ident, ty=TTuple((TOpt(INT),)))
+    payload = SomeVal(operand=Index(base=base, index=0, ty=TOpt(INT)), ty=INT)
+    return BinOp(op=">", left=payload, right=Lit(kind="int", value=k),
+                 ty=BOOL)
+
+
+def test_an_undefined_filter_atom_raises():
+    plain = _typed("r[1] > 2", r=TTuple((TOpt(INT), INT)))
+    guarded = _optional_pred(3)
+    frame = [(Some(5), 3), (Some(1), 3)]
+    assert interp.filter_rows([plain, guarded], frame, 2) == [frame[0]]
+    # the conjunction stops at the first atom that fails, left to right
+    assert interp.filter_rows([plain, guarded], [(NONE, 1)], 2) == []
+    for preds in ([guarded], [plain, guarded]):
+        with pytest.raises(values.EvalError, match="atom is undefined"):
+            interp.filter_rows(preds, frame + [(NONE, 3)], 2)
+    with pytest.raises(values.EvalError, match="atom is undefined"):
+        interp.lift_eval([_optional_pred(3, "a")], interp.LiftResult((NONE,)))
+
+
+def test_an_empty_frame_folds_to_bottom_and_keeps_nothing():
+    task = make_task("top2")
+    assert interp.eval_fold(task, [], start=(Fraction(1), NEG_INF)).is_bottom
+    assert interp.filter_rows([_float_row_pred("r[0] > 1.0")], [], 1) == []
+    assert interp.filter_rows([], [(Fraction(1),)], 1) == [(Fraction(1),)]
+
+
+def test_a_kernel_of_several_roots_leaves_the_cache_with_either():
+    first, second = (_float_row_pred("r[0] > 1.0"),
+                     _float_row_pred("r[0] < 5.0"))
+    keys = (id(first), id(second))
+    assert interp.filter_rows([first, second], [(Fraction(3),)], 1)
+    assert (interp._FILTER, *keys) in interp._COMPILED
+    del second
+    gc.collect()
+    assert (interp._FILTER, *keys) not in interp._COMPILED
+    assert interp.filter_rows([first], [(Fraction(9),)], 1) == [(Fraction(9),)]
+
+
 @pytest.mark.parametrize("source,env", [
     ("1.0 / a[0] > 2.0", {"a": (Fraction(0),)}),
     ("y > 1", {"x": 1}),
@@ -444,7 +645,7 @@ def test_tracebacks_name_the_dsl_expression(source, env):
 def test_generated_source_leaves_linecache_with_its_root():
     expr = parse_expression("x + 1 > 2")
     filenames = [fn.__code__.co_filename for fn in
-                 (interp.compiled(expr), interp._kernel(expr, ("x",)))]
+                 (interp.compiled(expr), interp._kernel(interp._TEST, expr))]
     assert len(set(filenames)) == 2
     assert all(name in linecache.cache for name in filenames)
     del expr
@@ -456,8 +657,8 @@ def test_generated_functions_leave_the_cache_with_their_root():
     expr = parse_expression("x + 1 > 2")
     key = id(expr)
     interp.compiled(expr)
-    interp._kernel(expr, ("x",))
-    assert set(interp._COMPILED[key]) == {None, ("x",)}
+    interp._kernel(interp._TEST, expr)
+    assert {(interp._EXPR, key), (interp._TEST, key)} <= set(interp._COMPILED)
     del expr
     gc.collect()
-    assert key not in interp._COMPILED
+    assert not any(key in ids[1:] for ids in interp._COMPILED)

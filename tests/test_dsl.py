@@ -187,6 +187,37 @@ out = filter(agg, lambda a: a[0] > 0.0)
     assert "-inf" in str(exc.value)
 
 
+_LABELLED = 'lab = "x y"\ndf = (str, float)\n'
+_LABELLED_POST = "out = filter(agg, lambda a: a[0] > 1)\n"
+
+
+@pytest.mark.parametrize("init, body", [
+    # a conditional whose branches are tuples
+    ("(0, -inf)", "((a[0] + 1, a[1]) if r[0] == lab else "
+                  "(a[0], r[1] if r[1] > a[1] else a[1]))"),
+    # a branch that is the accumulator itself
+    ("(0, -inf)", "((a[0] + 1, a[1]) if r[1] > 0.0 else a)"),
+    # a match whose cases are tuples
+    ("(0, -inf, None)", "(match a[2]: case None: (a[0] + 1, a[1], a[2]) "
+                        "case v: (a[0] + v, r[1] if r[1] > a[1] else a[1], "
+                        "a[2]))"),
+], ids=["cond", "self", "match"])
+def test_the_neginf_taint_is_split_by_component(init, body):
+    """Only the second component starts as -inf and only it may stay so;
+    the int counter beside it is free for arithmetic."""
+    typecheck(parse(_LABELLED + f"agg = fold(df, {init}, lambda a, r: {body})\n"
+                    + _LABELLED_POST))
+
+
+def test_arithmetic_on_a_tainted_component_is_still_rejected():
+    source = (_LABELLED + "agg = fold(df, (0, -inf), lambda a, r: "
+              "((a[0] + 1, a[1] + 1.0) if r[0] == lab else a))\n"
+              + _LABELLED_POST)
+    with pytest.raises(DslTypeError) as exc:
+        typecheck(parse(source))
+    assert str(exc.value) == "3:57: arithmetic on a float that may be -inf"
+
+
 def test_typecheck_is_deterministic():
     t1 = make_task("case_a")
     t2 = make_task("case_a")
@@ -309,15 +340,15 @@ FRONT_END_ERRORS = {
     "post-filter-not-boolean": (
         _SCHEMA + _FOLD + "out = filter(agg, lambda a: a[0] + 1.0)\n",
         "3:34: type mismatch: float vs bool"),
-    # the CNF is built from nodes without a source span
+    # reported at the post-filter's span: that of its outermost operator
     "cnf-of-a-disjunction": (
         _SCHEMA + _FOLD + "out = filter(agg, lambda a: " + " or ".join(
             f"(a[0] > {i}.0 and a[0] < {i}.5)" for i in range(7)) + ")\n",
-        "0:0: CNF of the post-filter exceeds 64 clauses"),
+        "3:212: CNF of the post-filter exceeds 64 clauses"),
     "cnf-of-a-conjunction": (
         _SCHEMA + _FOLD + "out = filter(agg, lambda a: " + " and ".join(
             f"a[0] > {i}.0" for i in range(65)) + ")\n",
-        "0:0: CNF of the post-filter exceeds 64 clauses"),
+        "3:1039: CNF of the post-filter exceeds 64 clauses"),
 }
 
 

@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Optional as Opt
 
 from .syntax import (
-    BOOL, MIRRORED, OPERATORS,
+    BOOL, FLOAT, INT, MIRRORED, OPERATORS,
     BinOp, Case, Cond, CoerceSome, Expr, Index, Insert, IsNone, ListExpr,
     Lit, Match, Name, Not, SliceFrom, SomeVal, TInt, TOpt, TTuple, TupleExpr,
-    bool_lit, children, map_children, mk_and, mk_not, mk_or, negate,
+    Type, bool_lit, children, map_children, mk_and, mk_not, mk_or, negate,
     rebuild_match, structurally_equal, substitute, walk,
 )
 from .typecheck import PipelineTask, cnf_clauses, type_predicate
@@ -27,34 +27,29 @@ from .values import NEG_INF, NONE, Some, Value
 # small AST builders
 
 
-def value_to_lit(v: Value) -> Expr:
+def value_to_lit(v: Value, ty: Type) -> Expr:
+    """The literal of the accumulator component value `v`, of type `ty`."""
     if v is NEG_INF:
-        return Lit(kind="neginf", value=None)
+        return Lit(kind="neginf", value=None, ty=ty)
     if v is NONE:
-        return Lit(kind="none", value=None)
+        return Lit(kind="none", value=None, ty=ty)
     if isinstance(v, Some):
-        return CoerceSome(operand=value_to_lit(v.value))
+        return CoerceSome(operand=value_to_lit(v.value, ty.elem), ty=ty)
     if isinstance(v, bool):
-        return Lit(kind="bool", value=v)
+        return Lit(kind="bool", value=v, ty=ty)
     if isinstance(v, Fraction):
-        return Lit(kind="float", value=v)
+        return Lit(kind="float", value=v, ty=ty)
     if isinstance(v, int):
-        return Lit(kind="int", value=v)
+        return Lit(kind="int", value=v, ty=ty)
     if isinstance(v, str):
-        return Lit(kind="str", value=v)
+        return Lit(kind="str", value=v, ty=ty)
     if isinstance(v, list):
-        return ListExpr(items=[value_to_lit(x) for x in v])
-    if isinstance(v, tuple):
-        return TupleExpr(items=[value_to_lit(x) for x in v])
+        return ListExpr(items=[value_to_lit(x, ty.elem) for x in v], ty=ty)
     raise TypeError(f"cannot embed value {v!r}")
 
 
-def acc_index(var: str, i: int) -> Index:
-    return Index(base=Name(ident=var), index=i)
-
-
 def mk_eq(a: Expr, b: Expr) -> Expr:
-    return BinOp(op="==", left=a, right=b)
+    return BinOp(op="==", left=a, right=b, ty=BOOL)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +149,11 @@ def _is_int_expr(e: Expr) -> bool:
 
 
 def _mk_num_lit(value: Fraction, like: Expr) -> Lit:
+    """`value` as a literal to compare with or add to `like`: an `int` when
+    `like` is one and `value` is whole, else a `float`."""
     if _is_int_expr(like) and value.denominator == 1:
-        return Lit(kind="int", value=int(value))
-    kind = "int" if (isinstance(like, Lit) and like.kind == "int") else "float"
-    if value.denominator != 1:
-        kind = "float"
-    return Lit(kind=kind, value=value if kind == "float" else int(value))
+        return Lit(kind="int", value=int(value), ty=INT)
+    return Lit(kind="float", value=value, ty=FLOAT)
 
 
 def normalize(e: Expr, memo: Opt[NormalMemo] = None) -> Expr:
@@ -806,9 +800,9 @@ def _typed(expr: Expr, env: dict) -> Expr:
     """A typed copy of `expr`, which may share nodes with other trees: the
     annotator behind `type_predicate` writes `ty` into every node it checks.
 
-    The ψ build calls it once per part (an antecedent's negation or a
-    consequent) and composes candidates from the typed parts, which the
-    annotator would type the same way inside the whole candidate."""
+    Only the `Q` pool uses it. The other pools are built typed, but a `Q`
+    atom can hold the `SomeVal` that `_resolve_binders` makes for a match
+    binder, and that node has no type."""
     return type_predicate(copy.deepcopy(expr), env)
 
 
@@ -898,15 +892,13 @@ def build_universe_residual(task: PipelineTask) -> Universe:
 
     Index order matters: the residual worklist breaks cardinality ties
     lexicographically, so the weaker disequality forms come first."""
-    env = {"a": task.acc_type}
+    acc = Name(ident="a", ty=task.acc_type)
     universe = Universe("residual")
-    for i in range(task.arity):
-        dis = mk_not(mk_eq(acc_index("a", i), value_to_lit(task.init_values[i])))
-        universe.add(type_predicate(dis, env))
+    for i, (ty, init) in enumerate(zip(task.acc_type.elems, task.init_values)):
+        target = Index(base=acc, index=i, ty=ty)
+        universe.add(mk_not(mk_eq(target, value_to_lit(init, ty))))
     for conj in task.post_conjuncts:
-        lits = clause_literals(conj)
-        display = _clause_display(lits)
-        universe.add(_typed(conj, env), display=display)
+        universe.add(conj, display=_clause_display(clause_literals(conj)))
     return universe
 
 
@@ -918,7 +910,6 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
     """Invariant atom pool: per-component equalities plus implication families
     drawn from the post-filter's atomic formulas, monotonicity bounds, and
     sentinel-initializer tests."""
-    env = {"a1": task.acc_type, "a2": task.acc_type}
     arity = task.arity
     memo = NormalMemo()
 
@@ -929,28 +920,26 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
         if len(fields) == 1:
             clauses_of[next(iter(fields))].append(clause_literals(conj))
 
+    def a_k(k):
+        return Name(ident=f"a{k}", ty=task.acc_type)
+
     def a_ki(k, i):
-        return Index(base=Name(ident=f"a{k}"), index=i, ty=task.acc_type.elems[i])
+        return Index(base=a_k(k), index=i, ty=task.acc_type.elems[i])
 
     def guarded(k, i, payload_pred_builder):
         """not IsNone(a_k[i]) and pred(SomeVal(a_k[i])) for optional comps."""
         target = a_ki(k, i)
         payload = SomeVal(operand=target, ty=task.acc_type.elems[i].elem)
         return mk_and(
-            mk_not(IsNone(operand=target)),
+            mk_not(IsNone(operand=target, ty=BOOL)),
             payload_pred_builder(payload),
         )
 
     def is_optional(i):
         return isinstance(task.acc_type.elems[i], TOpt)
 
-    def num_lit(i, c: Fraction) -> Lit:
-        ty = task.acc_type.elems[i]
-        if isinstance(ty, TOpt):
-            ty = ty.elem
-        if isinstance(ty, TInt) and c.denominator == 1:
-            return Lit(kind="int", value=int(c))
-        return Lit(kind="float", value=c)
+    def init_lit(i):
+        return value_to_lit(task.init_values[i], task.acc_type.elems[i])
 
     def phi_family(k, i):
         fams = []
@@ -958,7 +947,8 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
         if not dep.is_dep_row[i] and kind in ("inc", "dec") \
                 and isinstance(bound, (int, Fraction)) and bound is not NEG_INF:
             op = ">=" if kind == "inc" else "<="
-            fams.append(BinOp(op=op, left=a_ki(k, i), right=value_to_lit(bound)))
+            fams.append(BinOp(op=op, left=a_ki(k, i), ty=BOOL,
+                              right=value_to_lit(bound, task.acc_type.elems[i])))
         for lits in clauses_of[i]:
             cmps = []
             eq_consts = []
@@ -983,23 +973,24 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
 
                     fams.append(guarded(k, i, builder))
                 else:
-                    fams.append(substitute(mk_or(*cmps),
-                                           {"a": Name(ident=f"a{k}")}))
+                    fams.append(substitute(mk_or(*cmps), {"a": a_k(k)}))
             if kind in ("inc", "dec") and eq_consts:
                 op = ">=" if kind == "inc" else "<="
                 for c in sorted(eq_consts):
                     if is_optional(i):
                         fams.append(guarded(
                             k, i,
-                            lambda payload, _op=op, _c=c, _i=i: BinOp(
-                                op=_op, left=payload, right=num_lit(_i, _c)
+                            lambda payload, _op=op, _c=c: BinOp(
+                                op=_op, left=payload,
+                                right=_mk_num_lit(_c, payload), ty=BOOL
                             ),
                         ))
                     else:
-                        fams.append(BinOp(op=op, left=a_ki(k, i),
-                                          right=num_lit(i, c)))
+                        target = a_ki(k, i)
+                        fams.append(BinOp(op=op, left=target,
+                                          right=_mk_num_lit(c, target), ty=BOOL))
         if _is_sentinel(task.init_values[i]):
-            fams.append(mk_eq(a_ki(k, i), value_to_lit(task.init_values[i])))
+            fams.append(mk_eq(a_ki(k, i), init_lit(i)))
         # dedup, preserving construction order
         seen, out = set(), []
         for f in fams:
@@ -1011,8 +1002,8 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
         return out
 
     def negations(phi):
-        """The typed antecedent sides of `phi => c` and `not phi => c`."""
-        return [_typed(negate(ante), env) for ante in (phi, negate(phi))]
+        """The antecedent sides of `phi => c` and `not phi => c`."""
+        return [negate(ante) for ante in (phi, negate(phi))]
 
     def implies(neg_ante, cons):
         """`ante => cons` from the typed parts `not ante` and `cons`."""
@@ -1020,14 +1011,12 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
             return neg_ante
         return mk_or(neg_ante, cons)
 
-    eqs = [type_predicate(mk_eq(a_ki(1, i), a_ki(2, i)), env)
-           for i in range(arity)]
+    eqs = [mk_eq(a_ki(1, i), a_ki(2, i)) for i in range(arity)]
     l1 = [[bool_lit(False), eqs[i]] for i in range(arity)]
     l2 = []
     for j in range(arity):
-        init_eq = mk_eq(a_ki(2, j), value_to_lit(task.init_values[j]))
-        l2.append([bool_lit(False), eqs[j], _typed(init_eq, env),
-                   _typed(mk_not(init_eq), env)])
+        init_eq = mk_eq(a_ki(2, j), init_lit(j))
+        l2.append([bool_lit(False), eqs[j], init_eq, mk_not(init_eq)])
     u1_formulas = [
         [implies(neg, cons) for phi in phi_family(1, i)
          for neg in negations(phi) for cons in l1[i]]
@@ -1088,8 +1077,7 @@ def build_universes(task: PipelineTask) -> Universes:
     u_psi = build_universe_invariant(task, dep)
     p_indices = []
     for conj in task.post_conjuncts:
-        expr = normalize(_typed(conj, {"a": task.acc_type}))
-        atom = u_residual._by_key.get(expr_key(expr))
+        atom = u_residual._by_key.get(expr_key(normalize(conj)))
         if atom is not None:
             p_indices.append(atom.index)
     return Universes(

@@ -402,12 +402,6 @@ def run(argv) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (DslSyntaxError, DslTypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except SolverError as exc:
-        sys.stderr.write(f"solver error: {exc}\n")
-        return 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1

@@ -419,9 +419,6 @@ def _real_sexp(x: Fraction):
 # task context: one live session with the task installed
 
 
-FREE_VARS = ("a1", "a2", "a1p", "a2p", "r")
-
-
 class TaskContext:
     """One task, one encoding, one solver session; owns the declarations."""
 

@@ -141,17 +141,9 @@ def _finite(arith):
     return checked
 
 
-def _bad_operator(op):
-    def bad(lhs, rhs):
-        raise EvalError(f"bad operator {op}")
-    return bad
-
-
-_COMPARE = {"==": values_equal, "<": num_lt, "<=": num_le,
-            ">": lambda lhs, rhs: num_lt(rhs, lhs),
-            ">=": lambda lhs, rhs: num_le(rhs, lhs)}
-# the order on numbers, -inf included: `_COMPARE`'s, with no reflected call
+# the order on numbers, -inf included
 _ORDER = {"<": num_lt, "<=": num_le, ">": _num_gt, ">=": _num_ge}
+_COMPARE = {"==": values_equal, **_ORDER}
 _FINITE = {op: _finite(_div if op == "/" else OPERATORS[op])
            for op in ("+", "-", "*", "/")}
 _NUMBER = (TInt, TFloat)
@@ -195,7 +187,7 @@ def _pair(op, left: Expr, right: Expr):
         return None, _COMPARE[op]
     if ints and op in ("+", "-", "*"):
         return op, None
-    return None, _FINITE.get(op) or _finite(_bad_operator(op))
+    return None, _FINITE[op]
 
 
 # Run-time helpers of the generated code, for the nodes that need a check or

@@ -5,8 +5,9 @@ nodes (`map_children`) and never assigns into the nodes it walks. The only
 writer of an existing node is the type annotator (`typecheck._Checker`, which
 sets `ty` and wraps `CoerceSome` around operands), and it writes only to a
 tree it owns: one it built, or a copy of a tree that may be shared.
-Universe atoms may share typed parts with each other, so nothing writes to
-an atom's nodes once its universe is built.
+Universe atoms may share typed nodes with each other and with the task's
+trees, so nothing writes to an atom's nodes once its universe is built, and
+every atom node carries its type.
 
 The evaluator reads `ty` too: the function `interp` generates for a root
 (through `interp.compiled`, `eval_fold`, `filter_rows` or `lift_eval`) picks

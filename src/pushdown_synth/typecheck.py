@@ -408,35 +408,35 @@ def to_nnf(expr: Expr, negated: bool = False) -> Expr:
     return negate(expr) if negated else expr
 
 
-def cnf_clauses(expr: Expr):
-    """Return the CNF of a lowered, NNF Boolean expression as a clause list.
+def cnf_clauses(*exprs: Expr):
+    """Return the CNF of the conjunction of Boolean expressions as a clause
+    list, each expression's clauses in turn.
 
     Each clause is a list of literal expressions (interpreted as a disjunction).
-    Exceeding the clause cap is an error at `expr`'s span: the lowered nodes
-    carry none.
+    Exceeding the clause cap is an error at the span of the expression whose
+    clauses pass it: the lowered nodes carry none.
     """
-    span = expr.span
-    expr = to_nnf(compile_bool(expr))
-
-    def go(e):
-        if isinstance(e, BinOp) and e.op == "and":
-            return go(e.left) + go(e.right)
-        if isinstance(e, BinOp) and e.op == "or":
-            left, right = go(e.left), go(e.right)
-            clauses = [lc + rc for lc in left for rc in right]
-            if len(clauses) > CNF_CLAUSE_CAP:
-                raise DslTypeError(
-                    f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", span)
-            return clauses
-        if isinstance(e, Lit) and e.kind == "bool":
-            return [] if e.value else [[]]
-        return [[e]]
-
-    clauses = go(expr)
-    if len(clauses) > CNF_CLAUSE_CAP:
-        raise DslTypeError(
-            f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", span)
+    clauses = []
+    for expr in exprs:
+        clauses += _cnf(to_nnf(compile_bool(expr)), expr.span)
+        if len(clauses) > CNF_CLAUSE_CAP:
+            raise DslTypeError(
+                f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", expr.span)
     return clauses
+
+
+def _cnf(e: Expr, span: Span):
+    if isinstance(e, BinOp) and e.op == "and":
+        return _cnf(e.left, span) + _cnf(e.right, span)
+    if isinstance(e, BinOp) and e.op == "or":
+        clauses = [lc + rc for lc in _cnf(e.left, span) for rc in _cnf(e.right, span)]
+        if len(clauses) > CNF_CLAUSE_CAP:
+            raise DslTypeError(
+                f"CNF of the post-filter exceeds {CNF_CLAUSE_CAP} clauses", span)
+        return clauses
+    if isinstance(e, Lit) and e.kind == "bool":
+        return [] if e.value else [[]]
+    return [[e]]
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +614,8 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
         checker.zonk(pf)
 
     init_values = tuple(eval_const(e) for e in init_expr.items)
-    conjuncts = [] if post_pred is None else \
-        [mk_or(*clause) for clause in cnf_clauses(post_pred)]
+    # per stage, so that a clause-cap error names the stage that passed it
+    conjuncts = [mk_or(*clause) for clause in cnf_clauses(*post_bodies)]
 
     uses_neginf = any(
         isinstance(n, Lit) and n.kind == "neginf"
@@ -651,8 +651,8 @@ def typecheck(program: Program, name: str = "task") -> PipelineTask:
 def type_predicate(expr: Expr, env: dict, expect: Opt[Type] = BOOL) -> Expr:
     """Type a standalone predicate/term over the given variable typing.
 
-    Used for universe atoms built programmatically and for triples supplied to
-    the verify subcommand. Mutates and returns `expr` with types annotated.
+    Used for the `Q` pool's atoms (`analysis._typed`) and for triples supplied
+    to the verify subcommand. Mutates and returns `expr` with types annotated.
     """
     checker = _Checker()
     ty = checker.check(expr, dict(env))

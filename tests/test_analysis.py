@@ -14,11 +14,12 @@ from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.interp import eval_atom, eval_fold
 from pushdown_synth.parser import parse
 from pushdown_synth.pretty import fmt_expr
-from pushdown_synth.syntax import Case, Expr, Lit, Not, Type, walk
+from pushdown_synth.syntax import Case, Expr, TTuple, Type, walk
 from pushdown_synth.typecheck import cnf_clauses, type_predicate, typecheck
 from pushdown_synth.values import NEG_INF
 
 from conftest import atom_index, make_task
+from test_universe_pin import SOURCES as PINNED
 
 
 def atoms(universe):
@@ -198,42 +199,53 @@ def test_universe_construction_does_not_mutate_the_task(name):
 FIXTURES = ["top2", "discount", "case_a", "case_b", "count_taut", "frequent"]
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_psi_atoms_are_typed_as_if_typed_whole(name):
-    """The ψ build types each antecedent and consequent on its own and joins
-    them; typing a copy of the whole atom must agree on every node it typed.
-    The nodes normalization makes without a type (a `Not` from `negate`, a
-    numeric `Lit` it folds) are the only ones left untyped."""
-    task = make_task(name)
-    env = {"a1": task.acc_type, "a2": task.acc_type}
-    for atom in build_universes(task).u_psi:
-        whole = type_predicate(copy.deepcopy(atom.expr), env)
-        for built, retyped in zip(walk(atom.expr), walk(whole), strict=True):
-            assert type(built) is type(retyped), atom
-            if built.ty is None:
-                assert isinstance(built, Not) or isinstance(built, Lit) \
-                    and built.kind in ("int", "float"), atom
-            else:
-                assert built.ty == retyped.ty, atom
+@pytest.mark.parametrize("task_id", sorted(PINNED))
+def test_psi_atoms_are_typed_as_if_typed_whole(task_id):
+    """The universes are built typed: every node of every atom, ψ, residual
+    or `Q`, carries the type that checking a copy of the whole atom gives
+    that node."""
+    task = typecheck(parse(PINNED[task_id][1]), PINNED[task_id][0])
+    universes = build_universes(task)
+    envs = [(universes.u_q, {"r": TTuple(task.schema)}),
+            (universes.u_residual, {"a": task.acc_type}),
+            (universes.u_psi, {"a1": task.acc_type, "a2": task.acc_type})]
+    for universe, env in envs:
+        for atom in universe:
+            whole = type_predicate(copy.deepcopy(atom.expr), env)
+            for built, retyped in zip(walk(atom.expr), walk(whole), strict=True):
+                assert type(built) is type(retyped), atom
+                assert built.ty is not None and built.ty == retyped.ty, atom
 
 
 @pytest.mark.parametrize("name", ["top2", "case_a", "case_b"])
-def test_psi_build_types_parts_not_candidates(name, monkeypatch):
-    """Each typed copy is of a part shared by many candidates, so a build
-    makes fewer than one copy per two atoms (one per candidate before)."""
+def test_only_the_q_pool_copies(name, monkeypatch):
+    """The residual and ψ pools are built typed and copy nothing; the `Q`
+    pool types a copy of each of its atoms (`analysis._typed`)."""
     task = make_task(name)
-    dep = infer_dep_info(task)
-    calls = []
+    in_q = []  # per copy: whether `build_universe_q` made it
+    building_q = []
 
     class CountingCopy:
         @staticmethod
         def deepcopy(x, memo=None):
-            calls.append(x)
+            in_q.append(bool(building_q))
             return copy.deepcopy(x, memo)
 
+    def counting_build_q(*args):
+        building_q.append(True)
+        try:
+            return build_universe_q(*args)
+        finally:
+            building_q.pop()
+
+    build_universe_q = analysis.build_universe_q
     monkeypatch.setattr(analysis, "copy", CountingCopy)
-    universe = analysis.build_universe_invariant(task, dep)
-    assert 0 < len(calls) < len(universe) / 2
+    monkeypatch.setattr(analysis, "build_universe_q", counting_build_q)
+    analysis.build_universe_residual(task)
+    analysis.build_universe_invariant(task, infer_dep_info(task))
+    assert in_q == []
+    build_universes(task)
+    assert in_q and all(in_q)
 
 
 class _DeclarationStub:

@@ -175,6 +175,18 @@ def test_usage_error_exit_code():
     assert run(["synth"]) == 2  # missing FILE
 
 
+def test_out_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps({"q": ["r[0] > 90.0"]}))
+    out = tmp_path / "missing" / "diff.json"
+    code = run(["diff", "--triple", str(tfile), "--trials", "10",
+                "--out", str(out), fixture_path("top2")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("rows", ["0", "5", "9"])
 def test_bmc_rows_outside_one_to_four_is_a_usage_error(rows, capsys):
     code = run(["screen", "--solver", "builtin", "--bmc-rows", rows,

@@ -349,6 +349,17 @@ FRONT_END_ERRORS = {
         _SCHEMA + _FOLD + "out = filter(agg, lambda a: " + " and ".join(
             f"a[0] > {i}.0" for i in range(65)) + ")\n",
         "3:1039: CNF of the post-filter exceeds 64 clauses"),
+    # with two post-filter stages, at the span of the stage past the cap
+    "cnf-of-a-second-stage": (
+        _SCHEMA + _FOLD + _POST + "out2 = filter(out, lambda a: " + " or ".join(
+            f"(a[0] > {i}.0 and a[0] < {i}.5)" for i in range(7)) + ")\n",
+        "4:213: CNF of the post-filter exceeds 64 clauses"),
+    "cnf-of-two-stages": (
+        _SCHEMA + _FOLD + "out = filter(agg, lambda a: " + " and ".join(
+            f"a[0] > {i}.0" for i in range(40)) + ")\n"
+        + "out2 = filter(out, lambda a: " + " and ".join(
+            f"a[0] < {i}.0" for i in range(25)) + ")\n",
+        "4:400: CNF of the post-filter exceeds 64 clauses"),
 }
 
 

@@ -1,5 +1,6 @@
-"""Pinned predicate universes of the 6 fixtures, `generate_tasks(1..10)` and
-one task written to reach every operator table of the predicate front end.
+"""Pinned predicate universes of the 6 fixtures, `generate_tasks(1..10)`,
+one task written to reach every operator table of the predicate front end,
+and three written to reach front-end paths that no other task reaches.
 
 For each task, `universe_pin.json` holds digests of the post-filter's CNF
 conjuncts and of every atom's `expr`, `display` and `key`, universe by
@@ -44,6 +45,28 @@ out = filter(agg, lambda a: 100.0 > a[0] and 50.0 >= a[1] and 3 < a[2]
   and (a[2] > 9 or 3 >= 3) and (a[3] > 9 or 3 <= 3)
   and not (a[2] > 1 and a[3] < 2) and not (a[0] >= 5.0 or a[1] <= 6.0))
 """
+# A fold body that is a `match`, projected per component, whose `Q` atom
+# `r[0] > 3` reads the payload through its binder.
+MATCH_BODY = """
+df = (Optional[int], int)
+agg = fold(df, (0, 0),
+  lambda a, r: match r[0]: case None: (a[0], a[1] + 1)
+                           case v: (a[0] + v, a[1]) if v > 3 else a)
+out = filter(agg, lambda a: a[0] > 10 and a[1] < 5)
+"""
+# A conditional post-filter, lowered to and/or/not before its CNF.
+COND_POST_FILTER = """
+df = (int,)
+agg = fold(df, (0, 0), lambda a, r: (a[0] + r[0], a[1] + 1))
+out = filter(agg, lambda a: (a[0] > 10) if a[1] > 2 else (a[0] > 20))
+"""
+# Row values that reach component 1 only through component 0.
+CROSS_FLOW = """
+df = (int, int)
+agg = fold(df, (0, 0),
+  lambda a, r: (r[0] if r[0] > a[0] else a[0], a[0] if r[1] > 0 else a[1]))
+out = filter(agg, lambda a: a[1] > 7)
+"""
 
 
 def _sources():
@@ -55,6 +78,9 @@ def _sources():
         for name, source in generate_tasks(seed):
             out[f"{name}@{seed}"] = (name, source)
     out["tables"] = ("tables", TABLES)
+    out["match_body"] = ("match_body", MATCH_BODY)
+    out["cond_post_filter"] = ("cond_post_filter", COND_POST_FILTER)
+    out["cross_flow"] = ("cross_flow", CROSS_FLOW)
     return out
 
 
@@ -107,7 +133,7 @@ SOURCES = _sources()
 
 def test_the_pin_covers_every_task():
     assert sorted(json.loads(PIN.read_text())) == sorted(SOURCES)
-    assert len(SOURCES) == 77
+    assert len(SOURCES) == 80
 
 
 @pytest.mark.parametrize("task_id", sorted(SOURCES))

@@ -967,9 +967,11 @@ def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
                     eq_consts.append(_const_of(lit.left))
             if cmps:
                 if is_optional(i):
+                    # a bare comparison, `a[0] == Some(5)`, keeps its `a`
                     def builder(payload, _cmps=cmps, _i=i):
-                        return mk_or(*(_replace_someval(c, _i, payload)
-                                       for c in _cmps))
+                        return substitute(
+                            mk_or(*(_replace_someval(c, _i, payload)
+                                    for c in _cmps)), {"a": a_k(k)})
 
                     fams.append(guarded(k, i, builder))
                 else:

@@ -10,8 +10,11 @@ folds too (Hopcroft & Karp, 1971), so a frame whose path through the pairs
 of states has been seen is judged by one dict lookup per row and a cached
 verdict. At seed 7 with 10,000 trials that is 98.7% of the frames of the
 reference triple top2, 92.3% on top2_wrong and 99.1-99.8% on discount,
-frequent and count_taut, but 22.1% on case_a and 14.5% on case_b, whose
-accumulators rarely repeat.
+frequent and count_taut. The accumulators of case_a and case_b rarely
+repeat, so their tables fill up (at trials 1,311 and 997) while saving
+little; as RE2's lazy DFA falls back to a direct matcher when its state
+cache thrashes (Cox, "Regular Expression Matching in the Wild", 2010), the
+rest of such a call judges each frame whole, as the per-trial loop does.
 
 Frames are drawn with `getrandbits` exactly as `Random.randint` and
 `Random.choice` draw on CPython 3.10 and later, so a seed gives the frames
@@ -29,10 +32,10 @@ from .interp import LiftResult, eval_fold, filter_rows, lift_eval
 from .syntax import Lit, TBool, TFloat, TInt, TOpt, TStr, walk
 from .values import NONE, Some, fmt_value, values_equal
 
-# The tables of one `differential_check` call are cleared before a frame
-# that could take them past this many transitions, pair transitions or rows;
-# the states and the pairs never outnumber their transitions by more than one
-# (Bottom, and the pair of two Bottoms).
+# The tables of one `differential_check` call only grow. From the first frame
+# that could take them past this many transitions, pair transitions or rows,
+# the call judges every frame whole; the states and the pairs never outnumber
+# their transitions by more than one (Bottom, and the pair of two Bottoms).
 TABLE_BOUND = 4096
 # the most rows a sampled frame has
 FRAME_ROWS = 8
@@ -45,7 +48,8 @@ class DiffReport:
     seed: int
     # up to 10 mismatching frames, each a list of rows of printed values
     mismatches: list = field(default_factory=list)
-    # sizes and work of the fold tables (`FoldTables.stats`); not in the record
+    # sizes and work of the fold tables (`FoldTables.stats`) and the number
+    # of frames judged whole (`spilled`); not in the record
     tables: dict = field(default_factory=dict)
 
     @property
@@ -112,9 +116,17 @@ def _pool_for(ty, consts, task):
     raise ValueError(f"cannot build a sampling pool for column type {ty}")
 
 
-def sample_dataframe(rng: random.Random, pools, max_len: int = FRAME_ROWS):
+def pool_draws(pools):
+    """Each pool with its length and that length's bit count, the draw plan
+    of `sample_dataframe`, built once for a caller that samples many frames."""
+    return [(pool, len(pool), len(pool).bit_length()) for pool in pools]
+
+
+def sample_dataframe(rng: random.Random, pools, max_len: int = FRAME_ROWS,
+                     draws=None):
     """A frame of 0 to `max_len` rows whose cells are drawn uniformly from
-    their columns' pools, the length first, then the cells row by row.
+    their columns' pools, the length first, then the cells row by row;
+    `draws`, if given, is `pool_draws(pools)`.
 
     Each index below `n` is drawn as CPython's `Random.randint` and
     `Random.choice` draw it (3.10 and later): `getrandbits(n.bit_length())`,
@@ -130,16 +142,17 @@ def sample_dataframe(rng: random.Random, pools, max_len: int = FRAME_ROWS):
         length = getrandbits(bits)
     if not length:
         return []
-    if not all(pools):
-        # as `choice` does: a draw below 0 would never end
-        raise IndexError("Cannot choose from an empty sequence")
-    draws = [(pool, len(pool), len(pool).bit_length()) for pool in pools]
+    if draws is None:
+        draws = pool_draws(pools)
     frame = []
     for _ in range(length):
         row = []
         for pool, n, bits in draws:
             i = getrandbits(bits)
             while i >= n:
+                if not n:
+                    # as `choice` does: a draw below 0 would never end
+                    raise IndexError("Cannot choose from an empty sequence")
                 i = getrandbits(bits)
             row.append(pool[i])
         frame.append(tuple(row))
@@ -177,6 +190,11 @@ class FoldTables:
     Pairs are only recorded from steps already evaluated, so they save
     walking, never an evaluation.
 
+    The tables only grow, and `full` tells the caller when the next frame
+    could take one past `TABLE_BOUND`. Then, as RE2's lazy DFA stops
+    building its state cache when it thrashes and runs a direct matcher
+    (Cox, 2010), the caller judges the remaining frames whole.
+
     Accumulators are interned by their value, as hash-consing interns terms
     (Filliâtre & Conchon, ML Workshop 2006), so Python-equal values of
     different types share a state: `0` and `Fraction(0)` in a float field
@@ -210,59 +228,25 @@ class FoldTables:
         # pair id -> mismatch verdict, None until judged; Bottom on both
         # sides agrees
         self.verdicts = [False]
-        self.transitions = 0  # since the last clear; one fold step each
+        self.transitions = 0  # one fold step each
         self.pair_transitions = 0  # entries of `psucc`
-        self.cleared_steps = self.clears = 0
         self.pair_hits = 0    # frames whose whole path was in the pair table
-        self.peak = {"rows": 0, "states": 1, "transitions": 0, "pairs": 1}
 
     def stats(self):
-        """The largest size each table reached, the one-row fold steps
-        evaluated, how often the tables were cleared, and how many frames
-        the pair table judged alone, from a path it held whole."""
-        self._note_peak()
-        return {**self.peak, "steps": self.cleared_steps + self.transitions,
-                "clears": self.clears, "pair_hits": self.pair_hits}
+        """The size of each table, the one-row fold steps evaluated (one per
+        transition), and how many frames the pair table judged alone, from a
+        path it held whole."""
+        return {"rows": len(self.rows), "states": len(self.values),
+                "transitions": self.transitions, "pairs": len(self.pairs),
+                "steps": self.transitions, "pair_hits": self.pair_hits}
 
-    def _note_peak(self):
-        for key, size in (("rows", len(self.rows)),
-                          ("states", len(self.values)),
-                          ("transitions", self.transitions),
-                          ("pairs", len(self.pairs))):
-            self.peak[key] = max(self.peak[key], size)
-
-    def make_room(self, frame_rows):
-        """Make room for a frame of at most `frame_rows` rows, whose two
-        folds add at most twice as many transitions and whose path adds at
-        most as many pair transitions: clear the states, transitions and
-        pairs in place if the transitions could pass `TABLE_BOUND`, the rows
-        too if those could, and the pairs alone if their transitions could.
-        It runs between frames, so no id that a clear voids is still held."""
-        rows_full = len(self.rows) + frame_rows > TABLE_BOUND
-        if rows_full or self.transitions + 2 * frame_rows > TABLE_BOUND:
-            self._note_peak()
-            self._clear_pairs()
-            self.clears += 1
-            self.cleared_steps += self.transitions
-            self.transitions = 0
-            self.state_ids.clear()
-            self.succ[0].clear()
-            for table in (self.values, self.succ, self.p_ok, self.res_ok):
-                del table[1:]
-            if rows_full:
-                self.row_ids.clear()
-                del self.rows[:], self.kept[:]
-        elif self.pair_transitions + frame_rows > TABLE_BOUND:
-            self._note_peak()
-            self._clear_pairs()
-
-    def _clear_pairs(self):
-        self.pair_transitions = 0
-        self.pair_ids.clear()
-        self.pair_ids[0, 0] = 0
-        self.psucc[0].clear()
-        for table in (self.pairs, self.psucc, self.verdicts):
-            del table[1:]
+    def full(self, frame_rows):
+        """Whether a frame of at most `frame_rows` rows could take a table
+        past `TABLE_BOUND`: it adds at most as many rows, twice as many
+        transitions (its two folds) and as many pair transitions."""
+        return (len(self.rows) + frame_rows > TABLE_BOUND
+                or self.transitions + 2 * frame_rows > TABLE_BOUND
+                or self.pair_transitions + frame_rows > TABLE_BOUND)
 
     def _add_row(self, indices):
         rid = self.row_ids[indices] = len(self.rows)
@@ -391,7 +375,8 @@ def differential_check(task, universes, q_indices, residual_indices,
     rewritten pipeline, pointwise; deterministic under the seed. Frames are
     drawn as column-pool indices (`sample_dataframe` consumes the same
     random stream on a pool of indices as on the pool), and each is judged
-    through the call's `FoldTables`."""
+    through the call's `FoldTables` until they are `full`. The frames after
+    that are drawn as values and judged whole, in the reference order."""
     rng = random.Random(seed)
     pools = column_pools(task, universes)
     index_pools = [list(range(len(pool))) for pool in pools]
@@ -399,11 +384,13 @@ def differential_check(task, universes, q_indices, residual_indices,
     res_exprs = [universes.u_residual[i].expr for i in sorted(residual_indices)]
     p_exprs = [task.post_pred] if task.post_pred is not None else []
     tables = FoldTables(task, pools, q_exprs, p_exprs, res_exprs)
+    draws = pool_draws(index_pools)
     mismatch_count = 0
     examples = []
-    for _ in range(trials):
-        tables.make_room(FRAME_ROWS)
-        frame = sample_dataframe(rng, index_pools)
+    tabled = 0
+    while tabled < trials and not tables.full(FRAME_ROWS):
+        tabled += 1
+        frame = sample_dataframe(rng, index_pools, FRAME_ROWS, draws)
         if tables.mismatch(frame):
             mismatch_count += 1
             if len(examples) < 10:
@@ -411,10 +398,19 @@ def differential_check(task, universes, q_indices, residual_indices,
                     [fmt_value(pool[i]) for pool, i in zip(pools, indices)]
                     for indices in frame
                 ])
+    draws = pool_draws(pools)
+    for _ in range(trials - tabled):
+        frame = sample_dataframe(rng, pools, FRAME_ROWS, draws)
+        lhs = lift_eval(p_exprs, eval_fold(task, frame))
+        kept = filter_rows(q_exprs, frame, task.n_columns)
+        if lhs != lift_eval(res_exprs, eval_fold(task, kept)):
+            mismatch_count += 1
+            if len(examples) < 10:
+                examples.append([[fmt_value(v) for v in row] for row in frame])
     return DiffReport(
         trials=trials,
         mismatch_count=mismatch_count,
         seed=seed,
         mismatches=examples,
-        tables=tables.stats(),
+        tables={**tables.stats(), "spilled": trials - tabled},
     )

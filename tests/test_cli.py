@@ -415,6 +415,30 @@ def test_term_level_match_on_the_accumulator(tmp_path):
     assert rec["q_atoms"] == ["r[0] > 1.0"]
 
 
+@pytest.mark.parametrize("fold, status", [
+    ("(None, 0), lambda a, r: ((match a[0]: case None: r[0] "
+     "case v: (r[0] if r[0] > v else a[0])), a[1] + 1)", "fail"),
+    ("(None,), lambda a, r: (r[0] if r[0] > 3 else a[0],)", "solved"),
+], ids=["running-max", "last-above-3"])
+def test_a_bare_optional_comparison_in_the_post_filter(tmp_path, fold,
+                                                       status):
+    """`a[0] == 5` on an optional component, typed `a[0] == Some(5)`: its ψ
+    atoms read `a1` and `a2`, so the program gets a verdict, not an error
+    record for the post-filter's free `a`."""
+    task = tmp_path / "opt_eq.pdsl"
+    task.write_text(f"df = (int,)\nagg = fold(df, {fold})\n"
+                    "out = filter(agg, lambda a: a[0] == 5)\n")
+    out = tmp_path / "rec.json"
+    run(["synth", "--solver", "builtin", "--trials", "500", "--out", str(out),
+         str(task)])
+    rec, = read_records(out)
+    assert rec["status"] == status, rec.get("error")
+    if status == "solved":
+        assert rec["diff"]["mismatches"] == 0
+        assert "a1[0] == a2[0] or a1[0] == 5 and not a1[0] == None" in \
+            rec["invariant_atoms"]
+
+
 def test_rewritten_program_with_a_small_float_constant_parses(tmp_path):
     task = tmp_path / "small_eps.pdsl"
     task.write_text(
@@ -515,9 +539,9 @@ def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
     top2 = events[0]
     assert top2["event"] == "fuzz-tables"
     assert set(top2) == {"event", "task", "rows", "states", "transitions",
-                         "steps", "clears", "pairs", "pair_hits"}
+                         "steps", "spilled", "pairs", "pair_hits"}
     # 10,000 frames of up to 8 rows: 1,365 distinct one-row fold steps, and
     # 9,230 frames judged from a path the pair table held
-    assert (top2["transitions"], top2["steps"], top2["clears"]) == \
+    assert (top2["transitions"], top2["steps"], top2["spilled"]) == \
         (1365, 1365, 0)
     assert (top2["pairs"], top2["pair_hits"]) == (105, 9230)

@@ -209,12 +209,9 @@ out = filter(agg, lambda a: a[0][0] > 0.0)
 """
 
 
-def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
-    """A fold step that raises on some rows, and a residual `P'` that raises
-    on the states with one kept row (arithmetic on -inf). At seed 2 the
-    residual first raises on a frame whose whole path the pair table holds,
-    so on the pair verdict judged late. Last, a `P` and a `Q` that raise
-    different errors on one frame: `P` is judged first, so its error wins."""
+def _raising_cases():
+    """(task, universes, q, res, seed, raised resuming) of three triples
+    whose calls raise, each judged resuming or by a held pair path."""
     step_task = typecheck(parse(RAISING_STEP), "raising")
     top2 = make_task("top2")
     top2_universes = build_universes(top2)
@@ -223,11 +220,44 @@ def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
     # untyped: the checker admits constant divisors only
     zero_divisor = post_universes.u_q.add(
         parse_expression("1.0 / r[0] > 0.0")).index
-    cases = [(step_task, build_universes(step_task), [], [], 1, True),
-             (top2, top2_universes,
-              *_triple_indices(top2, top2_universes, RAISING_RESIDUAL), 2,
-              False),
-             (post_task, post_universes, [zero_divisor], [], 0, True)]
+    return [(step_task, build_universes(step_task), [], [], 1, True),
+            (top2, top2_universes,
+             *_triple_indices(top2, top2_universes, RAISING_RESIDUAL), 2,
+             False),
+            (post_task, post_universes, [zero_divisor], [], 0, True)]
+
+
+def _raised(monkeypatch, task, universes, q, res, seed):
+    """The error each of the two fuzzers raises on the triple, and after how
+    many sampled frames; the raising frame is the last one."""
+    outcomes = []
+    for module in (fuzz, fuzz_reference):
+        frames = []
+        sample = module.sample_dataframe
+
+        def counted(*args, _sample=sample, _frames=frames):
+            _frames.append(_sample(*args))
+            return _frames[-1]
+
+        monkeypatch.setattr(module, "sample_dataframe", counted)
+        with pytest.raises(EvalError) as err:
+            module.differential_check(task, universes, q, res,
+                                      trials=200, seed=seed)
+        outcomes.append((str(err.value), len(frames)))
+        monkeypatch.setattr(module, "sample_dataframe", sample)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] > 1  # not every frame raises
+    if task.name == "raising_post":
+        assert outcomes[0][0] == "list index 0 out of range"
+    return outcomes[0]
+
+
+def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
+    """A fold step that raises on some rows, and a residual `P'` that raises
+    on the states with one kept row (arithmetic on -inf). At seed 2 the
+    residual first raises on a frame whose whole path the pair table holds,
+    so on the pair verdict judged late. Last, a `P` and a `Q` that raise
+    different errors on one frame: `P` is judged first, so its error wins."""
     resume = FoldTables._resume
     resuming = []
 
@@ -238,28 +268,59 @@ def test_a_raising_step_raises_on_the_same_trial(monkeypatch):
         return verdict
 
     monkeypatch.setattr(FoldTables, "_resume", tracked)
-    for task, universes, q, res, seed, raised_resuming in cases:
-        outcomes = []
-        for module in (fuzz, fuzz_reference):
-            frames = []
-            sample = module.sample_dataframe
-
-            def counted(*args, _sample=sample, _frames=frames):
-                _frames.append(_sample(*args))
-                return _frames[-1]
-
-            monkeypatch.setattr(module, "sample_dataframe", counted)
-            with pytest.raises(EvalError) as err:
-                module.differential_check(task, universes, q, res,
-                                          trials=200, seed=seed)
-            outcomes.append((str(err.value), len(frames)))
-            monkeypatch.setattr(module, "sample_dataframe", sample)
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] > 1  # not every frame raises
-        if task is post_task:
-            assert outcomes[0][0] == "list index 0 out of range"
+    for task, universes, q, res, seed, raised_resuming in _raising_cases():
+        _raised(monkeypatch, task, universes, q, res, seed)
         assert bool(resuming) == raised_resuming
         resuming.clear()
+
+
+# a count capped at 5: 6 states, but its count of all rows and its count of
+# kept rows make 21 pairs
+CAPPED_COUNT = """
+df = (int,)
+agg = fold(df, (0,), lambda a, r: (a[0] + 1,) if a[0] < 5 else a)
+out = filter(agg, lambda a: a[0] > 3)
+"""
+
+
+def test_spilled_frames_give_the_reference_answers(monkeypatch):
+    """With the bound low, a call fills its tables within a few frames and
+    judges the rest whole. top2_wrong's report at 64, and at 16 (full after
+    the first frame with a row) the three raising triples' errors, are still
+    those of the per-trial loop, the errors raised on spilled frames. A
+    capped count fills only its pair table at 100."""
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 64)
+    spec = REFERENCE["top2_wrong"]
+    task = make_task(spec["fixture"])
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes, spec)
+    report = _assert_same_report(task, universes, q, res, 10000, 7)
+    assert report.mismatch_count == 4358
+    assert report.tables["spilled"] > 9900
+    full = FoldTables.full
+    verdicts = []
+
+    def tracked(self, frame_rows):
+        verdicts.append(full(self, frame_rows))
+        return verdicts[-1]
+
+    monkeypatch.setattr(FoldTables, "full", tracked)
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 16)
+    for task, universes, q, res, seed, _ in _raising_cases():
+        frames = _raised(monkeypatch, task, universes, q, res, seed)[1]
+        # the tables were full before the raising frame: each `False` let
+        # one frame through them
+        assert verdicts[-1] and verdicts.count(False) < frames
+        verdicts.clear()
+    monkeypatch.setattr(FoldTables, "full", full)
+    task = typecheck(parse(CAPPED_COUNT), "capped")
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes,
+                             {"q": ["r[0] > 2"], "residual": ["a[0] > 3"]})
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 100)
+    capped = _assert_same_report(task, universes, q, res, 2000, 3).tables
+    assert capped["spilled"] > 0
+    assert capped["transitions"] + 2 * fuzz.FRAME_ROWS <= 100
 
 
 # -- the sampler against `randint` and `choice`
@@ -294,12 +355,14 @@ def test_sampler_errors_match_randint_and_choice():
 
 
 # `eval_fold`, `filter_rows` and `lift_eval` calls at seed 7, 10,000 trials;
-# the per-trial loop took 56,713 fold steps on top2's frames
+# the per-trial loop took 56,713 fold steps on top2's frames. case_a's
+# tables fill at trial 1,311 and case_b's at 997: each later frame costs two
+# folds, one `filter_rows` and two lifts
 EVALUATIONS = {
     "top2": (252, 7, 44),
     "discount": (182, 13, 17),
-    "case_a": (32460, 87, 14246),
-    "case_b": (40901, 1107, 17468),
+    "case_a": (21465, 8777, 19204),
+    "case_b": (22090, 10080, 19783),
     "frequent": (77, 12, 13),
     "top2_wrong": (1365, 13, 113),
     "count_taut": (40, 5, 16),
@@ -324,7 +387,9 @@ def test_folds_each_distinct_transition_once(kind, monkeypatch):
         monkeypatch.setattr(fuzz, name, counted)
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     assert tuple(calls[name] for name in names) == EVALUATIONS[kind]
-    assert len(folds) == sum(folds) == report.tables["steps"]
+    steps, spilled = report.tables["steps"], report.tables["spilled"]
+    assert folds[:steps] == [1] * steps
+    assert len(folds) == steps + 2 * spilled
 
 
 def test_the_pair_table_judges_most_top2_frames():
@@ -334,46 +399,18 @@ def test_the_pair_table_judges_most_top2_frames():
     q, res = _triple_indices(task, universes, spec)
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     assert report.tables["pair_hits"] >= 9000
-    assert report.tables["clears"] == 0
+    assert report.tables["spilled"] == 0
 
 
 def test_tables_stay_within_their_bound_on_case_b():
+    """case_b's accumulators rarely repeat: its tables fill before trial
+    1,500, and no table passes the bound."""
     spec = REFERENCE["case_b"]
     task = make_task(spec["fixture"])
     universes = build_universes(task)
     q, res = _triple_indices(task, universes, spec)
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     tables = report.tables
-    assert tables["clears"] > 0
+    assert tables["spilled"] > 10000 - 1500
     assert max(tables["rows"], tables["states"] - 1, tables["transitions"],
                tables["pairs"] - 1) <= TABLE_BOUND
-
-
-CAPPED_COUNT = """
-df = (int,)
-agg = fold(df, (0,), lambda a, r: (a[0] + 1,) if a[0] < 5 else a)
-out = filter(agg, lambda a: a[0] > 3)
-"""
-
-
-def test_pairs_are_cleared_alone_within_the_bound(monkeypatch):
-    """A count capped at 5 has 6 states, but its count of all rows and its
-    count of kept rows make 21 pairs. With the bound at 100, the pairs'
-    transitions pass it and the 48 fold steps do not: the pair table is
-    cleared alone, and no step is evaluated twice. At 200, above the 21 × 8
-    transitions the pairs can have, it is never cleared."""
-    task = typecheck(parse(CAPPED_COUNT), "capped")
-    universes = build_universes(task)
-    q, res = _triple_indices(task, universes,
-                             {"q": ["r[0] > 2"], "residual": ["a[0] > 3"]})
-    unbounded = differential_check(task, universes, q, res, trials=2000,
-                                   seed=3)
-    monkeypatch.setattr(fuzz, "TABLE_BOUND", 200)
-    assert differential_check(task, universes, q, res, trials=2000,
-                              seed=3).tables == unbounded.tables
-    monkeypatch.setattr(fuzz, "TABLE_BOUND", 100)
-    bounded = _assert_same_report(task, universes, q, res, 2000, 3)
-    assert bounded.tables["steps"] == unbounded.tables["steps"] == 48
-    assert bounded.tables["clears"] == 0
-    assert bounded.tables["pairs"] == unbounded.tables["pairs"] == 21
-    assert bounded.tables["pair_hits"] < unbounded.tables["pair_hits"]

@@ -806,6 +806,19 @@ def _typed(expr: Expr, env: dict) -> Expr:
     return type_predicate(copy.deepcopy(expr), env)
 
 
+def _payload_reads(e: Expr) -> list:
+    """The operand `x` of each payload read `SomeVal(x)` in `e`, once per
+    key, outside any match: a match's cases guard their own reads."""
+    reads, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SomeVal):
+            reads.setdefault(expr_key(node.operand), node.operand)
+        if not isinstance(node, Match):
+            stack += children(node)
+    return list(reads.values())
+
+
 def _collect_guards(body: Expr) -> list:
     """The conditional tests of `body`, left to right in preorder."""
     guards = [body.test] if isinstance(body, Cond) else []
@@ -859,20 +872,31 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
                 sub_f.append(expr)
 
     universe = Universe("q")
+
+    def add(expr):
+        """Add `expr`. A disjunct that reads an `Optional` payload is
+        conjoined with the payload's null test, so it is false on None, and
+        the atom is displayed as a match, as a residual is."""
+        if expr is None:
+            return
+        lits = clause_literals(expr)
+        reads = [_payload_reads(lit) for lit in lits]
+        if not any(reads):
+            universe.add(expr)
+            return
+        guarded = [
+            mk_and(*(mk_not(IsNone(operand=x, ty=BOOL)) for x in xs), lit)
+            for lit, xs in zip(lits, reads)]
+        universe.add(mk_or(*guarded), display=_clause_display(lits))
+
     for expr in sub_p:
-        universe.add(expr)
+        add(expr)
     if sub_p:
-        expr = finalize(mk_or(*sub_p))
-        if expr is not None:
-            universe.add(expr)
+        add(finalize(mk_or(*sub_p)))
     if sub_f:
-        expr = finalize(mk_or(*sub_f))
-        if expr is not None:
-            universe.add(expr)
+        add(finalize(mk_or(*sub_f)))
     if sub_p and sub_f:
-        expr = finalize(mk_or(*sub_p, *sub_f))
-        if expr is not None:
-            universe.add(expr)
+        add(finalize(mk_or(*sub_p, *sub_f)))
     # related atoms: substituted P conjuncts over the same single row field
     by_field = {}
     for e in sub_p:
@@ -881,9 +905,7 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
             by_field.setdefault(next(iter(fields)), []).append(e)
     for _, group in sorted(by_field.items()):
         if len(group) >= 2:
-            expr = finalize(mk_or(*group))
-            if expr is not None:
-                universe.add(expr)
+            add(finalize(mk_or(*group)))
     return universe, dropped
 
 

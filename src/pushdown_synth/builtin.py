@@ -1210,10 +1210,9 @@ class BuiltinSession(Session):
 
     # -- session operations
 
-    def declare(self, text):
-        self._write(text if isinstance(text, str) else sexp_str(text))
-        cmds = parse_sexp(text) if isinstance(text, str) else [text]
-        for cmd in cmds:
+    def declare(self, text: str):
+        self._write(text)
+        for cmd in parse_sexp(text):
             self._el.declare(cmd)
             if cmd[0] in ("declare-const", "declare-fun"):
                 self._declared[-1].append(cmd[1])

@@ -75,12 +75,12 @@ def _base_stats(sizes):
     }
 
 
-def _error_record(path, exc, sizes):
+def _error_record(path, exc, stats):
     return {
         "task": Path(path).stem,
         "status": "error",
         "error": str(exc),
-        "stats": _base_stats(sizes),
+        "stats": stats,
     }
 
 
@@ -111,18 +111,19 @@ def _run_files(args, paths, run_task, needs_session=True):
     and a solver session (None unless ``needs_session``); the record's
     ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
     evaluation, solver, I/O or text-encoding error becomes the file's error
-    record, which keeps the universe sizes if they were built. Emits and
+    record, which keeps the universe sizes if they were built and the stats
+    of the work done before the error. Emits and
     returns the records. The sessions of one run append to one ``--smt-log``
     transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
     for path in paths:
-        sizes = (0, 0, 0)  # until the universes are built
+        stats = _base_stats((0, 0, 0))  # until the universes are built
         try:
             task = _load_task(path)
             universes = build_universes(task)
-            sizes = universes.sizes()
-            record = {"task": task.name, "stats": _base_stats(sizes)}
+            stats = _base_stats(universes.sizes())
+            record = {"task": task.name, "stats": stats}
             if fresh_log:
                 Path(fresh_log).write_text("")
                 fresh_log = None
@@ -133,7 +134,7 @@ def _run_files(args, paths, run_task, needs_session=True):
                 run_task(args, task, universes, record, session)
         except (DslSyntaxError, DslTypeError, EncodeError, EvalError,
                 SolverError, OSError, UnicodeDecodeError) as exc:
-            record = _error_record(path, exc, sizes)
+            record = _error_record(path, exc, stats)
         records.append(record)
     _emit(records, args)
     return records

@@ -10,14 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .syntax import Span
+from .syntax import CALL_FORMS, TYPE_KEYWORDS, Span
 
 
 KEYWORDS = {
     "not", "and", "or", "if", "else", "match", "case", "None",
-    "True", "False", "fold", "filter", "insert", "lambda", "fix",
-    "bool", "int", "float", "str", "List", "Optional", "inf",
+    "True", "False", "lambda", "fix", "inf", *CALL_FORMS, *TYPE_KEYWORDS,
 }
+# the value of each keyword token that is a literal
+_CONSTANTS = {"True": True, "False": False, "None": None}
 
 SYMBOLS = [
     "==", ">=", "<=", "=", ">", "<", "+", "-", "*", "/",
@@ -123,7 +124,7 @@ def tokenize(source: str):
                 j += 1
             text = source[i:j]
             kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, text, start))
+            tokens.append(Token(kind, text, _CONSTANTS.get(text, text), start))
             col += j - i
             i = j
             continue

@@ -1,16 +1,20 @@
-"""Recursive-descent parser producing the DSL AST."""
+"""Recursive-descent parser producing the DSL AST, reading the grammar
+tables of `syntax`; binary operators by precedence climbing."""
 
 from __future__ import annotations
 
 from .lexer import DslSyntaxError, Token, tokenize
 from .syntax import (
-    BOOL, FLOAT, INT, STR,
-    BinOp, Case, Cond, Expr, Filter, Fold, Index, Insert, Lambda, ListExpr,
-    Lit, Match, Name, Not, Program, SliceFrom, Stmt, TList, TOpt, TTuple,
-    TupleExpr, TypeTuple,
+    CALL_ARGS, CALL_FORMS, COMPARISONS, GENERIC_TYPES, LITERAL_TOKENS,
+    OPERATOR_LEVELS, SCALAR_TYPES, TYPE_KEYWORDS, BinOp, Case, Cond, Expr,
+    Index, Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, Stmt,
+    TTuple, TupleExpr, TypeTuple,
 )
 
-TYPE_KEYWORDS = {"bool", "int", "float", "str", "List", "Optional"}
+# the level of each binary operator, and that of the `not` prefix
+_LEVEL = {op: i for i, ops in enumerate(OPERATOR_LEVELS) for op in ops}
+_NOT = _LEVEL.pop("not")
+_ATOM_START = {"literal", "IDENT", "(", "[", *CALL_FORMS}
 
 
 class _Parser:
@@ -18,8 +22,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # `advance` stops at the final EOF token
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -53,63 +58,54 @@ class _Parser:
         if self.peek().kind == ":":
             self.advance()
             self.expect("(")
-            annot = TTuple(tuple(self.parse_types()))
-            self.expect(")")
+            annot = TTuple(self.parse_types())
         self.expect("=")
         expr = self.parse_expr()
         return Stmt(name_tok.text, expr, annot=annot, span=name_tok.span)
 
     # -- types --------------------------------------------------------------
 
-    def parse_types(self):
-        types = [self.parse_type()]
-        while self.peek().kind == ",":
-            self.advance()
-            if self.peek().kind == ")":
-                break
-            types.append(self.parse_type())
-        return types
+    def parse_types(self) -> tuple:
+        """One or more types up to a closing parenthesis."""
+        first = self.parse_type()
+        return tuple(self.parse_items(self.parse_type, ")", [first]))
 
     def parse_type(self):
         tok = self.peek()
-        if tok.kind == "bool":
+        if tok.kind in SCALAR_TYPES:
             self.advance()
-            return BOOL
-        if tok.kind == "int":
-            self.advance()
-            return INT
-        if tok.kind == "float":
-            self.advance()
-            return FLOAT
-        if tok.kind == "str":
-            self.advance()
-            return STR
-        if tok.kind == "List":
+            return SCALAR_TYPES[tok.kind]
+        if tok.kind in GENERIC_TYPES:
             self.advance()
             self.expect("[")
             elem = self.parse_type()
             self.expect("]")
-            return TList(elem)
-        if tok.kind == "Optional":
-            self.advance()
-            self.expect("[")
-            elem = self.parse_type()
-            self.expect("]")
-            return TOpt(elem)
+            return GENERIC_TYPES[tok.kind](elem)
         raise DslSyntaxError(
             f"unexpected token {tok.text!r} in type", tok.span, TYPE_KEYWORDS
         )
 
+    def parse_items(self, item, close, items) -> list:
+        """`items` and the further items `item` reads, each after a comma, up
+        to the `close` token, which is consumed; a comma may come last."""
+        while self.peek().kind == ",":
+            self.advance()
+            if self.peek().kind == close:
+                break
+            items.append(item())
+        self.expect(close)
+        return items
+
     # -- expressions ----------------------------------------------------------
-    # precedence: conditional < or < and < not < comparison < +- < */ < postfix
+    # precedence: conditional < the levels of `OPERATOR_LEVELS` < postfix
 
     def parse_expr(self) -> Expr:
         if self.peek().kind == "match":
             return self.parse_match()
-        expr = self.parse_or()
+        expr = self.parse_binary()
         if self.peek().kind == "if":
             span = self.advance().span
-            test = self.parse_or()
+            test = self.parse_binary()
             self.expect("else")
             other = self.parse_expr()
             return Cond(span=span, then=expr, test=test, other=other)
@@ -117,7 +113,7 @@ class _Parser:
 
     def parse_match(self) -> Match:
         span = self.expect("match").span
-        scrutinee = self.parse_or()
+        scrutinee = self.parse_binary()
         self.expect(":")
         cases = []
         while self.peek().kind == "case":
@@ -143,51 +139,28 @@ class _Parser:
             raise DslSyntaxError("match requires at least one case", tok.span, {"case"})
         return Match(span=span, scrutinee=scrutinee, cases=cases)
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.peek().kind == "or":
-            span = self.advance().span
-            right = self.parse_and()
-            left = BinOp(span=span, op="or", left=left, right=right)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.peek().kind == "and":
-            span = self.advance().span
-            right = self.parse_not()
-            left = BinOp(span=span, op="and", left=left, right=right)
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.peek().kind == "not":
-            span = self.advance().span
-            return Not(span=span, operand=self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        if self.peek().kind in ("==", ">=", ">", "<=", "<"):
-            op = self.advance()
-            right = self.parse_additive()
-            return BinOp(span=op.span, op=op.kind, left=left, right=right)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.parse_multiplicative()
-            left = BinOp(span=op.span, op=op.kind, left=left, right=right)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_postfix()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right = self.parse_postfix()
-            left = BinOp(span=op.span, op=op.kind, left=left, right=right)
-        return left
+    def parse_binary(self, level=0) -> Expr:
+        """An operand and the operators of `level` or tighter after it, by
+        precedence climbing. After a comparison or a `not` operand, whose
+        operators of that level or tighter were taken or refused, only a
+        looser operator may follow."""
+        tok = self.peek()
+        if tok.kind == "not" and level <= _NOT:
+            self.advance()
+            left = Not(span=tok.span, operand=self.parse_binary(_NOT))
+            ceiling = _NOT - 1
+        else:
+            left = self.parse_postfix()
+            ceiling = len(OPERATOR_LEVELS)
+        while True:
+            tok = self.peek()
+            p = _LEVEL.get(tok.kind, -1)
+            if not level <= p <= ceiling:
+                return left
+            self.advance()
+            right = self.parse_binary(p + 1)
+            left = BinOp(span=tok.span, op=tok.kind, left=left, right=right)
+            ceiling = p - 1 if tok.kind in COMPARISONS else p
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_atom()
@@ -222,90 +195,40 @@ class _Parser:
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "INT":
+        if tok.kind in LITERAL_TOKENS:
             self.advance()
-            return Lit(span=tok.span, kind="int", value=tok.value)
-        if tok.kind == "FLOAT":
-            self.advance()
-            return Lit(span=tok.span, kind="float", value=tok.value)
-        if tok.kind == "NEGINF":
-            self.advance()
-            return Lit(span=tok.span, kind="neginf", value=None)
-        if tok.kind == "STRING":
-            self.advance()
-            return Lit(span=tok.span, kind="str", value=tok.value)
-        if tok.kind in ("True", "False"):
-            self.advance()
-            return Lit(span=tok.span, kind="bool", value=tok.kind == "True")
-        if tok.kind == "None":
-            self.advance()
-            return Lit(span=tok.span, kind="none", value=None)
+            return Lit(span=tok.span, kind=LITERAL_TOKENS[tok.kind],
+                       value=tok.value)
         if tok.kind == "IDENT":
             self.advance()
             return Name(span=tok.span, ident=tok.text)
-        if tok.kind == "fold":
+        if tok.kind in CALL_FORMS:
             self.advance()
-            self.expect("(")
-            source = self.parse_expr()
-            self.expect(",")
-            init = self.parse_expr()
-            self.expect(",")
-            fn = self.parse_lambda()
+            node = CALL_FORMS[tok.kind]
+            args = {}
+            for i, field in enumerate(CALL_ARGS[node]):
+                self.expect("," if i else "(")
+                args[field] = self.parse_lambda() if field == "fn" \
+                    else self.parse_expr()
             self.expect(")")
-            return Fold(span=tok.span, source=source, init=init, fn=fn)
-        if tok.kind == "filter":
-            self.advance()
-            self.expect("(")
-            source = self.parse_expr()
-            self.expect(",")
-            fn = self.parse_lambda()
-            self.expect(")")
-            return Filter(span=tok.span, source=source, fn=fn)
-        if tok.kind == "insert":
-            self.advance()
-            self.expect("(")
-            target = self.parse_expr()
-            self.expect(",")
-            item = self.parse_expr()
-            self.expect(")")
-            return Insert(span=tok.span, target=target, item=item)
+            return node(span=tok.span, **args)
         if tok.kind == "[":
             self.advance()
-            items = []
-            if self.peek().kind != "]":
-                items.append(self.parse_expr())
-                while self.peek().kind == ",":
-                    self.advance()
-                    if self.peek().kind == "]":
-                        break
-                    items.append(self.parse_expr())
-            self.expect("]")
+            items = [] if self.peek().kind == "]" else [self.parse_expr()]
+            items = self.parse_items(self.parse_expr, "]", items)
             return ListExpr(span=tok.span, items=items)
         if tok.kind == "(":
             self.advance()
             if self.peek().kind in TYPE_KEYWORDS:
-                types = self.parse_types()
+                return TypeTuple(span=tok.span, types=self.parse_types())
+            items = [] if self.peek().kind == ")" else [self.parse_expr()]
+            if len(items) == 1 and self.peek().kind != ",":
                 self.expect(")")
-                return TypeTuple(span=tok.span, types=tuple(types))
-            if self.peek().kind == ")":
-                self.advance()
-                return TupleExpr(span=tok.span, items=[])
-            first = self.parse_expr()
-            if self.peek().kind == ",":
-                items = [first]
-                while self.peek().kind == ",":
-                    self.advance()
-                    if self.peek().kind == ")":
-                        break
-                    items.append(self.parse_expr())
-                self.expect(")")
-                return TupleExpr(span=tok.span, items=items)
-            self.expect(")")
-            return first
+                return items[0]
+            items = self.parse_items(self.parse_expr, ")", items)
+            return TupleExpr(span=tok.span, items=items)
         raise DslSyntaxError(
-            f"unexpected token {tok.text or 'EOF'!r}",
-            tok.span,
-            {"literal", "IDENT", "(", "[", "fold", "filter", "insert"},
+            f"unexpected token {tok.text or 'EOF'!r}", tok.span, _ATOM_START
         )
 
 

@@ -334,8 +334,8 @@ class SolverSession(Session):
 
     # -- session operations
 
-    def declare(self, text):
-        self.command(text if isinstance(text, str) else sexp_str(text))
+    def declare(self, text: str):
+        self.command(text)
 
     def set_option(self, name: str, value: str):
         self.command(f"(set-option :{name} {value})")

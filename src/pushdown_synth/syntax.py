@@ -385,6 +385,30 @@ def walk(expr):
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax: the tables the lexer and the parser read and the printer
+# derives its precedences from.
+
+# the binary operators by level, loosest first, with the `not` prefix at its
+# own level; a comparison does not associate, the other operators associate
+# to the left
+COMPARISONS = ("==", ">=", ">", "<=", "<")
+OPERATOR_LEVELS = (("or",), ("and",), ("not",), COMPARISONS, ("+", "-"),
+                   ("*", "/"))
+# a scalar type is named by its own text, a generic one by its constructor
+SCALAR_TYPES = {str(t): t for t in (BOOL, INT, FLOAT, STR)}
+GENERIC_TYPES = {"List": TList, "Optional": TOpt}
+TYPE_KEYWORDS = {*SCALAR_TYPES, *GENERIC_TYPES}
+# literal token kind -> the kind of its `Lit`, whose value is the token's
+LITERAL_TOKENS = {"INT": "int", "FLOAT": "float", "NEGINF": "neginf",
+                  "STRING": "str", "True": "bool", "False": "bool",
+                  "None": "none"}
+# keyword -> the node a call form builds; its arguments are the node's child
+# fields in order, and the `fn` argument is a lambda
+CALL_FORMS = {"fold": Fold, "filter": Filter, "insert": Insert}
+CALL_ARGS = {cls: _CHILD_FIELDS[cls] for cls in CALL_FORMS.values()}
+
+
+# ---------------------------------------------------------------------------
 # Predicates: the Boolean builders and operator tables of the checker, the
 # analyses and the emitter. Every node built here is a `bool`.
 

@@ -1,17 +1,23 @@
 """Command-line behavior: subcommands, exit codes, record schema."""
 
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
 
+from pushdown_synth import cli
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.builtin import BuiltinSession
 from pushdown_synth.cli import run
+from pushdown_synth.fuzz import column_pools, sample_dataframe
+from pushdown_synth.interp import run_pipeline
 from pushdown_synth.parser import parse
 from pushdown_synth.schema import SchemaError, validate_record
 from pushdown_synth.smt import QueryResult
 from pushdown_synth.typecheck import typecheck
+from pushdown_synth.values import EvalError
 
 from conftest import FIXTURES, fixture_source, requires_z3
 
@@ -437,6 +443,52 @@ def test_a_bare_optional_comparison_in_the_post_filter(tmp_path, fold,
         assert rec["diff"]["mismatches"] == 0
         assert "a1[0] == a2[0] or a1[0] == 5 and not a1[0] == None" in \
             rec["invariant_atoms"]
+
+
+@pytest.mark.parametrize("column, bound", [("int", "5"), ("float", "5.0")])
+def test_a_row_payload_read_in_the_prefilter_is_guarded(tmp_path, column,
+                                                        bound):
+    """A `Q` atom that reads a row's `Optional` payload, here through the
+    fold's row-side `match`, is false on a None row: it is encoded with the
+    null test and emitted as a match, so the rewritten program typechecks
+    and agrees with the original on frames with None rows."""
+    source = (f"df = (Optional[{column}],)\n"
+              f"agg = fold(df, (0{bound[1:]},), lambda a, r: (match r[0]: "
+              "case None: a case v: ((v,) if v > a[0] else a)))\n"
+              f"out = filter(agg, lambda a: a[0] > {bound})\n")
+    task_file = tmp_path / "opt_row.pdsl"
+    task_file.write_text(source)
+    out = tmp_path / "rec.json"
+    assert run(["synth", "--solver", "builtin", "--trials", "500", "--out",
+                str(out), str(task_file)]) == 0
+    rec, = read_records(out)
+    assert rec["status"] == "solved" and rec["diff"]["mismatches"] == 0
+    assert re.fullmatch(rf"\(match r\[0\]: case None: False case (v\d+): "
+                        rf"\1 > {re.escape(bound)}\)", rec["q_atoms"][0])
+    task = typecheck(parse(source))
+    rewritten = typecheck(parse(rec["rewritten"]))
+    rng = random.Random(3)
+    pools = column_pools(task, build_universes(task))
+    for _ in range(300):
+        frame = sample_dataframe(rng, pools)
+        assert run_pipeline(rewritten, frame) == run_pipeline(task, frame)
+
+
+def test_an_error_after_the_search_keeps_its_stats(tmp_path, monkeypatch):
+    def raising(*args, **kwargs):
+        raise EvalError("list index 0 out of range")
+
+    monkeypatch.setattr(cli, "differential_check", raising)
+    out = tmp_path / "rec.json"
+    assert run(["synth", "--solver", "builtin", "--out", str(out),
+                fixture_path("discount")]) == 1
+    rec, = read_records(out)
+    assert (rec["status"], rec["error"]) == ("error",
+                                             "list index 0 out of range")
+    stats = rec["stats"]
+    assert stats["solver_calls"] > 0 and stats["wall_ms"] > 0
+    assert stats["worklist_iters"] > 0 and stats["backend"] == "builtin"
+    assert stats["u_q_size"] > 0
 
 
 def test_rewritten_program_with_a_small_float_constant_parses(tmp_path):

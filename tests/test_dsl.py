@@ -19,8 +19,7 @@ from pushdown_synth.typecheck import DslTypeError, typecheck
 from pushdown_synth.values import Some
 
 from conftest import fixture_source, make_task
-
-ALL_FIXTURES = ["top2", "discount", "case_a", "case_b", "count_taut"]
+from test_universe_pin import SOURCES as PINNED
 
 
 def test_top2_parses_to_one_fold():
@@ -47,6 +46,94 @@ def test_syntax_error_carries_location_and_expectations():
     assert exc.value.span.line == 1
 
 
+# -- the syntax errors: each message with its span and expected set
+
+_S = "df = (float,)\n"
+_F = "agg = fold(df, (0.0,), lambda a, r: (a[0],))\n"
+_IN_FOLD = _S + "agg = fold(df, (0.0,), lambda a, r: ({}))\n"
+_ATOM_START = ["(", "IDENT", "[", "filter", "fold", "insert", "literal"]
+_TYPES = ["List", "Optional", "bool", "float", "int", "str"]
+
+SYNTAX_ERRORS = {
+    "empty": (parse, "   # just a comment\n",
+              "empty program", (2, 1), ["IDENT"]),
+    "statement-name": (parse, "(1,)\n",
+                       "unexpected token '('", (1, 1), ["IDENT"]),
+    "statement-equals": (parse, "df (float,)\n",
+                         "unexpected token '('", (1, 4), ["="]),
+    "annotation-paren": (parse, "df: int = (1,)\n",
+                         "unexpected token 'int'", (1, 5), ["("]),
+    "annotation-close": (parse, "c: (int, float = (1, 2.0)\n",
+                         "unexpected token '='", (1, 16), [")"]),
+    "type-keyword": (parse, "c: (int, foo) = (1, 2)\n",
+                     "unexpected token 'foo' in type", (1, 10), _TYPES),
+    "type-bracket": (parse, "df = (List int,)\n",
+                     "unexpected token 'int'", (1, 12), ["["]),
+    "type-close": (parse, "df = (Optional[int,)\n",
+                   "unexpected token ','", (1, 19), ["]"]),
+    # at the end of the input a type error names the empty token text
+    "type-eof": (parse, "df = (int, List[",
+                 "unexpected token '' in type", (1, 17), _TYPES),
+    "atom": (parse, _IN_FOLD.format("a[0] + ,"),
+             "unexpected token ','", (2, 45), _ATOM_START),
+    "atom-eof": (parse, "x = (1 +",
+                 "unexpected token 'EOF'", (1, 9), _ATOM_START),
+    "index-literal": (parse, _IN_FOLD.format("a[r],"),
+                      "unexpected token 'r'", (2, 40), ["INT"]),
+    "slice-close": (parse, _IN_FOLD.format("a[1:,"),
+                    "unexpected token ','", (2, 42), ["]"]),
+    "conditional-else": (parse, _IN_FOLD.format("r[0] if r[0] > a[0],"),
+                         "unexpected token ','", (2, 57), ["else"]),
+    "match-colon": (parse, _IN_FOLD.format("match r[0] case None: a[0],"),
+                    "unexpected token 'case'", (2, 49), [":"]),
+    "match-pattern": (parse, _IN_FOLD.format("match r[0]: case 1: a[0],"),
+                      "unsupported match pattern '1'", (2, 55),
+                      ["IDENT", "None"]),
+    "match-no-case": (parse, _IN_FOLD.format("match r[0]: a[0],"),
+                      "match requires at least one case", (2, 50), ["case"]),
+    "lambda": (parse, _S + "agg = fold(df, (0.0,), (a[0],))\n",
+               "expected lambda, got '('", (2, 24), ["fix", "lambda"]),
+    "lambda-param": (parse, _S + "agg = fold(df, (0.0,), lambda a, 1: a)\n",
+                     "unexpected token '1'", (2, 34), ["IDENT"]),
+    "lambda-colon": (parse, _S + "agg = fold(df, (0.0,), lambda a r: a)\n",
+                     "unexpected token 'r'", (2, 33), [":"]),
+    "fold-comma": (parse, _S + "agg = fold(df (0.0,), lambda a, r: a)\n",
+                   "unexpected token '('", (2, 15), [","]),
+    "filter-close": (parse, _S + _F + "out = filter(agg, lambda a: a[0]\n",
+                     "unexpected token 'EOF'", (4, 1), [")"]),
+    "insert-comma": (parse, _IN_FOLD.format("insert(a[0] r[0]),"),
+                     "unexpected token 'r'", (2, 50), [","]),
+    "list-close": (parse, "c = [1, 2\n",
+                   "unexpected token 'EOF'", (2, 1), ["]"]),
+    "tuple-close": (parse, "c = (1, 2\n",
+                    "unexpected token 'EOF'", (2, 1), [")"]),
+    "paren-close": (parse, "c = (1 + 2\n",
+                    "unexpected token 'EOF'", (2, 1), [")"]),
+    # comparisons do not associate
+    "chained-comparison": (parse_expression, "a[0] > 1 > 0",
+                           "trailing input '>'", (1, 10), []),
+    "trailing-input": (parse_expression, "a[0] > 1.0 extra",
+                       "trailing input 'extra'", (1, 12), []),
+    "unterminated-string-line": (parse, 'lab = "x\ny"\n',
+                                 "unterminated string literal", (1, 7), []),
+    "unterminated-string-eof": (parse, 'lab = "xy',
+                                "unterminated string literal", (1, 7), []),
+    "unexpected-character": (parse, _S + "c = (1 $ 2)\n",
+                             "unexpected character '$'", (2, 8), []),
+}
+
+
+@pytest.mark.parametrize("fn, source, message, span, expected",
+                         SYNTAX_ERRORS.values(), ids=SYNTAX_ERRORS)
+def test_syntax_error_message_span_and_expected_set(fn, source, message,
+                                                    span, expected):
+    with pytest.raises(DslSyntaxError) as exc:
+        fn(source)
+    assert exc.value.message == message
+    assert exc.value.span == Span(*span)
+    assert exc.value.expected == expected
+
+
 def test_match_program_parses_with_two_cases():
     program = parse(fixture_source("case_b"))
     matches = [
@@ -55,13 +142,15 @@ def test_match_program_parses_with_two_cases():
     assert matches and all(len(m.cases) == 2 for m in matches)
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_pretty_roundtrip(name):
-    program = parse(fixture_source(name))
+@pytest.mark.parametrize("task_id", sorted(PINNED))
+def test_pretty_roundtrip(task_id):
+    """The six fixtures, `generate_tasks(1..10)` and the extra programs of
+    the universe pin."""
+    program = parse(PINNED[task_id][1])
     reparsed = parse(fmt_program(program))
     assert len(program.stmts) == len(reparsed.stmts)
     for a, b in zip(program.stmts, reparsed.stmts):
-        assert a.name == b.name
+        assert a.name == b.name and a.annot == b.annot
         assert structurally_equal(a.expr, b.expr)
 
 

@@ -75,13 +75,18 @@ def _base_stats(sizes):
     }
 
 
-def _error_record(path, exc, stats):
-    return {
+def _error_record(path, exc, stats, partial):
+    """The error record of a file, keeping the universe dump that the
+    record it replaces (`partial`) held."""
+    record = {
         "task": Path(path).stem,
         "status": "error",
         "error": str(exc),
         "stats": stats,
     }
+    if "universes" in partial:
+        record["universes"] = partial["universes"]
+    return record
 
 
 def _emit(records, args):
@@ -111,14 +116,15 @@ def _run_files(args, paths, run_task, needs_session=True):
     and a solver session (None unless ``needs_session``); the record's
     ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
     evaluation, solver, I/O or text-encoding error becomes the file's error
-    record, which keeps the universe sizes if they were built and the stats
-    of the work done before the error. Emits and
-    returns the records. The sessions of one run append to one ``--smt-log``
-    transcript, emptied before the first session opens."""
+    record, which keeps the universe sizes if they were built, the stats
+    of the work done before the error and any ``--dump-universe`` dump.
+    Emits and returns the records. The sessions of one run append to one
+    ``--smt-log`` transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
     for path in paths:
         stats = _base_stats((0, 0, 0))  # until the universes are built
+        record = {}
         try:
             task = _load_task(path)
             universes = build_universes(task)
@@ -134,7 +140,7 @@ def _run_files(args, paths, run_task, needs_session=True):
                 run_task(args, task, universes, record, session)
         except (DslSyntaxError, DslTypeError, EncodeError, EvalError,
                 SolverError, OSError, UnicodeDecodeError) as exc:
-            record = _error_record(path, exc, stats)
+            record = _error_record(path, exc, stats, record)
         records.append(record)
     _emit(records, args)
     return records

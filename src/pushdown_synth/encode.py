@@ -34,6 +34,14 @@ def _sanitize(label: str) -> str:
     return out or "empty"
 
 
+def _has_str(ty: Type) -> bool:
+    if isinstance(ty, TTuple):
+        return any(map(_has_str, ty.elems))
+    if isinstance(ty, (TList, TOpt)):
+        return _has_str(ty.elem)
+    return isinstance(ty, TStr)
+
+
 @dataclass
 class _SortInfo:
     text: str
@@ -71,7 +79,10 @@ class TaskEncoding:
             self.decls.append(
                 "(declare-datatypes ((F 0)) (((NegInf) (Fin (fval Real)))))"
             )
-        if self.str_labels:
+        # a `str` column or field that no literal names still needs the
+        # sort, with only its spare elements
+        if self.str_labels or any(
+                map(_has_str, (*self.task.schema, self.task.acc_type))):
             spares = [f"S_other{k}" for k in range(STR_SPARES)]
             taken = set(spares)
             for label in self.str_labels:

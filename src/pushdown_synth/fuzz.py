@@ -14,7 +14,11 @@ frequent and count_taut. The accumulators of case_a and case_b rarely
 repeat, so their tables fill up (at trials 1,311 and 997) while saving
 little; as RE2's lazy DFA falls back to a direct matcher when its state
 cache thrashes (Cox, "Regular Expression Matching in the Wild", 2010), the
-rest of such a call judges each frame whole, as the per-trial loop does.
+rest of such a call judges each frame whole. Such a "spilled" frame goes to
+one generated function (`interp.frame_judge`, built at the first spill)
+that folds both pipelines in one loop over the rows. Should it raise, the
+frame is judged again in the per-trial loop's order, which raises the error
+that loop would.
 
 Frames are drawn with `getrandbits` exactly as `Random.randint` and
 `Random.choice` draw on CPython 3.10 and later, so a seed gives the frames
@@ -28,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .interp import LiftResult, eval_fold, filter_rows, lift_eval
+from .interp import LiftResult, eval_fold, filter_rows, frame_judge, lift_eval
 from .syntax import Lit, TBool, TFloat, TInt, TOpt, TStr, walk
 from .values import NONE, Some, fmt_value, values_equal
 
@@ -376,7 +380,8 @@ def differential_check(task, universes, q_indices, residual_indices,
     drawn as column-pool indices (`sample_dataframe` consumes the same
     random stream on a pool of indices as on the pool), and each is judged
     through the call's `FoldTables` until they are `full`. The frames after
-    that are drawn as values and judged whole, in the reference order."""
+    that are drawn as values and judged whole by `frame_judge`, or, on a
+    frame where it raises, in the reference order."""
     rng = random.Random(seed)
     pools = column_pools(task, universes)
     index_pools = [list(range(len(pool))) for pool in pools]
@@ -398,12 +403,20 @@ def differential_check(task, universes, q_indices, residual_indices,
                     [fmt_value(pool[i]) for pool, i in zip(pools, indices)]
                     for indices in frame
                 ])
-    draws = pool_draws(pools)
+    if tabled < trials:
+        judge = frame_judge(task, q_exprs, p_exprs, res_exprs)
+        draws = pool_draws(pools)
     for _ in range(trials - tabled):
         frame = sample_dataframe(rng, pools, FRAME_ROWS, draws)
-        lhs = lift_eval(p_exprs, eval_fold(task, frame))
-        kept = filter_rows(q_exprs, frame, task.n_columns)
-        if lhs != lift_eval(res_exprs, eval_fold(task, kept)):
+        try:
+            differs = judge(frame)
+        except Exception:
+            # judge the frame again in the reference order, which raises
+            # the reference's error (see `frame_judge`)
+            lhs = lift_eval(p_exprs, eval_fold(task, frame))
+            kept = filter_rows(q_exprs, frame, task.n_columns)
+            differs = lhs != lift_eval(res_exprs, eval_fold(task, kept))
+        if differs:
             mismatch_count += 1
             if len(examples) < 10:
                 examples.append([[fmt_value(v) for v in row] for row in frame])

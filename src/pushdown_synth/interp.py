@@ -28,7 +28,11 @@ non-literal numbers keep Python's operators or their helpers.
 `eval_fold` and `filter_rows` each run one generated loop over the rows,
 with the fold step or the conjunction of the row predicates inlined in its
 body (per-row code fused into the loop, as in data-centric query compilation;
-Neumann, VLDB 2011); `lift_eval` runs one generated conjunction."""
+Neumann, VLDB 2011); `lift_eval` runs one generated conjunction.
+`frame_judge` fuses a whole comparison of two pipelines the same way: its
+`judge` function folds the original and the `Q`-filtered accumulators in one
+loop, `Q` inlined, then tests `P` and `P'` and compares the lifted
+results."""
 
 from __future__ import annotations
 
@@ -81,9 +85,14 @@ _EXPR = "expr"      # env -> the root's value
 _FOLD = "fold"      # (rows, a, width) -> the root folded over the rows from a
 _FILTER = "filter"  # (rows, width) -> the rows on which every root holds
 _TEST = "test"      # a -> whether every root holds
+# (rows, width, init) -> whether the lifted original and rewritten pipelines
+# differ on the rows; the roots are the fold step, then the groups `Q`, `P`
+# and `P'`
+_JUDGE = "judge"
 
-# (shape, id of each root) -> generated function. An entry leaves with any of
-# its roots (`weakref.finalize`), so no id is reused while it is cached.
+# (shape, size of each group if the shape takes groups, id of each root) ->
+# generated function. An entry leaves with any of its roots
+# (`weakref.finalize`), so no id is reused while it is cached.
 _COMPILED = {}
 
 
@@ -93,14 +102,15 @@ def compiled(expr: Expr):
     return _kernel(_EXPR, expr)
 
 
-def _kernel(shape, *roots):
-    """The generated function of the given shape over `roots`. Only the
-    `env` form reads names from a dict; in the others a name the shape does
-    not bind (`a`, `r`) is unbound."""
-    key = (shape, *map(id, roots))
+def _kernel(shape, *roots, groups=()):
+    """The generated function of the given shape over `roots`, which
+    `groups` splits into runs of the given sizes where the shape takes
+    several. Only the `env` form reads names from a dict; in the others a
+    name the shape does not bind (`a`, `r`) is unbound."""
+    key = (shape, *groups, *map(id, roots))
     fn = _COMPILED.get(key)
     if fn is None:
-        fn = _COMPILED[key] = _Generator(shape, roots).function()
+        fn = _COMPILED[key] = _Generator(shape, roots, groups).function()
         for root in roots:
             weakref.finalize(root, _COMPILED.pop, key, None).atexit = False
     return fn
@@ -224,7 +234,8 @@ def _insert(seq, val):
 
 _RUNTIME = {"_U": UNDEF, "_NONE": NONE, "_NI": NEG_INF, "_Some": Some,
             "_Fraction": Fraction, "_fail": _fail, "_index": _index,
-            "_suffix": _suffix, "_insert": _insert}
+            "_suffix": _suffix, "_insert": _insert,
+            "_values_equal": values_equal}
 
 _BAD_ROW = "row does not conform to schema"
 _UNDEFINED_ATOM = "atom is undefined under the given assignment"
@@ -245,8 +256,8 @@ class _Generator:
     walrus temporaries, and both operands of every binary node are
     evaluated, left first."""
 
-    def __init__(self, shape, roots):
-        self.shape, self.roots = shape, roots
+    def __init__(self, shape, roots, groups=()):
+        self.shape, self.roots, self.groups = shape, roots, groups
         self.env = shape == _EXPR
         self.guard = False
         self.namespace = dict(_RUNTIME)
@@ -311,6 +322,34 @@ class _Generator:
         a = self.fresh("_p")
         return [a], [f"return {self.conjunction({'a': a})}"]
 
+    def judge_shape(self):
+        """One loop folds the original accumulator `a` over every row and,
+        over the rows `Q` keeps, the rewritten one `b`: `b` is `a` while
+        every row so far was kept, and steps itself after the first dropped
+        row. Then `P` is tested on `a`, `P'` on `b` if some row was kept,
+        and the two lifted results are compared as `LiftResult`s are."""
+        step, *rest = self.roots
+        n_q, n_p = self.groups
+        q, p, res = rest[:n_q], rest[n_q:n_q + n_p], rest[n_q + n_p:]
+        a, b, r = self.fresh("_p"), self.fresh("_p"), self.fresh("_p")
+        return ["_rows", "_width", "_init"], [
+            "if not _rows:", "    return False",
+            f"{a} = {b} = _init",
+            "_prefix = True", "_any = False",
+            *self.row_loop(r),
+            f"    {a} = {self.root(step, {'a': a, 'r': r})}",
+            f"    if {self.conjunction({'r': r}, q)}:",
+            "        if _prefix:", f"            {b} = {a}",
+            "        else:",
+            f"            {b} = {self.root(step, {'a': b, 'r': r})}",
+            "        _any = True",
+            "    else:", "        _prefix = False",
+            f"_lhs = not not ({self.conjunction({'a': a}, p)})",
+            f"_rhs = _any and not not ({self.conjunction({'a': b}, res)})",
+            "if _lhs and _rhs:",
+            f"    return not ({a} is {b} or _values_equal({a}, {b}))",
+            "return _lhs is not _rhs"]
+
     def row_loop(self, r):
         """The head of a loop binding each row of `_rows`, once its width
         is checked, to `r` as a tuple."""
@@ -322,11 +361,12 @@ class _Generator:
         self.guard = any(isinstance(node, SomeVal) for node in walk(expr))
         return self.emit(expr, scope, 0)
 
-    def conjunction(self, scope) -> str:
-        """The roots joined by Python's `and`: evaluated left to right up to
-        the first that fails. A root that may be UNDEF raises on it."""
+    def conjunction(self, scope, roots=None) -> str:
+        """The roots (by default all of them) joined by Python's `and`:
+        evaluated left to right up to the first that fails. A root that may
+        be UNDEF raises on it."""
         terms = []
-        for expr in self.roots:
+        for expr in self.roots if roots is None else roots:
             term = self.root(expr, scope)
             if self.guard:
                 t = self.fresh("_t")
@@ -544,6 +584,29 @@ def lift_eval(pred_exprs, result: LiftResult) -> LiftResult:
     if result.is_bottom or _kernel(_TEST, *pred_exprs)(result.value):
         return result
     return LiftResult(BOTTOM)
+
+
+def frame_judge(task, q_exprs, p_exprs, res_exprs):
+    """The function `frame -> bool` that says whether the lifted original
+    pipeline (fold, `P`) and the lifted rewritten one (`Q`, fold, `P'`)
+    differ on a frame, with one generated loop over its rows.
+
+    It makes, in another order, a subset of the pure evaluations of the
+    reference judgment (`lift_eval` of `P` on `eval_fold` of the frame,
+    `filter_rows` by `Q`, `lift_eval` of `P'` on `eval_fold` of the kept
+    rows): the same fold steps from the same states (on a prefix of kept
+    rows the rewritten fold's states are the original's, so it takes them
+    over), `Q` on every row, `P` only on a frame with rows and `P'` only on
+    one with a kept row. So when it returns, the reference judgment returns
+    the same verdict; when it raises, the reference judgment raises too,
+    though perhaps another error, and a caller that reports that error
+    judges the frame again in the reference order. The function is cached
+    per roots, so the task's initial accumulator and width are passed to it
+    on each call."""
+    judge = _kernel(_JUDGE, task.f_body, *q_exprs, *p_exprs, *res_exprs,
+                    groups=(len(q_exprs), len(p_exprs)))
+    init, width = task.init_values, task.n_columns
+    return lambda frame: judge(frame, width, init)
 
 
 def filter_rows(pred_exprs, dataframe, n_columns: int):

@@ -17,6 +17,13 @@ _NOT = _LEVEL.pop("not")
 _ATOM_START = {"literal", "IDENT", "(", "[", *CALL_FORMS}
 
 
+def _unexpected(tok: Token, expected, where="") -> DslSyntaxError:
+    """The error for `tok` where one of `expected` was due; the end of the
+    input shows as 'EOF'."""
+    return DslSyntaxError(f"unexpected token {tok.text or 'EOF'!r}{where}",
+                          tok.span, expected)
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -35,9 +42,7 @@ class _Parser:
     def expect(self, kind) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise DslSyntaxError(
-                f"unexpected token {tok.text or 'EOF'!r}", tok.span, {kind}
-            )
+            raise _unexpected(tok, {kind})
         return self.advance()
 
     # -- program ------------------------------------------------------------
@@ -81,9 +86,7 @@ class _Parser:
             elem = self.parse_type()
             self.expect("]")
             return GENERIC_TYPES[tok.kind](elem)
-        raise DslSyntaxError(
-            f"unexpected token {tok.text!r} in type", tok.span, TYPE_KEYWORDS
-        )
+        raise _unexpected(tok, TYPE_KEYWORDS, " in type")
 
     def parse_items(self, item, close, items) -> list:
         """`items` and the further items `item` reads, each after a comma, up
@@ -227,9 +230,7 @@ class _Parser:
                 return items[0]
             items = self.parse_items(self.parse_expr, ")", items)
             return TupleExpr(span=tok.span, items=items)
-        raise DslSyntaxError(
-            f"unexpected token {tok.text or 'EOF'!r}", tok.span, _ATOM_START
-        )
+        raise _unexpected(tok, _ATOM_START)
 
 
 def parse(source: str) -> Program:

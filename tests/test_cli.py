@@ -223,15 +223,18 @@ def test_timeout_below_one_ms_is_a_usage_error(timeout, tmp_path, capsys):
     assert not out.exists()
 
 
+NEG_INDEX = (
+    "df = (float,)\n"
+    "agg = fold(df, ([0.0], 0.0),\n"
+    "  lambda a, r: (insert(a[0], r[0]), a[0][-1]))\n"
+    "out = filter(agg, lambda a: a[1] > 5.0)\n")
+
+
 def test_unencodable_program_is_an_error_record(tmp_path, capsys):
     """The fold reads a negative list index, which the SMT encoding lacks:
     the file gets an error record, not a traceback."""
     src = tmp_path / "neg_index.pdsl"
-    src.write_text(
-        "df = (float,)\n"
-        "agg = fold(df, ([0.0], 0.0),\n"
-        "  lambda a, r: (insert(a[0], r[0]), a[0][-1]))\n"
-        "out = filter(agg, lambda a: a[1] > 5.0)\n")
+    src.write_text(NEG_INDEX)
     out = tmp_path / "records.json"
     code = run(["synth", "--solver", "builtin", "--out", str(out),
                 str(src), fixture_path("discount")])
@@ -307,6 +310,43 @@ def test_dump_universe(tmp_path):
     assert all(
         entry["index"] == i for i, entry in enumerate(dump["u_psi"])
     )
+
+
+def test_dump_universe_on_an_error_record(tmp_path):
+    """The encoding fails after the universes were dumped: the error record
+    keeps the dump."""
+    src = tmp_path / "neg_index.pdsl"
+    src.write_text(NEG_INDEX)
+    out = tmp_path / "rec.json"
+    code = run(["synth", "--solver", "builtin", "--dump-universe", "--out",
+                str(out), str(src)])
+    assert code == 1
+    rec, = read_records(out)
+    validate_record(rec)
+    assert rec["status"] == "error"
+    dump, stats = rec["universes"], rec["stats"]
+    assert (len(dump["u_q"]), len(dump["u_residual"]), len(dump["u_psi"])) \
+        == (stats["u_q_size"], stats["u_residual_size"], stats["u_psi_size"])
+    assert dump["u_psi"]
+
+
+def test_a_str_column_that_no_literal_names(tmp_path):
+    """discount over a second column, beside a `str` column that no literal
+    names: the builtin declares `Str` with its spare elements only."""
+    src = tmp_path / "unnamed_str.pdsl"
+    src.write_text(
+        "df = (str, float)\n"
+        "agg = fold(df, (-inf,),\n"
+        "  lambda a, r: (r[1] * 0.9 if r[1] * 0.9 > a[0] else a[0],))\n"
+        "out = filter(agg, lambda a: a[0] >= 900.0)\n")
+    out = tmp_path / "rec.json"
+    code = run(["synth", "--solver", "builtin", "--trials", "200", "--out",
+                str(out), str(src)])
+    assert code == 0
+    rec, = read_records(out)
+    validate_record(rec)
+    assert (rec["status"], rec["mode"]) == ("solved", "exact")
+    assert rec["q_atoms"] == ["r[1] >= 1000.0"]
 
 
 def test_schema_validator_rejects_bad_records():

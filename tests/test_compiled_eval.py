@@ -629,6 +629,17 @@ def test_a_kernel_of_several_roots_leaves_the_cache_with_either():
     assert interp.filter_rows([first], [(Fraction(9),)], 1) == [(Fraction(9),)]
 
 
+def test_judges_of_one_root_list_split_differently_are_distinct():
+    """The same fold step and two false atoms: as `Q` and `P` both sides
+    are Bottom; as `Q` and `P'` the original side is defined."""
+    task = make_task("top2")
+    false, also_false = parse_expression("1 > 2"), parse_expression("2 > 3")
+    frame = [(Fraction(95),)]
+    assert not interp.frame_judge(task, [false], [also_false], [])(frame)
+    assert interp.frame_judge(task, [false], [], [also_false])(frame)
+    assert not interp.frame_judge(task, [false], [], [also_false])([])
+
+
 @pytest.mark.parametrize("source,env", [
     ("1.0 / a[0] > 2.0", {"a": (Fraction(0),)}),
     ("y > 1", {"x": 1}),

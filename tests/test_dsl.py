@@ -71,9 +71,8 @@ SYNTAX_ERRORS = {
                      "unexpected token 'int'", (1, 12), ["["]),
     "type-close": (parse, "df = (Optional[int,)\n",
                    "unexpected token ','", (1, 19), ["]"]),
-    # at the end of the input a type error names the empty token text
     "type-eof": (parse, "df = (int, List[",
-                 "unexpected token '' in type", (1, 17), _TYPES),
+                 "unexpected token 'EOF' in type", (1, 17), _TYPES),
     "atom": (parse, _IN_FOLD.format("a[0] + ,"),
              "unexpected token ','", (2, 45), _ATOM_START),
     "atom-eof": (parse, "x = (1 +",

@@ -323,6 +323,57 @@ def test_spilled_frames_give_the_reference_answers(monkeypatch):
     assert capped["transitions"] + 2 * fuzz.FRAME_ROWS <= 100
 
 
+def test_every_frame_judged_whole_gives_the_reference_answers(monkeypatch):
+    """With the bound at 0 the tables never take a frame, so the generated
+    judge decides every one: the reports on the reference triples and on
+    random subsets of the generated tasks, and the errors of the raising
+    triples, on the same trial, are those of the per-trial loop."""
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 0)
+    for kind in sorted(REFERENCE):
+        spec = REFERENCE[kind]
+        task = make_task(spec["fixture"])
+        universes = build_universes(task)
+        q, res = _triple_indices(task, universes, spec)
+        for seed in range(2):
+            report = _assert_same_report(task, universes, q, res, 2000, seed)
+            assert report.tables["spilled"] == 2000
+    rng = random.Random(3)
+    for seed in (1, 2):
+        for name, source in generate_tasks(seed):
+            task = typecheck(parse(source), name)
+            universes = build_universes(task)
+            for _ in range(2):
+                q = [a.index for a in universes.u_q if rng.random() < 0.4]
+                res = [a.index for a in universes.u_residual
+                       if rng.random() < 0.4]
+                _assert_same_report(task, universes, q, res, 300,
+                                    rng.randrange(99))
+    for task, universes, q, res, seed, _ in _raising_cases():
+        _raised(monkeypatch, task, universes, q, res, seed)
+
+
+# an int field that each row above 5 multiplies by 1; given the initial
+# value `True`, which the checker never sees, a frame with a row above 5 and
+# a kept row folds to `(1,)` in full and to `(True,)` under `Q`, equal under
+# Python's `==` but not as values
+FLAGGED = """
+df = (int,)
+agg = fold(df, (0,), lambda a, r: (a[0] * 1,) if r[0] > 5 else a)
+out = filter(agg, lambda a: a[0] >= 0)
+"""
+
+
+def test_the_judge_compares_values_as_lift_results_do(monkeypatch):
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", 0)
+    typed = typecheck(parse(FLAGGED), "flagged")
+    universes = build_universes(typed)
+    task = dataclasses.replace(typed, init_values=(True,))
+    q, res = _triple_indices(task, universes,
+                             {"q": ["r[0] <= 5"], "residual": ["a[0] >= 0"]})
+    report = _assert_same_report(task, universes, q, res, 1000, 5)
+    assert report.mismatch_count > 0
+
+
 # -- the sampler against `randint` and `choice`
 
 
@@ -356,13 +407,13 @@ def test_sampler_errors_match_randint_and_choice():
 
 # `eval_fold`, `filter_rows` and `lift_eval` calls at seed 7, 10,000 trials;
 # the per-trial loop took 56,713 fold steps on top2's frames. case_a's
-# tables fill at trial 1,311 and case_b's at 997: each later frame costs two
-# folds, one `filter_rows` and two lifts
+# tables fill at trial 1,311 and case_b's at 997: each later frame is judged
+# by one call of the generated judge, and calls none of the three
 EVALUATIONS = {
     "top2": (252, 7, 44),
     "discount": (182, 13, 17),
-    "case_a": (21465, 8777, 19204),
-    "case_b": (22090, 10080, 19783),
+    "case_a": (4085, 87, 1824),
+    "case_b": (4082, 1076, 1775),
     "frequent": (77, 12, 13),
     "top2_wrong": (1365, 13, 113),
     "count_taut": (40, 5, 16),
@@ -385,14 +436,30 @@ def test_folds_each_distinct_transition_once(kind, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(fuzz, name, counted)
+
+    def counted_judge(*args, _make=fuzz.frame_judge):
+        judge = _make(*args)
+
+        def counted(frame):
+            calls["judge"] += 1
+            return judge(frame)
+
+        return counted
+
+    monkeypatch.setattr(fuzz, "frame_judge", counted_judge)
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     assert tuple(calls[name] for name in names) == EVALUATIONS[kind]
     steps, spilled = report.tables["steps"], report.tables["spilled"]
-    assert folds[:steps] == [1] * steps
-    assert len(folds) == steps + 2 * spilled
+    assert folds == [1] * steps
+    assert calls["judge"] == spilled
 
 
-def test_the_pair_table_judges_most_top2_frames():
+def test_the_pair_table_judges_most_top2_frames(monkeypatch):
+    """The call never spills, so it generates no judge."""
+    def refused(*args):
+        raise AssertionError("a judge was generated")
+
+    monkeypatch.setattr(fuzz, "frame_judge", refused)
     spec = REFERENCE["top2"]
     task = make_task(spec["fixture"])
     universes = build_universes(task)

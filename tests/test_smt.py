@@ -1,13 +1,14 @@
 """Solver session behavior, model soundness, interpreter/solver agreement."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.smt import (
-    SolverConfig, SolverError, decode_number, start_session,
+    SolverConfig, SolverError, SolverSession, decode_number, start_session,
 )
 
 from conftest import make_context, fixture_source, requires_z3
@@ -124,6 +125,52 @@ def test_crashed_solver_poisons_the_session():
     with pytest.raises(SolverCrashed):
         session.check_valid("true")
     session.close()
+
+
+# a solver that acknowledges every command, finds each query sat, and writes
+# its model in two flushed chunks split inside a string literal
+_FAKE_SOLVER = r'''
+import sys
+import time
+
+
+def say(text):
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
+for line in sys.stdin:
+    command = line.strip()
+    if command == "(exit)":
+        break
+    if command == "(check-sat)":
+        say("sat\n")
+    elif command == "(get-model)":
+        say('(\n  (define-fun x () Int\n    2)\n  (define-fun s () String "a)(')
+        time.sleep(0.05)
+        say('b")\n)\n')
+    else:
+        say("success\n")
+'''
+
+
+def test_subprocess_session_frames_a_model_read_in_two_chunks(tmp_path):
+    """`SolverSession` against a fake solver, so its framing runs where no
+    external solver is installed."""
+    solver = tmp_path / "fake-solver"
+    solver.write_text(f"#!{sys.executable}\n" + _FAKE_SOLVER)
+    solver.chmod(0o755)
+    session = SolverSession(SolverConfig(solver_path=str(solver)))
+    try:
+        session.declare_const("x", "Int", decode_number)
+        session.declare_const("s", "String", str)
+        res = session.check_valid([">", "x", "3"], ("x", "s"))
+        assert res.is_invalid
+        assert res.model == {"x": 2, "s": '"a)(b"'}
+    finally:
+        session.close()
+    session.proc.wait(timeout=10)
+    assert session.proc.poll() is not None
 
 
 def test_list_operations_agree_with_solver_on_short_lists():

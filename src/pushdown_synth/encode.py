@@ -16,7 +16,7 @@ from .smt import SolverError, decode_number, sexp_str
 from .syntax import (
     LITERAL_TYPES, BinOp, Cond, CoerceSome, Expr, Index, Insert, IsNone,
     ListExpr, Lit, Match, Name, Not, SliceFrom, SomeVal, TBool, TFloat, TInt,
-    TList, TOpt, TStr, TTuple, Type, TupleExpr,
+    TList, TOpt, TStr, TTuple, Type, TupleExpr, type_leaves,
 )
 from .typecheck import PipelineTask
 from .values import LITERALS, NEG_INF, NONE, Some, Value
@@ -32,14 +32,6 @@ class EncodeError(Exception):
 def _sanitize(label: str) -> str:
     out = "".join(ch if ch.isalnum() else "_" for ch in label)
     return out or "empty"
-
-
-def _has_str(ty: Type) -> bool:
-    if isinstance(ty, TTuple):
-        return any(map(_has_str, ty.elems))
-    if isinstance(ty, (TList, TOpt)):
-        return _has_str(ty.elem)
-    return isinstance(ty, TStr)
 
 
 @dataclass
@@ -81,8 +73,9 @@ class TaskEncoding:
             )
         # a `str` column or field that no literal names still needs the
         # sort, with only its spare elements
-        if self.str_labels or any(
-                map(_has_str, (*self.task.schema, self.task.acc_type))):
+        types = (*self.task.schema, self.task.acc_type)
+        if self.str_labels or any(isinstance(t, TStr) for ty in types
+                                  for t in type_leaves(ty)):
             spares = [f"S_other{k}" for k in range(STR_SPARES)]
             taken = set(spares)
             for label in self.str_labels:

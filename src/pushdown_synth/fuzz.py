@@ -237,12 +237,12 @@ class FoldTables:
         self.pair_hits = 0    # frames whose whole path was in the pair table
 
     def stats(self):
-        """The size of each table, the one-row fold steps evaluated (one per
-        transition), and how many frames the pair table judged alone, from a
+        """The size of each table (each transition is one one-row fold step
+        evaluated), and how many frames the pair table judged alone, from a
         path it held whole."""
         return {"rows": len(self.rows), "states": len(self.values),
                 "transitions": self.transitions, "pairs": len(self.pairs),
-                "steps": self.transitions, "pair_hits": self.pair_hits}
+                "pair_hits": self.pair_hits}
 
     def full(self, frame_rows):
         """Whether a frame of at most `frame_rows` rows could take a table

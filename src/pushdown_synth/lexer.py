@@ -1,29 +1,44 @@
-"""Tokenizer for the pipeline DSL.
+"""Tokenizer for the pipeline DSL: one compiled pattern, a named group per
+token class, states the lexical grammar, and `tokenize` builds a `Token` per
+match.
 
 Comments run from '#' to end of line. Whitespace (including newlines) only
-separates tokens. Signed numeric literals and -inf are lexed as single tokens
-when the minus cannot be a binary operator.
+separates tokens. Numbers are ASCII digits. Signed numeric literals and -inf
+are lexed as single tokens when the minus cannot be a binary operator, -inf
+only when no word character follows it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .syntax import CALL_FORMS, TYPE_KEYWORDS, Span
+from .syntax import CALL_FORMS, OPERATOR_LEVELS, TYPE_KEYWORDS, Span
 
-
-KEYWORDS = {
-    "not", "and", "or", "if", "else", "match", "case", "None",
-    "True", "False", "lambda", "fix", "inf", *CALL_FORMS, *TYPE_KEYWORDS,
-}
 # the value of each keyword token that is a literal
 _CONSTANTS = {"True": True, "False": False, "None": None}
+_OPERATORS = {op for level in OPERATOR_LEVELS for op in level}
+KEYWORDS = {
+    *filter(str.isidentifier, _OPERATORS), *_CONSTANTS, "if", "else",
+    "match", "case", "lambda", "fix", "inf", *CALL_FORMS, *TYPE_KEYWORDS,
+}
+# longest first, so `==` is not read as two `=`
+_SYMBOLS = sorted((_OPERATORS - KEYWORDS) | set("=()[],:"),
+                  key=lambda s: (-len(s), s))
 
-SYMBOLS = [
-    "==", ">=", "<=", "=", ">", "<", "+", "-", "*", "/",
-    "(", ")", "[", "]", ",", ":",
-]
+# `\w` is a character that passes `str.isalnum()` or is `_`; a word must also
+# start with one that passes `str.isalpha()` or is `_`, which `tokenize` checks
+_TOKEN = re.compile("|".join(f"(?P<{group}>{pattern})" for group, pattern in (
+    ("skip", r"[ \t\r]+|#[^\n]*"),
+    ("newline", r"\n"),
+    ("string", r'"[^"\n]*"'),
+    ("unterminated", '"'),
+    ("number", r"-?[0-9]+(?:\.[0-9]*)?|-inf(?!\w)"),
+    ("word", r"\w+"),
+    ("symbol", "|".join(map(re.escape, _SYMBOLS))),
+    ("unexpected", "."),
+)))
 
 
 @dataclass(frozen=True)
@@ -49,94 +64,38 @@ _OPERAND_END = {"IDENT", "INT", "FLOAT", "STRING", ")", "]", "True", "False", "N
 
 def tokenize(source: str):
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def span():
-        return Span(line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        group, text, pos = m.lastgroup, m.group(), m.end()
+        if group == "skip":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start = span()
-
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise DslSyntaxError("unterminated string literal", start)
-                j += 1
-            if j >= n:
-                raise DslSyntaxError("unterminated string literal", start)
-            text = source[i + 1 : j]
-            tokens.append(Token("STRING", text, text, start))
-            col += j + 1 - i
-            i = j + 1
-            continue
-
-        if c.isdigit() or (
-            c == "-"
-            and (not tokens or tokens[-1].kind not in _OPERAND_END)
-            and i + 1 < n
-            and (source[i + 1].isdigit() or source[i + 1 :].startswith("inf"))
-        ):
-            j = i + 1 if c == "-" else i
-            if source[j : j + 3] == "inf":
-                # bare 'inf' is handled as a keyword below; only -inf is a literal
-                tokens.append(Token("NEGINF", "-inf", None, start))
-                adv = (j + 3) - i
-                col += adv
-                i += adv
-                continue
-            k = j
-            while k < n and source[k].isdigit():
-                k += 1
-            is_float = False
-            if k < n and source[k] == ".":
-                is_float = True
-                k += 1
-                while k < n and source[k].isdigit():
-                    k += 1
-            text = source[i:k]
-            if is_float:
-                tokens.append(Token("FLOAT", text, Fraction(text), start))
+        span = Span(line, m.start() - line_start + 1)
+        if group == "word" and not (text[0].isalpha() or text[0] == "_"):
+            group, text = "unexpected", text[0]
+        if group == "newline":
+            line, line_start = line + 1, pos
+        elif group == "string":
+            tokens.append(Token("STRING", text[1:-1], text[1:-1], span))
+        elif group == "unterminated":
+            raise DslSyntaxError("unterminated string literal", span)
+        elif group == "unexpected":
+            raise DslSyntaxError(f"unexpected character {text!r}", span)
+        elif group == "number":
+            if text[0] == "-" and tokens and tokens[-1].kind in _OPERAND_END:
+                # a binary minus: the operand after it is read next
+                tokens.append(Token("-", "-", "-", span))
+                pos = m.start() + 1
+            elif text == "-inf":
+                tokens.append(Token("NEGINF", text, None, span))
+            elif "." in text:
+                tokens.append(Token("FLOAT", text, Fraction(text), span))
             else:
-                tokens.append(Token("INT", text, int(text), start))
-            col += k - i
-            i = k
-            continue
-
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+                tokens.append(Token("INT", text, int(text), span))
+        elif group == "word":
             kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, _CONSTANTS.get(text, text), start))
-            col += j - i
-            i = j
-            continue
-
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, sym, start))
-                col += len(sym)
-                i += len(sym)
-                break
+            tokens.append(Token(kind, text, _CONSTANTS.get(text, text), span))
         else:
-            raise DslSyntaxError(f"unexpected character {c!r}", start)
-
-    tokens.append(Token("EOF", "", None, Span(line, col)))
+            tokens.append(Token(text, text, text, span))
+    tokens.append(Token("EOF", "", None, Span(line, pos - line_start + 1)))
     return tokens

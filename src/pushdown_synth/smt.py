@@ -13,6 +13,7 @@ query-invariant.
 from __future__ import annotations
 
 import os
+import re
 import select
 import shutil
 import subprocess
@@ -40,60 +41,29 @@ def sexp_str(s) -> str:
     return "(" + " ".join(sexp_str(x) for x in s) + ")"
 
 
+# one SMT-LIB token (group 1): a parenthesis, a "string", a |quoted symbol|
+# or an atom; or a `;` comment, which is no token. A string or quoted symbol
+# left open runs to the end of the text.
+_SEXP_TOKEN = re.compile(r';[^\n]*|([()]|"[^"]*"?|\|[^|]*\|?|[^\s();]+)')
+
+
 def parse_sexp(text: str):
-    tokens = _tokenize_sexp(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    """The s-expressions of `text`; raises SolverError when its parentheses
+    do not balance."""
+    stack = [[]]
+    for tok in _SEXP_TOKEN.findall(text):
         if tok == "(":
-            out = []
-            while tokens[pos] != ")":
-                out.append(read())
-            pos += 1
-            return out
-        return tok
-
-    out = []
-    while pos < len(tokens):
-        out.append(read())
-    return out
-
-
-def _tokenize_sexp(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif c == "|":
-            j = i + 1
-            while j < n and text[j] != "|":
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+            stack.append([])
+        elif tok == ")" and len(stack) > 1:
+            sx = stack.pop()
+            stack[-1].append(sx)
+        elif tok == ")":
+            raise SolverError("unbalanced ')' in s-expression")
+        elif tok:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise SolverError("unclosed '(' in s-expression")
+    return stack[0]
 
 
 @dataclass
@@ -280,22 +250,21 @@ class SolverSession(Session):
         """Pop one complete response (balanced parens or a bare line)."""
         text = self._rbuf.decode(errors="replace")
         depth = 0
-        in_str = False
-        for i, ch in enumerate(text):
-            if ch == '"':
-                in_str = not in_str
-            if in_str:
-                continue
-            if ch == "(":
+        for m in _SEXP_TOKEN.finditer(text):
+            tok = m.group(1)
+            if tok == "(":
                 depth += 1
-            elif ch == ")":
+            elif tok == ")":
                 depth -= 1
                 if depth == 0:
-                    self._rbuf = text[i + 1 :].lstrip().encode()
-                    return text[: i + 1].strip()
-            elif ch == "\n" and depth == 0 and text[:i].strip():
-                self._rbuf = text[i + 1 :].encode()
-                return text[:i].strip()
+                    self._rbuf = text[m.end():].lstrip().encode()
+                    return text[: m.end()].strip()
+            elif tok and depth == 0:
+                end = text.find("\n", m.end())
+                if end < 0:
+                    return None
+                self._rbuf = text[end + 1:].encode()
+                return text[:end].strip()
         return None
 
     def _read_response(self, deadline: float) -> str:
@@ -386,10 +355,11 @@ class SolverSession(Session):
                 self._send("(exit)")
         except SolverError:
             pass
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
+        with self.proc:  # on leaving, the pipes are closed and the process reaped
+            try:
+                self.proc.kill()
+            except OSError:
+                pass
         super().close()
 
 

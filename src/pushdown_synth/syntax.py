@@ -118,6 +118,18 @@ LITERAL_TYPES = {"int": INT, "float": FLOAT, "neginf": FLOAT, "bool": BOOL,
                  "str": STR}
 
 
+def type_leaves(t: Type):
+    """The scalar and variable types inside `t`, through every list, option
+    and tuple."""
+    if isinstance(t, (TList, TOpt)):
+        yield from type_leaves(t.elem)
+    elif isinstance(t, TTuple):
+        for e in t.elems:
+            yield from type_leaves(e)
+    else:
+        yield t
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 

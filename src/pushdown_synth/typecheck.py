@@ -23,7 +23,7 @@ from .syntax import (
     Lambda, ListExpr, Lit, Match, Name, Not, Program, SliceFrom, SomeVal,
     Span, TFloat, TInt, TList, TOpt, TTuple, TVar, Type,
     TupleExpr, TypeTuple, children, map_children, mk_and, mk_not, mk_or,
-    negate, rebuild_match, substitute, walk,
+    negate, rebuild_match, substitute, type_leaves, walk,
 )
 from .values import LITERALS, NEG_INF, Some, Value
 
@@ -287,18 +287,8 @@ class _Checker:
         for node in walk(expr):
             if isinstance(node, Expr) and node.ty is not None:
                 node.ty = self.uni.resolve(node.ty)
-                if any(isinstance(t, TVar) for t in _type_leaves(node.ty)):
+                if any(isinstance(t, TVar) for t in type_leaves(node.ty)):
                     raise DslTypeError("ambiguous type; add a concrete value", node.span)
-
-
-def _type_leaves(t: Type):
-    if isinstance(t, (TList, TOpt)):
-        yield from _type_leaves(t.elem)
-    elif isinstance(t, TTuple):
-        for e in t.elems:
-            yield from _type_leaves(e)
-    else:
-        yield t
 
 
 # ---------------------------------------------------------------------------

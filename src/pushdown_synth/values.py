@@ -119,10 +119,13 @@ def fmt_value(v: Value) -> str:
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return f"{v.numerator}.0"
-        # positional digits: the DSL has no exponent notation
-        text = format(Decimal(repr(float(v))), "f")
-        if Fraction(text) == v:
-            return text
+        try:
+            # positional digits: the DSL has no exponent notation
+            text = format(Decimal(repr(float(v))), "f")
+            if Fraction(text) == v:
+                return text
+        except OverflowError:  # past the float range
+            pass
         return f"({v.numerator}.0 / {v.denominator}.0)"
     if isinstance(v, int):
         return str(v)

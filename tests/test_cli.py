@@ -265,7 +265,13 @@ def test_unencodable_program_is_an_error_record(tmp_path, capsys):
      "agg = fold(df, ([1.0],), lambda a, r: ([],) if r[0] == 0.0 else a)\n"
      "out = filter(agg, lambda a: a[0][0] > 0.0)\n",
      "list index 0 out of range"),
-], ids=["fold-result-in-the-post-filter", "raising-residual"])
+    ("diff",
+     "df = (float,)\n"
+     "agg = fold(df, (0.0,), lambda a, r: (a[0] + r[0],))\n"
+     "out = filter(agg, lambda a: a[0] > \u00b2)\n",
+     "3:36: unexpected character '\u00b2'"),
+], ids=["fold-result-in-the-post-filter", "raising-residual",
+        "non-ascii-digit"])
 def test_a_program_error_is_an_error_record(tmp_path, capsys, command,
                                              source, error):
     src = tmp_path / "task.pdsl"
@@ -631,9 +637,8 @@ def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
     top2 = events[0]
     assert top2["event"] == "fuzz-tables"
     assert set(top2) == {"event", "task", "rows", "states", "transitions",
-                         "steps", "spilled", "pairs", "pair_hits"}
+                         "spilled", "pairs", "pair_hits"}
     # 10,000 frames of up to 8 rows: 1,365 distinct one-row fold steps, and
     # 9,230 frames judged from a path the pair table held
-    assert (top2["transitions"], top2["steps"], top2["spilled"]) == \
-        (1365, 1365, 0)
+    assert (top2["transitions"], top2["spilled"]) == (1365, 0)
     assert (top2["pairs"], top2["pair_hits"]) == (105, 9230)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pushdown_synth.interp import BOTTOM, LiftResult, eval_expr, run_pipeline
-from pushdown_synth.lexer import DslSyntaxError
+from pushdown_synth.lexer import DslSyntaxError, tokenize
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr, fmt_program
 from pushdown_synth.syntax import (
@@ -119,6 +119,11 @@ SYNTAX_ERRORS = {
                                 "unterminated string literal", (1, 7), []),
     "unexpected-character": (parse, _S + "c = (1 $ 2)\n",
                              "unexpected character '$'", (2, 8), []),
+    # digits outside ASCII start neither a number nor an identifier
+    "superscript-digit": (parse, "x = \u00b2\n",
+                          "unexpected character '\u00b2'", (1, 5), []),
+    "arabic-indic-digit": (parse, "x = \u0663\n",
+                           "unexpected character '\u0663'", (1, 5), []),
 }
 
 
@@ -131,6 +136,19 @@ def test_syntax_error_message_span_and_expected_set(fn, source, message,
     assert exc.value.message == message
     assert exc.value.span == Span(*span)
     assert exc.value.expected == expected
+
+
+@pytest.mark.parametrize("source, tail", [
+    # `-inf` is a literal only when no word character follows it
+    ("x = -infinity", [("-", "-"), ("IDENT", "infinity")]),
+    ("a - -infx", [("-", "-"), ("IDENT", "infx")]),
+    # after an operand a minus is the binary operator
+    ("a[0]-1", [("-", "-"), ("INT", "1")]),
+    ("(a) -inf", [("-", "-"), ("inf", "inf")]),
+])
+def test_a_minus_that_starts_no_literal_is_an_operator(source, tail):
+    tokens = [(t.kind, t.text) for t in tokenize(source)]
+    assert tokens[-3:] == [*tail, ("EOF", "")]
 
 
 def test_match_program_parses_with_two_cases():
@@ -156,6 +174,7 @@ def test_pretty_roundtrip(task_id):
 @pytest.mark.parametrize("value", [
     Fraction("1e-05"), Fraction("1.5e-20"), Fraction("-3e-7"), Fraction("0.9"),
     Fraction(10**16) + Fraction(1, 2), Fraction(1, 3),
+    Fraction(10**400) + Fraction(1, 2),  # past the float range
 ], ids=str)
 def test_float_literal_reparses_to_its_value(value):
     """The lexer reads no exponent notation, so none may be printed."""

@@ -185,7 +185,7 @@ def test_list_accumulators_are_interned_by_a_frozen_key():
         q = [a.index for a in universes.u_q if rng.random() < 0.5]
         res = [a.index for a in universes.u_residual if rng.random() < 0.5]
         report = _assert_same_report(task, universes, q, res, 1000, seed)
-        assert report.tables["states"] < report.tables["steps"]
+        assert report.tables["states"] < report.tables["transitions"]
 
 
 RAISING_STEP = """
@@ -449,9 +449,8 @@ def test_folds_each_distinct_transition_once(kind, monkeypatch):
     monkeypatch.setattr(fuzz, "frame_judge", counted_judge)
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     assert tuple(calls[name] for name in names) == EVALUATIONS[kind]
-    steps, spilled = report.tables["steps"], report.tables["spilled"]
-    assert folds == [1] * steps
-    assert calls["judge"] == spilled
+    assert folds == [1] * report.tables["transitions"]
+    assert calls["judge"] == report.tables["spilled"]
 
 
 def test_the_pair_table_judges_most_top2_frames(monkeypatch):

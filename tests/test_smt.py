@@ -8,7 +8,8 @@ import pytest
 
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.smt import (
-    SolverConfig, SolverError, SolverSession, decode_number, start_session,
+    SolverConfig, SolverError, SolverSession, decode_number, parse_sexp,
+    start_session,
 )
 
 from conftest import make_context, fixture_source, requires_z3
@@ -17,6 +18,12 @@ from conftest import make_context, fixture_source, requires_z3
 def test_empty_theory_is_satisfiable():
     with start_session(SolverConfig()) as session:
         assert session.check_sat() == "sat"
+
+
+@pytest.mark.parametrize("text", ["(a", "a)"])
+def test_unbalanced_s_expression_is_a_solver_error(text):
+    with pytest.raises(SolverError):
+        parse_sexp(text)
 
 
 def test_nonexistent_solver_path_errors():
@@ -169,8 +176,7 @@ def test_subprocess_session_frames_a_model_read_in_two_chunks(tmp_path):
         assert res.model == {"x": 2, "s": '"a)(b"'}
     finally:
         session.close()
-    session.proc.wait(timeout=10)
-    assert session.proc.poll() is not None
+    assert session.proc.wait(timeout=10) is not None
 
 
 def test_list_operations_agree_with_solver_on_short_lists():

@@ -23,6 +23,14 @@ from .values import LITERALS, NEG_INF, NONE, Some, Value
 
 LIST_UNROLL_DEPTH = 8
 STR_SPARES = 3
+# a float operator over the F datatype: its function, and whether the
+# operands are swapped
+F_FUNCTIONS = {
+    ">": ("flt", True), ">=": ("fle", True),
+    "<": ("flt", False), "<=": ("fle", False),
+    "+": ("fadd", False), "-": ("fsub", False),
+    "*": ("fmul", False), "/": ("fdiv", False),
+}
 
 
 class EncodeError(Exception):
@@ -170,7 +178,7 @@ class TaskEncoding:
         body = self.translate(self.task.f_body, {"a": "a", "r": "r"})
         self.decls.append(
             f"(define-fun facc ((a {self.acc_sort.text}) (r {self.row_sort.text})) "
-            f"{self.acc_sort.text} {sexp_str(body)})"
+            f"{self.acc_sort.text} {body})"
         )
 
     def _emit_wf(self):
@@ -305,108 +313,111 @@ class TaskEncoding:
 
     # -- expression translation
 
-    def translate(self, expr: Expr, env: dict):
+    def translate(self, expr: Expr, env: dict) -> str:
+        """The SMT-LIB text of `expr`; `env` maps each free name to its
+        text."""
+        return _Texts(self, env).text(expr)
+
+    def _translate(self, expr: Expr, texts: _Texts) -> str:
+        tr = texts.text
         if isinstance(expr, Lit):
-            return self.value_sexp(LITERALS[expr.kind](expr.value),
-                                   LITERAL_TYPES.get(expr.kind) or expr.ty)
+            return sexp_str(self.value_sexp(
+                LITERALS[expr.kind](expr.value),
+                LITERAL_TYPES.get(expr.kind) or expr.ty))
         if isinstance(expr, Name):
-            if expr.ident not in env:
+            if expr.ident not in texts.env:
                 raise EncodeError(f"unbound variable {expr.ident!r} in encoding")
-            return env[expr.ident]
+            return texts.env[expr.ident]
         if isinstance(expr, Not):
-            return ["not", self.translate(expr.operand, env)]
+            return f"(not {tr(expr.operand)})"
         if isinstance(expr, BinOp):
-            left = self.translate(expr.left, env)
-            right = self.translate(expr.right, env)
-            is_float = isinstance(expr.left.ty, TFloat)
-            if expr.op in ("and", "or"):
-                return [expr.op, left, right]
-            if expr.op == "==":
-                return ["=", left, right]
-            if expr.op in (">", ">=", "<", "<="):
-                if is_float and self.float_adt:
-                    table = {
-                        ">": ["flt", right, left],
-                        ">=": ["fle", right, left],
-                        "<": ["flt", left, right],
-                        "<=": ["fle", left, right],
-                    }
-                    return table[expr.op]
-                return [expr.op, left, right]
-            if is_float and self.float_adt:
-                fn = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv"}[expr.op]
-                return [fn, left, right]
-            return [expr.op, left, right]
+            left, right = tr(expr.left), tr(expr.right)
+            head = "=" if expr.op == "==" else expr.op
+            if (self.float_adt and isinstance(expr.left.ty, TFloat)
+                    and expr.op in F_FUNCTIONS):
+                head, swapped = F_FUNCTIONS[expr.op]
+                if swapped:
+                    left, right = right, left
+            return f"({head} {left} {right})"
         if isinstance(expr, Cond):
-            return [
-                "ite",
-                self.translate(expr.test, env),
-                self.translate(expr.then, env),
-                self.translate(expr.other, env),
-            ]
+            return f"(ite {tr(expr.test)} {tr(expr.then)} {tr(expr.other)})"
         if isinstance(expr, Match):
             info = self.sort_of(expr.scrutinee.ty)
-            scrut = self.translate(expr.scrutinee, env)
+            scrut = tr(expr.scrutinee)
             none_case = next(c for c in expr.cases if c.pattern is None)
             bind_case = next(c for c in expr.cases if c.pattern is not None)
-            inner_env = dict(env)
-            inner_env[bind_case.pattern] = [f"val_{info.text}", scrut]
-            return [
-                "ite",
-                [["_", "is", f"None_{info.text}"], scrut],
-                self.translate(none_case.body, env),
-                self.translate(bind_case.body, inner_env),
-            ]
+            none_body = tr(none_case.body)
+            # the binder body reads a new environment, so it gets its own
+            # memo: no text of the outer one may stand for its nodes
+            inner = _Texts(self, {**texts.env, bind_case.pattern:
+                                  f"(val_{info.text} {scrut})"})
+            return (f"(ite ((_ is None_{info.text}) {scrut}) {none_body} "
+                    f"{inner.text(bind_case.body)})")
         if isinstance(expr, IsNone):
             info = self.sort_of(expr.operand.ty)
-            return [["_", "is", f"None_{info.text}"],
-                    self.translate(expr.operand, env)]
+            return f"((_ is None_{info.text}) {tr(expr.operand)})"
         if isinstance(expr, SomeVal):
             info = self.sort_of(expr.operand.ty)
-            return [f"val_{info.text}", self.translate(expr.operand, env)]
+            return f"(val_{info.text} {tr(expr.operand)})"
         if isinstance(expr, CoerceSome):
             info = self.sort_of(expr.ty)
-            return [info.ctor, self.translate(expr.operand, env)]
+            return f"({info.ctor} {tr(expr.operand)})"
         if isinstance(expr, TupleExpr):
             info = self.sort_of(expr.ty)
-            return [info.ctor] + [self.translate(e, env) for e in expr.items]
+            return f"({' '.join([info.ctor, *map(tr, expr.items)])})"
         if isinstance(expr, ListExpr):
             info = self.sort_of(expr.ty)
             out = f"(as nil_{info.text} {info.text})"
             for item in reversed(expr.items):
-                out = [info.ctor, self.translate(item, env), out]
+                out = f"({info.ctor} {tr(item)} {out})"
             return out
         if isinstance(expr, Index):
             base_ty = expr.base.ty
-            base = self.translate(expr.base, env)
+            base = tr(expr.base)
             info = self.sort_of(base_ty)
             if isinstance(base_ty, TTuple):
-                return [info.fields[expr.index], base]
+                return f"({info.fields[expr.index]} {base})"
             if expr.index < 0:
                 raise EncodeError("negative list index is not encodable")
-            out = base
-            for _ in range(expr.index):
-                out = [f"tl_{info.text}", out]
-            return [f"hd_{info.text}", out]
+            return f"(hd_{info.text} {_tails(info, base, expr.index)})"
         if isinstance(expr, SliceFrom):
             info = self.sort_of(expr.base.ty)
-            base = self.translate(expr.base, env)
+            base = tr(expr.base)
             if expr.start >= 0:
-                out = base
-                for _ in range(expr.start):
-                    out = [f"tl_{info.text}", out]
-                return out
+                return _tails(info, base, expr.start)
             leng = self._need_list_ops(expr.base.ty, "len")
             drop = self._need_list_ops(expr.base.ty, "drop")
-            return [drop, ["-", [leng, base], str(-expr.start)], base]
+            return f"({drop} (- ({leng} {base}) {-expr.start}) {base})"
         if isinstance(expr, Insert):
             ins = self._need_list_ops(expr.target.ty, "ins")
-            return [
-                ins,
-                self.translate(expr.item, env),
-                self.translate(expr.target, env),
-            ]
+            return f"({ins} {tr(expr.item)} {tr(expr.target)})"
         raise EncodeError(f"cannot translate {type(expr).__name__}")
+
+
+class _Texts:
+    """SMT-LIB texts of the nodes translated under one environment, by node
+    identity: each distinct node is translated once, and a parent splices
+    its children's texts. A universe's atoms share one, so a part they share
+    is translated and printed once. An entry holds its node, so no id is
+    reused while the memo lives; the memo is dropped with the build."""
+
+    def __init__(self, enc: TaskEncoding, env: dict):
+        self.enc = enc
+        self.env = env
+        self._texts = {}
+
+    def text(self, e: Expr) -> str:
+        hit = self._texts.get(id(e))
+        if hit is None:
+            hit = self._texts[id(e)] = (e, self.enc._translate(e, self))
+        return hit[1]
+
+
+def _tails(info: _SortInfo, base: str, n: int) -> str:
+    """The text of `base` with its first `n` list elements dropped."""
+    for _ in range(n):
+        base = f"(tl_{info.text} {base})"
+    return base
 
 
 def _real_sexp(x: Fraction):
@@ -454,11 +465,12 @@ class TaskContext:
             session.declare(definition)
 
     def _universe_definitions(self, prefix, universe, params):
-        env = {name: name for name, _ in params}
+        # one memo for the universe: its atoms share typed parts
+        texts = _Texts(self.enc, {name: name for name, _ in params})
         plist = " ".join(f"({n} {t})" for n, t in params)
         return [
             f"(define-fun {prefix}_{atom.index} ({plist}) Bool "
-            f"{sexp_str(self.enc.translate(atom.expr, env))})"
+            f"{texts.text(atom.expr)})"
             for atom in universe
         ]
 

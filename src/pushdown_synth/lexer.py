@@ -59,7 +59,8 @@ class DslSyntaxError(Exception):
 
 
 # token kinds after which a '-' must be a binary operator
-_OPERAND_END = {"IDENT", "INT", "FLOAT", "STRING", ")", "]", "True", "False", "None", "inf"}
+_OPERAND_END = {"IDENT", "INT", "FLOAT", "NEGINF", "STRING", ")", "]", "True",
+                "False", "None"}
 
 
 def tokenize(source: str):

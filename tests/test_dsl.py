@@ -145,10 +145,18 @@ def test_syntax_error_message_span_and_expected_set(fn, source, message,
     # after an operand a minus is the binary operator
     ("a[0]-1", [("-", "-"), ("INT", "1")]),
     ("(a) -inf", [("-", "-"), ("inf", "inf")]),
+    ("-inf -1", [("-", "-"), ("INT", "1")]),
+    ("-inf-1", [("-", "-"), ("INT", "1")]),
 ])
 def test_a_minus_that_starts_no_literal_is_an_operator(source, tail):
     tokens = [(t.kind, t.text) for t in tokenize(source)]
     assert tokens[-3:] == [*tail, ("EOF", "")]
+
+
+@pytest.mark.parametrize("source", ["-inf -1", "-inf-1"])
+def test_a_minus_after_neginf_subtracts(source):
+    assert structurally_equal(parse_expression(source),
+                              parse_expression("(-inf) - 1"))
 
 
 def test_match_program_parses_with_two_cases():

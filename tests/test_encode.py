@@ -1,20 +1,27 @@
 """The SMT value encoding: `TaskEncoding.decode` inverts `value_sexp` for
 every DSL type, and also reads the other forms a solver prints for a value
 (bare `F` numerals, negated and divided numerals, qualified `nil`, spare
-`Str` elements)."""
+`Str` elements). The translation memo is scoped to one environment: a
+match binder's body, another environment and another context each
+translate afresh."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pushdown_synth.encode import TaskEncoding
-from pushdown_synth.parser import parse
+from pushdown_synth.analysis import build_universes
+from pushdown_synth.encode import TaskContext, TaskEncoding
+from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.smt import SolverError, parse_sexp
-from pushdown_synth.syntax import BOOL, FLOAT, INT, STR, TList, TOpt, TTuple
-from pushdown_synth.typecheck import typecheck
+from pushdown_synth.syntax import (
+    BOOL, FLOAT, INT, STR, BinOp, Case, TList, TOpt, TTuple,
+)
+from pushdown_synth.typecheck import type_predicate, typecheck
 from pushdown_synth.values import NEG_INF, NONE, Some
 
 from conftest import make_context, make_task
+from test_declaration_pin import RecordingSession
 
 # floats as Reals; a list, an option, a bool and two string labels
 REAL_SOURCE = """
@@ -117,3 +124,44 @@ def test_labels_that_sanitize_alike_get_distinct_constructors():
         assert enc.decode("S_other0", STR) == "⟨S_other0⟩"
     finally:
         ctx.session.close()
+
+
+def test_a_body_shared_under_two_matches_reads_each_binder():
+    # case_b's accumulator has two `Optional[int]` components, a[1] and a[3]
+    enc = TaskEncoding(make_task("case_b"))
+    env = {"a": enc.task.acc_type}
+    first, second = (type_predicate(parse_expression(
+        f"match a[{i}]: case None: False case v: v > 3"), env) for i in (1, 3))
+    none_case, bind_case = second.cases
+    second = replace(second, cases=[
+        none_case, Case(bind_case.pattern, first.cases[1].body)])
+    assert second.cases[1].body is first.cases[1].body
+    both = BinOp(op="and", left=first, right=second, ty=BOOL)
+    texts = [enc.translate(m, {"a": "a"}) for m in (first, second)]
+    assert "(> (val_Opt_Int (acc1 a)) 3)" in texts[0]
+    assert "(> (val_Opt_Int (acc3 a)) 3)" in texts[1]
+    assert enc.translate(both, {"a": "a"}) == f"(and {texts[0]} {texts[1]})"
+
+
+def test_a_shared_subtree_reads_each_environment(f_enc):
+    atom = type_predicate(parse_expression("a[0] > 5.0 and a[1] < a[0]"),
+                          {"a": f_enc.task.acc_type})
+    both = BinOp(op="or", left=atom, right=atom, ty=BOOL)
+    one, two = (f_enc.translate(both, {"a": name}) for name in ("a1", "a2"))
+    part = "(and (flt (Fin 5.0) (acc0 a1)) (flt (acc1 a1) (acc0 a1)))"
+    assert one == f"(or {part} {part})"
+    assert two == one.replace(" a1)", " a2)")
+
+
+def test_two_contexts_on_the_same_universes_send_the_same_declarations():
+    task = typecheck(parse(REAL_SOURCE), "enc")
+    universes = build_universes(task)
+    # the first atom to need the list's `len` and `drop`
+    universes.u_residual.add(type_predicate(
+        parse_expression("a[0][-2:][0] > 1.0"), {"a": task.acc_type}))
+    sessions = [RecordingSession(), RecordingSession()]
+    for session in sessions:
+        TaskContext(task, universes, session)
+    first, second = (session.texts for session in sessions)
+    assert any(text.startswith("(define-fun drop_") for text in first)
+    assert first == second

@@ -105,16 +105,21 @@ def _digest(lines) -> str:
     return h.hexdigest()
 
 
-def universe_pin(name, source):
-    # binder names restart per task, so a pin does not depend on test order
+def build_task(name, source):
+    """The typechecked task of `source` and its universes. Binder names
+    restart per task, so a pin does not depend on test order."""
     counter = itertools.count(1)
     saved = analysis._fresh_binder
     analysis._fresh_binder = lambda: f"v{next(counter)}"
     try:
         task = typecheck(parse(source), name)
-        universes = build_universes(task)
+        return task, build_universes(task)
     finally:
         analysis._fresh_binder = saved
+
+
+def universe_pin(name, source):
+    task, universes = build_task(name, source)
     roles = [("q", universes.u_q), ("residual", universes.u_residual),
              ("psi", universes.u_psi)]
     atoms = [(role, atom) for role, u in roles for atom in u]

@@ -301,35 +301,31 @@ class _Elaborator:
             return ((TRUE, (0, ((L.new_avar(sort.kind == "int"), 1),))),)
         if sort.recursive:
             raise Incomplete("free constant of a recursive datatype")
-        n = len(sort.ctors)
-        if n == 1:
-            bits = (TRUE,)
-        elif n == 2:
-            b = L.new_var()
-            bits = (b, -b)
-        else:
-            bits = tuple(L.new_var() for _ in range(n))
+        # exactly one constructor by construction: input i picks constructor
+        # i unless an earlier input did, and the last takes what is left
+        inputs, bits, rest = [], [], TRUE
+        for _ in sort.ctors[1:]:
+            x = L.new_var()
+            inputs.append(x)
+            bits.append(L.and_([rest, x]))
+            rest = L.and_([rest, -x])
+        bits = tuple(bits) + (rest,)
         fields = tuple(
             tuple(self.fresh(self.sorts[f]) for _, f in fs)
             for _, fs in sort.ctors
         )
-        rep = (bits, fields)
-        # exactly one constructor; inactive fields equal the fixed values
-        axiom = []
-        if n > 2:
-            axiom.append(L.or_(bits))
-            axiom += [L.or_([-bits[i], -bits[j]])
-                      for i in range(n) for j in range(i + 1, n)]
-        for i, (_, fs) in enumerate(sort.ctors):
-            for j, (_, f) in enumerate(fs):
-                axiom.append(L.or_([bits[i], self.eq(
-                    self.sorts[f], fields[i][j], self.arbitrary(sort, i, j))]))
+        # inactive fields equal the fixed values
+        axiom = [
+            L.or_([bits[i], self.eq(self.sorts[f], fields[i][j],
+                                    self.arbitrary(sort, i, j))])
+            for i, (_, fs) in enumerate(sort.ctors)
+            for j, (_, f) in enumerate(fs)
+        ]
         lit = L.and_(axiom)
         if lit != TRUE:
-            for b in bits:
-                if b != TRUE:
-                    L.axiom[abs(b)] = lit
-        return rep
+            for x in inputs:
+                L.axiom[x] = lit
+        return (bits, fields)
 
     def arbitrary(self, sort, i, j):
         """The fixed value of selector j of constructor i on the others."""
@@ -1351,7 +1347,7 @@ def _tree(el, check, sort, rep):
                 return int(v) if kind == "int" else v
         raise SolverError("no guard of an arithmetic term holds in the model")
     bits, fields = el._dt(rep)
-    i = next((k for k, b in enumerate(bits) if check.lit(b)), 0)
+    i = next(k for k, b in enumerate(bits) if check.lit(b))
     return (i, tuple(
         _tree(el, check, el.sorts[f], fields[i][j])
         for j, (_, f) in enumerate(sort.ctors[i][1])))

@@ -151,6 +151,9 @@ def test_redeclaring_a_sort_or_constructor_is_an_error():
                 s.declare(text)
 
 
+ENUM = ["C0", "C1", "C2", "C3"]
+
+
 def _random_formula(rng, atoms, depth):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(atoms)
@@ -164,8 +167,12 @@ def _random_formula(rng, atoms, depth):
 
 
 def _eval(sx, env):
+    """Value of a query: numbers as Fractions, enum values as constructor
+    names and `P` values as (p0, p1) tuples."""
     if isinstance(sx, str):
-        return env[sx] if sx in env else Fraction(sx)
+        if sx in env:
+            return env[sx]
+        return sx if sx in ENUM else Fraction(sx)
     op = sx[0]
     if op == "ite":
         return _eval(sx[2] if _eval(sx[1], env) else sx[3], env)
@@ -181,6 +188,8 @@ def _eval(sx, env):
         "not": lambda: not vals[0], "=>": lambda: not vals[0] or vals[1],
         "<=": lambda: vals[0] <= vals[1], "<": lambda: vals[0] < vals[1],
         "=": lambda: vals[0] == vals[1], ">=": lambda: vals[0] >= vals[1],
+        "mk": lambda: tuple(vals), "p0": lambda: vals[0][0],
+        "p1": lambda: vals[0][1],
     }[op]()
 
 
@@ -275,3 +284,113 @@ def test_random_int_formulas_with_ite_terms_agree_with_brute_force():
             if res.is_invalid:
                 model = {v: Fraction(res.model[v]) for v in names}
                 assert _eval(query, model), (query, res.model)
+
+
+ENUM_DECL = "(declare-datatypes ((E 0)) (((C0) (C1) (C2) (C3))))"
+PAIR_DECL = "(declare-datatypes ((P 0)) (((mk (p0 E) (p1 Int)))))"
+def _enum_tests(rng, enum_terms, extra=()):
+    """`=` between two enum terms or against a constructor."""
+    a = rng.choice(enum_terms)
+    b = rng.choice([t for t in enum_terms if t != a] + ENUM + list(extra))
+    return ["=", a, b]
+
+
+def _guarded_int(rng, int_terms, enum_terms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(int_terms + [_num(rng.randint(-2, 2), False)])
+    if rng.random() < 0.6:
+        return ["ite", _enum_tests(rng, enum_terms),
+                _guarded_int(rng, int_terms, enum_terms, depth - 1),
+                _guarded_int(rng, int_terms, enum_terms, depth - 1)]
+    return ["+", _guarded_int(rng, int_terms, enum_terms, depth - 1),
+            _guarded_int(rng, int_terms, enum_terms, depth - 1)]
+
+
+def _agree_with_brute_force(s, rng, names, points, box, atoms_fn, decode, n):
+    """``n`` random queries: ``box``, ``(= z t)`` and two random formulas
+    over the atoms, where ``atoms_fn()`` gives the atoms and t, an Int term
+    that branches on enum tests. z is an Int that only its equation names,
+    so the backend solves for it, and its model value is read off those
+    tests. The verdict must be the one that ``points`` give, and the model
+    must satisfy the query."""
+    for _ in range(n):
+        atoms, term = atoms_fn()
+        query = ["and", box, ["=", "z", term]] + [
+            _random_formula(rng, atoms, 2) for _ in range(2)]
+
+        def holds(env):
+            return _eval(query, {**env, "z": _eval(term, env)})
+
+        expected = any(holds(dict(zip(names, p))) for p in points)
+        res = s.check_valid(["not", query], (*names, "z"))
+        assert (res.is_invalid, res.is_valid) == (expected, not expected), \
+            (query, res.reason)
+        if res.is_invalid:
+            model = {v: decode[v](res.model[v]) for v in names}
+            assert _eval(query, {**model, "z": res.model["z"]}), \
+                (query, res.model)
+
+
+def test_random_enum_formulas_agree_with_brute_force():
+    """Two constants of a four-constructor enum, compared with each other
+    and with the constructors, and two bounded Ints whose terms branch on
+    those tests: every formula is checked against all 400 assignments, and
+    every model against the formula."""
+    rng = random.Random(5)
+    names = ["s", "t", "x", "y"]
+    box = ["and"] + [["and", ["<=", _num(-2, False), v], ["<=", v, "2"]]
+                     for v in ("x", "y")]
+    ints = [Fraction(k) for k in range(-2, 3)]
+    points = list(itertools.product(ENUM, ENUM, ints, ints))
+    with session() as s:
+        s.declare(ENUM_DECL)
+        for v in ("s", "t"):
+            s.declare_const(v, "E", lambda sx: sx)
+        for v in ("x", "y", "z"):
+            s.declare_const(v, "Int", decode_number)
+
+        def atoms():
+            return [_enum_tests(rng, ["s", "t"]) for _ in range(2)] + [
+                [rng.choice(["<=", "<", "="]),
+                 _guarded_int(rng, ["x", "y"], ["s", "t"], 3),
+                 _num(rng.randint(-2, 2), False)]
+                for _ in range(2)], _guarded_int(rng, ["x", "y"], ["s", "t"], 3)
+
+        decode = {"s": str, "t": str, "x": Fraction, "y": Fraction}
+        _agree_with_brute_force(s, rng, names, points, box, atoms, decode, 200)
+
+
+def test_random_tuple_formulas_agree_with_brute_force():
+    """Two constants of a tuple sort over the enum and a bounded Int, read
+    through their selectors, compared whole and built with `mk`."""
+    rng = random.Random(6)
+    names = ["u", "w", "x"]
+    fields = [["p1", "u"], ["p1", "w"], "x"]
+    box = ["and"] + [["and", ["<=", _num(-1, False), v], ["<=", v, "1"]]
+                     for v in fields]
+    ints = [Fraction(k) for k in range(-1, 2)]
+    pairs = list(itertools.product(ENUM, ints))
+    points = list(itertools.product(pairs, pairs, ints))
+    enums = [["p0", "u"], ["p0", "w"]]
+    with session() as s:
+        s.declare(ENUM_DECL)
+        s.declare(PAIR_DECL)
+        for v in ("u", "w"):
+            s.declare_const(v, "P", lambda sx: sx)
+        for v in ("x", "z"):
+            s.declare_const(v, "Int", decode_number)
+
+        def atoms():
+            built = ["mk", rng.choice(ENUM), rng.choice(["x", "0"])]
+            return [["=", "u", "w"], ["=", rng.choice(["u", "w"]), built],
+                    _enum_tests(rng, enums)] + [
+                [rng.choice(["<=", "<", "="]),
+                 _guarded_int(rng, fields, enums, 3),
+                 _num(rng.randint(-1, 1), False)]
+                for _ in range(2)], _guarded_int(rng, fields, enums, 3)
+
+        def pair(sx):
+            return (sx[1], decode_number(sx[2]))
+
+        decode = {"u": pair, "w": pair, "x": Fraction}
+        _agree_with_brute_force(s, rng, names, points, box, atoms, decode, 150)

@@ -158,14 +158,7 @@ def _synth_task(args, task, universes, record, session):
     ctx = TaskContext(task, universes, session)
     budget = Budget(wall_s=args.budget_s, max_solver_calls=args.max_calls)
     outcome = synthesize(ctx, budget=budget, trace_fn=_trace_fn(args))
-    stats = outcome.stats
-    record["stats"].update({
-        "wall_ms": stats.wall_ms,
-        "solver_calls": stats.solver_calls,
-        "worklist_iters": stats.iterations,
-        "measure_log": [list(m) for m in stats.measure_log],
-        "notes": list(stats.notes),
-    })
+    record["stats"].update(outcome.stats)
     if not isinstance(outcome, PushdownSolution):
         record["status"] = outcome.reason \
             if outcome.reason in ("budget", "inconclusive") else "fail"
@@ -352,52 +345,50 @@ def build_arg_parser():
             raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
         return value
 
-    def common(p, files=True):
-        p.add_argument("--solver", default=None,
-                       help="SMT solver binary, or 'builtin'")
-        p.add_argument("--timeout-ms", type=milliseconds, default=30000,
-                       help="per-query solver timeout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write records here")
-        p.add_argument("--smt-log", default=None,
-                       help="transcript of solver traffic")
-        p.add_argument("--trace", action="store_true",
-                       help="emit worklist (synth) and fuzz-table (diff) "
-                            "events on stderr")
-        p.add_argument("--dump-universe", action="store_true")
-        p.add_argument("--budget-s", type=float, default=600.0,
-                       help="synthesis wall-clock budget")
-        p.add_argument("--max-calls", type=int, default=20000,
-                       help="synthesis solver-call budget")
-        p.add_argument("--trials", type=count, default=2000,
-                       help="differential trials")
-        p.add_argument("--bmc-rows", type=int, choices=range(1, 5), default=2)
-        if files:
-            p.add_argument("files", nargs="+", metavar="FILE")
-
-    p_synth = sub.add_parser("synth", help="synthesize and validate")
-    common(p_synth)
-    p_synth.set_defaults(fn=cmd_synth)
-
-    p_verify = sub.add_parser("verify", help="check a provided (Q, P', psi)")
-    common(p_verify)
-    p_verify.add_argument("--triple", required=True,
-                          help="JSON file with q/residual/psi atom lists")
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_screen = sub.add_parser("screen", help="bounded feasibility screen")
-    common(p_screen)
-    p_screen.set_defaults(fn=cmd_screen)
-
-    p_diff = sub.add_parser("diff", help="fuzz a provided (Q, P') pair")
-    common(p_diff)
-    p_diff.add_argument("--triple", required=True)
-    p_diff.set_defaults(fn=cmd_diff)
-
-    p_bench = sub.add_parser("bench", help="run a directory of tasks")
-    common(p_bench, files=False)
-    p_bench.add_argument("directory")
-    p_bench.set_defaults(fn=cmd_bench)
+    options = {
+        "--seed": dict(type=int, default=0),
+        "--out": dict(default=None, help="write records here"),
+        "--solver": dict(default=None,
+                         help="SMT solver binary, or 'builtin'"),
+        "--timeout-ms": dict(type=milliseconds, default=30000,
+                             help="per-query solver timeout"),
+        "--smt-log": dict(default=None, help="transcript of solver traffic"),
+        "--trace": dict(action="store_true",
+                        help="emit worklist (synth) and fuzz-table (diff) "
+                             "events on stderr"),
+        "--dump-universe": dict(action="store_true"),
+        "--budget-s": dict(type=float, default=600.0,
+                           help="synthesis wall-clock budget"),
+        "--max-calls": dict(type=int, default=20000,
+                            help="synthesis solver-call budget"),
+        "--trials": dict(type=count, default=2000,
+                         help="differential trials"),
+        "--bmc-rows": dict(type=int, choices=range(1, 5), default=2),
+        "--triple": dict(required=True,
+                         help="JSON file with q/residual/psi atom lists"),
+        "files": dict(nargs="+", metavar="FILE"),
+        "directory": {},
+    }
+    # each subcommand accepts only the options it reads
+    base = ("--seed", "--out")
+    solver = base + ("--solver", "--timeout-ms", "--smt-log")
+    search = solver + ("--trace", "--dump-universe", "--budget-s",
+                       "--max-calls", "--trials")
+    for name, fn, help, names in (
+        ("synth", cmd_synth, "synthesize and validate", search + ("files",)),
+        ("verify", cmd_verify, "check a provided (Q, P', psi)",
+         solver + ("--triple", "files")),
+        ("screen", cmd_screen, "bounded feasibility screen",
+         solver + ("--bmc-rows", "files")),
+        ("diff", cmd_diff, "fuzz a provided (Q, P') pair",
+         base + ("--trace", "--trials", "--triple", "files")),
+        ("bench", cmd_bench, "run a directory of tasks",
+         search + ("directory",)),
+    ):
+        p = sub.add_parser(name, help=help)
+        for option in names:
+            p.add_argument(option, **options[option])
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional as Opt
 
@@ -43,8 +43,9 @@ class Budget:
 class Run:
     """The state of one synthesis run over a task context: the budget's
     deadline and call cap, the trace sink, the count of solver queries, the
-    notes on what a solver unknown left undecided, and the bounds computed
-    once per run. Every query of the search goes through ``valid``; nothing
+    notes on what a solver unknown left undecided, and what is computed
+    once per run: the lower bound ``psi_min`` and the atoms true on the
+    initial pair. Every query of the search goes through ``valid``; nothing
     of the run is left on the context."""
 
     def __init__(self, ctx, budget: Opt[Budget] = None, trace_fn=None):
@@ -95,24 +96,9 @@ class Run:
 
 
 @dataclass
-class SymbolicBounds:
-    psi_min: Conjunction
-    psi_max: Conjunction
-
-
-@dataclass
 class Diagnosis:
     kind: str  # Sync | Stutter
     row: tuple
-
-
-@dataclass
-class SynthStats:
-    iterations: int = 0
-    solver_calls: int = 0
-    wall_ms: float = 0.0
-    measure_log: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
 @dataclass
@@ -122,13 +108,13 @@ class PushdownSolution:
     certified_residual: Conjunction  # what Final was proved with
     psi: Conjunction
     mode: str  # exact | partial | split
-    stats: SynthStats
+    stats: dict  # the record's search stats, as `synthesize` fills them
 
 
 @dataclass
 class SynthFailure:
     reason: str  # exhausted | budget | inconclusive
-    stats: SynthStats
+    stats: dict
 
 
 class _Worklist:
@@ -164,11 +150,11 @@ class _Worklist:
         self.visited.add(key)
         return conj
 
-    def measure(self) -> tuple:
-        """(largest size queued, how many entries have it)."""
+    def measure(self) -> list:
+        """[largest size queued, how many entries have it]."""
         sizes = [len(conj) for _, _, conj in self._heap]
         top = max(sizes, default=0)
-        return (top, sizes.count(top))
+        return [top, sizes.count(top)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +271,31 @@ def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
             cand = cand.without(p)
 
 
-def refine_bounds(run, q: Conjunction, bounds: SymbolicBounds) -> SymbolicBounds:
-    """Lower bound once (target independent of Q); upper bound filtered at the
-    base case once, then pruned under the one-step synchronized update."""
-    psi_min = bounds.psi_min if len(bounds.psi_min) else run.psi_min
+def refine_bounds(run, q: Conjunction, psi_max: Conjunction) -> Conjunction:
+    """The upper bound filtered at the base case, then pruned under the
+    one-step synchronized update; it keeps the run's lower bound."""
+    psi_min = run.psi_min
     psi_max = Conjunction.of(
-        "psi", (bounds.psi_max.indices & run.init_max.indices) | psi_min.indices
+        "psi", (psi_max.indices & run.init_max.indices) | psi_min.indices
     )
     psi_max, _ = _drop_pass(run, VC_SYNC, q, psi_max, psi_min)
-    return SymbolicBounds(psi_min=psi_min, psi_max=psi_max)
+    return psi_max
 
 
 # ---------------------------------------------------------------------------
 # unrealizability check
 
 
-def check_unrealizable(run, q: Conjunction, bounds: SymbolicBounds):
+def check_unrealizable(run, q: Conjunction,
+                       psi_max: Conjunction) -> Opt[Diagnosis]:
+    """The diagnosis of the first step (Sync, then Stutter) that leaves the
+    lower bound from a pair in the upper one: every invariant lies between
+    the two, so none exists. None when neither step does."""
     for kind, build in STEP_VCS.items():
-        res = run.valid(
-            build(run.ctx, bounds.psi_max, q, bounds.psi_min), STEP_VARS
-        )
+        res = run.valid(build(run.ctx, psi_max, q, run.psi_min), STEP_VARS)
         if res.is_invalid:
-            return True, Diagnosis(kind, res.model["r"])
-    return False, None
+            return Diagnosis(kind, res.model["r"])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -329,40 +317,39 @@ def repair(ctx, q: Conjunction, diagnosis: Diagnosis) -> Conjunction:
 
 
 def weaken_via_bounds(run, q: Conjunction):
-    bounds = SymbolicBounds(
-        psi_min=Conjunction.of("psi", ()),
-        psi_max=Conjunction.of("psi", range(len(run.ctx.universes.u_psi))),
-    )
-    while True:
-        if len(q) == 0:
-            return False, None, None
-        bounds = refine_bounds(run, q, bounds)
-        unreal, diagnosis = check_unrealizable(run, q, bounds)
-        if not unreal:
-            return True, q, bounds
+    """(q', psi_max): ``q`` repaired until the bounds no longer prove it
+    unrealizable, and its upper bound; None once no atom is left."""
+    psi_max = Conjunction.of("psi", range(len(run.ctx.universes.u_psi)))
+    while len(q):
+        psi_max = refine_bounds(run, q, psi_max)
+        diagnosis = check_unrealizable(run, q, psi_max)
+        if diagnosis is None:
+            return q, psi_max
         q2 = repair(run.ctx, q, diagnosis)
         run.trace("repair", kind=diagnosis.kind,
                   before=sorted(q.indices), after=sorted(q2.indices))
         q = q2
+    return None
 
 
 # ---------------------------------------------------------------------------
 # invariant inference
 
 
-def find_strongest_bisimulation(run, q: Conjunction, bounds: SymbolicBounds):
+def find_strongest_bisimulation(run, q: Conjunction, psi_max: Conjunction):
     """Houdini from the upper bound: drop every atom a Sync or Stutter step
-    fails to preserve, until neither drops one. A failing atom of the lower
-    bound aborts with the step's countermodel row as the diagnosis."""
-    cand = bounds.psi_max
+    fails to preserve, until neither drops one; (psi, None). A failing atom
+    of the lower bound aborts with (None, diagnosis), the diagnosis being
+    the step's countermodel row."""
+    cand = psi_max
     while True:
         before = cand.indices
         for kind in STEP_VCS:
-            cand, model = _drop_pass(run, kind, q, cand, bounds.psi_min)
+            cand, model = _drop_pass(run, kind, q, cand, run.psi_min)
             if model is not None:
-                return False, None, Diagnosis(kind, model["r"])
+                return None, Diagnosis(kind, model["r"])
         if cand.indices == before:
-            return True, cand, None
+            return cand, None
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +358,27 @@ def find_strongest_bisimulation(run, q: Conjunction, bounds: SymbolicBounds):
 
 def handle_failure(ctx, p: Conjunction, cand: Conjunction, model: dict,
                    push):
-    a1v, a2v = model["a1"], model["a2"]
-    accepts_p = conj_eval(ctx, p, {"a": a1v})
-    accepts_c = conj_eval(ctx, cand, {"a": a2v})
-    if accepts_p and accepts_c:
-        return  # mismatch on acceptance: a1 != a2 is unfixable by strengthening
-    if accepts_p and not accepts_c:
-        return  # false rejection
-    if not accepts_p and accepts_c:
-        env = {"a": a2v}
-        for atom in ctx.universes.u_residual:
-            if atom.index in cand.indices:
-                continue
-            if not eval_atom(atom.expr, env):
-                push(cand.with_(atom.index))
+    """On a countermodel where P rejects a1 but the candidate accepts a2,
+    push the candidate strengthened by each residual atom false on a2. Any
+    other failure (a false rejection, or a1 and a2 both accepted but
+    different) no strengthening fixes."""
+    if conj_eval(ctx, p, {"a": model["a1"]}) \
+            or not conj_eval(ctx, cand, {"a": model["a2"]}):
+        return
+    env = {"a": model["a2"]}
+    for atom in ctx.universes.u_residual:
+        if atom.index not in cand.indices and not eval_atom(atom.expr, env):
+            push(cand.with_(atom.index))
 
 
-def find_residual(run, psi: Conjunction):
+def find_residual(run, psi: Conjunction) -> Opt[Conjunction]:
+    """The weakest residual that Final certifies under ``psi``, smallest
+    first; None when there is none."""
     ctx = run.ctx
     p = p_conjunction(ctx)
     early = run.valid(vc_final(ctx, psi, p, p), ("a1", "a2"))
     if early.is_invalid:
-        return False, None
+        return None
     worklist = _Worklist(1)
     worklist.push(Conjunction.of("residual", ()))
     while worklist:
@@ -401,13 +387,13 @@ def find_residual(run, psi: Conjunction):
             continue
         res = run.valid(vc_final(ctx, psi, p, cand), ("a1", "a2"))
         if res.is_valid:
-            return True, cand
+            return cand
         if res.is_unknown:
             run.trace("residual-unknown", candidate=sorted(cand.indices))
             run.undecided("unknown on a residual candidate (Final)")
             continue
         handle_failure(ctx, p, cand, res.model, worklist.push)
-    return False, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +443,12 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     whose bounds or invariant a solver unknown leaves undecided is noted and
     its subsets are searched; every other unknown that changes the search is
     noted too, and a search that then finds nothing fails as
-    ``inconclusive``."""
+    ``inconclusive``. Either outcome carries the record's search stats:
+    ``worklist_iters``, ``measure_log``, ``notes``, ``solver_calls`` and
+    ``wall_ms``."""
     run = Run(ctx, budget, trace_fn)
-    stats = SynthStats()
+    stats = {"worklist_iters": 0, "measure_log": []}
+    notes = []  # why the search stopped, after the run's own notes
     t0 = time.monotonic()
     worklist = _Worklist(-1)
 
@@ -470,32 +459,32 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
     push(Conjunction.of("q", range(len(ctx.universes.u_q))))
     try:
         while worklist:
-            stats.measure_log.append(worklist.measure())
-            stats.iterations += 1
+            stats["measure_log"].append(worklist.measure())
+            stats["worklist_iters"] += 1
             q = worklist.pop()
             if q is None:
                 continue
             run.trace("dequeue", candidate=sorted(q.indices))
+            psi = diagnosis = None
             try:
-                ok, weakened, bounds = weaken_via_bounds(run, q)
-                if not ok:
+                weakened = weaken_via_bounds(run, q)
+                if weakened is None:
                     run.trace("verdict", candidate=sorted(q.indices),
                               outcome="infeasible")
                     continue
-                q = weakened
+                q, psi_max = weakened
                 worklist.visited.add(q.sorted())
-                ok, psi, diagnosis = find_strongest_bisimulation(run, q, bounds)
+                psi, diagnosis = find_strongest_bisimulation(run, q, psi_max)
             except SynthInconclusive as exc:
                 run.undecided(str(exc))
-                ok, diagnosis = False, None
-            if not ok:
+            if psi is None:
                 run.trace("verdict", candidate=sorted(q.indices),
                           outcome="no-bisimulation")
                 if diagnosis is not None:
                     push(repair(ctx, q, diagnosis))
             else:
-                ok, residual = find_residual(run, psi)
-                if ok:
+                residual = find_residual(run, psi)
+                if residual is not None:
                     run.trace("verdict", candidate=sorted(q.indices),
                               outcome="solved")
                     reported = collapse_residual(run, residual)
@@ -512,12 +501,11 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
             for a in sorted(q.indices):
                 push(q.without(a))
     except BudgetExceeded as exc:
-        stats.notes.append(f"budget exhausted: {exc}")
+        notes.append(f"budget exhausted: {exc}")
         return SynthFailure("budget", stats)
     except UniverseInsufficiency as exc:
-        stats.notes.append(str(exc))
+        notes.append(str(exc))
     finally:
-        stats.notes[:0] = run.notes
-        stats.solver_calls = run.calls
-        stats.wall_ms = (time.monotonic() - t0) * 1000.0
+        stats.update(notes=run.notes + notes, solver_calls=run.calls,
+                     wall_ms=(time.monotonic() - t0) * 1000.0)
     return SynthFailure("inconclusive" if run.notes else "exhausted", stats)

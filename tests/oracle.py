@@ -13,7 +13,7 @@ from itertools import combinations
 
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.synth import (
-    PushdownSolution, Run, SynthStats, classify_mode, collapse_residual,
+    PushdownSolution, Run, classify_mode, collapse_residual,
 )
 from pushdown_synth.vcgen import (
     Conjunction, p_conjunction, vc_final, vc_stutter, vc_sync,
@@ -86,7 +86,7 @@ def brute_force_optimal(ctx, cap_q: int = 6, cap_r: int = 6, cap_psi: int = 10):
                     certified_residual=residual,
                     psi=psi,
                     mode=classify_mode(Run(ctx), reported),
-                    stats=SynthStats(),
+                    stats={},
                 )
     return None
 

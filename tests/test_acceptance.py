@@ -286,7 +286,7 @@ def test_criterion_8_bmc_screen(bank):
 def test_criterion_9_termination_measure(bank):
     for name in FIXTURE_NAMES + ("count_taut",):
         sol = bank.solution[name]
-        log = sol.stats.measure_log
+        log = sol.stats["measure_log"]
         assert len(log) >= 1
         for i in range(len(log) - 1):
             assert log[i + 1] < log[i], f"{name}: measure stalled at {i}"

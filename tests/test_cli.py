@@ -181,6 +181,25 @@ def test_usage_error_exit_code():
     assert run(["synth"]) == 2  # missing FILE
 
 
+@pytest.mark.parametrize("argv", [
+    ["diff", "--solver", "builtin"],
+    ["diff", "--max-calls", "10"],
+    ["verify", "--trials", "10"],
+    ["screen", "--trace"],
+    ["synth", "--bmc-rows", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
+        argv, tmp_path, capsys):
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps(PAPER_TRIPLE))
+    out = tmp_path / "records.json"
+    triple = ["--triple", str(tfile)] if argv[0] in ("diff", "verify") else []
+    code = run([*argv, *triple, "--out", str(out), fixture_path("top2")])
+    assert code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
     tfile = tmp_path / "triple.json"
     tfile.write_text(json.dumps({"q": ["r[0] > 90.0"]}))
@@ -279,10 +298,11 @@ def test_a_program_error_is_an_error_record(tmp_path, capsys, command,
     tfile = tmp_path / "triple.json"
     tfile.write_text(json.dumps(
         {"q": [], "residual": ["a[0][0] > 0.0"], "psi": []}))
-    triple = ["--triple", str(tfile)] if command == "diff" else []
+    # diff opens no solver session, so it takes no --solver
+    extra = ["--triple", str(tfile)] if command == "diff" \
+        else ["--solver", "builtin"]
     out = tmp_path / "records.json"
-    code = run([command, *triple, "--solver", "builtin", "--out", str(out),
-                str(src)])
+    code = run([command, *extra, "--out", str(out), str(src)])
     assert code == 1
     record, = read_records(out)
     validate_record(record)
@@ -426,8 +446,9 @@ def test_bad_file_gets_an_error_record_after_the_good_one(tmp_path, command):
     bad = tmp_path / "bad.pdsl"
     bad.write_text("df = (float,)\nagg = fold(df, (0.0,), lambda a, r: (a[0],,))\n")
     out = tmp_path / "records.json"
+    trials = ["--trials", "200"] if command == "diff" else []
     code = run([
-        command, "--triple", str(tfile), "--trials", "200", "--out", str(out),
+        command, "--triple", str(tfile), *trials, "--out", str(out),
         fixture_path("top2"), str(bad),
     ])
     assert code == 1
@@ -603,8 +624,7 @@ def test_records_name_their_backend(tmp_path):
     trials = ["--trials", "100"]
     runs = {
         "synth": ["synth", *trials, fixture_path("discount")],
-        "verify": ["verify", *trials, "--triple", str(tfile),
-                   fixture_path("top2")],
+        "verify": ["verify", "--triple", str(tfile), fixture_path("top2")],
         "screen": ["screen", fixture_path("discount")],
         "bench": ["bench", *trials, str(suite)],
     }

@@ -8,7 +8,7 @@ from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.interp import eval_fold, lift_eval, run_pipeline
 from pushdown_synth.parser import parse
 from pushdown_synth.rewrite import emit_rewritten
-from pushdown_synth.synth import PushdownSolution, SynthStats
+from pushdown_synth.synth import PushdownSolution
 from pushdown_synth.typecheck import typecheck
 from pushdown_synth.vcgen import Conjunction, p_conjunction
 
@@ -49,7 +49,7 @@ def test_trivial_solution_elides_the_vacuous_prefilter():
             certified_residual=p_conjunction(ctx),
             psi=Conjunction.of("psi", ()),
             mode="partial",
-            stats=SynthStats(),
+            stats={},
         )
         text = emit_rewritten(ctx.task, ctx.universes, trivial)
         assert "kept" not in text

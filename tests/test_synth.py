@@ -8,7 +8,7 @@ from pushdown_synth.synth import (
     Budget, PushdownSolution, Run, SynthFailure, check_unrealizable, Diagnosis,
     find_residual, find_strongest_bisimulation, find_weakest_implicant,
     handle_failure, refine_bounds, repair, synthesize, weaken_via_bounds,
-    SymbolicBounds, UniverseInsufficiency,
+    UniverseInsufficiency,
 )
 from pushdown_synth.vcgen import Conjunction, check_witness, p_conjunction
 
@@ -22,6 +22,10 @@ def top2x(request):
     )
     request.addfinalizer(ctx.session.close)
     return ctx
+
+
+def every_psi_atom(ctx):
+    return Conjunction.of("psi", range(len(ctx.universes.u_psi)))
 
 
 def q_of(ctx, *texts):
@@ -115,14 +119,14 @@ out = filter(agg, lambda a: a[0] > 0)
 
 def test_weaken_via_bounds_keeps_feasible_filter(top2x):
     q = q_of(top2x, "r[0] > 90.0")
-    ok, q2, bounds = weaken_via_bounds(Run(top2x), q)
-    assert ok and q2.sorted() == q.sorted()
-    assert bounds.psi_min.indices <= bounds.psi_max.indices
+    run = Run(top2x)
+    q2, psi_max = weaken_via_bounds(run, q)
+    assert q2.sorted() == q.sorted()
+    assert run.psi_min.indices <= psi_max.indices
 
 
 def test_weaken_via_bounds_rejects_empty_filter(top2x):
-    ok, _, _ = weaken_via_bounds(Run(top2x), Conjunction.of("q", ()))
-    assert not ok
+    assert weaken_via_bounds(Run(top2x), Conjunction.of("q", ())) is None
 
 
 def test_weaken_via_bounds_repairs_an_over_strong_filter():
@@ -134,17 +138,14 @@ def test_weaken_via_bounds_repairs_an_over_strong_filter():
     )
     try:
         q = q_of(ctx, "r[0] > 100", "r[0] > 200")
-        ok, weakened, bounds = weaken_via_bounds(Run(ctx), q)
-        assert ok
+        run = Run(ctx)
+        weakened, _ = weaken_via_bounds(run, q)
         assert weakened.sorted() == q_of(ctx, "r[0] > 100").sorted()
-        assert len(bounds.psi_min) >= 1
+        assert len(run.psi_min) >= 1
         # directly: the original filter is unrealizable with a stutter witness
-        refined = refine_bounds(Run(ctx), q, SymbolicBounds(
-            psi_min=Conjunction.of("psi", ()),
-            psi_max=Conjunction.of("psi", range(len(ctx.universes.u_psi))),
-        ))
-        unreal, diagnosis = check_unrealizable(Run(ctx), q, refined)
-        assert unreal and diagnosis.kind == "Stutter"
+        refined = refine_bounds(Run(ctx), q, every_psi_atom(ctx))
+        diagnosis = check_unrealizable(Run(ctx), q, refined)
+        assert diagnosis.kind == "Stutter"
         row = diagnosis.row[0]
         assert 100 < row <= 200
     finally:
@@ -153,26 +154,19 @@ def test_weaken_via_bounds_repairs_an_over_strong_filter():
 
 def test_refine_bounds_fixed_point_and_monotonicity(top2x):
     q = q_of(top2x, "r[0] > 90.0")
-    start = SymbolicBounds(
-        psi_min=Conjunction.of("psi", ()),
-        psi_max=Conjunction.of("psi", range(len(top2x.universes.u_psi))),
-    )
-    once = refine_bounds(Run(top2x), q, start)
-    assert once.psi_max.indices <= start.psi_max.indices
-    twice = refine_bounds(Run(top2x), q, once)
-    assert twice.psi_max.indices == once.psi_max.indices
-    assert twice.psi_min.indices == once.psi_min.indices
+    run = Run(top2x)
+    start = every_psi_atom(top2x)
+    once = refine_bounds(run, q, start)
+    assert run.psi_min.indices <= once.indices <= start.indices
+    twice = refine_bounds(run, q, once)
+    assert twice.indices == once.indices
 
 
 def test_check_unrealizable_accepts_the_right_filter(top2x):
     q = q_of(top2x, "r[0] > 90.0")
-    start = SymbolicBounds(
-        psi_min=Conjunction.of("psi", ()),
-        psi_max=Conjunction.of("psi", range(len(top2x.universes.u_psi))),
-    )
-    bounds = refine_bounds(Run(top2x), q, start)
-    unreal, diagnosis = check_unrealizable(Run(top2x), q, bounds)
-    assert not unreal and diagnosis is None
+    run = Run(top2x)
+    psi_max = refine_bounds(run, q, every_psi_atom(top2x))
+    assert check_unrealizable(run, q, psi_max) is None
 
 
 # -- invariant inference
@@ -180,10 +174,9 @@ def test_check_unrealizable_accepts_the_right_filter(top2x):
 
 def test_find_strongest_bisimulation_entails_the_known_invariant(top2x):
     q = q_of(top2x, "r[0] > 90.0")
-    ok, q2, bounds = weaken_via_bounds(Run(top2x), q)
-    assert ok
-    ok, psi, _ = find_strongest_bisimulation(Run(top2x), q2, bounds)
-    assert ok
+    q2, psi_max = weaken_via_bounds(Run(top2x), q)
+    psi, diagnosis = find_strongest_bisimulation(Run(top2x), q2, psi_max)
+    assert diagnosis is None
     from test_vcgen import SEVEN_CONJUNCTS
 
     for text in SEVEN_CONJUNCTS:
@@ -211,8 +204,7 @@ def test_find_residual_weakest_in_universe():
     try:
         eq = atom_index(ctx.universes.u_psi, "a1[0] == a2[0]")
         psi = Conjunction.of("psi", [eq])
-        ok, residual = find_residual(Run(ctx), psi)
-        assert ok
+        residual = find_residual(Run(ctx), psi)
         gt = atom_index(ctx.universes.u_residual, "a[0] > 0.0")
         assert residual.sorted() == (gt,)
     finally:
@@ -227,8 +219,8 @@ agg = fold(df, (0.0,), lambda a, r: (r[0] if r[0] > a[0] else a[0],))
     ctx = make_context(source, "micro")
     try:
         eq = atom_index(ctx.universes.u_psi, "a1[0] == a2[0]")
-        ok, residual = find_residual(Run(ctx), Conjunction.of("psi", [eq]))
-        assert ok and len(residual) == 0
+        residual = find_residual(Run(ctx), Conjunction.of("psi", [eq]))
+        assert residual is not None and len(residual) == 0
     finally:
         ctx.session.close()
 
@@ -280,7 +272,7 @@ def test_synthesize_weakens_past_the_spurious_atom(top2x):
     assert out.certified_residual.sorted() == (res,)
     assert out.mode == "split"
     # every worklist iteration strictly decreased the measure
-    log = out.stats.measure_log
+    log = out.stats["measure_log"]
     assert all(log[i + 1] < log[i] for i in range(len(log) - 1))
     assert check_witness(top2x, out.q, out.certified_residual, out.psi).ok
 
@@ -293,7 +285,7 @@ def test_synthesize_budget_exhaustion():
         )
         assert isinstance(out, SynthFailure)
         assert out.reason == "budget"
-        assert out.stats.solver_calls == 3
+        assert out.stats["solver_calls"] == 3
     finally:
         ctx.session.close()
 
@@ -306,7 +298,7 @@ def test_runs_on_one_context_are_isolated(name):
     try:
         def outcome(out):
             return (out.q, out.residual, out.psi, out.mode,
-                    out.stats.solver_calls)
+                    out.stats["solver_calls"])
 
         assert outcome(synthesize(ctx)) == outcome(synthesize(ctx))
         assert set(vars(ctx)) == {"task", "universes", "session", "enc"}

@@ -374,7 +374,7 @@ def build_arg_parser():
     solver = base + ("--solver", "--timeout-ms", "--smt-log")
     search = solver + ("--trace", "--dump-universe", "--budget-s",
                        "--max-calls", "--trials")
-    for name, fn, help, names in (
+    for name, fn, summary, names in (
         ("synth", cmd_synth, "synthesize and validate", search + ("files",)),
         ("verify", cmd_verify, "check a provided (Q, P', psi)",
          solver + ("--triple", "files")),
@@ -385,7 +385,7 @@ def build_arg_parser():
         ("bench", cmd_bench, "run a directory of tasks",
          search + ("directory",)),
     ):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=summary)
         for option in names:
             p.add_argument(option, **options[option])
         p.set_defaults(fn=fn)

@@ -288,10 +288,12 @@ def test_random_int_formulas_with_ite_terms_agree_with_brute_force():
 
 ENUM_DECL = "(declare-datatypes ((E 0)) (((C0) (C1) (C2) (C3))))"
 PAIR_DECL = "(declare-datatypes ((P 0)) (((mk (p0 E) (p1 Int)))))"
-def _enum_tests(rng, enum_terms, extra=()):
+
+
+def _enum_tests(rng, enum_terms):
     """`=` between two enum terms or against a constructor."""
     a = rng.choice(enum_terms)
-    b = rng.choice([t for t in enum_terms if t != a] + ENUM + list(extra))
+    b = rng.choice([t for t in enum_terms if t != a] + ENUM)
     return ["=", a, b]
 
 

@@ -5,8 +5,8 @@ For gen_counters, gen_discount and gen_pairs1 of `generate_tasks(1)`,
 record's status, mode, `Q`, `P'` and `ψ` atoms and solver call count. A call
 budget, unlike a wall budget, ends the same way on every host. A change to
 the search, to the encoding or to the builtin's models that moves any of
-them fails here. The other four generated tasks use up all 1,000 calls, at
-11–14 s each, so they are left out.
+them fails here. The other four generated tasks end `budget` after all
+1,000 calls, at 14–20 s each on a 2-vCPU x86_64 VM, so they are left out.
 
 Regenerate (only for a change meant to alter the outcomes) with
 `PYTHONPATH=src:. python tests/test_generated_pin.py`.

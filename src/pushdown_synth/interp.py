@@ -15,15 +15,23 @@ Python's own operators. Numbers are exact, an `int` or a `Fraction` (a
 
 - `<`, `<=`, `>` and `>=` compare cross-multiplied parts,
   `x.numerator * y.denominator < y.numerator * x.denominator`;
-- `+`, `-` and `*` with a float literal build
-  `Fraction(numerator, denominator)` from them, a `Fraction` exactly when
-  Python's operator would give one, since the literal is one.
+- `+`, `-` and `*` with a float literal, and `/` by a nonzero literal,
+  build `Fraction(numerator, denominator)` from them, a `Fraction` exactly
+  when Python's operator (or `_div`) would give one, since the literal is
+  one, or `_div` always does.
+
+An arithmetic form read by another rational form stays unboxed (Leroy,
+POPL 1992): its literals are folded when the source is built, so `x * 0.9 +
+1.0 > y` compares `(9 * x.numerator + 10 * x.denominator) * y.denominator`
+with `10 * y.numerator * x.denominator` and builds no `Fraction`. A value is
+boxed only where it escapes, into a tuple, a result or any other node.
 
 A literal operand's parts are ints fixed when the source is built. Any other
 operand is first tested with `is` for UNDEF (only in a root that holds a
 `SomeVal`) and for -inf, on which a comparison is decided by the value
-domain's order and arithmetic raises. `==`, `/` and arithmetic between two
-non-literal numbers keep Python's operators or their helpers.
+domain's order and arithmetic raises. `==`, `/` by anything but a nonzero
+literal and arithmetic between two non-literal numbers keep Python's
+operators or their helpers.
 
 `eval_fold` and `filter_rows` each run one generated loop over the rows,
 with the fold step or the conjunction of the row predicates inlined in its
@@ -41,6 +49,7 @@ import linecache
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .syntax import (
     LITERAL_TYPES, OPERATORS, BinOp, Cond, CoerceSome, Expr, Index, Insert,
@@ -167,18 +176,80 @@ def _static_type(expr: Expr):
     return expr.ty
 
 
+def _literal(expr: Expr):
+    """The exact value of an int or float literal, as a `Fraction`; else
+    None."""
+    if isinstance(expr, Lit) and expr.kind in ("int", "float"):
+        return Fraction(LITERALS[expr.kind](expr.value))
+    return None
+
+
 def _rational(expr: BinOp) -> bool:
     """Whether `expr` takes a rational form: an order comparison of two
-    numbers not both int, or `+`, `-`, `*` of a number and a float
-    literal."""
+    numbers not both int, `+`, `-`, `*` of a number and a float literal, or
+    a number divided by a nonzero int or float literal."""
     lt, rt = _static_type(expr.left), _static_type(expr.right)
     if not (isinstance(lt, _NUMBER) and isinstance(rt, _NUMBER)):
         return False
     if expr.op in _ORDER:
         return not (isinstance(lt, TInt) and isinstance(rt, TInt))
+    if expr.op == "/":
+        return bool(_literal(expr.right))
     return expr.op in ("+", "-", "*") and any(
         isinstance(e, Lit) and e.kind == "float"
         for e in (expr.left, expr.right))
+
+
+def _affine(expr: Expr):
+    """`expr` as `(leaf, p, q)`: its value is `p * leaf + q`, for exact `p`
+    and `q`. A rational arithmetic form, nested to any depth, has one
+    operand at most that is not a literal, its leaf (None if none); any
+    other expression is its own leaf, with `p = 1` and `q = 0`."""
+    steps = []
+    while isinstance(expr, BinOp) and expr.op in _FINITE and _rational(expr):
+        c = _literal(expr.right)
+        if c is not None:
+            steps.append((expr.op, c, False))
+            expr = expr.left
+        else:
+            steps.append((expr.op, _literal(expr.left), True))
+            expr = expr.right
+    c = _literal(expr)
+    leaf, p, q = (expr, Fraction(1), Fraction(0)) if c is None else \
+        (None, Fraction(0), c)
+    for op, c, on_left in reversed(steps):
+        if op == "+":
+            q += c
+        elif op == "-":
+            p, q = (-p, c - q) if on_left else (p, q - c)
+        elif op == "*":
+            p, q = p * c, q * c
+        else:
+            p, q = p / c, q / c
+    return leaf, p, q
+
+
+def _parts(t, p: Fraction, q: Fraction):
+    """The integer numerator and denominator of `p * x + q`, `x` read from
+    the local `t` (None: there is no `x`). Each is a polynomial, a dict from
+    a tuple of factor sources to an int coefficient; the denominator is
+    positive, as `x.denominator` is."""
+    if t is None:
+        return {(): q.numerator}, {(): q.denominator}
+    n, d = f"{t}.numerator", f"{t}.denominator"
+    scale = lcm(p.denominator, q.denominator)
+    return ({(n,): p.numerator * (scale // p.denominator),
+             (d,): q.numerator * (scale // q.denominator)}, {(d,): scale})
+
+
+def _product(x: dict, y: dict) -> dict:
+    """The product of two polynomials of `_parts`."""
+    out = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            m = tuple(sorted(mx + my))
+            out[m] = out.get(m, 0) + cx * cy
+    return out
 
 
 def _pair(op, left: Expr, right: Expr):
@@ -494,57 +565,81 @@ class _Generator:
 
     def rational(self, expr: BinOp, scope, depth):
         """An order comparison on cross-multiplied integer parts, or `+`,
-        `-`, `*` as a `Fraction` of them. A literal operand's parts are known
-        ints; any other operand is bound to a temporary, its parts read as
-        attributes (an int has them too). On -inf a comparison with a
-        literal is decided now, one of two other operands by the order
-        helper, and arithmetic raises."""
-        parts, temps, at_neg_inf = [], [], []
-        for operand in (expr.left, expr.right):
-            if isinstance(operand, Lit) and operand.kind in ("int", "float"):
-                value = LITERALS[operand.kind](operand.value)
-                parts.append((value.numerator, value.denominator))
-                at_neg_inf.append(value)
-                continue
-            t = self.fresh("_t")
-            temps.append((t, self.emit(operand, scope, depth)))
-            at_neg_inf.append(NEG_INF)
-            parts.append((f"{t}.numerator", f"{t}.denominator"))
-        (ln, ld), (rn, rd) = parts
-        op = expr.op
-        if op in _ORDER:
-            exact = f"{self.times(ln, rd)} {op} {self.times(rn, ld)}"
-            if len(temps) == 2:
-                on_neg_inf = (f"{self.const(_ORDER[op])}"
-                              f"({temps[0][0]}, {temps[1][0]})")
-            else:
-                on_neg_inf = repr(_ORDER[op](*at_neg_inf))
-        else:
-            cross = f"{self.times(ln, rd)} {op} {self.times(rn, ld)}"
-            numerator = self.times(ln, rn) if op == "*" else cross
-            exact = f"_Fraction({numerator}, {self.times(ld, rd)})"
-            on_neg_inf = self.fail(_NEG_INF_ARITH)
-        if not temps:
-            return f"({exact})"
-        if not self.guard:
-            bound = " | ".join(f"(({t} := {source}) is _NI)"
-                               for t, source in temps)
-            return f"({on_neg_inf} if {bound} else {exact})"
-        bound = " | ".join(f"(({t} := {source}) is _U)" for t, source in temps)
-        tested = " | ".join(f"({t} is _NI)" for t, _ in temps)
-        return (f"(_U if {bound} else "
-                f"({on_neg_inf} if {tested} else {exact}))")
+        `-`, `*` or `/` as a `Fraction` of them.
 
-    def times(self, x, y) -> str:
-        """The source of the product of two integer parts, each a known int
-        or the source that reads it; a known 1 drops out."""
-        x, y = (self.const(v) if isinstance(v, int) and v != 1 else v
-                for v in (x, y))
-        if y == 1:
-            return str(x)
-        if x == 1:
-            return y
-        return f"{x} * {y}"
+        The form, or each operand of a comparison, is read as `p * leaf + q`
+        (`_affine`), so an arithmetic operand builds no `Fraction`: its
+        literals are folded into `p` and `q` now, and only its leaf is
+        evaluated, into a temporary whose parts are read as attributes (an
+        int has them too). Every denominator is positive, so `x < y` holds
+        exactly when `x.n * y.d - y.n * x.d < 0`; that polynomial is written
+        with its positive terms on the left and its negative ones on the
+        right. A value is boxed as `_Fraction(n, d)` only where an
+        arithmetic form's parent is not a rational form.
+
+        The leaves are evaluated left first. A leaf under arithmetic raises
+        on -inf as soon as it is read, before the other leaf runs. A
+        comparison operand that is -inf decides the comparison by the
+        order: now if the other side is finite, or by the order helper on
+        the two operands. In a guarded root an UNDEF leaf makes the result
+        UNDEF once both leaves are read."""
+        order = expr.op in _ORDER
+        # `at_neg_inf`: each operand's value when the one comparison operand
+        # that may be -inf is; 0 stands for any finite value
+        checks, plain, at_neg_inf, polys = [], [], [], []
+        for operand in (expr.left, expr.right) if order else (expr,):
+            leaf, p, q = _affine(operand)
+            t = None if leaf is None else self.fresh("_t")
+            polys.append(_parts(t, p, q))
+            at_neg_inf.append(NEG_INF if leaf is operand else 0)
+            if t is None:
+                continue
+            bound = f"({t} := {self.emit(leaf, scope, depth)})"
+            if leaf is operand:  # a comparison operand
+                plain.append(t)
+                checks.append(f"({bound} is {'_U' if self.guard else '_NI'})")
+                continue
+            # under arithmetic: False, or raises on -inf
+            check = f"{bound} is _NI and {self.fail(_NEG_INF_ARITH)}"
+            checks.append(f"({check} or {t} is _U)" if self.guard else
+                          f"({check})")
+        if not order:
+            if not checks:  # literals only: the value is known now
+                return self.const(q)
+            ((n, d),) = polys
+            exact = f"_Fraction({self.poly(n)}, {self.poly(d)})"
+        else:
+            (ln, ld), (rn, rd) = polys
+            diff = _product(ln, rd)
+            for m, c in _product(rn, ld).items():
+                diff[m] = diff.get(m, 0) - c
+            g = gcd(*diff.values()) or 1
+            lhs = {m: c // g for m, c in diff.items() if c > 0}
+            rhs = {m: -c // g for m, c in diff.items() if c < 0}
+            exact = f"{self.poly(lhs)} {expr.op} {self.poly(rhs)}"
+        if not checks:
+            return f"({exact})"
+        checked = " | ".join(checks)
+        if plain:
+            on_neg_inf = (
+                f"{self.const(_ORDER[expr.op])}({plain[0]}, {plain[1]})"
+                if len(plain) == 2 else repr(_ORDER[expr.op](*at_neg_inf)))
+        if not self.guard:
+            if plain:
+                return f"({on_neg_inf} if {checked} else {exact})"
+            return f"({checked} or {exact})"
+        if plain:
+            tested = " | ".join(f"({t} is _NI)" for t in plain)
+            exact = f"({on_neg_inf} if {tested} else {exact})"
+        return f"(_U if {checked} else {exact})"
+
+    def poly(self, terms: dict) -> str:
+        """The source of a polynomial of `_parts`: a sum of products, each a
+        coefficient, dropped when it is 1, and factor sources; 0 if it has
+        no nonzero term."""
+        products = [" * ".join(m if c == 1 and m else (self.const(c), *m))
+                    for m, c in terms.items() if c]
+        return " + ".join(products) or "0"
 
     def match(self, expr: Match, scope, depth):
         scrutinee = self.emit(expr.scrutinee, scope, depth)

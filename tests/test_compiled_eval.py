@@ -23,14 +23,15 @@ from pushdown_synth.analysis import build_universes
 from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.parser import parse_expression
 from pushdown_synth.syntax import (
-    BOOL, FLOAT, INT, STR, BinOp, Cond, Index, IsNone, Lit, Name, Not, SomeVal,
-    TOpt, TTuple, walk,
+    BOOL, FLOAT, INT, STR, BinOp, CoerceSome, Cond, Index, IsNone, Lit, Name,
+    Not, SomeVal, TOpt, TTuple, TupleExpr, walk,
 )
 from pushdown_synth.typecheck import compile_bool, type_predicate
 from pushdown_synth.values import NEG_INF, NONE, Some
 
 import tree_eval
 from conftest import make_task
+from perfbench.tasks import generate_frame
 from test_normalize import _predicate, _rand_env
 
 FIXTURES = ("top2", "discount", "frequent", "count_taut", "case_a", "case_b")
@@ -302,13 +303,13 @@ def test_structured_equality_keeps_values_equal(source, types, env):
 
 
 # Rational forms: an order comparison of numbers not both int works on
-# cross-multiplied integer parts, and `+`, `-`, `*` with a float literal
-# build a `Fraction` from them. A float field may hold an int, a `Fraction`
-# or -inf; `fmt_value` prints `5` and `5.0` differently, so the type of an
-# arithmetic result must be the walker's too.
+# cross-multiplied integer parts, and `+`, `-`, `*` with a float literal and
+# `/` by a nonzero literal build a `Fraction` from them. A float field may
+# hold an int, a `Fraction` or -inf; `fmt_value` prints `5` and `5.0`
+# differently, so the type of an arithmetic result must be the walker's too.
 
 ORDER = ("<", "<=", ">", ">=")
-ARITHMETIC = ("+", "-", "*")
+ARITHMETIC = ("+", "-", "*", "/")
 RATIONAL_OPERANDS = (-3, 0, 2, Fraction(-5, 2), Fraction(0), Fraction(4),
                      Fraction(7, 3), NEG_INF)
 RATIONAL_LITERALS = (Fraction(5, 2), Fraction(-3, 4), Fraction(3),
@@ -638,6 +639,230 @@ def test_judges_of_one_root_list_split_differently_are_distinct():
     assert not interp.frame_judge(task, [false], [also_false], [])(frame)
     assert interp.frame_judge(task, [false], [], [also_false])(frame)
     assert not interp.frame_judge(task, [false], [], [also_false])([])
+
+
+# Nested rational forms: an arithmetic operand of a comparison, or of
+# another arithmetic form, is read as integer parts and boxed only where it
+# escapes. Each shape below runs the same comparison against its reference
+# on the walker, with the arithmetic operand on the left, the right or both
+# sides, nested once or twice.
+
+NESTED_LITERALS = {  # the literal of the inner and the outer form
+    "+": (Fraction(9, 10), Fraction(-3, 2)),
+    "-": (Fraction(9, 10), Fraction(-3, 2)),
+    "*": (Fraction(9, 10), Fraction(-3, 2)),
+    "/": (3, Fraction(-3, 4)),  # an int and a negative float divisor
+}
+NESTED_VALUES = (-3, 2, Fraction(-5, 2), Fraction(7, 3), NEG_INF)
+
+
+def _lit(value):
+    return Lit(kind="int" if isinstance(value, int) else "float", value=value)
+
+
+def _field(base, i, guarded):
+    """Field `i` of the number pair `base`; guarded, the payload of an
+    Optional field."""
+    ty = TOpt(FLOAT) if guarded else FLOAT
+    node = Index(base=Name(ident=base, ty=TTuple((ty, ty))), index=i, ty=ty)
+    return SomeVal(operand=node, ty=FLOAT) if guarded else node
+
+
+def _nested(op, operand, depth):
+    """`operand op c` nested `depth` times; the outer `+`, `-` or `*` takes
+    its literal on the left, so both literal positions are read."""
+    inner, outer = NESTED_LITERALS[op]
+    expr = BinOp(op=op, left=operand, right=_lit(inner), ty=FLOAT)
+    if depth == 2:
+        left, right = (expr, _lit(outer)) if op == "/" else (_lit(outer), expr)
+        expr = BinOp(op=op, left=left, right=right, ty=FLOAT)
+    return expr
+
+
+def _compare(cmp, op, left, right, position, depth):
+    if position in ("left", "both"):
+        left = _nested(op, left, depth)
+    if position in ("right", "both"):
+        right = _nested(op, right, depth)
+    return BinOp(op=cmp, left=left, right=right, ty=BOOL)
+
+
+def _result(thunk):
+    try:
+        return "value", repr(thunk())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_lift(preds, acc):
+    if acc is interp.BOTTOM:
+        return acc
+    for pred in preds:
+        val = tree_eval.eval_expr(pred, {"a": acc})
+        if val is interp.UNDEF:
+            raise values.EvalError(
+                "atom is undefined under the given assignment")
+        if not val:
+            return interp.BOTTOM
+    return acc
+
+
+class _Task:
+    """What the fold and judge kernels read of a task."""
+
+    def __init__(self, f_body, init_values, n_columns):
+        self.f_body, self.init_values = f_body, init_values
+        self.n_columns = n_columns
+
+
+def _fold_task(cmp, op, position, depth, guarded, init):
+    """A discount-like step: the row's field, or its arithmetic form,
+    compared with the accumulator's; the arithmetic form of the row's field
+    is kept when the comparison holds."""
+    row, acc = _field("r", 0, guarded), _field("a", 0, guarded)
+    kept = _nested(op, _field("r", 0, guarded), depth)
+    if guarded:
+        kept = CoerceSome(operand=kept, ty=TOpt(FLOAT))
+    step = Cond(test=_compare(cmp, op, row, acc, position, depth), then=kept,
+                other=Index(base=Name(ident="a"), index=0), ty=FLOAT)
+    return _Task(TupleExpr(items=[step]), init, 2)
+
+
+def _shape_runs(shape, cmp, op, position, depth, guarded):
+    """The function `(x, y) -> (generated, reference)` outcomes of one
+    comparison in `shape`, its roots built once."""
+    def compare(base, i, j):
+        return _compare(cmp, op, _field(base, i, guarded),
+                        _field(base, j, guarded), position, depth)
+    pred, rows, accs, twice = (compare("x", 0, 1), compare("r", 0, 1),
+                               compare("a", 0, 1), compare("a", 0, 0))
+    tasks = {}
+
+    def task(y):  # the step folds from `y`
+        if repr(y) not in tasks:
+            tasks[repr(y)] = _fold_task(cmp, op, position, depth, guarded,
+                                        (y,))
+        return tasks[repr(y)]
+
+    def reference_judge(x, y):
+        frame = [(x, y)]
+        lhs = _reference_lift([twice], _reference_fold(task(y), frame))
+        kept = _reference_filter([rows], frame, 2)
+        rhs = _reference_lift([], _reference_fold(task(y), kept))
+        return interp.LiftResult(lhs) != interp.LiftResult(rhs)
+    # `Q` compares the row's fields and `P` the fold result with itself
+    return {
+        "compiled": lambda x, y: (
+            _result(lambda: interp.eval_expr(pred, {"x": (x, y)})),
+            _result(lambda: tree_eval.eval_expr(pred, {"x": (x, y)}))),
+        "filter": lambda x, y: (
+            _result(lambda: interp.filter_rows([rows], [(x, y)], 2)),
+            _result(lambda: _reference_filter([rows], [(x, y)], 2))),
+        "test": lambda x, y: (
+            _result(lambda: interp.lift_eval([accs],
+                                             interp.LiftResult((x, y)))),
+            _result(lambda: interp.LiftResult(_reference_lift([accs],
+                                                              (x, y))))),
+        "fold": lambda x, y: (
+            _result(lambda: interp.eval_fold(task(y), [(x, y)]).value),
+            _result(lambda: _reference_fold(task(y), [(x, y)]))),
+        "judge": lambda x, y: (
+            _result(lambda: interp.frame_judge(task(y), [rows], [twice], [])(
+                [(x, y)])),
+            _result(lambda: reference_judge(x, y))),
+    }[shape]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("position", ["left", "right", "both"])
+@pytest.mark.parametrize("shape",
+                         ["compiled", "fold", "filter", "test", "judge"])
+def test_nested_rational_operands_agree_with_walker(shape, position, depth):
+    for cmp, op, guarded in itertools.product(ORDER, ARITHMETIC,
+                                              (False, True)):
+        run = _shape_runs(shape, cmp, op, position, depth, guarded)
+        pool = [Some(v) for v in NESTED_VALUES] + [NONE] if guarded \
+            else NESTED_VALUES
+        for x, y in itertools.product(pool, repeat=2):
+            got, want = run(x, y)
+            if shape == "judge" and got[0] != "value" != want[0]:
+                continue  # the judge may raise another error than the
+                # reference order, never give another verdict
+            assert got == want, (cmp, op, guarded, x, y)
+
+
+@pytest.mark.parametrize("shape",
+                         ["compiled", "fold", "filter", "test", "judge"])
+def test_a_left_operand_raises_before_the_right_one_runs(shape):
+    """-inf under the left arithmetic form raises before the right operand,
+    a division by zero here, is evaluated; and the other way round."""
+    for cmp, op in itertools.product(ORDER, ARITHMETIC):
+        for left_first in (True, False):
+            def build(base):
+                arith = _nested(op, _field(base, 0, False), 1)
+                quotient = BinOp(op="/", left=_lit(Fraction(1)),
+                                 right=_field(base, 1, False), ty=FLOAT)
+                left, right = (arith, quotient) if left_first else \
+                    (quotient, arith)
+                return BinOp(op=cmp, left=left, right=right, ty=BOOL)
+            x, y = NEG_INF, Fraction(0)
+            expected = "arithmetic on -inf" if left_first else \
+                "division by zero"
+            task = _Task(TupleExpr(items=[build("r")]), (x,), 2)
+            run = {
+                "compiled": lambda: interp.eval_expr(build("x"),
+                                                     {"x": (x, y)}),
+                "fold": lambda: interp.eval_fold(task, [(x, y)]),
+                "filter": lambda: interp.filter_rows([build("r")], [(x, y)],
+                                                     2),
+                "test": lambda: interp.lift_eval(
+                    [build("a")], interp.LiftResult((x, y))),
+                "judge": lambda: interp.frame_judge(
+                    task, [build("r")], [], [])([(x, y)]),
+            }[shape]
+            assert _result(run) == ("EvalError", expected), (cmp, op)
+
+
+@pytest.mark.parametrize("divisor", [Lit(kind="int", value=0),
+                                     Lit(kind="float", value=Fraction(0))],
+                         ids=["int", "float"])
+def test_division_by_a_zero_literal_keeps_the_helper(divisor):
+    expr = BinOp(op="/", left=_number(False), right=divisor, ty=FLOAT)
+    assert "_Fraction(" not in _source_of(interp.compiled(expr))
+    for x in RATIONAL_OPERANDS:
+        assert_agree(expr, {"x": x})
+    assert _result(lambda: interp.eval_expr(expr, {"x": 2})) == \
+        ("EvalError", "division by zero")
+    assert _result(lambda: interp.eval_expr(expr, {"x": NEG_INF})) == \
+        ("EvalError", "arithmetic on -inf")
+
+
+def test_discount_boxes_a_fraction_only_where_it_is_kept(monkeypatch):
+    """Over a pipeline-sized frame, discount's fold builds one `Fraction`
+    per row on which `r[0] * 0.9 > a[0]` holds, for the value it keeps, and
+    none for the comparison."""
+    calls = []
+
+    def counted(numerator, denominator):
+        calls.append(1)
+        return Fraction(numerator, denominator)
+    # generated functions copy the runtime names when they are built, and a
+    # fresh task's roots get fresh ones
+    monkeypatch.setitem(interp._RUNTIME, "_Fraction", counted)
+    task = make_task("discount")
+    frame = generate_frame(random.Random(1), "discount", 10_000)
+    result = interp.eval_fold(task, frame)
+    (step,) = task.f_body.items
+    kept, acc = 0, task.init_values
+    for row in frame:
+        env = {"a": acc, "r": row}
+        kept += tree_eval.eval_expr(step.test, env)
+        acc = tree_eval.eval_expr(task.f_body, env)
+    assert repr(result.value) == repr(acc)
+    assert 0 < kept < len(frame)
+    assert len(calls) == kept
+    source = _source_of(interp._kernel(interp._FOLD, task.f_body))
+    assert source.count("_Fraction(") == 1
 
 
 @pytest.mark.parametrize("source,env", [

@@ -565,24 +565,18 @@ class _Generator:
 
     def rational(self, expr: BinOp, scope, depth):
         """An order comparison on cross-multiplied integer parts, or `+`,
-        `-`, `*` or `/` as a `Fraction` of them.
+        `-`, `*` or `/` as a `Fraction` of them. The form, or each operand
+        of a comparison, is read as `p * leaf + q` (`_affine`): only the
+        leaf is evaluated, into a temporary whose parts are attributes (an
+        int has them too). Denominators are positive, so `x < y` exactly
+        when `x.n * y.d - y.n * x.d < 0`, written with the positive terms
+        on the left and the negative ones on the right.
 
-        The form, or each operand of a comparison, is read as `p * leaf + q`
-        (`_affine`), so an arithmetic operand builds no `Fraction`: its
-        literals are folded into `p` and `q` now, and only its leaf is
-        evaluated, into a temporary whose parts are read as attributes (an
-        int has them too). Every denominator is positive, so `x < y` holds
-        exactly when `x.n * y.d - y.n * x.d < 0`; that polynomial is written
-        with its positive terms on the left and its negative ones on the
-        right. A value is boxed as `_Fraction(n, d)` only where an
-        arithmetic form's parent is not a rational form.
-
-        The leaves are evaluated left first. A leaf under arithmetic raises
-        on -inf as soon as it is read, before the other leaf runs. A
-        comparison operand that is -inf decides the comparison by the
-        order: now if the other side is finite, or by the order helper on
-        the two operands. In a guarded root an UNDEF leaf makes the result
-        UNDEF once both leaves are read."""
+        Leaves are evaluated left first. One under arithmetic raises on
+        -inf as soon as it is read; a comparison operand that is -inf
+        decides by the order, now if the other side is finite, else by the
+        order helper. In a guarded root an UNDEF leaf makes the result
+        UNDEF once both are read."""
         order = expr.op in _ORDER
         # `at_neg_inf`: each operand's value when the one comparison operand
         # that may be -inf is; 0 stands for any finite value

@@ -15,23 +15,21 @@ Python's own operators. Numbers are exact, an `int` or a `Fraction` (a
 
 - `<`, `<=`, `>` and `>=` compare cross-multiplied parts,
   `x.numerator * y.denominator < y.numerator * x.denominator`;
-- `+`, `-` and `*` with a float literal, and `/` by a nonzero literal,
-  build `Fraction(numerator, denominator)` from them, a `Fraction` exactly
-  when Python's operator (or `_div`) would give one, since the literal is
-  one, or `_div` always does.
+- `+`, `-` and `*` with a float literal build
+  `Fraction(numerator, denominator)` from them, a `Fraction` exactly when
+  Python's operator would give one, since the literal is one.
 
-An arithmetic form read by another rational form stays unboxed (Leroy,
-POPL 1992): its literals are folded when the source is built, so `x * 0.9 +
-1.0 > y` compares `(9 * x.numerator + 10 * x.denominator) * y.denominator`
-with `10 * y.numerator * x.denominator` and builds no `Fraction`. A value is
+Such arithmetic read by another rational form stays unboxed (Leroy, POPL
+1992): its literals are folded when the source is built, so `x * 0.9 + 1.0
+> y` compares `(x.numerator * 9 + x.denominator * 10) * y.denominator` with
+`y.numerator * x.denominator * 10` and builds no `Fraction`. A value is
 boxed only where it escapes, into a tuple, a result or any other node.
 
 A literal operand's parts are ints fixed when the source is built. Any other
 operand is first tested with `is` for UNDEF (only in a root that holds a
 `SomeVal`) and for -inf, on which a comparison is decided by the value
-domain's order and arithmetic raises. `==`, `/` by anything but a nonzero
-literal and arithmetic between two non-literal numbers keep Python's
-operators or their helpers.
+domain's order and arithmetic raises. `==`, `/` and arithmetic between two
+non-literal numbers keep Python's operators or their helpers.
 
 `eval_fold` and `filter_rows` each run one generated loop over the rows,
 with the fold step or the conjunction of the row predicates inlined in its
@@ -49,7 +47,7 @@ import linecache
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .syntax import (
     LITERAL_TYPES, OPERATORS, BinOp, Cond, CoerceSome, Expr, Index, Insert,
@@ -186,15 +184,13 @@ def _literal(expr: Expr):
 
 def _rational(expr: BinOp) -> bool:
     """Whether `expr` takes a rational form: an order comparison of two
-    numbers not both int, `+`, `-`, `*` of a number and a float literal, or
-    a number divided by a nonzero int or float literal."""
+    numbers not both int, or `+`, `-`, `*` of a number and a float
+    literal."""
     lt, rt = _static_type(expr.left), _static_type(expr.right)
     if not (isinstance(lt, _NUMBER) and isinstance(rt, _NUMBER)):
         return False
     if expr.op in _ORDER:
         return not (isinstance(lt, TInt) and isinstance(rt, TInt))
-    if expr.op == "/":
-        return bool(_literal(expr.right))
     return expr.op in ("+", "-", "*") and any(
         isinstance(e, Lit) and e.kind == "float"
         for e in (expr.left, expr.right))
@@ -206,7 +202,8 @@ def _affine(expr: Expr):
     operand at most that is not a literal, its leaf (None if none); any
     other expression is its own leaf, with `p = 1` and `q = 0`."""
     steps = []
-    while isinstance(expr, BinOp) and expr.op in _FINITE and _rational(expr):
+    while (isinstance(expr, BinOp) and expr.op not in _ORDER
+           and _rational(expr)):
         c = _literal(expr.right)
         if c is not None:
             steps.append((expr.op, c, False))
@@ -222,34 +219,9 @@ def _affine(expr: Expr):
             q += c
         elif op == "-":
             p, q = (-p, c - q) if on_left else (p, q - c)
-        elif op == "*":
-            p, q = p * c, q * c
         else:
-            p, q = p / c, q / c
+            p, q = p * c, q * c
     return leaf, p, q
-
-
-def _parts(t, p: Fraction, q: Fraction):
-    """The integer numerator and denominator of `p * x + q`, `x` read from
-    the local `t` (None: there is no `x`). Each is a polynomial, a dict from
-    a tuple of factor sources to an int coefficient; the denominator is
-    positive, as `x.denominator` is."""
-    if t is None:
-        return {(): q.numerator}, {(): q.denominator}
-    n, d = f"{t}.numerator", f"{t}.denominator"
-    scale = lcm(p.denominator, q.denominator)
-    return ({(n,): p.numerator * (scale // p.denominator),
-             (d,): q.numerator * (scale // q.denominator)}, {(d,): scale})
-
-
-def _product(x: dict, y: dict) -> dict:
-    """The product of two polynomials of `_parts`."""
-    out = {}
-    for mx, cx in x.items():
-        for my, cy in y.items():
-            m = tuple(sorted(mx + my))
-            out[m] = out.get(m, 0) + cx * cy
-    return out
 
 
 def _pair(op, left: Expr, right: Expr):
@@ -565,12 +537,12 @@ class _Generator:
 
     def rational(self, expr: BinOp, scope, depth):
         """An order comparison on cross-multiplied integer parts, or `+`,
-        `-`, `*` or `/` as a `Fraction` of them. The form, or each operand
-        of a comparison, is read as `p * leaf + q` (`_affine`): only the
-        leaf is evaluated, into a temporary whose parts are attributes (an
-        int has them too). Denominators are positive, so `x < y` exactly
-        when `x.n * y.d - y.n * x.d < 0`, written with the positive terms
-        on the left and the negative ones on the right.
+        `-`, `*` as a `Fraction` of them. The form, or each operand of a
+        comparison, is read as `p * leaf + q` (`_affine`): only the leaf is
+        evaluated, into a temporary whose parts are attributes (an int has
+        them too), and its literals give the parts' known coefficients
+        (`parts`). Denominators are positive, so the cross-multiplied
+        comparison is exact.
 
         Leaves are evaluated left first. One under arithmetic raises on
         -inf as soon as it is read; a comparison operand that is -inf
@@ -580,11 +552,11 @@ class _Generator:
         order = expr.op in _ORDER
         # `at_neg_inf`: each operand's value when the one comparison operand
         # that may be -inf is; 0 stands for any finite value
-        checks, plain, at_neg_inf, polys = [], [], [], []
+        checks, plain, at_neg_inf, parts = [], [], [], []
         for operand in (expr.left, expr.right) if order else (expr,):
             leaf, p, q = _affine(operand)
             t = None if leaf is None else self.fresh("_t")
-            polys.append(_parts(t, p, q))
+            parts.append(self.parts(t, p, q))
             at_neg_inf.append(NEG_INF if leaf is operand else 0)
             if t is None:
                 continue
@@ -600,17 +572,11 @@ class _Generator:
         if not order:
             if not checks:  # literals only: the value is known now
                 return self.const(q)
-            ((n, d),) = polys
-            exact = f"_Fraction({self.poly(n)}, {self.poly(d)})"
+            ((n, d),) = parts
+            exact = f"_Fraction({n}, {d})"
         else:
-            (ln, ld), (rn, rd) = polys
-            diff = _product(ln, rd)
-            for m, c in _product(rn, ld).items():
-                diff[m] = diff.get(m, 0) - c
-            g = gcd(*diff.values()) or 1
-            lhs = {m: c // g for m, c in diff.items() if c > 0}
-            rhs = {m: -c // g for m, c in diff.items() if c < 0}
-            exact = f"{self.poly(lhs)} {expr.op} {self.poly(rhs)}"
+            (ln, ld), (rn, rd) = parts
+            exact = f"{self.times(ln, rd)} {expr.op} {self.times(rn, ld)}"
         if not checks:
             return f"({exact})"
         checked = " | ".join(checks)
@@ -627,13 +593,31 @@ class _Generator:
             exact = f"({on_neg_inf} if {tested} else {exact})"
         return f"(_U if {checked} else {exact})"
 
-    def poly(self, terms: dict) -> str:
-        """The source of a polynomial of `_parts`: a sum of products, each a
-        coefficient, dropped when it is 1, and factor sources; 0 if it has
-        no nonzero term."""
-        products = [" * ".join(m if c == 1 and m else (self.const(c), *m))
-                    for m, c in terms.items() if c]
-        return " + ".join(products) or "0"
+    def parts(self, t, p: Fraction, q: Fraction):
+        """The integer numerator and denominator of `p * x + q`, each a
+        known int or the source that reads it from the parts of `x`, bound
+        to the local `t` (None: there is no `x`). The denominator is
+        positive, as `x.denominator` is."""
+        if t is None:
+            return q.numerator, q.denominator
+        n, d = f"{t}.numerator", f"{t}.denominator"
+        scale = lcm(p.denominator, q.denominator)
+        terms = [self.times(part, c.numerator * (scale // c.denominator))
+                 for part, c in ((n, p), (d, q)) if c]
+        if len(terms) == 2:
+            return f"({terms[0]} + {terms[1]})", self.times(d, scale)
+        return (terms[0] if terms else 0), self.times(d, scale)
+
+    def times(self, x, y) -> str:
+        """The source of the product of two integer parts, each a known int
+        or the source that reads it; a known 1 drops out."""
+        x, y = (self.const(v) if isinstance(v, int) and v != 1 else v
+                for v in (x, y))
+        if y == 1:
+            return str(x)
+        if x == 1:
+            return y
+        return f"{x} * {y}"
 
     def match(self, expr: Match, scope, depth):
         scrutinee = self.emit(expr.scrutinee, scope, depth)

@@ -40,8 +40,8 @@ def screen(ctx, rows: int = 2) -> ScreenVerdict:
         lets.append((a2v, ["ite", ["bmc_q", rv], ["facc", a2, rv], a2]))
         a1, a2 = a1v, a2v
 
-    p1 = ctx.res_app(p.indices, a1)
-    p2 = ctx.res_app(p.indices, a2)
+    p1 = ctx.res_app(p, a1)
+    p2 = ctx.res_app(p, a2)
     body = ["and", ["=", p1, p2], ["=>", p1, ["=", a1, a2]]]
     for name, term in reversed(lets):
         body = ["let", [[name, term]], body]

@@ -25,7 +25,7 @@ from .synth import Budget, PushdownSolution, synthesize
 from .typecheck import DslTypeError, typecheck, type_predicate
 from .values import EvalError
 from .lexer import DslSyntaxError
-from .vcgen import Conjunction, check_witness
+from .vcgen import bits, check_witness, mask
 from .schema import validate_record
 from .syntax import Span, TTuple
 
@@ -45,8 +45,8 @@ def _load_task(path: str):
     return typecheck(program, name=Path(path).stem)
 
 
-def _atom_strings(universe, conj: Conjunction):
-    return [fmt_expr(universe[i].display) for i in conj.sorted()]
+def _atom_strings(universe, conj: int):
+    return [fmt_expr(universe[i].display) for i in bits(conj)]
 
 
 def _universe_dump(universes):
@@ -172,7 +172,7 @@ def _synth_task(args, task, universes, record, session):
         record["error"] = f"witness re-check failed at {report.failing}"
         return
     diff = differential_check(
-        task, universes, outcome.q.indices, outcome.residual.indices,
+        task, universes, bits(outcome.q), bits(outcome.residual),
         trials=args.trials, seed=args.seed,
     )
     record.update({
@@ -222,7 +222,7 @@ def _parse_triple(path, task, universes):
             if atom is None:
                 continue  # trivially true atoms add nothing
             indices.append(atom.index)
-        return Conjunction.of(role, indices)
+        return mask(indices)
 
     return (
         conj("q", universes.u_q, row_env),
@@ -238,6 +238,7 @@ def _verify_task(args, task, universes, record, session):
     record["status"] = "solved" if report.ok else (
         "inconclusive" if report.inconclusive else "fail"
     )
+    record["stats"]["solver_calls"] = report.calls
     if not report.ok:
         record["error"] = f"failing VC: {report.failing}"
 
@@ -264,7 +265,7 @@ def cmd_screen(args):
 def _diff_task(args, task, universes, record, session):
     q, residual, _ = _parse_triple(args.triple, task, universes)
     report = differential_check(
-        task, universes, q.indices, residual.indices,
+        task, universes, bits(q), bits(residual),
         trials=args.trials, seed=args.seed,
     )
     record["status"] = "solved" if report.ok else "fail"

@@ -20,6 +20,7 @@ from .syntax import (
 )
 from .typecheck import PipelineTask
 from .values import LITERALS, NEG_INF, NONE, Some, Value
+from .vcgen import bits
 
 LIST_UNROLL_DEPTH = 8
 STR_SPARES = 3
@@ -474,16 +475,16 @@ class TaskContext:
             for atom in universe
         ]
 
-    # application helpers used by vcgen/synth
+    # application helpers of a conjunction (bit i is atom i) for vcgen/synth
 
-    def q_app(self, indices):
-        return _conjoin("uq", indices, ["r"])
+    def q_app(self, conj):
+        return _conjoin("uq", conj, ["r"])
 
-    def res_app(self, indices, acc_var):
-        return _conjoin("up", indices, [acc_var])
+    def res_app(self, conj, acc_var):
+        return _conjoin("up", conj, [acc_var])
 
-    def psi_app(self, indices, v1="a1", v2="a2"):
-        return _conjoin("upsi", indices, [v1, v2])
+    def psi_app(self, conj, v1="a1", v2="a2"):
+        return _conjoin("upsi", conj, [v1, v2])
 
     def psi_atom_app(self, index, v1, v2):
         return [f"upsi_{index}", v1, v2]
@@ -492,9 +493,9 @@ class TaskContext:
         return self.enc.init_sexp()
 
 
-def _conjoin(prefix, indices, args):
-    """The `and` of the applications of universe atoms `indices` to `args`."""
-    apps = [[f"{prefix}_{i}", *args] for i in sorted(indices)]
+def _conjoin(prefix, conj, args):
+    """The `and` of the applications of the atoms of `conj` to `args`."""
+    apps = [[f"{prefix}_{i}", *args] for i in bits(conj)]
     if not apps:
         return "true"
     return ["and"] + apps if len(apps) > 1 else apps[0]

@@ -38,7 +38,8 @@ Neumann, VLDB 2011); `lift_eval` runs one generated conjunction.
 `frame_judge` fuses a whole comparison of two pipelines the same way: its
 `judge` function folds the original and the `Q`-filtered accumulators in one
 loop, `Q` inlined, then tests `P` and `P'` and compares the lifted
-results."""
+results. `truth` reads a whole universe in one call: bit k of its result is
+the truth of atom k, so the synthesizer's atom sets are ints."""
 
 from __future__ import annotations
 
@@ -96,10 +97,14 @@ _TEST = "test"      # a -> whether every root holds
 # differ on the rows; the roots are the fold step, then the groups `Q`, `P`
 # and `P'`
 _JUDGE = "judge"
+# (want, *values) -> the int whose bit k is set when bit k of `want` is and
+# root k holds on the values (bound to the names the groups give), the
+# wanted roots read in ascending order
+_TRUTH = "truth"
 
-# (shape, size of each group if the shape takes groups, id of each root) ->
-# generated function. An entry leaves with any of its roots
-# (`weakref.finalize`), so no id is reused while it is cached.
+# (shape, the shape's groups if it takes any, id of each root) -> generated
+# function. An entry leaves with any of its roots (`weakref.finalize`), so no
+# id is reused while it is cached.
 _COMPILED = {}
 
 
@@ -112,8 +117,9 @@ def compiled(expr: Expr):
 def _kernel(shape, *roots, groups=()):
     """The generated function of the given shape over `roots`, which
     `groups` splits into runs of the given sizes where the shape takes
-    several. Only the `env` form reads names from a dict; in the others a
-    name the shape does not bind (`a`, `r`) is unbound."""
+    several (the truth shape's groups name its parameters). Only the `env`
+    form reads names from a dict; in the others a name the shape does not
+    bind (`a`, `r`) is unbound."""
     key = (shape, *groups, *map(id, roots))
     fn = _COMPILED.get(key)
     if fn is None:
@@ -393,6 +399,16 @@ class _Generator:
             f"    return not ({a} is {b} or _values_equal({a}, {b}))",
             "return _lhs is not _rhs"]
 
+    def truth_shape(self):
+        params = [self.fresh("_p") for _ in self.groups]
+        scope = dict(zip(self.groups, params))
+        lines = ["_mask = 0"]
+        for k, root in enumerate(self.roots):
+            lines += [f"if _want & {1 << k} and "
+                      f"{self.conjunction(scope, [root])}:",
+                      f"    _mask |= {1 << k}"]
+        return ["_want", *params], [*lines, "return _mask"]
+
     def row_loop(self, r):
         """The head of a loop binding each row of `_rows`, once its width
         is checked, to `r` as a tuple."""
@@ -641,6 +657,17 @@ def eval_atom(expr: Expr, env: dict) -> bool:
     if val is UNDEF:
         raise EvalError(_UNDEFINED_ATOM)
     return bool(val)
+
+
+# the names the atoms of each universe read, in the order its kernel binds
+_NAMES = {"q": ("r",), "residual": ("a",), "psi": ("a1", "a2")}
+
+
+def truth(universe):
+    """The `_TRUTH` function of a universe's atoms, each read as `eval_atom`
+    reads it; generated on first use."""
+    return _kernel(_TRUTH, *(atom.expr for atom in universe),
+                   groups=_NAMES[universe.role])
 
 
 def eval_fold(task, dataframe, start=None) -> LiftResult:

@@ -6,6 +6,7 @@ from .pretty import fmt_program
 from .syntax import (
     Filter, Fold, Lambda, Name, Program, Stmt, TupleExpr, TypeTuple, mk_and,
 )
+from .vcgen import bits
 
 
 def emit_rewritten(task, universes, solution) -> str:
@@ -13,7 +14,7 @@ def emit_rewritten(task, universes, solution) -> str:
     residual, or omitted entirely when the residual is empty."""
     stmts = [Stmt("df", TypeTuple(types=tuple(task.schema)))]
     frame = Name(ident="df")
-    q_atoms = [universes.u_q[i].display for i in solution.q.sorted()]
+    q_atoms = [universes.u_q[i].display for i in bits(solution.q)]
     if q_atoms:
         stmts.append(Stmt("kept", Filter(source=frame, fn=Lambda(
             params=["r"], body=mk_and(*q_atoms)))))
@@ -22,7 +23,7 @@ def emit_rewritten(task, universes, solution) -> str:
         source=frame, init=TupleExpr(items=list(task.init_exprs)),
         fn=Lambda(params=["a", "r"], body=task.f_body))))
     res_atoms = [
-        universes.u_residual[i].display for i in solution.residual.sorted()
+        universes.u_residual[i].display for i in bits(solution.residual)
     ]
     if res_atoms:
         stmts.append(Stmt("out", Filter(source=Name(ident="agg"), fn=Lambda(

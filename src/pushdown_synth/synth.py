@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional as Opt
 
-from .interp import eval_atom, eval_expr
+from .interp import eval_fold, truth
 from .smt import QueryResult
 from .vcgen import (
-    Conjunction, VC_STUTTER, VC_SYNC, conj_eval, final_agreement,
+    VC_STUTTER, VC_SYNC, bits, final_agreement, full, holds, mask,
     p_conjunction, vc_final, vc_stutter, vc_sync,
 )
 
@@ -46,7 +46,7 @@ class Run:
     notes on what a solver unknown left undecided, and what is computed
     once per run: the lower bound ``psi_min`` and the atoms true on the
     initial pair. Every query of the search goes through ``valid``; nothing
-    of the run is left on the context."""
+    of the run is left on the context. A conjunction is an int (``vcgen``)."""
 
     def __init__(self, ctx, budget: Opt[Budget] = None, trace_fn=None):
         self.ctx = ctx
@@ -76,23 +76,21 @@ class Run:
             self.trace_fn({"event": event, **kw})
 
     @cached_property
-    def psi_min(self) -> Conjunction:
+    def psi_min(self) -> int:
         """Weakest implicant of P's acceptance agreement on a1 and a2: the
         lower bound of every invariant, whatever the filter."""
         p = p_conjunction(self.ctx)
         return find_weakest_implicant(
-            self, range(len(self.ctx.universes.u_psi)),
+            self, full(self.ctx.universes.u_psi),
             final_agreement(self.ctx, p, p),
         )
 
     @cached_property
-    def init_max(self) -> Conjunction:
+    def init_max(self) -> int:
         """The invariant atoms that hold on the initial state pair."""
         init = self.ctx.task.init_values
-        env = {"a1": init, "a2": init}
-        return Conjunction.of("psi", [
-            a.index for a in self.ctx.universes.u_psi if eval_atom(a.expr, env)
-        ])
+        u_psi = self.ctx.universes.u_psi
+        return truth(u_psi)(full(u_psi), init, init)
 
 
 @dataclass
@@ -103,10 +101,10 @@ class Diagnosis:
 
 @dataclass
 class PushdownSolution:
-    q: Conjunction
-    residual: Conjunction  # reported (after definedness collapse)
-    certified_residual: Conjunction  # what Final was proved with
-    psi: Conjunction
+    q: int
+    residual: int  # reported (after definedness collapse)
+    certified_residual: int  # what Final was proved with
+    psi: int
     mode: str  # exact | partial | split
     stats: dict  # the record's search stats, as `synthesize` fills them
 
@@ -131,16 +129,16 @@ class _Worklist:
     def __bool__(self):
         return bool(self._heap)
 
-    def push(self, conj: Conjunction) -> bool:
+    def push(self, conj: int) -> bool:
         """Queue ``conj`` unless it is queued or visited; True if queued."""
-        key = conj.sorted()
+        key = bits(conj)
         if key in self._queued or key in self.visited:
             return False
         self._queued.add(key)
-        heapq.heappush(self._heap, (self.sign * len(conj), key, conj))
+        heapq.heappush(self._heap, (self.sign * len(key), key, conj))
         return True
 
-    def pop(self) -> Opt[Conjunction]:
+    def pop(self) -> Opt[int]:
         """The next entry, now visited; None when it was visited while
         queued (a stale entry)."""
         _, key, conj = heapq.heappop(self._heap)
@@ -152,7 +150,7 @@ class _Worklist:
 
     def measure(self) -> list:
         """[largest size queued, how many entries have it]."""
-        sizes = [len(conj) for _, _, conj in self._heap]
+        sizes = [len(key) for _, key, _ in self._heap]
         top = max(sizes, default=0)
         return [top, sizes.count(top)]
 
@@ -161,79 +159,71 @@ class _Worklist:
 # weakest-implicant computation
 
 
-def find_weakest_implicant(run, universe_indices, phi):
-    """Weakest conjunction over the atom pool entailing phi.
+def find_weakest_implicant(run, universe: int, phi):
+    """Weakest conjunction over the atom pool ``universe`` entailing phi.
 
     Prunes atoms not entailed by phi, then grows the candidate with every
     pruned-pool atom falsified by each countermodel to candidate => phi."""
     ctx = run.ctx
-    all_app = ctx.psi_app(frozenset(universe_indices))
-    pre = run.valid(["=>", all_app, phi])
+    pre = run.valid(["=>", ctx.psi_app(universe), phi])
     if pre.is_unknown:
         run.undecided("unknown on the invariant universe's entailment")
     if not pre.is_valid:
         raise UniverseInsufficiency(
             "conjunction of the invariant universe does not entail the target"
         )
-    pool = []
-    for i in sorted(universe_indices):
+    pool = 0
+    for i in bits(universe):
         res = run.valid(["=>", phi, ctx.psi_atom_app(i, "a1", "a2")])
         if res.is_valid:
-            pool.append(i)
-    chi = set()
-    psi_universe = ctx.universes.u_psi
-    model_names = ("a1", "a2")
+            pool |= 1 << i
+    chi = 0
+    psi_truth = truth(ctx.universes.u_psi)
     while True:
-        res = run.valid(["=>", ctx.psi_app(frozenset(chi)), phi], model_names)
+        res = run.valid(["=>", ctx.psi_app(chi), phi], ("a1", "a2"))
         if res.is_valid:
             break
         if res.is_unknown:
             run.undecided("unknown in the weakest implicant")
             raise UniverseInsufficiency(f"solver unknown ({res.reason})")
-        env = {name: res.model[name] for name in model_names}
-        added = False
-        for i in pool:
-            if i not in chi and not eval_atom(psi_universe[i].expr, env):
-                chi.add(i)
-                added = True
-        if not added:
+        rest = pool & ~chi
+        falsified = rest & ~psi_truth(rest, res.model["a1"], res.model["a2"])
+        if not falsified:
             # the pruned pool admits no implicant at all (its conjunction is
             # satisfied by this countermodel); the only bound every witness
             # is guaranteed to contain is the empty one
-            return Conjunction.of("psi", ())
+            return 0
+        chi |= falsified
     # chi is an implicant over the pool but the model loop may overshoot the
     # intersection of implicants: an atom belongs to the intersection exactly
     # when dropping it from the pool breaks entailment
-    pool_set = frozenset(pool)
-    final = set()
-    for p in sorted(chi):
-        res = run.valid(["=>", ctx.psi_app(pool_set - {p}), phi])
+    final = 0
+    for p in bits(chi):
+        res = run.valid(["=>", ctx.psi_app(pool & ~(1 << p)), phi])
         if not res.is_valid:
-            final.add(p)
-    return Conjunction.of("psi", final)
+            final |= 1 << p
+    return final
 
 
 # ---------------------------------------------------------------------------
 # symbolic bound refinement
 
 
-def _stepped_env(ctx, model: dict, optimized_moves: bool) -> dict:
-    """Ground post-step states from a one-step countermodel."""
-    a1, a2, row = model["a1"], model["a2"], model["r"]
-    a1p = eval_expr(ctx.task.f_body, {"a": a1, "r": row})
-    a2p = eval_expr(ctx.task.f_body, {"a": a2, "r": row}) if optimized_moves else a2
-    return {"a1": a1p, "a2": a2p}
+def _stepped(ctx, model: dict, optimized_moves: bool) -> tuple:
+    """Ground post-step states ``(a1p, a2p)`` of a step countermodel."""
+    rows, a2 = [model["r"]], model["a2"]
+    a1p = eval_fold(ctx.task, rows, model["a1"]).value
+    return a1p, eval_fold(ctx.task, rows, a2).value if optimized_moves else a2
 
 
-def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
-               keep: Conjunction) -> tuple:
+def _drop_pass(run, kind: str, q: int, cand: int, keep: int) -> tuple:
     """Model-guided preservation pass: repeatedly query the whole candidate,
     removing every atom falsified by the countermodel's ground post-step
     states. Returns (cand', model): model is the countermodel of a step that
     breaks an atom of ``keep``, or None when no step does."""
     ctx = run.ctx
     build = STEP_VCS[kind]
-    psi_universe = ctx.universes.u_psi
+    psi_truth = truth(ctx.universes.u_psi)
     while True:
         res = run.valid(build(ctx, cand, q, cand), STEP_VARS)
         if res.is_valid:
@@ -242,12 +232,11 @@ def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
             # conservative per-atom fallback: drop droppable atoms we cannot
             # prove preserved, noting those dropped on an unknown; report
             # unknowns on must-keep atoms
-            for p in sorted(cand.indices):
-                single = build(ctx, cand, q, Conjunction.of("psi", [p]))
-                r1 = run.valid(single, STEP_VARS)
+            for p in bits(cand):
+                r1 = run.valid(build(ctx, cand, q, 1 << p), STEP_VARS)
                 if r1.is_valid:
                     continue
-                if p in keep.indices:
+                if keep >> p & 1:
                     if r1.is_invalid:
                         return cand, r1.model
                     raise SynthInconclusive(
@@ -255,29 +244,23 @@ def _drop_pass(run, kind: str, q: Conjunction, cand: Conjunction,
                     )
                 if r1.is_unknown:
                     run.undecided(f"unknown on a dropped atom ({kind})")
-                cand = cand.without(p)
+                cand &= ~(1 << p)
             return cand, None
-        env = _stepped_env(ctx, res.model, kind == VC_SYNC)
-        failing = [
-            p for p in sorted(cand.indices)
-            if not eval_atom(psi_universe[p].expr, env)
-        ]
-        if any(p in keep.indices for p in failing):
+        failing = cand & ~psi_truth(
+            cand, *_stepped(ctx, res.model, kind == VC_SYNC))
+        if failing & keep:
             return cand, res.model
         if not failing:
             # ground evaluation disagrees with the solver; should not happen
             raise SynthInconclusive(f"countermodel falsifies no atom ({kind})")
-        for p in failing:
-            cand = cand.without(p)
+        cand &= ~failing
 
 
-def refine_bounds(run, q: Conjunction, psi_max: Conjunction) -> Conjunction:
+def refine_bounds(run, q: int, psi_max: int) -> int:
     """The upper bound filtered at the base case, then pruned under the
     one-step synchronized update; it keeps the run's lower bound."""
     psi_min = run.psi_min
-    psi_max = Conjunction.of(
-        "psi", (psi_max.indices & run.init_max.indices) | psi_min.indices
-    )
+    psi_max = psi_max & run.init_max | psi_min
     psi_max, _ = _drop_pass(run, VC_SYNC, q, psi_max, psi_min)
     return psi_max
 
@@ -286,8 +269,7 @@ def refine_bounds(run, q: Conjunction, psi_max: Conjunction) -> Conjunction:
 # unrealizability check
 
 
-def check_unrealizable(run, q: Conjunction,
-                       psi_max: Conjunction) -> Opt[Diagnosis]:
+def check_unrealizable(run, q: int, psi_max: int) -> Opt[Diagnosis]:
     """The diagnosis of the first step (Sync, then Stutter) that leaves the
     lower bound from a pair in the upper one: every invariant lies between
     the two, so none exists. None when neither step does."""
@@ -302,32 +284,29 @@ def check_unrealizable(run, q: Conjunction,
 # root-cause repair
 
 
-def repair(ctx, q: Conjunction, diagnosis: Diagnosis) -> Conjunction:
-    env = {"r": diagnosis.row}
-    u_q = ctx.universes.u_q
-    if diagnosis.kind == "Sync":
-        keep = [i for i in q.indices if not eval_atom(u_q[i].expr, env)]
-    else:
-        keep = [i for i in q.indices if eval_atom(u_q[i].expr, env)]
-    return Conjunction.of("q", keep)
+def repair(ctx, q: int, diagnosis: Diagnosis) -> int:
+    """The atoms of ``q`` false on the diagnosed row after Sync, true on it
+    after Stutter."""
+    held = truth(ctx.universes.u_q)(q, diagnosis.row)
+    return q & ~held if diagnosis.kind == "Sync" else held
 
 
 # ---------------------------------------------------------------------------
 # filter weakening against the bounds
 
 
-def weaken_via_bounds(run, q: Conjunction):
+def weaken_via_bounds(run, q: int):
     """(q', psi_max): ``q`` repaired until the bounds no longer prove it
     unrealizable, and its upper bound; None once no atom is left."""
-    psi_max = Conjunction.of("psi", range(len(run.ctx.universes.u_psi)))
-    while len(q):
+    psi_max = full(run.ctx.universes.u_psi)
+    while q:
         psi_max = refine_bounds(run, q, psi_max)
         diagnosis = check_unrealizable(run, q, psi_max)
         if diagnosis is None:
             return q, psi_max
         q2 = repair(run.ctx, q, diagnosis)
         run.trace("repair", kind=diagnosis.kind,
-                  before=sorted(q.indices), after=sorted(q2.indices))
+                  before=list(bits(q)), after=list(bits(q2)))
         q = q2
     return None
 
@@ -336,19 +315,19 @@ def weaken_via_bounds(run, q: Conjunction):
 # invariant inference
 
 
-def find_strongest_bisimulation(run, q: Conjunction, psi_max: Conjunction):
+def find_strongest_bisimulation(run, q: int, psi_max: int):
     """Houdini from the upper bound: drop every atom a Sync or Stutter step
     fails to preserve, until neither drops one; (psi, None). A failing atom
     of the lower bound aborts with (None, diagnosis), the diagnosis being
     the step's countermodel row."""
     cand = psi_max
     while True:
-        before = cand.indices
+        before = cand
         for kind in STEP_VCS:
             cand, model = _drop_pass(run, kind, q, cand, run.psi_min)
             if model is not None:
                 return None, Diagnosis(kind, model["r"])
-        if cand.indices == before:
+        if cand == before:
             return cand, None
 
 
@@ -356,22 +335,22 @@ def find_strongest_bisimulation(run, q: Conjunction, psi_max: Conjunction):
 # residual search
 
 
-def handle_failure(ctx, p: Conjunction, cand: Conjunction, model: dict,
-                   push):
+def handle_failure(ctx, p: int, cand: int, model: dict, push):
     """On a countermodel where P rejects a1 but the candidate accepts a2,
     push the candidate strengthened by each residual atom false on a2. Any
     other failure (a false rejection, or a1 and a2 both accepted but
     different) no strengthening fixes."""
-    if conj_eval(ctx, p, {"a": model["a1"]}) \
-            or not conj_eval(ctx, cand, {"a": model["a2"]}):
+    u_residual = ctx.universes.u_residual
+    res_truth = truth(u_residual)
+    a2 = model["a2"]
+    if holds(res_truth, p, model["a1"]) or not holds(res_truth, cand, a2):
         return
-    env = {"a": model["a2"]}
-    for atom in ctx.universes.u_residual:
-        if atom.index not in cand.indices and not eval_atom(atom.expr, env):
-            push(cand.with_(atom.index))
+    rest = full(u_residual) & ~cand
+    for i in bits(rest & ~res_truth(rest, a2)):
+        push(cand | 1 << i)
 
 
-def find_residual(run, psi: Conjunction) -> Opt[Conjunction]:
+def find_residual(run, psi: int) -> Opt[int]:
     """The weakest residual that Final certifies under ``psi``, smallest
     first; None when there is none."""
     ctx = run.ctx
@@ -380,7 +359,7 @@ def find_residual(run, psi: Conjunction) -> Opt[Conjunction]:
     if early.is_invalid:
         return None
     worklist = _Worklist(1)
-    worklist.push(Conjunction.of("residual", ()))
+    worklist.push(0)
     while worklist:
         cand = worklist.pop()
         if cand is None:
@@ -389,7 +368,7 @@ def find_residual(run, psi: Conjunction) -> Opt[Conjunction]:
         if res.is_valid:
             return cand
         if res.is_unknown:
-            run.trace("residual-unknown", candidate=sorted(cand.indices))
+            run.trace("residual-unknown", candidate=list(bits(cand)))
             run.undecided("unknown on a residual candidate (Final)")
             continue
         handle_failure(ctx, p, cand, res.model, worklist.push)
@@ -405,28 +384,25 @@ def _one_step_trivial(run, atom_index: int) -> bool:
     formula = [
         "=>",
         ["and", ["wfrow", "r"], ["=", "a1p", ["facc", "a1", "r"]]],
-        run.ctx.res_app(frozenset([atom_index]), "a1p"),
+        run.ctx.res_app(1 << atom_index, "a1p"),
     ]
     return run.valid(formula).is_valid
 
 
-def collapse_residual(run, certified: Conjunction) -> Conjunction:
-    kept = [
-        i for i in certified.indices if not _one_step_trivial(run, i)
-    ]
-    return Conjunction.of("residual", kept)
+def collapse_residual(run, certified: int) -> int:
+    return mask(i for i in bits(certified) if not _one_step_trivial(run, i))
 
 
-def classify_mode(run, reported: Conjunction) -> str:
-    if len(reported) == 0:
+def classify_mode(run, reported: int) -> str:
+    if not reported:
         return "exact"
     ctx = run.ctx
     p = p_conjunction(ctx)
     fwd = run.valid(
-        ["=>", ctx.res_app(reported.indices, "a1"), ctx.res_app(p.indices, "a1")]
+        ["=>", ctx.res_app(reported, "a1"), ctx.res_app(p, "a1")]
     )
     bwd = run.valid(
-        ["=>", ctx.res_app(p.indices, "a1"), ctx.res_app(reported.indices, "a1")]
+        ["=>", ctx.res_app(p, "a1"), ctx.res_app(reported, "a1")]
     )
     if fwd.is_valid and bwd.is_valid:
         return "partial"
@@ -454,9 +430,9 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
 
     def push(conj):
         if worklist.push(conj):
-            run.trace("enqueue", candidate=sorted(conj.indices))
+            run.trace("enqueue", candidate=list(bits(conj)))
 
-    push(Conjunction.of("q", range(len(ctx.universes.u_q))))
+    push(full(ctx.universes.u_q))
     try:
         while worklist:
             stats["measure_log"].append(worklist.measure())
@@ -464,28 +440,28 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
             q = worklist.pop()
             if q is None:
                 continue
-            run.trace("dequeue", candidate=sorted(q.indices))
+            run.trace("dequeue", candidate=list(bits(q)))
             psi = diagnosis = None
             try:
                 weakened = weaken_via_bounds(run, q)
                 if weakened is None:
-                    run.trace("verdict", candidate=sorted(q.indices),
+                    run.trace("verdict", candidate=list(bits(q)),
                               outcome="infeasible")
                     continue
                 q, psi_max = weakened
-                worklist.visited.add(q.sorted())
+                worklist.visited.add(bits(q))
                 psi, diagnosis = find_strongest_bisimulation(run, q, psi_max)
             except SynthInconclusive as exc:
                 run.undecided(str(exc))
             if psi is None:
-                run.trace("verdict", candidate=sorted(q.indices),
+                run.trace("verdict", candidate=list(bits(q)),
                           outcome="no-bisimulation")
                 if diagnosis is not None:
                     push(repair(ctx, q, diagnosis))
             else:
                 residual = find_residual(run, psi)
                 if residual is not None:
-                    run.trace("verdict", candidate=sorted(q.indices),
+                    run.trace("verdict", candidate=list(bits(q)),
                               outcome="solved")
                     reported = collapse_residual(run, residual)
                     return PushdownSolution(
@@ -496,10 +472,10 @@ def synthesize(ctx, budget: Opt[Budget] = None, trace_fn=None):
                         mode=classify_mode(run, reported),
                         stats=stats,
                     )
-                run.trace("verdict", candidate=sorted(q.indices),
+                run.trace("verdict", candidate=list(bits(q)),
                           outcome="no-residual")
-            for a in sorted(q.indices):
-                push(q.without(a))
+            for a in bits(q):
+                push(q & ~(1 << a))
     except BudgetExceeded as exc:
         notes.append(f"budget exhausted: {exc}")
         return SynthFailure("budget", stats)

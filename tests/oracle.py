@@ -16,7 +16,7 @@ from pushdown_synth.synth import (
     PushdownSolution, Run, classify_mode, collapse_residual,
 )
 from pushdown_synth.vcgen import (
-    Conjunction, p_conjunction, vc_final, vc_stutter, vc_sync,
+    bits, mask, p_conjunction, vc_final, vc_stutter, vc_sync,
 )
 
 
@@ -36,27 +36,26 @@ def _subsets_asc(n):
             yield combo
 
 
-def _strongest_invariant(ctx, q: Conjunction):
+def _strongest_invariant(ctx, q: int):
     """Greatest fixpoint: start from the atoms true at (I, I), repeatedly
     remove any atom not preserved by a synchronized or stutter step."""
     init = ctx.task.init_values
     env = {"a1": init, "a2": init}
-    cand = Conjunction.of(
-        "psi",
-        [a.index for a in ctx.universes.u_psi if eval_atom(a.expr, env)],
+    cand = mask(
+        a.index for a in ctx.universes.u_psi if eval_atom(a.expr, env)
     )
     changed = True
     while changed:
         changed = False
-        for p in cand.sorted():
+        for p in bits(cand):
             ok_sync = ctx.session.check_valid(
-                vc_sync(ctx, cand, q, Conjunction.of("psi", [p]))
+                vc_sync(ctx, cand, q, 1 << p)
             ).is_valid
             ok_stutter = ok_sync and ctx.session.check_valid(
-                vc_stutter(ctx, cand, q, Conjunction.of("psi", [p]))
+                vc_stutter(ctx, cand, q, 1 << p)
             ).is_valid
             if not (ok_sync and ok_stutter):
-                cand = cand.without(p)
+                cand &= ~(1 << p)
                 changed = True
     return cand
 
@@ -73,10 +72,10 @@ def brute_force_optimal(ctx, cap_q: int = 6, cap_r: int = 6, cap_psi: int = 10):
         )
     p = p_conjunction(ctx)
     for q_combo in _subsets_desc(len(universes.u_q)):
-        q = Conjunction.of("q", q_combo)
+        q = mask(q_combo)
         psi = _strongest_invariant(ctx, q)
         for r_combo in _subsets_asc(len(universes.u_residual)):
-            residual = Conjunction.of("residual", r_combo)
+            residual = mask(r_combo)
             res = ctx.session.check_valid(vc_final(ctx, psi, p, residual))
             if res.is_valid:
                 reported = collapse_residual(Run(ctx), residual)
@@ -104,12 +103,12 @@ def brute_force_weakest_implicant(ctx, universe_indices, phi):
     implicants = []
     for size in range(len(pool) + 1):
         for combo in combinations(pool, size):
-            app = ctx.psi_app(frozenset(combo))
+            app = ctx.psi_app(mask(combo))
             if session.check_valid(["=>", app, phi]).is_valid:
                 implicants.append(set(combo))
     if not implicants:
-        return Conjunction.of("psi", ())
+        return 0
     out = set(pool)
     for s in implicants:
         out &= s
-    return Conjunction.of("psi", out)
+    return mask(out)

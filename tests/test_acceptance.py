@@ -16,7 +16,7 @@ from pushdown_synth.synth import (
     PushdownSolution, Run, SynthFailure, find_weakest_implicant, synthesize,
 )
 from pushdown_synth.typecheck import type_predicate
-from pushdown_synth.vcgen import Conjunction, check_witness
+from pushdown_synth.vcgen import bits, check_witness, mask
 
 from conftest import FIXTURE_NAMES, atom_index, requires_z3
 from microgen import micro_context
@@ -24,12 +24,12 @@ from oracle import brute_force_optimal, brute_force_weakest_implicant
 
 
 def _q_texts(ctx, sol):
-    return [fmt_expr(ctx.universes.u_q[i].expr) for i in sol.q.sorted()]
+    return [fmt_expr(ctx.universes.u_q[i].expr) for i in bits(sol.q)]
 
 
 def _res_texts(ctx, sol):
     return [fmt_expr(ctx.universes.u_residual[i].expr)
-            for i in sol.residual.sorted()]
+            for i in bits(sol.residual)]
 
 
 def test_criterion_1_top2_split_pushdown(bank):
@@ -53,7 +53,7 @@ def test_criterion_1_top2_split_pushdown(bank):
             type_predicate(parse_expression(text), env),
             {"a1": "a1", "a2": "a2"},
         )
-        res = ctx.session.check_valid(["=>", ctx.psi_app(sol.psi.indices),
+        res = ctx.session.check_valid(["=>", ctx.psi_app(sol.psi),
                                        formula])
         assert res.is_valid, f"invariant does not entail {text}"
     assert bank.wall_s["top2"] <= 30.0
@@ -64,7 +64,7 @@ def test_criterion_2_discount_exact_pushdown(bank):
     ctx, sol = bank.ctx["discount"], bank.solution["discount"]
     assert isinstance(sol, PushdownSolution)
     assert _q_texts(ctx, sol) == ["r[0] >= 1000.0"]
-    assert len(sol.residual) == 0
+    assert sol.residual == 0
     assert sol.mode == "exact"
     assert bank.wall_s["discount"] <= 5.0
     print(f"\nPASS criterion 2: discount exact pushdown in "
@@ -115,39 +115,36 @@ def _mutations(name, ctx, sol):
         a.index for a in u_psi
         if not eval_atom(a.expr, {"a1": init, "a2": init})
     )
-    empty = Conjunction.of
     q0, res0, psi0 = sol.q, sol.certified_residual, sol.psi
 
     def res_without(text):
-        return res0.without(atom_index(ctx.universes.u_residual, text))
+        return res0 & ~(1 << atom_index(ctx.universes.u_residual, text))
 
     def res_only(*texts):
-        return empty("residual", [
-            atom_index(ctx.universes.u_residual, t) for t in texts
-        ])
+        return mask(atom_index(ctx.universes.u_residual, t) for t in texts)
 
     common = [
-        (q0.with_(extra_q), res0, psi0),      # over-filtering, kept residual
-        (empty("q", [extra_q]), res0, psi0),  # over-filtering alone
-        (q0, empty("residual", ()), psi0),    # residual dropped entirely
-        (q0, res0, empty("psi", ())),         # certificate erased
-        (q0, res0, psi0.with_(init_failing)),  # certificate breaks Init
+        (q0 | 1 << extra_q, res0, psi0),      # over-filtering, kept residual
+        (1 << extra_q, res0, psi0),           # over-filtering alone
+        (q0, 0, psi0),                        # residual dropped entirely
+        (q0, res0, 0),                        # certificate erased
+        (q0, res0, psi0 | 1 << init_failing),  # certificate breaks Init
     ]
     if name == "top2":
         extra = [
-            (empty("q", ()), res0, psi0),
+            (0, res0, psi0),
             (q0, res_only("not a[0] == (-inf)"), psi0),
             (q0, res_only("a[0] > 90.0"), psi0),
-            (empty("q", ()), empty("residual", ()), psi0),
-            (empty("q", ()), empty("residual", ()), empty("psi", ())),
+            (0, 0, psi0),
+            (0, 0, 0),
         ]
     elif name == "discount":
         extra = [
-            (empty("q", ()), res0, psi0),
-            (empty("q", ()), empty("residual", ()), psi0),
-            (q0, res0, empty("psi", psi0.sorted()[:1])),
-            (q0.with_(extra_q), empty("residual", ()), psi0),
-            (empty("q", ()), empty("residual", ()), empty("psi", ())),
+            (0, res0, psi0),
+            (0, 0, psi0),
+            (q0, res0, mask(bits(psi0)[:1])),
+            (q0 | 1 << extra_q, 0, psi0),
+            (0, 0, 0),
         ]
     elif name == "case_a":
         extra = [
@@ -170,10 +167,10 @@ def _mutations(name, ctx, sol):
     else:  # frequent
         extra = [
             (q0, res_only("not a[0] == 0"), psi0),
-            (q0, res_only("not a[0] == 0"), empty("psi", ())),
-            (empty("q", ()), empty("residual", ()), psi0),
-            (empty("q", ()), empty("residual", ()), empty("psi", ())),
-            (q0.with_(extra_q), empty("residual", ()), psi0),
+            (q0, res_only("not a[0] == 0"), 0),
+            (0, 0, psi0),
+            (0, 0, 0),
+            (q0 | 1 << extra_q, 0, psi0),
         ]
     return common + extra
 
@@ -194,7 +191,7 @@ def test_criterion_5_soundness_and_mutations(bank):
         ctx, sol = bank.ctx[name], bank.solution[name]
         assert check_witness(ctx, sol.q, sol.certified_residual, sol.psi).ok
         report = differential_check(
-            ctx.task, ctx.universes, sol.q.indices, sol.residual.indices,
+            ctx.task, ctx.universes, bits(sol.q), bits(sol.residual),
             trials=trials, seed=20260808,
         )
         assert report.ok, f"{name}: {report.mismatch_count} mismatches"
@@ -205,7 +202,7 @@ def test_criterion_5_soundness_and_mutations(bank):
                 caught += 1
                 continue
             fuzz = differential_check(
-                ctx.task, ctx.universes, q.indices, res.indices,
+                ctx.task, ctx.universes, bits(q), bits(res),
                 trials=trials, seed=7_000 + i,
             )
             assert fuzz.mismatch_count >= 1, (
@@ -229,13 +226,13 @@ def test_criterion_6_optimality_oracle():
             sizes = ctx.universes.sizes()
             assert sizes[0] <= 6 and sizes[1] <= 6 and sizes[2] <= 10
             oracle = brute_force_optimal(ctx)
-            if oracle is None or len(oracle.q) == 0:
+            if oracle is None or oracle.q == 0:
                 continue  # no genuine opportunity; culled like the benchmarks
             engine = synthesize(ctx)
             assert isinstance(engine, PushdownSolution), source
-            assert engine.q.sorted() == oracle.q.sorted(), source
-            assert engine.certified_residual.sorted() == \
-                oracle.certified_residual.sorted(), source
+            assert engine.q == oracle.q, source
+            assert engine.certified_residual == \
+                oracle.certified_residual, source
             assert engine.mode == oracle.mode, source
             kept += 1
         finally:
@@ -256,13 +253,13 @@ def test_criterion_7_weakest_implicant_oracle():
             assert n <= 12
             k = rng.randint(1, max(1, n - 1))
             base = rng.sample(range(n), k=k)
-            phi = ctx.psi_app(frozenset(base))
+            phi = ctx.psi_app(mask(base))
             if rng.random() < 0.4:
                 other = rng.sample(range(n), k=rng.randint(1, max(1, n // 2)))
-                phi = ["or", phi, ctx.psi_app(frozenset(other))]
-            fast = find_weakest_implicant(Run(ctx), range(n), phi)
+                phi = ["or", phi, ctx.psi_app(mask(other))]
+            fast = find_weakest_implicant(Run(ctx), (1 << n) - 1, phi)
             brute = brute_force_weakest_implicant(ctx, range(n), phi)
-            assert fast.sorted() == brute.sorted(), (base, phi)
+            assert fast == brute, (base, phi)
             checked += 1
         print(f"\nPASS criterion 7: {checked} implicant instances match the "
               f"subset-enumeration oracle")

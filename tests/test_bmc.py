@@ -44,7 +44,7 @@ def test_screen_never_infeasible_when_synthesis_succeeds():
         ctx = make_context(fixture_source(name), name, timeout_ms=60000)
         try:
             out = synthesize(ctx)
-            assert isinstance(out, PushdownSolution) and len(out.q) > 0
+            assert isinstance(out, PushdownSolution) and out.q != 0
             verdict = screen(ctx, 2)
             assert verdict.kind in ("Feasible", "Inconclusive")
         finally:

@@ -83,6 +83,23 @@ def test_strict_bounds_and_integer_branching():
         assert res.is_invalid and 0 < res.model["y"] < 1
 
 
+def test_constants_outside_the_query_get_their_sorts_default(tmp_path):
+    """A constant the formula does not mention has no value in the search's
+    model; `get-model` gives it its sort's default, 0 or the first
+    constructor over defaults, and the transcript shows the model."""
+    log = tmp_path / "log.smt2"
+    with BuiltinSession(SolverConfig(log_path=str(log))) as s:
+        s.declare("(declare-datatypes ((P 0)) (((MkP (p0 Int) (p1 Real)))))")
+        s.declare_const("x", "Int", decode_number)
+        s.declare_const("y", "Real", decode_number)
+        s.declare_const("z", "P", lambda sx: sx)
+        res = s.check_valid(["<", "x", "0"], ("x", "y", "z"))
+    assert res.is_invalid
+    assert res.model["y"] == 0 and res.model["z"] == ["MkP", "0", "0"]
+    assert "; -> (model (define-fun x () Int 0) (define-fun y () Real 0) " \
+        "(define-fun z () P (MkP 0 0)))" in log.read_text().splitlines()
+
+
 def test_outside_the_fragment_is_unknown():
     with session() as s:
         s.declare_const("n", "Int", decode_number)

@@ -133,6 +133,44 @@ def test_verify_paper_triple_and_corrupted(tmp_path):
     assert "failing VC" in rec["error"]
 
 
+def test_verify_stops_at_the_first_false_invariant_atom(tmp_path):
+    """Init reads the invariant's atoms in ascending order up to the first
+    false one: `a1[0] + a2[0] > 0.0`, which raises on top2's initial pair of
+    -inf, is never read, so the triple fails Init and makes no query."""
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps({
+        "q": ["r[0] > 90.0"], "residual": ["a[0] > 90.0", "a[1] > 90.0"],
+        "psi": ["a1[0] == 5.0", "a1[0] + a2[0] > 0.0"],
+    }))
+    out = tmp_path / "rec.json"
+    assert run(["verify", "--solver", "builtin", "--triple", str(tfile),
+                "--out", str(out), fixture_path("top2")]) == 1
+    (rec,) = read_records(out)
+    assert (rec["status"], rec["error"]) == ("fail", "failing VC: Init")
+    assert rec["stats"]["solver_calls"] == 0
+
+
+def test_verify_counts_the_witness_queries(tmp_path):
+    """The triple that `synth` certifies on discount passes `verify` with
+    three queries: Sync, Stutter and Final."""
+    out = tmp_path / "synth.json"
+    assert run(["synth", "--solver", "builtin", "--trials", "100",
+                "--out", str(out), fixture_path("discount")]) == 0
+    (solved,) = read_records(out)
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps({
+        "q": solved["q_atoms"],
+        "residual": solved["certified_residual_atoms"],
+        "psi": solved["invariant_atoms"],
+    }))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--solver", "builtin", "--triple", str(tfile),
+                "--out", str(out), fixture_path("discount")]) == 0
+    (rec,) = read_records(out)
+    assert rec["status"] == "solved"
+    assert rec["stats"]["solver_calls"] == 3
+
+
 @requires_z3
 def test_screen_subcommand(tmp_path):
     out = tmp_path / "screen.json"

@@ -10,7 +10,7 @@ from pushdown_synth.parser import parse
 from pushdown_synth.rewrite import emit_rewritten
 from pushdown_synth.synth import PushdownSolution
 from pushdown_synth.typecheck import typecheck
-from pushdown_synth.vcgen import Conjunction, p_conjunction
+from pushdown_synth.vcgen import p_conjunction
 
 from conftest import FIXTURE_NAMES, fixture_source, make_context
 
@@ -44,10 +44,10 @@ def test_trivial_solution_elides_the_vacuous_prefilter():
     ctx = make_context(fixture_source("top2"), "top2")
     try:
         trivial = PushdownSolution(
-            q=Conjunction.of("q", ()),
+            q=0,
             residual=p_conjunction(ctx),
             certified_residual=p_conjunction(ctx),
-            psi=Conjunction.of("psi", ()),
+            psi=0,
             mode="partial",
             stats={},
         )

@@ -76,19 +76,16 @@ def test_model_soundness_ground_negation_true():
     countermodel must falsify exactly that."""
     ctx = make_context(fixture_source("top2"), "top2")
     try:
-        from pushdown_synth.vcgen import (
-            Conjunction, conj_eval, p_conjunction, vc_final,
-        )
+        from pushdown_synth.interp import truth
+        from pushdown_synth.vcgen import holds, p_conjunction, vc_final
         from pushdown_synth.values import values_equal
 
-        psi = Conjunction.of("psi", ())
         p = p_conjunction(ctx)
-        res = ctx.session.check_valid(
-            vc_final(ctx, psi, p, Conjunction.of("residual", ())), ("a1", "a2")
-        )
+        res = ctx.session.check_valid(vc_final(ctx, 0, p, 0), ("a1", "a2"))
         assert res.is_invalid
         a1, a2 = res.model["a1"], res.model["a2"]
-        assert not (conj_eval(ctx, p, {"a": a1}) and values_equal(a1, a2))
+        assert not (holds(truth(ctx.universes.u_residual), p, a1)
+                    and values_equal(a1, a2))
     finally:
         ctx.session.close()
 

@@ -10,7 +10,7 @@ from pushdown_synth.synth import (
     handle_failure, refine_bounds, repair, synthesize, weaken_via_bounds,
     UniverseInsufficiency,
 )
-from pushdown_synth.vcgen import Conjunction, check_witness, p_conjunction
+from pushdown_synth.vcgen import check_witness, full, mask, p_conjunction
 
 from conftest import atom_index, fixture_source, make_context
 
@@ -24,14 +24,8 @@ def top2x(request):
     return ctx
 
 
-def every_psi_atom(ctx):
-    return Conjunction.of("psi", range(len(ctx.universes.u_psi)))
-
-
 def q_of(ctx, *texts):
-    return Conjunction.of(
-        "q", [atom_index(ctx.universes.u_q, t) for t in texts]
-    )
+    return mask(atom_index(ctx.universes.u_q, t) for t in texts)
 
 
 # -- root-cause repair
@@ -40,20 +34,20 @@ def q_of(ctx, *texts):
 def test_repair_stutter_keeps_atoms_true_on_the_row(top2x):
     q = q_of(top2x, "r[0] > 90.0", "r[0] > 95.0")
     repaired = repair(top2x, q, Diagnosis("Stutter", (Fraction(92),)))
-    assert repaired.sorted() == q_of(top2x, "r[0] > 90.0").sorted()
+    assert repaired == q_of(top2x, "r[0] > 90.0")
 
 
 def test_repair_sync_removes_atoms_true_on_the_row(top2x):
     q = q_of(top2x, "r[0] > 90.0")
     repaired = repair(top2x, q, Diagnosis("Sync", (Fraction(100),)))
-    assert len(repaired) == 0
+    assert repaired == 0
 
 
 def test_repair_empty_filter_is_noop(top2x):
     repaired = repair(
-        top2x, Conjunction.of("q", ()), Diagnosis("Sync", (Fraction(1),))
+        top2x, 0, Diagnosis("Sync", (Fraction(1),))
     )
-    assert len(repaired) == 0
+    assert repaired == 0
 
 
 # -- weakest implicants
@@ -69,8 +63,8 @@ out = filter(agg, lambda a: a[0] > 0)
     try:
         idx = atom_index(ctx.universes.u_psi, "a1[0] > 0")
         phi = ctx.psi_atom_app(idx, "a1", "a2")
-        out = find_weakest_implicant(Run(ctx), [idx], phi)
-        assert out.sorted() == (idx,)
+        out = find_weakest_implicant(Run(ctx), 1 << idx, phi)
+        assert out == 1 << idx
     finally:
         ctx.session.close()
 
@@ -91,8 +85,8 @@ out = filter(agg, lambda a: a[0] > 0)
         ne = atom_index(ctx.universes.u_psi, "not a1[0] == 5")
         phi = ["and", ctx.psi_atom_app(gt, "a1", "a2"),
                ctx.psi_atom_app(lt, "a1", "a2")]
-        out = find_weakest_implicant(Run(ctx), [gt, lt, ne], phi)
-        assert out.sorted() == tuple(sorted((gt, lt)))
+        out = find_weakest_implicant(Run(ctx), mask([gt, lt, ne]), phi)
+        assert out == mask([gt, lt])
     finally:
         ctx.session.close()
 
@@ -109,7 +103,7 @@ out = filter(agg, lambda a: a[0] > 0)
         phi = ["<", "(acc0 a1)".replace("acc0", ctx.enc.acc_sort.fields[0]),
                "0"]
         with pytest.raises(UniverseInsufficiency):
-            find_weakest_implicant(Run(ctx), [idx], phi)
+            find_weakest_implicant(Run(ctx), 1 << idx, phi)
     finally:
         ctx.session.close()
 
@@ -121,12 +115,12 @@ def test_weaken_via_bounds_keeps_feasible_filter(top2x):
     q = q_of(top2x, "r[0] > 90.0")
     run = Run(top2x)
     q2, psi_max = weaken_via_bounds(run, q)
-    assert q2.sorted() == q.sorted()
-    assert run.psi_min.indices <= psi_max.indices
+    assert q2 == q
+    assert run.psi_min & ~psi_max == 0
 
 
 def test_weaken_via_bounds_rejects_empty_filter(top2x):
-    assert weaken_via_bounds(Run(top2x), Conjunction.of("q", ())) is None
+    assert weaken_via_bounds(Run(top2x), 0) is None
 
 
 def test_weaken_via_bounds_repairs_an_over_strong_filter():
@@ -140,10 +134,10 @@ def test_weaken_via_bounds_repairs_an_over_strong_filter():
         q = q_of(ctx, "r[0] > 100", "r[0] > 200")
         run = Run(ctx)
         weakened, _ = weaken_via_bounds(run, q)
-        assert weakened.sorted() == q_of(ctx, "r[0] > 100").sorted()
-        assert len(run.psi_min) >= 1
+        assert weakened == q_of(ctx, "r[0] > 100")
+        assert run.psi_min != 0
         # directly: the original filter is unrealizable with a stutter witness
-        refined = refine_bounds(Run(ctx), q, every_psi_atom(ctx))
+        refined = refine_bounds(Run(ctx), q, full(ctx.universes.u_psi))
         diagnosis = check_unrealizable(Run(ctx), q, refined)
         assert diagnosis.kind == "Stutter"
         row = diagnosis.row[0]
@@ -155,17 +149,17 @@ def test_weaken_via_bounds_repairs_an_over_strong_filter():
 def test_refine_bounds_fixed_point_and_monotonicity(top2x):
     q = q_of(top2x, "r[0] > 90.0")
     run = Run(top2x)
-    start = every_psi_atom(top2x)
+    start = full(top2x.universes.u_psi)
     once = refine_bounds(run, q, start)
-    assert run.psi_min.indices <= once.indices <= start.indices
+    assert run.psi_min & ~once == 0 and once & ~start == 0
     twice = refine_bounds(run, q, once)
-    assert twice.indices == once.indices
+    assert twice == once
 
 
 def test_check_unrealizable_accepts_the_right_filter(top2x):
     q = q_of(top2x, "r[0] > 90.0")
     run = Run(top2x)
-    psi_max = refine_bounds(run, q, every_psi_atom(top2x))
+    psi_max = refine_bounds(run, q, full(top2x.universes.u_psi))
     assert check_unrealizable(run, q, psi_max) is None
 
 
@@ -182,7 +176,7 @@ def test_find_strongest_bisimulation_entails_the_known_invariant(top2x):
     for text in SEVEN_CONJUNCTS:
         idx = atom_index(top2x.universes.u_psi, text)
         entails = top2x.session.check_valid(
-            ["=>", top2x.psi_app(psi.indices), top2x.psi_atom_app(idx, "a1", "a2")]
+            ["=>", top2x.psi_app(psi), top2x.psi_atom_app(idx, "a1", "a2")]
         )
         assert entails.is_valid, text
 
@@ -203,10 +197,10 @@ def test_find_residual_weakest_in_universe():
     ctx = _residual_micro_ctx()
     try:
         eq = atom_index(ctx.universes.u_psi, "a1[0] == a2[0]")
-        psi = Conjunction.of("psi", [eq])
+        psi = 1 << eq
         residual = find_residual(Run(ctx), psi)
         gt = atom_index(ctx.universes.u_residual, "a[0] > 0.0")
-        assert residual.sorted() == (gt,)
+        assert residual == 1 << gt
     finally:
         ctx.session.close()
 
@@ -219,8 +213,8 @@ agg = fold(df, (0.0,), lambda a, r: (r[0] if r[0] > a[0] else a[0],))
     ctx = make_context(source, "micro")
     try:
         eq = atom_index(ctx.universes.u_psi, "a1[0] == a2[0]")
-        residual = find_residual(Run(ctx), Conjunction.of("psi", [eq]))
-        assert residual is not None and len(residual) == 0
+        residual = find_residual(Run(ctx), 1 << eq)
+        assert residual == 0
     finally:
         ctx.session.close()
 
@@ -234,7 +228,7 @@ def test_handle_failure_spurious_acceptance_enqueues_false_atoms():
             "a2": (Fraction(0),),   # accepted by the empty candidate
         }
         handle_failure(
-            ctx, p_conjunction(ctx), Conjunction.of("residual", ()),
+            ctx, p_conjunction(ctx), 0,
             model, pushed.append,
         )
         # both universe atoms are false on a2 = (0,): two strengthenings
@@ -253,7 +247,7 @@ def test_handle_failure_false_rejection_enqueues_nothing():
             "a2": (Fraction(0),),
         }
         handle_failure(
-            ctx, p_conjunction(ctx), Conjunction.of("residual", [gt]),
+            ctx, p_conjunction(ctx), 1 << gt,
             model, pushed.append,
         )
         assert pushed == []
@@ -267,9 +261,9 @@ def test_handle_failure_false_rejection_enqueues_nothing():
 def test_synthesize_weakens_past_the_spurious_atom(top2x):
     out = synthesize(top2x)
     assert isinstance(out, PushdownSolution)
-    assert out.q.sorted() == q_of(top2x, "r[0] > 90.0").sorted()
+    assert out.q == q_of(top2x, "r[0] > 90.0")
     res = atom_index(top2x.universes.u_residual, "not a[1] == (-inf)")
-    assert out.certified_residual.sorted() == (res,)
+    assert out.certified_residual == 1 << res
     assert out.mode == "split"
     # every worklist iteration strictly decreased the measure
     log = out.stats["measure_log"]

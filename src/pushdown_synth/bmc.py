@@ -8,7 +8,6 @@ dataframe of the given length. Unsatisfiability refutes every such choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .smt import sexp_str
 from .vcgen import p_conjunction
 
 
@@ -25,9 +24,8 @@ def screen(ctx, rows: int = 2) -> ScreenVerdict:
     witness for the unknown pre-filter."""
     if not 1 <= rows <= 4:
         raise ValueError("row bound must be between 1 and 4")
-    session = ctx.session
     row_sort = ctx.enc.row_sort.text
-    init = ctx.init_sexp()
+    init = ctx.enc.init_sexp()
     p = p_conjunction(ctx)
 
     row_vars = [f"bmc_r{k}" for k in range(1, rows + 1)]
@@ -52,47 +50,16 @@ def screen(ctx, rows: int = 2) -> ScreenVerdict:
         ["=>", wf, body],
     ]
 
-    # model-based quantifier instantiation handles the second-order shape of
-    # this query; e-matching only gets in its way. Every other query in the
-    # system is quantifier-free, so the options are harmless to leave set.
-    # They are z3 options: the builtin backend ignores them and answers
-    # unknown on the quantifier instead, which makes the verdict Inconclusive.
-    session.set_option("smt.mbqi", "true")
-    session.set_option("smt.ematching", "false")
-    session.push()
-    try:
-        session.declare(f"(declare-fun bmc_q ({row_sort}) Bool)")
-        session.declare(f"(declare-const bmc_w {row_sort})")
-        session.assert_(quantified)
-        session.assert_(["wfrow", "bmc_w"])
-        session.assert_(["not", ["bmc_q", "bmc_w"]])
-        status = session.check_sat()
-        if status == "unsat":
-            return ScreenVerdict("Infeasible")
-        if status == "sat":
-            try:
-                witness = _summarize_q(session.model_text())
-            except Exception:
-                witness = "(model unavailable)"
-            return ScreenVerdict("Feasible", witness=witness)
-        reason = session.reason_unknown()
-        return ScreenVerdict("Inconclusive", reason=reason)
-    finally:
-        if not session.poisoned:
-            session.pop()
-
-
-def _summarize_q(raw_model: str) -> str:
-    from .smt import parse_sexp
-
-    try:
-        parsed = parse_sexp(raw_model)[0]
-    except Exception:
-        return raw_model[:200]
-    if parsed and parsed[0] == "model":
-        parsed = parsed[1:]
-    for entry in parsed:
-        if isinstance(entry, list) and len(entry) >= 5 and entry[0] == "define-fun" \
-                and entry[1] == "bmc_q":
-            return sexp_str(entry[4])
-    return raw_model[:200]
+    # the builtin backend decides quantifier-free formulas only, so it
+    # answers unknown here, which makes the verdict Inconclusive
+    res = ctx.session.check(
+        [quantified, ["wfrow", "bmc_w"], ["not", ["bmc_q", "bmc_w"]]],
+        declarations=[f"(declare-fun bmc_q ({row_sort}) Bool)",
+                      f"(declare-const bmc_w {row_sort})"],
+        model_names=["bmc_q"],
+    )
+    if res.status == "unsat":
+        return ScreenVerdict("Infeasible")
+    if res.status == "sat":
+        return ScreenVerdict("Feasible", witness=res.model["bmc_q"])
+    return ScreenVerdict("Inconclusive", reason=res.reason)

@@ -1213,9 +1213,6 @@ class BuiltinSession(Session):
             if cmd[0] in ("declare-const", "declare-fun"):
                 self._declared[-1].append(cmd[1])
 
-    def set_option(self, name, value):
-        """Solver options tune an external solver's search; none applies."""
-
     def push(self):
         self._write("(push 1)")
         self._frames.append([])
@@ -1248,14 +1245,14 @@ class BuiltinSession(Session):
         return status
 
     def reason_unknown(self) -> str:
-        return f'(:reason-unknown "{self._reason}")'
+        return self._reason
 
     def _model_sexps(self, names):
         if self._model is None:
             raise SolverError("get-model failed: no model is available")
         sexps, raw = {}, []
         for name in names:
-            if name not in self._decoders:
+            if name not in self._el.consts:
                 continue
             sort = self._el.consts[name]
             tree = self._model.get(name)

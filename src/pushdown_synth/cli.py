@@ -115,10 +115,11 @@ def _run_files(args, paths, run_task, needs_session=True):
     ``run_task(args, task, universes, record, session)`` with a fresh record
     and a solver session (None unless ``needs_session``); the record's
     ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
-    evaluation, solver, I/O or text-encoding error becomes the file's error
-    record, which keeps the universe sizes if they were built, the stats
-    of the work done before the error and any ``--dump-universe`` dump.
-    Emits and returns the records. The sessions of one run append to one
+    evaluation, solver, I/O or text-encoding error, or an expression nested
+    past the recursion limit, becomes the file's error record, which keeps
+    the universe sizes if they were built, the stats of the work done
+    before the error and any ``--dump-universe`` dump. Emits and returns
+    the records. The sessions of one run append to one
     ``--smt-log`` transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
@@ -141,6 +142,9 @@ def _run_files(args, paths, run_task, needs_session=True):
         except (DslSyntaxError, DslTypeError, EncodeError, EvalError,
                 SolverError, OSError, UnicodeDecodeError) as exc:
             record = _error_record(path, exc, stats, record)
+        except RecursionError:
+            record = _error_record(path, "expression is nested too deeply",
+                                   stats, record)
         records.append(record)
     _emit(records, args)
     return records
@@ -248,7 +252,9 @@ def cmd_verify(args):
 
 
 def _screen_task(args, task, universes, record, session):
-    verdict = screen(TaskContext(task, universes, session), args.bmc_rows)
+    ctx = TaskContext(task, universes, session)
+    record["stats"]["solver_calls"] = 1  # the screen is one check
+    verdict = screen(ctx, args.bmc_rows)
     record["status"] = "solved" if verdict.kind != "Inconclusive" \
         else "inconclusive"
     record["screen"] = {

@@ -489,9 +489,6 @@ class TaskContext:
     def psi_atom_app(self, index, v1, v2):
         return [f"upsi_{index}", v1, v2]
 
-    def init_sexp(self):
-        return self.enc.init_sexp()
-
 
 def _conjoin(prefix, conj, args):
     """The `and` of the applications of the atoms of `conj` to `args`."""

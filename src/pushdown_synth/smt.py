@@ -2,11 +2,14 @@
 
 It carries s-expressions and SMT-LIB numerals only: each declared constant
 comes with the decoder that reads its model term (``encode`` supplies them).
-Two backends subclass one session base, ``Session``. ``SolverSession``
+Two backends subclass one session base, ``Session``, and supply its
+primitives: ``declare``, ``push``, ``pop``, ``assert_``, ``check_sat``,
+``reason_unknown``, ``_model_sexps`` and ``close``. ``SolverSession``
 drives an external solver subprocess; every command is acknowledged under
 :print-success, which gives reliable framing over the pipe.
 ``builtin.BuiltinSession`` decides the quantifier-free fragment in process.
-Each validity check runs inside a push/pop frame, so session state is
+Other modules query through ``Session.check`` (or ``check_valid`` over it),
+which runs each query inside a push/pop frame, so session state is
 query-invariant.
 """
 
@@ -68,7 +71,7 @@ def parse_sexp(text: str):
 
 @dataclass
 class QueryResult:
-    status: str  # valid | invalid | unknown
+    status: str  # valid | invalid | unknown; from `check`: sat | unsat | unknown
     model: Opt[dict] = None  # name -> decoded value
     reason: str = ""
 
@@ -136,13 +139,14 @@ class SolverConfig:
 
 class Session:
     """What both backends share: the transcript, a decoder per declared
-    constant, model reading and validity checks. A backend supplies
-    ``declare``, ``set_option``, ``push``, ``pop``, ``assert_``,
-    ``check_sat`` (returning sat, unsat or unknown), ``reason_unknown``,
-    ``_model_sexps`` and ``close``. A session neither counts nor limits
-    its checks; a synthesis run does that for its own queries. The
-    transcript is appended to, so one file can hold the sessions of several
-    tasks."""
+    constant, and the query skeleton ``check`` with ``check_valid`` over
+    it. A backend supplies ``declare``, ``push``, ``pop``, ``assert_``,
+    ``check_sat`` (returning sat, unsat or unknown), ``reason_unknown``
+    (the plain reason), ``_model_sexps`` (``{name: value s-expression}``
+    of the last sat check, a function's value being its body) and
+    ``close``. A session neither counts nor limits its checks; a synthesis
+    run does that for its own queries. The transcript is appended to, so
+    one file can hold the sessions of several tasks."""
 
     backend = ""
 
@@ -162,37 +166,46 @@ class Session:
         self.declare(f"(declare-const {name} {sort_text})")
         self._decoders[name] = decode
 
-    def get_model(self, names) -> dict:
-        """The values of ``names``, decoded from the backend's
-        ``{name: value s-expression}`` map of the last sat check."""
-        sexps = self._model_sexps(names)
-        model = {name: self._decoders[name](sexps[name]) for name in names
-                 if name in sexps and name in self._decoders}
-        missing = [n for n in names if n not in model]
-        if missing:
-            raise SolverError(f"model lacks assignments for {missing}")
-        return model
-
-    def check_valid(self, formula, model_names=()) -> QueryResult:
-        """Valid iff the negation is unsatisfiable; Invalid carries a model."""
+    def check(self, assertions, declarations=(), model_names=()) -> QueryResult:
+        """Declare and assert in one push/pop frame, then check-sat. A sat
+        result carries the decoded values of ``model_names``: a name
+        declared with ``declare_const`` by its decoder, any other (a
+        ``declarations`` entry) as its SMT-LIB text. An unknown one carries
+        the solver's reason."""
         if self.poisoned:
             raise SolverCrashed("session is poisoned; restart required")
         self.push()
         try:
-            self.assert_(["not", formula])
+            for text in declarations:
+                self.declare(text)
+            for formula in assertions:
+                self.assert_(formula)
             status = self.check_sat()
+            if status == "unknown":
+                return QueryResult(status, reason=self.reason_unknown())
             if status == "unsat":
-                return QueryResult("valid")
-            if status == "sat":
-                model = self.get_model(list(model_names))
-                return QueryResult("invalid", model=model)
-            reason = self.reason_unknown()
-            kind = "timeout" if "timeout" in reason or "canceled" in reason \
-                else "incomplete"
-            return QueryResult("unknown", reason=kind)
+                return QueryResult(status)
+            sexps = self._model_sexps(model_names)
+            missing = [n for n in model_names if n not in sexps]
+            if missing:
+                raise SolverError(f"model lacks assignments for {missing}")
+            return QueryResult(status, model={
+                n: self._decoders.get(n, sexp_str)(sexps[n])
+                for n in model_names})
         finally:
             if not self.poisoned:
                 self.pop()
+
+    def check_valid(self, formula, model_names=()) -> QueryResult:
+        """Valid iff the negation is unsatisfiable; Invalid carries a model."""
+        res = self.check([["not", formula]], model_names=model_names)
+        if res.status == "unsat":
+            return QueryResult("valid")
+        if res.status == "sat":
+            return QueryResult("invalid", model=res.model)
+        kind = "timeout" if "timeout" in res.reason \
+            or "canceled" in res.reason else "incomplete"
+        return QueryResult("unknown", reason=kind)
 
     def close(self):
         if self._log:
@@ -214,6 +227,8 @@ class SolverSession(Session):
     def __init__(self, config: SolverConfig):
         path = find_solver(config.solver_path)
         args = [path, "-in", f"smt.random_seed={config.random_seed}"]
+        super().__init__(config)
+        self._rbuf = b""
         try:
             self.proc = subprocess.Popen(
                 args,
@@ -222,15 +237,24 @@ class SolverSession(Session):
                 stderr=subprocess.STDOUT,
             )
         except OSError as exc:
+            super().close()
             raise SolverError(f"cannot spawn solver {path!r}: {exc}")
-        super().__init__(config)
-        self._rbuf = b""
         try:
-            self.command("(set-option :print-success true)")
-        except SolverError:
-            raise SolverError("solver handshake failed (print-success)")
-        self.command(f"(set-option :timeout {config.timeout_ms})")
-        self.command("(set-option :produce-models true)")
+            try:
+                self.command("(set-option :print-success true)")
+            except SolverError:
+                raise SolverError("solver handshake failed (print-success)")
+            self.command(f"(set-option :timeout {config.timeout_ms})")
+            self.command("(set-option :produce-models true)")
+            # model-based quantifier instantiation decides the bounded
+            # screen's second-order query, and e-matching only gets in its
+            # way; every other query is quantifier-free, which neither
+            # option affects
+            self.command("(set-option :smt.mbqi true)")
+            self.command("(set-option :smt.ematching false)")
+        except BaseException:
+            self.close()  # reaps the process, closes its pipes and the log
+            raise
 
     # -- low-level I/O
 
@@ -267,7 +291,9 @@ class SolverSession(Session):
                 return text[:end].strip()
         return None
 
-    def _read_response(self, deadline: float) -> str:
+    def _read_response(self) -> str:
+        """The next response, waited for up to three timeouts plus 10 s."""
+        deadline = time.monotonic() + self.config.timeout_ms / 1000 * 3 + 10
         fd = self.proc.stdout.fileno()
         while True:
             complete = self._scan_complete()
@@ -287,27 +313,24 @@ class SolverSession(Session):
                 raise SolverCrashed("solver closed its output")
             self._rbuf += chunk
 
-    def _deadline(self, extra_ms: int = 0) -> float:
-        wait = (self.config.timeout_ms + extra_ms) / 1000.0 * 3 + 10.0
-        return time.monotonic() + wait
-
-    def command(self, line: str, expect_success: bool = True) -> str:
+    def _ask(self, line: str) -> str:
+        """Send ``line``; its response, noted in the transcript."""
         self._send(line)
-        resp = self._read_response(self._deadline())
+        resp = self._read_response()
         self._write(f"; -> {resp}")
-        if expect_success and resp != "success":
-            if resp.startswith("(error"):
-                raise SolverError(f"solver error for {line!r}: {resp}")
-            raise SolverError(f"unexpected response {resp!r} to {line!r}")
         return resp
+
+    def command(self, line: str):
+        resp = self._ask(line)
+        if resp.startswith("(error"):
+            raise SolverError(f"solver error for {line!r}: {resp}")
+        if resp != "success":
+            raise SolverError(f"unexpected response {resp!r} to {line!r}")
 
     # -- session operations
 
     def declare(self, text: str):
         self.command(text)
-
-    def set_option(self, name: str, value: str):
-        self.command(f"(set-option :{name} {value})")
 
     def push(self):
         self.command("(push 1)")
@@ -319,35 +342,30 @@ class SolverSession(Session):
         self.command(f"(assert {sexp_str(formula)})")
 
     def check_sat(self) -> str:
-        self._send("(check-sat)")
-        resp = self._read_response(self._deadline())
-        self._write(f"; -> {resp}")
+        resp = self._ask("(check-sat)")
         if resp not in ("sat", "unsat", "unknown"):
             self.poisoned = True
             raise SolverCrashed(f"unexpected check-sat response {resp!r}")
         return resp
 
     def reason_unknown(self) -> str:
+        """The reason of z3's reply ``(:reason-unknown "...")``, else the
+        reply itself."""
         self._send("(get-info :reason-unknown)")
-        return self._read_response(self._deadline())
-
-    def model_text(self) -> str:
-        """The solver's raw (get-model) response."""
-        self._send("(get-model)")
-        resp = self._read_response(self._deadline())
-        self._write(f"; -> {resp}")
-        if resp.startswith("(error"):
-            raise SolverError(f"get-model failed: {resp}")
-        return resp
+        resp = self._read_response()
+        m = re.fullmatch(r'\(:reason-unknown\s+"?(.*?)"?\)', resp, re.S)
+        return m.group(1) if m else resp
 
     def _model_sexps(self, names):
-        resp = self.model_text()
+        resp = self._ask("(get-model)")
+        if resp.startswith("(error"):
+            raise SolverError(f"get-model failed: {resp}")
         parsed = parse_sexp(resp)[0]
         if parsed and parsed[0] == "model":
             parsed = parsed[1:]
         return {entry[1]: entry[4] for entry in parsed
                 if isinstance(entry, list) and entry
-                and entry[0] == "define-fun" and entry[2] == []}
+                and entry[0] == "define-fun"}
 
     def close(self):
         try:

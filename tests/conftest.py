@@ -1,4 +1,5 @@
 import importlib.resources
+import sys
 import time
 
 import pytest
@@ -26,6 +27,26 @@ requires_z3 = pytest.mark.skipif(
            "$PUSHDOWN_SYNTH_SOLVER or z3 on PATH); the builtin backend does "
            "not decide quantified formulas and has no solver process",
 )
+
+
+def fake_solver(directory, replies, default="success"):
+    """Path of an executable stand-in for an external solver: it answers
+    each command line with ``replies[command]``, else ``default``, and stops
+    at ``(exit)``. It lets `SolverSession` run where no solver is installed."""
+    script = directory / "fake-solver"
+    script.write_text(
+        f"#!{sys.executable}\n"
+        "import sys\n"
+        f"replies = {replies!r}\n"
+        "for line in sys.stdin:\n"
+        "    command = line.strip()\n"
+        "    if command == '(exit)':\n"
+        "        break\n"
+        f"    sys.stdout.write(replies.get(command, {default!r}) + '\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    script.chmod(0o755)
+    return str(script)
 
 
 def pytest_report_header(config):

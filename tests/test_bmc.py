@@ -1,10 +1,19 @@
 """Bounded feasibility screen."""
 
+import json
+
 import pytest
 
-from pushdown_synth.bmc import screen
+from pushdown_synth.analysis import build_universes
+from pushdown_synth.bmc import ScreenVerdict, screen
+from pushdown_synth.cli import run
+from pushdown_synth.encode import TaskContext
+from pushdown_synth.smt import SolverConfig, SolverError, SolverSession
 
-from conftest import fixture_source, make_context, requires_z3
+from conftest import (
+    FIXTURES, fake_solver, fixture_source, make_context, make_task,
+    requires_z3,
+)
 
 
 @requires_z3
@@ -59,3 +68,44 @@ def test_screen_at_other_bounds():
         assert screen(ctx, 3).kind == "Infeasible"
     finally:
         ctx.session.close()
+
+
+# z3's shape of a model of the screen's query: the pre-filter and the
+# nontriviality witness row
+BMC_Q = "(define-fun bmc_q ((x!0 Row)) Bool (> (row0 x!0) 2.0))"
+BMC_W = "(define-fun bmc_w () Row (row 0.0))"
+
+
+def _fake_screen(tmp_path, replies):
+    """`screen` on discount over a session whose solver answers
+    ``replies``."""
+    task = make_task("discount")
+    solver = fake_solver(tmp_path, replies)
+    with SolverSession(SolverConfig(solver_path=solver)) as session:
+        return screen(TaskContext(task, build_universes(task), session), 2)
+
+
+@pytest.mark.parametrize("replies,verdict", [
+    ({"(check-sat)": "sat", "(get-model)": f"(model {BMC_W} {BMC_Q})"},
+     ScreenVerdict("Feasible", witness="(> (row0 x!0) 2.0)")),
+    ({"(check-sat)": "unsat"}, ScreenVerdict("Infeasible")),
+    ({"(check-sat)": "unknown", "(get-info :reason-unknown)":
+      '(:reason-unknown "(incomplete quantifiers)")'},
+     ScreenVerdict("Inconclusive", reason="(incomplete quantifiers)")),
+], ids=["sat", "unsat", "unknown"])
+def test_screen_verdict_of_each_check_status(tmp_path, replies, verdict):
+    assert _fake_screen(tmp_path, replies) == verdict
+
+
+def test_a_screen_model_without_the_pre_filter_is_an_error_record(tmp_path):
+    replies = {"(check-sat)": "sat", "(get-model)": f"(model {BMC_W})"}
+    with pytest.raises(SolverError, match=r"lacks assignments for \['bmc_q'\]"):
+        _fake_screen(tmp_path, replies)
+    out = tmp_path / "screen.json"
+    code = run(["screen", "--solver", fake_solver(tmp_path, replies),
+                "--out", str(out), str(FIXTURES / "discount.pdsl")])
+    assert code == 1
+    record = json.loads(out.read_text())
+    assert record["status"] == "error"
+    assert record["error"] == "model lacks assignments for ['bmc_q']"
+    assert record["stats"]["solver_calls"] == 1

@@ -111,10 +111,10 @@ def test_outside_the_fragment_is_unknown():
             s.declare(f"(declare-const x{i} Int)")
         total = ["+"] + [["ite", f"c{i}", f"x{i}", "0"] for i in range(16)]
         assert s.check_valid([">=", total, "0"]).reason == "incomplete"
-        s.declare("(declare-fun p (Int) Bool)")
-        s.assert_(["forall", [["k", "Int"]], ["p", "k"]])
-        assert s.check_sat() == "unknown"
-        assert "quantified" in s.reason_unknown()
+        res = s.check([["forall", [["k", "Int"]], ["p", "k"]]],
+                      declarations=["(declare-fun p (Int) Bool)"])
+        assert res.status == "unknown"
+        assert res.reason.startswith("incomplete: quantified formula")
 
 
 def test_timeout_is_unknown_with_reason_timeout():

@@ -184,6 +184,45 @@ def test_screen_subcommand(tmp_path):
     assert records[1]["screen"]["verdict"] == "Infeasible"
 
 
+def test_screen_on_the_builtin_backend_is_one_inconclusive_check(tmp_path):
+    out = tmp_path / "screen.json"
+    code = run(["screen", "--solver", "builtin", "--out", str(out),
+                fixture_path("discount")])
+    assert code == 1
+    (rec,) = read_records(out)
+    assert rec["status"] == "inconclusive"
+    assert rec["screen"] == {
+        "verdict": "Inconclusive", "witness": "",
+        "reason": "incomplete: quantified formula (the builtin backend "
+                  "decides quantifier-free formulas only)",
+    }
+    assert rec["stats"]["solver_calls"] == 1
+
+
+@pytest.mark.parametrize("step", [
+    " + ".join(["a[0]"] + ["1"] * 349),  # a long sum
+    "(" * 400 + "a[0] + 1" + ")" * 400,  # deep parentheses
+], ids=["long-sum", "deep-parentheses"])
+@pytest.mark.parametrize("command", ["synth", "diff"])
+def test_an_expression_nested_too_deeply_is_an_error_record(
+        tmp_path, step, command):
+    task = tmp_path / "deep.pdsl"
+    task.write_text(
+        "df = (int,)\n"
+        f"agg = fold(df, (0,), lambda a, r: ({step},))\n"
+        "out = filter(agg, lambda a: a[0] > 3)\n"
+    )
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps({"q": [], "residual": []}))
+    options = {"synth": ["--solver", "builtin"],
+               "diff": ["--triple", str(tfile)]}[command]
+    out = tmp_path / "rec.json"
+    assert run([command, *options, "--out", str(out), str(task)]) == 1
+    (rec,) = read_records(out)
+    assert (rec["status"], rec["error"]) == (
+        "error", "expression is nested too deeply")
+
+
 def test_diff_subcommand_catches_corruption(tmp_path):
     triple = {"q": ["r[0] > 95.0"], "residual": ["not (a[1] == -inf)"]}
     tfile = tmp_path / "triple.json"

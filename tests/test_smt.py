@@ -1,23 +1,27 @@
 """Solver session behavior, model soundness, interpreter/solver agreement."""
 
+import gc
 import random
+import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from pushdown_synth import smt
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.smt import (
     SolverConfig, SolverError, SolverSession, decode_number, parse_sexp,
     start_session,
 )
 
-from conftest import make_context, fixture_source, requires_z3
+from conftest import fake_solver, make_context, fixture_source, requires_z3
 
 
 def test_empty_theory_is_satisfiable():
     with start_session(SolverConfig()) as session:
-        assert session.check_sat() == "sat"
+        assert session.check([]).status == "sat"
 
 
 @pytest.mark.parametrize("text", ["(a", "a)"])
@@ -174,6 +178,72 @@ def test_subprocess_session_frames_a_model_read_in_two_chunks(tmp_path):
     finally:
         session.close()
     assert session.proc.wait(timeout=10) is not None
+
+
+def test_subprocess_session_starts_with_the_quantifier_options(tmp_path):
+    log = tmp_path / "transcript.smt"
+    solver = fake_solver(tmp_path, {})
+    with SolverSession(SolverConfig(solver_path=solver, timeout_ms=500,
+                                    log_path=str(log))):
+        pass
+    sent = [line for line in log.read_text().splitlines()
+            if not line.startswith(";")]
+    assert sent == [
+        "(set-option :print-success true)", "(set-option :timeout 500)",
+        "(set-option :produce-models true)", "(set-option :smt.mbqi true)",
+        "(set-option :smt.ematching false)", "(exit)",
+    ]
+
+
+def test_subprocess_reason_unknown_is_unwrapped(tmp_path):
+    solver = fake_solver(tmp_path, {
+        "(check-sat)": "unknown",
+        "(get-info :reason-unknown)": '(:reason-unknown "canceled")',
+    })
+    with SolverSession(SolverConfig(solver_path=solver)) as session:
+        assert session.check(["false"]).reason == "canceled"
+        assert session.check_valid("true").reason == "timeout"
+
+
+def _not_a_program(directory):
+    path = directory / "not-a-program"
+    path.write_text("an executable file with no interpreter line\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.mark.parametrize("solver,message", [
+    (lambda d: fake_solver(d, {}, default='(error "unsupported")'),
+     "solver handshake failed (print-success)"),
+    (_not_a_program, "cannot spawn solver"),
+], ids=["handshake", "spawn"])
+def test_a_failed_solver_start_leaves_no_process_pipe_or_log_open(
+        tmp_path, monkeypatch, solver, message):
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(smt.subprocess, "Popen", Recorded)
+    config = SolverConfig(solver_path=solver(tmp_path),
+                          log_path=str(tmp_path / "transcript.smt"))
+    # no `pytest.raises`: its traceback would keep the session alive past
+    # the collection below
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            SolverSession(config)
+        except SolverError as exc:
+            error = str(exc)
+        gc.collect()
+    assert error.startswith(message)
+    for proc in started:
+        assert proc.poll() is not None
+        assert proc.stdin.closed and proc.stdout.closed
+    assert [w.message for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_list_operations_agree_with_solver_on_short_lists():

@@ -373,6 +373,10 @@ class SolverSession(Session):
                 self._send("(exit)")
         except SolverError:
             pass
+        try:
+            self.proc.stdin.close()
+        except OSError:  # a broken pipe still holds the bytes it refused
+            pass
         with self.proc:  # on leaving, the pipes are closed and the process reaped
             try:
                 self.proc.kill()

@@ -19,30 +19,45 @@ FIXTURES = importlib.resources.files("pushdown_synth") / "fixtures"
 # solver is started here
 SOLVER_BACKEND = session_backend()
 
-# the bounded screen is quantified and the crash test kills a solver process:
-# both need an external solver, and run wherever one is found
+# the bounded screen is quantified: it needs an external solver, and runs
+# wherever one is found
 requires_z3 = pytest.mark.skipif(
     SOLVER_BACKEND == BUILTIN,
     reason="needs an external SMT solver such as z3 (none found: no --solver, "
            "$PUSHDOWN_SYNTH_SOLVER or z3 on PATH); the builtin backend does "
-           "not decide quantified formulas and has no solver process",
+           "not decide quantified formulas",
 )
+
+
+# replies of `fake_solver` that are no answer: it exits without answering
+# (its output closes); it closes its input, answers ``success`` and stays
+# alive, so the next command meets a broken pipe; or it answers nothing
+EXIT, HANG_UP, SILENT = "<exit>", "<hang-up>", "<silent>"
 
 
 def fake_solver(directory, replies, default="success"):
     """Path of an executable stand-in for an external solver: it answers
     each command line with ``replies[command]``, else ``default``, and stops
-    at ``(exit)``. It lets `SolverSession` run where no solver is installed."""
+    at ``(exit)``; ``EXIT``, ``HANG_UP`` and ``SILENT`` play a failing
+    solver. It lets `SolverSession` run where no solver is installed."""
     script = directory / "fake-solver"
     script.write_text(
         f"#!{sys.executable}\n"
-        "import sys\n"
+        "import os, sys, time\n"
         f"replies = {replies!r}\n"
         "for line in sys.stdin:\n"
         "    command = line.strip()\n"
-        "    if command == '(exit)':\n"
+        f"    reply = replies.get(command, {default!r})\n"
+        f"    if command == '(exit)' or reply == {EXIT!r}:\n"
         "        break\n"
-        f"    sys.stdout.write(replies.get(command, {default!r}) + '\\n')\n"
+        f"    if reply == {SILENT!r}:\n"
+        "        continue\n"
+        f"    if reply == {HANG_UP!r}:\n"
+        "        os.close(0)\n"
+        "        print('success', flush=True)\n"
+        "        time.sleep(60)\n"
+        "        break\n"
+        "    sys.stdout.write(reply + '\\n')\n"
         "    sys.stdout.flush()\n"
     )
     script.chmod(0o755)

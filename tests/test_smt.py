@@ -1,9 +1,11 @@
 """Solver session behavior, model soundness, interpreter/solver agreement."""
 
 import gc
+import itertools
 import random
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 
@@ -12,11 +14,13 @@ import pytest
 from pushdown_synth import smt
 from pushdown_synth.interp import eval_atom
 from pushdown_synth.smt import (
-    SolverConfig, SolverError, SolverSession, decode_number, parse_sexp,
-    start_session,
+    SolverConfig, SolverCrashed, SolverError, SolverSession, decode_number,
+    parse_sexp, start_session,
 )
 
-from conftest import fake_solver, make_context, fixture_source, requires_z3
+from conftest import (
+    EXIT, HANG_UP, SILENT, fake_solver, fixture_source, make_context,
+)
 
 
 def test_empty_theory_is_satisfiable():
@@ -117,22 +121,6 @@ def test_eval_atom_matches_solver_on_ground_instances():
                 )
     finally:
         ctx.session.close()
-
-
-@requires_z3
-def test_crashed_solver_poisons_the_session():
-    from pushdown_synth.smt import SolverCrashed, find_solver
-
-    session = start_session(SolverConfig(solver_path=find_solver()))
-    session.declare_const("x", "Int", decode_number)
-    session.proc.kill()
-    session.proc.wait()
-    with pytest.raises(SolverCrashed):
-        session.check_valid(["=>", [">", "x", "1"], [">", "x", "0"]])
-    assert session.poisoned
-    with pytest.raises(SolverCrashed):
-        session.check_valid("true")
-    session.close()
 
 
 # a solver that acknowledges every command, finds each query sat, and writes
@@ -292,3 +280,87 @@ def test_spec_eval_atom_examples():
         assert eval_atom(u_q[0].expr, {"r": (Fraction(90),)}) is False
     finally:
         ctx.session.close()
+
+
+# -- the subprocess backend's fault branches, played by fake solvers
+
+def _query_x(session):
+    return session.check([[">", "x", "1"]], model_names=("x",))
+
+
+def _fake_session(tmp_path, replies, **config):
+    session = SolverSession(SolverConfig(
+        solver_path=fake_solver(tmp_path, replies), **config))
+    session.declare_const("x", "Int", decode_number)
+    return session
+
+
+def _kill(session):
+    session.proc.kill()
+    session.proc.wait()
+
+
+@pytest.mark.parametrize("replies,crash,message", [
+    ({"(check-sat)": EXIT}, None, "solver closed its output"),
+    ({}, _kill, "solver process is gone"),
+    ({"(push 1)": HANG_UP}, None, "solver pipe broken"),
+], ids=["closed-output", "process-gone", "broken-pipe"])
+def test_a_solver_gone_mid_query_poisons_the_session(
+        tmp_path, replies, crash, message):
+    session = _fake_session(tmp_path, replies)
+    try:
+        if crash:
+            crash(session)
+        with pytest.raises(SolverCrashed, match=message):
+            _query_x(session)
+        assert session.poisoned
+        with pytest.raises(SolverCrashed, match="session is poisoned"):
+            _query_x(session)
+    finally:
+        session.close()
+    assert session.proc.poll() is not None
+
+
+def test_an_error_reply_to_an_assert_names_the_command(tmp_path):
+    session = _fake_session(tmp_path, {
+        "(assert (> x 1))": '(error "line 7 column 12: unknown constant")',
+        "(check-sat)": "unsat",
+    })
+    with session:
+        with pytest.raises(SolverError, match=r"\(assert \(> x 1\)\)") as err:
+            _query_x(session)
+        assert not isinstance(err.value, SolverCrashed)
+        assert not session.poisoned
+        assert session.check([]).status == "unsat"
+
+
+def test_an_unexpected_check_sat_reply_poisons_the_session(tmp_path):
+    with _fake_session(tmp_path, {"(check-sat)": "unsupported"}) as session:
+        with pytest.raises(SolverCrashed, match="unexpected check-sat"):
+            _query_x(session)
+        assert session.poisoned
+        with pytest.raises(SolverCrashed, match="session is poisoned"):
+            _query_x(session)
+
+
+def test_an_error_reply_to_get_model_is_a_solver_error(tmp_path):
+    session = _fake_session(tmp_path, {
+        "(check-sat)": "sat", "(get-model)": '(error "no model available")',
+    })
+    with session:
+        with pytest.raises(SolverError, match="get-model failed"):
+            _query_x(session)
+
+
+def test_a_solver_silent_past_its_deadline_is_killed(tmp_path, monkeypatch):
+    """The deadline is three timeouts plus 10 s; a clock that runs 6 s per
+    reading passes it after one real wait of at most a second."""
+    session = _fake_session(tmp_path, {"(check-sat)": SILENT}, timeout_ms=1)
+    clock = itertools.count(step=6)
+    monkeypatch.setattr(smt, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(clock)))
+    with session:
+        with pytest.raises(SolverCrashed, match="unresponsive past deadline"):
+            _query_x(session)
+        assert session.poisoned
+    assert session.proc.poll() is not None

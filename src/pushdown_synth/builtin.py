@@ -1192,76 +1192,69 @@ class _Check:
 
 
 class BuiltinSession(Session):
-    """In-process session over the elaborator and search of this module."""
+    """In-process session over the elaborator and search of this module. A
+    query decides its own assertions only, and forgets the constants and
+    functions it declared when it ends."""
 
     backend = BUILTIN
 
     def __init__(self, config):
         super().__init__(config)
         self._el = _Elaborator()
-        self._frames = [[]]  # assertions per push frame
-        self._declared = [[]]  # constants and functions per push frame
-        self._reason = ""
-        self._model = None  # constant -> value tree of the last sat check
 
     # -- session operations
 
     def declare(self, text: str):
+        """Declare ``text``; the constants and functions it names."""
         self._write(text)
+        names = []
         for cmd in parse_sexp(text):
             self._el.declare(cmd)
             if cmd[0] in ("declare-const", "declare-fun"):
-                self._declared[-1].append(cmd[1])
+                names.append(cmd[1])
+        return names
 
-    def push(self):
+    def _query(self, declarations, assertions, model_names):
         self._write("(push 1)")
-        self._frames.append([])
-        self._declared.append([])
-
-    def pop(self):
-        self._write("(pop 1)")
-        if len(self._frames) == 1:
-            raise SolverError("pop without a matching push")
-        self._frames.pop()
-        for name in self._declared.pop():
-            self._el.forget(name)
-
-    def assert_(self, formula):
-        self._write(f"(assert {sexp_str(formula)})")
-        self._frames[-1].append(formula)
-
-    def check_sat(self) -> str:
-        self._write("(check-sat)")
-        deadline = time.monotonic() + self.config.timeout_ms / 1000.0
-        self._model = None
+        declared = []
         try:
-            status = self._check([f for frame in self._frames for f in frame],
-                                 deadline)
-        except Incomplete as exc:
-            status, self._reason = "unknown", f"incomplete: {exc}"
-        except _Timeout:
-            status, self._reason = "unknown", "timeout"
-        self._write(f"; -> {status}")
-        return status
+            for text in declarations:
+                declared += self.declare(text)
+            for formula in assertions:
+                self._write(f"(assert {sexp_str(formula)})")
+            self._write("(check-sat)")
+            deadline = time.monotonic() + self.config.timeout_ms / 1000.0
+            try:
+                status, detail = self._check(assertions, deadline)
+            except Incomplete as exc:
+                status, detail = "unknown", f"incomplete: {exc}"
+            except _Timeout:
+                status, detail = "unknown", "timeout"
+            self._write(f"; -> {status}")
+            if status == "unknown":
+                self._write("(get-info :reason-unknown)")
+                self._write(f'; -> (:reason-unknown "{detail}")')
+            elif status == "sat":
+                detail = self._model_sexps(detail, model_names)
+            return status, detail
+        finally:
+            self._write("(pop 1)")
+            for name in declared:
+                self._el.forget(name)
 
-    def reason_unknown(self) -> str:
-        return self._reason
-
-    def _model_sexps(self, names):
-        if self._model is None:
-            raise SolverError("get-model failed: no model is available")
-        sexps, raw = {}, []
+    def _model_sexps(self, model, names):
+        """``{name: value s-expression}`` of the declared ``names`` in
+        ``model``, noted in the transcript as z3 would write it."""
+        el, sexps = self._el, {}
         for name in names:
-            if name not in self._el.consts:
-                continue
-            sort = self._el.consts[name]
-            tree = self._model.get(name)
-            if tree is None:
-                tree = _default_tree(self._el, sort)
-            sexps[name] = _value_sexp(self._el, sort, tree)
-            raw.append(f"(define-fun {name} () {sort.name} "
-                       f"{sexp_str(sexps[name])})")
-        self._write(f"; -> (model {' '.join(raw)})")
+            if name in el.consts:
+                sort, tree = el.consts[name], model.get(name)
+                if tree is None:
+                    tree = _default_tree(el, sort)
+                sexps[name] = _value_sexp(el, sort, tree)
+        self._write("; -> (model " + " ".join(
+            f"(define-fun {n} () {el.consts[n].name} {sexp_str(v)})"
+            for n, v in sexps.items()) + ")")
         return sexps
 
     def close(self):
@@ -1271,14 +1264,15 @@ class BuiltinSession(Session):
     # -- deciding the asserted formulas
 
     def _check(self, formulas, deadline):
+        """(sat, value trees), (unsat, None) or (unknown, reason)."""
         el = self._el
         roots, defs = self._roots(formulas)
         if FALSE in roots:
-            return "unsat"
+            return "unsat", None
         roots = [r for r in roots if r != TRUE]
         check = _Check(el.L, roots, deadline)
         if not check.run():
-            return "unsat"
+            return "unsat", None
         model = {}
         for name, rep in list(el.reps.items()) + list(defs.items()):
             model[name] = _tree(el, check, el.consts[name], rep)
@@ -1286,10 +1280,8 @@ class BuiltinSession(Session):
                                               [key[2]][1]], rep)
                for key, rep in el.arb.items() if not isinstance(rep, _Opaque)}
         if not _holds(el, formulas, model, arb):
-            self._reason = "incomplete: the model does not satisfy the query"
-            return "unknown"
-        self._model = model
-        return "sat"
+            return "unknown", "incomplete: the model does not satisfy the query"
+        return "sat", model
 
     def _roots(self, formulas):
         """Literals of the assertions' conjuncts, after solving equations

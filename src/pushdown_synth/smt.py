@@ -2,19 +2,22 @@
 
 It carries s-expressions and SMT-LIB numerals only: each declared constant
 comes with the decoder that reads its model term (``encode`` supplies them).
-Two backends subclass one session base, ``Session``, and supply its
-primitives: ``declare``, ``push``, ``pop``, ``assert_``, ``check_sat``,
-``reason_unknown``, ``_model_sexps`` and ``close``. ``SolverSession``
-drives an external solver subprocess; every command is acknowledged under
-:print-success, which gives reliable framing over the pipe.
-``builtin.BuiltinSession`` decides the quantifier-free fragment in process.
-Other modules query through ``Session.check`` (or ``check_valid`` over it),
-which runs each query inside a push/pop frame, so session state is
-query-invariant.
+Two backends subclass one session base, ``Session``, and supply
+``declare`` (at session level), ``close`` and one query primitive,
+``_query``. ``SolverSession`` drives an external solver subprocess; every
+command is acknowledged under :print-success, which gives reliable framing
+over the pipe. ``builtin.BuiltinSession`` decides the quantifier-free
+fragment in process. Other modules query through ``Session.check`` (or
+``check_valid`` over it). A query's declarations and assertions end with
+it, so session state is query-invariant, and both backends write it to the
+transcript alike: a push, the declarations and asserts, ``(check-sat)``
+and its answer, the model on sat or ``(get-info :reason-unknown)`` and the
+reason on unknown, then the pop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import select
@@ -139,14 +142,14 @@ class SolverConfig:
 
 class Session:
     """What both backends share: the transcript, a decoder per declared
-    constant, and the query skeleton ``check`` with ``check_valid`` over
-    it. A backend supplies ``declare``, ``push``, ``pop``, ``assert_``,
-    ``check_sat`` (returning sat, unsat or unknown), ``reason_unknown``
-    (the plain reason), ``_model_sexps`` (``{name: value s-expression}``
-    of the last sat check, a function's value being its body) and
-    ``close``. A session neither counts nor limits its checks; a synthesis
-    run does that for its own queries. The transcript is appended to, so
-    one file can hold the sessions of several tasks."""
+    constant, and ``check`` with ``check_valid`` over it. A backend
+    supplies ``declare``, ``close`` and the query primitive
+    ``_query(declarations, assertions, model_names)``, which returns the
+    status (sat, unsat or unknown) and its detail: on sat ``{name: value
+    s-expression}`` (a function's value being its body), on unknown the
+    plain reason, on unsat None. A session neither counts nor limits its
+    checks; a synthesis run does that for its own queries. The transcript
+    is appended to, so one file can hold the sessions of several tasks."""
 
     backend = ""
 
@@ -167,34 +170,21 @@ class Session:
         self._decoders[name] = decode
 
     def check(self, assertions, declarations=(), model_names=()) -> QueryResult:
-        """Declare and assert in one push/pop frame, then check-sat. A sat
-        result carries the decoded values of ``model_names``: a name
+        """One query: ``declarations`` and ``assertions`` hold for it alone.
+        A sat result carries the decoded values of ``model_names``: a name
         declared with ``declare_const`` by its decoder, any other (a
         ``declarations`` entry) as its SMT-LIB text. An unknown one carries
         the solver's reason."""
         if self.poisoned:
             raise SolverCrashed("session is poisoned; restart required")
-        self.push()
-        try:
-            for text in declarations:
-                self.declare(text)
-            for formula in assertions:
-                self.assert_(formula)
-            status = self.check_sat()
-            if status == "unknown":
-                return QueryResult(status, reason=self.reason_unknown())
-            if status == "unsat":
-                return QueryResult(status)
-            sexps = self._model_sexps(model_names)
-            missing = [n for n in model_names if n not in sexps]
-            if missing:
-                raise SolverError(f"model lacks assignments for {missing}")
-            return QueryResult(status, model={
-                n: self._decoders.get(n, sexp_str)(sexps[n])
-                for n in model_names})
-        finally:
-            if not self.poisoned:
-                self.pop()
+        status, detail = self._query(declarations, assertions, model_names)
+        if status != "sat":  # an unknown's detail is its reason
+            return QueryResult(status, reason=detail or "")
+        missing = [n for n in model_names if n not in detail]
+        if missing:
+            raise SolverError(f"model lacks assignments for {missing}")
+        return QueryResult(status, model={
+            n: self._decoders.get(n, sexp_str)(detail[n]) for n in model_names})
 
     def check_valid(self, formula, model_names=()) -> QueryResult:
         """Valid iff the negation is unsatisfiable; Invalid carries a model."""
@@ -266,7 +256,7 @@ class SolverSession(Session):
         try:
             self.proc.stdin.write((line + "\n").encode())
             self.proc.stdin.flush()
-        except (BrokenPipeError, OSError):
+        except OSError:
             self.poisoned = True
             raise SolverCrashed("solver pipe broken")
 
@@ -332,56 +322,45 @@ class SolverSession(Session):
     def declare(self, text: str):
         self.command(text)
 
-    def push(self):
+    def _query(self, declarations, assertions, model_names):
         self.command("(push 1)")
-
-    def pop(self):
-        self.command("(pop 1)")
-
-    def assert_(self, formula):
-        self.command(f"(assert {sexp_str(formula)})")
-
-    def check_sat(self) -> str:
-        resp = self._ask("(check-sat)")
-        if resp not in ("sat", "unsat", "unknown"):
-            self.poisoned = True
-            raise SolverCrashed(f"unexpected check-sat response {resp!r}")
-        return resp
-
-    def reason_unknown(self) -> str:
-        """The reason of z3's reply ``(:reason-unknown "...")``, else the
-        reply itself."""
-        self._send("(get-info :reason-unknown)")
-        resp = self._read_response()
-        m = re.fullmatch(r'\(:reason-unknown\s+"?(.*?)"?\)', resp, re.S)
-        return m.group(1) if m else resp
-
-    def _model_sexps(self, names):
-        resp = self._ask("(get-model)")
-        if resp.startswith("(error"):
-            raise SolverError(f"get-model failed: {resp}")
-        parsed = parse_sexp(resp)[0]
-        if parsed and parsed[0] == "model":
-            parsed = parsed[1:]
-        return {entry[1]: entry[4] for entry in parsed
-                if isinstance(entry, list) and entry
-                and entry[0] == "define-fun"}
+        try:
+            for text in declarations:
+                self.command(text)
+            for formula in assertions:
+                self.command(f"(assert {sexp_str(formula)})")
+            status = self._ask("(check-sat)")
+            if status not in ("sat", "unsat", "unknown"):
+                self.poisoned = True
+                raise SolverCrashed(f"unexpected check-sat response {status!r}")
+            if status == "unknown":
+                # z3 replies (:reason-unknown "..."); keep the reason inside
+                resp = self._ask("(get-info :reason-unknown)")
+                m = re.fullmatch(r'\(:reason-unknown\s+"?(.*?)"?\)', resp, re.S)
+                return status, m.group(1) if m else resp
+            if status == "unsat":
+                return status, None
+            resp = self._ask("(get-model)")
+            if resp.startswith("(error"):
+                raise SolverError(f"get-model failed: {resp}")
+            parsed = parse_sexp(resp)[0]
+            if parsed and parsed[0] == "model":
+                parsed = parsed[1:]
+            return status, {entry[1]: entry[4] for entry in parsed
+                            if isinstance(entry, list) and entry
+                            and entry[0] == "define-fun"}
+        finally:
+            if not self.poisoned:
+                self.command("(pop 1)")
 
     def close(self):
-        try:
+        with contextlib.suppress(SolverError):
             if self.proc.poll() is None:
                 self._send("(exit)")
-        except SolverError:
-            pass
-        try:
+        with contextlib.suppress(OSError):  # bytes a broken pipe refused
             self.proc.stdin.close()
-        except OSError:  # a broken pipe still holds the bytes it refused
-            pass
         with self.proc:  # on leaving, the pipes are closed and the process reaped
-            try:
-                self.proc.kill()
-            except OSError:
-                pass
+            self.proc.kill()  # a no-op once the process is reaped
         super().close()
 
 

@@ -143,18 +143,18 @@ def test_a_model_that_fails_the_query_is_never_returned(monkeypatch):
         assert res.is_unknown and res.model is None
 
 
-def test_push_pop_scopes_declarations_and_assertions():
+def test_a_check_scopes_its_declarations_and_assertions():
     with session() as s:
         s.declare_const("x", "Int", decode_number)
-        s.push()
-        s.declare("(declare-const y Int)")
-        s.assert_(["<", "x", "y"])
-        s.assert_(["<", "y", "x"])
-        assert s.check_sat() == "unsat"
-        s.pop()
-        assert s.check_sat() == "sat"
-        with pytest.raises(SolverError):
-            s.check_valid([">", "y", "0"])
+        res = s.check([["<", "x", "y"], ["<", "y", "x"]],
+                      declarations=["(declare-const y Int)"])
+        assert res.status == "unsat"
+        # the unsat check's assertions are gone; the session's x is not
+        res = s.check([[">", "x", "3"]], model_names=("x",))
+        assert res.status == "sat" and res.model["x"] > 3
+        with pytest.raises(SolverError, match="y"):
+            s.check([[">", "y", "0"]])
+        assert s.check([]).status == "sat"
 
 
 def test_redeclaring_a_sort_or_constructor_is_an_error():

@@ -199,6 +199,21 @@ def test_screen_on_the_builtin_backend_is_one_inconclusive_check(tmp_path):
     assert rec["stats"]["solver_calls"] == 1
 
 
+def test_the_screen_transcript_records_why_its_check_was_unknown(tmp_path):
+    log = tmp_path / "screen.smt"
+    assert run(["screen", "--solver", "builtin", "--smt-log", str(log),
+                "--out", str(tmp_path / "screen.json"),
+                fixture_path("discount")]) == 1
+    lines = log.read_text().splitlines()
+    at = lines.index("; -> unknown")
+    assert lines[at + 1:] == [
+        "(get-info :reason-unknown)",
+        '; -> (:reason-unknown "incomplete: quantified formula (the builtin '
+        'backend decides quantifier-free formulas only)")',
+        "(pop 1)", "(exit)",
+    ]
+
+
 @pytest.mark.parametrize("step", [
     " + ".join(["a[0]"] + ["1"] * 349),  # a long sum
     "(" * 400 + "a[0] + 1" + ")" * 400,  # deep parentheses

@@ -193,6 +193,23 @@ def test_subprocess_reason_unknown_is_unwrapped(tmp_path):
         assert session.check_valid("true").reason == "timeout"
 
 
+def test_the_transcript_notes_the_reason_of_an_unknown(tmp_path):
+    log = tmp_path / "transcript.smt"
+    solver = fake_solver(tmp_path, {
+        "(check-sat)": "unknown",
+        "(get-info :reason-unknown)": '(:reason-unknown "canceled")',
+    })
+    with SolverSession(SolverConfig(solver_path=solver,
+                                    log_path=str(log))) as session:
+        session.check(["false"])
+    lines = log.read_text().splitlines()
+    at = lines.index("; -> unknown")
+    assert lines[at + 1:at + 5] == [
+        "(get-info :reason-unknown)", '; -> (:reason-unknown "canceled")',
+        "(pop 1)", "; -> success",
+    ]
+
+
 def _not_a_program(directory):
     path = directory / "not-a-program"
     path.write_text("an executable file with no interpreter line\n")

@@ -737,8 +737,9 @@ def _fresh_binder(counter=[0]):
     return f"v{counter[0]}"
 
 
-def _clause_display(lits) -> Expr:
-    """DSL-printable form of a clause: optional payload accesses become match."""
+def _clause_display(lits, binders=None) -> Expr:
+    """DSL-printable form of a clause: optional payload accesses become
+    match. Binders are named by ``binders``, else by `_fresh_binder`."""
     base = next(
         (n.operand for lit in lits for n in walk(lit) if isinstance(n, SomeVal)),
         None,
@@ -746,7 +747,7 @@ def _clause_display(lits) -> Expr:
     if base is None:
         return mk_or(*lits)
     key = expr_key(base)
-    binder = _fresh_binder()
+    binder = next(binders) if binders else _fresh_binder()
 
     def branch(lit, is_none):
         # returns transformed literal, or True/False when decided
@@ -781,7 +782,7 @@ def _clause_display(lits) -> Expr:
             kept.append(b)
         if not kept:
             return bool_lit(False)
-        return _clause_display(kept)
+        return _clause_display(kept, binders)
 
     none_body = build([branch(l, True) for l in lits])
     some_body = build([branch(l, False) for l in lits])
@@ -790,6 +791,14 @@ def _clause_display(lits) -> Expr:
         cases=[Case(pattern=None, body=none_body),
                Case(pattern=binder, body=some_body)],
     )
+
+
+def printable(expr: Expr, binders) -> Expr:
+    """`expr` as DSL source can state it: a clause that reads an Optional
+    payload becomes a match, its binders named by ``binders``."""
+    if any(isinstance(n, SomeVal) for n in walk(expr)):
+        return _clause_display(clause_literals(expr), binders)
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ record. Exit codes: 0 on success, 1 on any task failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .analysis import build_universes, is_trivially_false, normalize
+from .analysis import (
+    build_universes, is_trivially_false, normalize, printable,
+)
 from .bmc import screen
 from .encode import EncodeError, TaskContext
 from .fuzz import differential_check
@@ -47,6 +50,13 @@ def _load_task(path: str):
 
 def _atom_strings(universe, conj: int):
     return [fmt_expr(universe[i].display) for i in bits(conj)]
+
+
+def _psi_strings(universe, conj: int):
+    """The ψ atoms of ``conj`` as DSL text that re-parses: one that reads an
+    Optional payload prints as a match, its binders numbered afresh."""
+    binders = map("v{}".format, itertools.count(1))
+    return [fmt_expr(printable(universe[i].expr, binders)) for i in bits(conj)]
 
 
 def _universe_dump(universes):
@@ -188,7 +198,7 @@ def _synth_task(args, task, universes, record, session):
         "certified_residual_atoms": _atom_strings(
             universes.u_residual, outcome.certified_residual
         ),
-        "invariant_atoms": _atom_strings(universes.u_psi, outcome.psi),
+        "invariant_atoms": _psi_strings(universes.u_psi, outcome.psi),
         "rewritten": emit_rewritten(task, universes, outcome),
         "diff": diff.to_json(),
     })

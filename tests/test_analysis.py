@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from pushdown_synth.analysis import build_universes, infer_dep_info
 from pushdown_synth.encode import TaskContext
 from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.interp import eval_atom, eval_fold
-from pushdown_synth.parser import parse
+from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr
-from pushdown_synth.syntax import Case, Expr, TTuple, Type, walk
+from pushdown_synth.syntax import (
+    Case, Expr, SomeVal, TOpt, TTuple, Type, walk,
+)
 from pushdown_synth.typecheck import cnf_clauses, type_predicate, typecheck
-from pushdown_synth.values import NEG_INF
+from pushdown_synth.values import NEG_INF, NONE
 
 from conftest import atom_index, make_task
 from test_universe_pin import SOURCES as PINNED
@@ -270,6 +273,35 @@ def _fold_states(task, universes, n=12):
         if not out.is_bottom:
             states.append(out.value)
     return states
+
+
+@pytest.mark.parametrize("name,count", [("case_a", 192), ("case_b", 96)])
+def test_psi_atoms_reading_a_payload_print_as_dsl_that_reparses(name, count):
+    """A ψ atom that reads an Optional payload prints as a match, which
+    re-parses, type-checks over a1 and a2, and agrees with the atom on 50
+    state pairs; binder names restart per printing."""
+    task = make_task(name)
+    universes = build_universes(task)
+    env = {"a1": task.acc_type, "a2": task.acc_type}
+    rng = random.Random(3)
+    # folded states, each Optional component None at random: a fold
+    # leaves it None only while no row has come
+    states = [tuple(NONE if isinstance(ty, TOpt) and rng.random() < 0.4
+                    else value
+                    for value, ty in zip(state, task.acc_type.elems))
+              for state in _fold_states(task, universes, n=51)]
+    pairs = [{"a1": a1, "a2": a2} for a1, a2 in zip(states, states[1:])]
+    payload_atoms = [atom for atom in universes.u_psi
+                     if any(isinstance(n, SomeVal) for n in walk(atom.expr))]
+    assert len(payload_atoms) == count
+    for atom in payload_atoms:
+        text = fmt_expr(analysis.printable(
+            atom.expr, map("v{}".format, itertools.count(1))))
+        assert "case v1:" in text
+        printed = type_predicate(parse_expression(text), env)
+        for pair in pairs:
+            assert eval_atom(printed, pair) == eval_atom(atom.expr, pair), (
+                text, pair)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -1235,14 +1235,14 @@ class BuiltinSession(Session):
                 self._write("(get-info :reason-unknown)")
                 self._write(f'; -> (:reason-unknown "{detail}")')
             elif status == "sat":
-                detail = self._model_sexps(detail, model_names)
+                detail = self._sexps_of(detail, model_names)
             return status, detail
         finally:
             self._write("(pop 1)")
             for name in declared:
                 self._el.forget(name)
 
-    def _model_sexps(self, model, names):
+    def _sexps_of(self, model, names):
         """``{name: value s-expression}`` of the declared ``names`` in
         ``model``, noted in the transcript as z3 would write it."""
         el, sexps = self._el, {}

@@ -184,16 +184,6 @@ def test_subprocess_session_starts_with_the_quantifier_options(tmp_path):
 
 
 def test_subprocess_reason_unknown_is_unwrapped(tmp_path):
-    solver = fake_solver(tmp_path, {
-        "(check-sat)": "unknown",
-        "(get-info :reason-unknown)": '(:reason-unknown "canceled")',
-    })
-    with SolverSession(SolverConfig(solver_path=solver)) as session:
-        assert session.check(["false"]).reason == "canceled"
-        assert session.check_valid("true").reason == "timeout"
-
-
-def test_the_transcript_notes_the_reason_of_an_unknown(tmp_path):
     log = tmp_path / "transcript.smt"
     solver = fake_solver(tmp_path, {
         "(check-sat)": "unknown",
@@ -201,7 +191,9 @@ def test_the_transcript_notes_the_reason_of_an_unknown(tmp_path):
     })
     with SolverSession(SolverConfig(solver_path=solver,
                                     log_path=str(log))) as session:
-        session.check(["false"])
+        assert session.check(["false"]).reason == "canceled"
+        assert session.check_valid("true").reason == "timeout"
+    # the transcript notes the reply as sent
     lines = log.read_text().splitlines()
     at = lines.index("; -> unknown")
     assert lines[at + 1:at + 5] == [

@@ -9,10 +9,10 @@ command is acknowledged under :print-success, which gives reliable framing
 over the pipe. ``builtin.BuiltinSession`` decides the quantifier-free
 fragment in process. Other modules query through ``Session.check`` (or
 ``check_valid`` over it). A query's declarations and assertions end with
-it, so session state is query-invariant, and both backends write it to the
-transcript alike: a push, the declarations and asserts, ``(check-sat)``
-and its answer, the model on sat or ``(get-info :reason-unknown)`` and the
-reason on unknown, then the pop.
+it, so session state is query-invariant. Both backends write a query to
+the transcript in the same order: a push, the declarations and asserts,
+``(check-sat)`` and its answer, the model on sat or ``(get-info
+:reason-unknown)`` and the reason on unknown, then the pop.
 """
 
 from __future__ import annotations

@@ -200,11 +200,11 @@ class FoldTables:
     (Cox, 2010), the caller judges the remaining frames whole.
 
     Accumulators are interned by their value, as hash-consing interns terms
-    (Filliâtre & Conchon, ML Workshop 2006), so Python-equal values of
-    different types share a state: `0` and `Fraction(0)` in a float field
-    whose initial value is the int `0`, say. That is sound. All accumulators
-    of a task have its one static type, and at one type the DSL cannot tell
-    Python-equal values apart: numbers are combined and compared by value
+    (Filliâtre & Conchon, ML Workshop 2006), so Python-equal values share a
+    state. That is sound. All accumulators of a task have its one static
+    type, and at one type the DSL cannot tell Python-equal values apart: an
+    `int` field holds ints and a `float` field `Fraction`s or -inf (the
+    evaluator's contract), numbers are combined and compared by value
     (exact `int`/`Fraction` arithmetic, `/` through `Fraction`), `-inf` and
     `None` are singletons, `Some`, tuples and lists compare elementwise, and
     a bool never meets an int in one field. So a step, a lift verdict and

@@ -9,21 +9,27 @@ no DSL text ever reaches `compile()`.
 
 A root's code follows its static types (type-specialised nodes after
 Würthinger et al., Onward! 2013). Two ints combine and compare through
-Python's own operators. Numbers are exact, an `int` or a `Fraction` (a
-`float` field holds a `Fraction`, an int, or the -inf sentinel), and where a
-`Fraction` may appear the generated code works on the integer parts:
+Python's own operators. Numbers are exact: an `int` value is an int, and a
+`float` value is a `Fraction` or the -inf sentinel. That is the evaluator's
+contract, and every producer of values keeps it (literals, the fuzzer's
+pools, decoded models and arithmetic on them). Where a `float` may appear the
+generated code works on the integer parts, read from a `Fraction`'s own
+slots, `_numerator` and `_denominator`, not through its properties:
 
 - `<`, `<=`, `>` and `>=` compare cross-multiplied parts,
-  `x.numerator * y.denominator < y.numerator * x.denominator`;
+  `x._numerator * y._denominator < y._numerator * x._denominator`;
 - `+`, `-` and `*` with a float literal build
   `Fraction(numerator, denominator)` from them, a `Fraction` exactly when
   Python's operator would give one, since the literal is one.
 
 Such arithmetic read by another rational form stays unboxed (Leroy, POPL
 1992): its literals are folded when the source is built, so `x * 0.9 + 1.0
-> y` compares `(x.numerator * 9 + x.denominator * 10) * y.denominator` with
-`y.numerator * x.denominator * 10` and builds no `Fraction`. A value is
-boxed only where it escapes, into a tuple, a result or any other node.
+> y` compares `(x._numerator * 9 + x._denominator * 10) * y._denominator`
+with `y._numerator * x._denominator * 10` and builds no `Fraction`. A value
+is boxed only where it escapes, into a tuple, a result or any other node.
+A value that breaks the contract (an int, a bool or a Python float where a
+`float` is read) has no slots: each generated function turns the
+`AttributeError` into an `EvalError`, at no cost per row.
 
 A literal operand's parts are ints fixed when the source is built. Any other
 operand is first tested with `is` for UNDEF (only in a root that holds a
@@ -287,6 +293,7 @@ _RUNTIME = {"_U": UNDEF, "_NONE": NONE, "_NI": NEG_INF, "_Some": Some,
             "_values_equal": values_equal}
 
 _BAD_ROW = "row does not conform to schema"
+_NOT_FLOAT = "a float value is not a Fraction or -inf"
 _UNDEFINED_ATOM = "atom is undefined under the given assignment"
 
 _SPLIT_DEPTH = 24  # tree levels per generated function; see `_Generator.emit`
@@ -345,8 +352,13 @@ class _Generator:
         return self.namespace.pop("_dsl")
 
     def define(self, name, args, lines):
-        body = "".join(f"    {line}\n" for line in lines)
-        self.defs.append(f"def {name}({', '.join(args)}):\n{body}")
+        """A function of the given body that raises `EvalError` for a value
+        without the slots a float leaf reads; nothing else in generated code
+        raises `AttributeError`. The handler costs nothing per row."""
+        body = "".join(f"        {line}\n" for line in lines)
+        self.defs.append(f"def {name}({', '.join(args)}):\n    try:\n{body}"
+                         f"    except AttributeError:\n"
+                         f"        {self.fail(_NOT_FLOAT)}\n")
 
     # The shapes: each returns the parameters and body lines of `_dsl`.
     def expr_shape(self):
@@ -555,9 +567,8 @@ class _Generator:
         """An order comparison on cross-multiplied integer parts, or `+`,
         `-`, `*` as a `Fraction` of them. The form, or each operand of a
         comparison, is read as `p * leaf + q` (`_affine`): only the leaf is
-        evaluated, into a temporary whose parts are attributes (an int has
-        them too), and its literals give the parts' known coefficients
-        (`parts`). Denominators are positive, so the cross-multiplied
+        evaluated, into a temporary whose parts are read from it (`parts`),
+        and its literals give the parts' known coefficients. Denominators are positive, so the cross-multiplied
         comparison is exact.
 
         Leaves are evaluated left first. One under arithmetic raises on
@@ -572,7 +583,7 @@ class _Generator:
         for operand in (expr.left, expr.right) if order else (expr,):
             leaf, p, q = _affine(operand)
             t = None if leaf is None else self.fresh("_t")
-            parts.append(self.parts(t, p, q))
+            parts.append(self.parts(t, p, q, leaf))
             at_neg_inf.append(NEG_INF if leaf is operand else 0)
             if t is None:
                 continue
@@ -609,14 +620,17 @@ class _Generator:
             exact = f"({on_neg_inf} if {tested} else {exact})"
         return f"(_U if {checked} else {exact})"
 
-    def parts(self, t, p: Fraction, q: Fraction):
+    def parts(self, t, p: Fraction, q: Fraction, leaf: Expr):
         """The integer numerator and denominator of `p * x + q`, each a
-        known int or the source that reads it from the parts of `x`, bound
-        to the local `t` (None: there is no `x`). The denominator is
-        positive, as `x.denominator` is."""
+        known int or the source that reads it from the parts of `x`, the
+        value of `leaf` bound to the local `t` (None: there is no `x`). A
+        `float` leaf is a `Fraction`, whose parts are read from its slots;
+        an int's are its properties. The denominator is positive, as a
+        `Fraction`'s is."""
         if t is None:
             return q.numerator, q.denominator
-        n, d = f"{t}.numerator", f"{t}.denominator"
+        slot = "_" if isinstance(_static_type(leaf), TFloat) else ""
+        n, d = f"{t}.{slot}numerator", f"{t}.{slot}denominator"
         scale = lcm(p.denominator, q.denominator)
         terms = [self.times(part, c.numerator * (scale // c.denominator))
                  for part, c in ((n, p), (d, q)) if c]

@@ -11,6 +11,7 @@ import itertools
 import linecache
 import operator
 import random
+import re
 import sys
 import traceback
 import weakref
@@ -21,8 +22,10 @@ import pytest
 
 from pushdown_synth import interp, values
 from pushdown_synth.analysis import build_universes
+from pushdown_synth.encode import TaskEncoding
 from pushdown_synth.fuzz import column_pools, sample_dataframe
 from pushdown_synth.parser import parse_expression
+from pushdown_synth.smt import parse_sexp
 from pushdown_synth.syntax import (
     BOOL, FLOAT, INT, STR, BinOp, CoerceSome, Cond, Index, IsNone, Lit, Name,
     Not, SomeVal, TOpt, TTuple, TupleExpr, walk,
@@ -213,10 +216,17 @@ def test_typed_float_comparisons_with_neg_inf(op):
 @pytest.mark.parametrize("op", COMPARISONS)
 @pytest.mark.parametrize("ty", [INT, FLOAT], ids=str)
 def test_typed_comparisons_of_int_and_fraction_values(op, ty):
+    """At `int` both agree with the walker. At `float` an int breaks the
+    contract: an order comparison reads its `Fraction` slots and raises
+    `EvalError`, and `==` compares by value."""
     expr = _typed(f"x {op} y", x=ty, y=ty)
     for x, y in [(2, Fraction(2)), (Fraction(2), 2), (1, Fraction(3, 2)),
                  (Fraction(3, 2), 1)]:
-        assert_agree(expr, {"x": x, "y": y})
+        if ty == FLOAT and op != "==":
+            with pytest.raises(values.EvalError, match=interp._NOT_FLOAT):
+                interp.eval_expr(expr, {"x": x, "y": y})
+        else:
+            assert_agree(expr, {"x": x, "y": y})
 
 
 @pytest.mark.parametrize("ty,operands", [
@@ -282,7 +292,7 @@ def _calls_to(function, thunk):
     ("x <= y", {"x": INT, "y": INT}, {"x": 2, "y": 3}),
     ("x == y", {"x": FLOAT, "y": FLOAT}, {"x": Fraction(1, 2), "y": NEG_INF}),
     ("x <= y", {"x": FLOAT, "y": FLOAT}, {"x": NEG_INF, "y": NEG_INF}),
-    ("x >= y", {"x": FLOAT, "y": FLOAT}, {"x": Fraction(1), "y": 1}),
+    ("x >= y", {"x": FLOAT, "y": FLOAT}, {"x": Fraction(1), "y": Fraction(1)}),
     ("x == y", {"x": STR, "y": STR}, {"x": "a", "y": "a"}),
     ("x == y", {"x": BOOL, "y": BOOL}, {"x": True, "y": False}),
     ("r[0] >= 2 and r[1] == \"a\"", {"r": TTuple((INT, STR))},
@@ -305,14 +315,14 @@ def test_structured_equality_keeps_values_equal(source, types, env):
 
 # Rational forms: an order comparison of numbers not both int works on
 # cross-multiplied integer parts, and `+`, `-`, `*` with a float literal
-# build a `Fraction` from them. A float field may hold an int, a `Fraction`
-# or -inf; `fmt_value` prints `5` and `5.0` differently, so the type of an
-# arithmetic result must be the walker's too.
+# build a `Fraction` from them. A float value is a `Fraction` or -inf;
+# `fmt_value` prints `5` and `5.0` differently, so the type of an arithmetic
+# result must be the walker's too.
 
 ORDER = ("<", "<=", ">", ">=")
 ARITHMETIC = ("+", "-", "*")
-RATIONAL_OPERANDS = (-3, 0, 2, Fraction(-5, 2), Fraction(0), Fraction(4),
-                     Fraction(7, 3), NEG_INF)
+RATIONAL_OPERANDS = (Fraction(-3), Fraction(0), Fraction(2), Fraction(-5, 2),
+                     Fraction(4), Fraction(7, 3), NEG_INF)
 RATIONAL_LITERALS = (Fraction(5, 2), Fraction(-3, 4), Fraction(3),
                      Fraction(0), 3, -2)
 
@@ -579,6 +589,113 @@ def test_loop_kernels_raise_at_the_row_the_row_loop_does(frame):
         == _outcome(lambda p, f: _reference_filter(p, f, 1), preds, frame)
 
 
+# values that break the contract in a float slot: none has the slots of a
+# `Fraction`
+NOT_FLOATS = (95, True, 95.0)
+
+
+def _not_float_runs(bad):
+    """Each generated kernel's run on top2 with `bad` in a float slot."""
+    task = make_task("top2")
+    q, p = _float_row_pred("r[0] > 90.0"), _typed("a[0] > 90.0",
+                                                  a=task.acc_type)
+    # -inf is decided by the order without a slot read, so the fold reads
+    # `bad` against the first row's value
+    frame = [(Fraction(92),), (bad,)]
+    u_q = build_universes(task).u_q
+    return {
+        "compiled": lambda: interp.eval_expr(q, {"r": (bad,)}),
+        "fold": lambda: interp.eval_fold(task, frame),
+        "fold-start": lambda: interp.eval_fold(task, frame[:1],
+                                               start=(bad, bad)),
+        "filter": lambda: interp.filter_rows([q], [(bad,)], 1),
+        "test": lambda: interp.lift_eval([p], interp.LiftResult((bad, bad))),
+        "judge": lambda: interp.frame_judge(task, [q], [p], [p])(frame),
+        "truth": lambda: interp.truth(u_q)((1 << len(u_q)) - 1, (bad,)),
+    }
+
+
+@pytest.mark.parametrize("shape", ["compiled", "fold", "fold-start",
+                                   "filter", "test", "judge", "truth"])
+def test_a_float_slot_without_a_fraction_is_an_eval_error(shape):
+    """A `float` value is a `Fraction` or -inf; an int, a bool or a Python
+    float where a kernel reads one raises `EvalError`, not the
+    `AttributeError` of the missing slot."""
+    for bad in NOT_FLOATS:
+        with pytest.raises(values.EvalError, match=interp._NOT_FLOAT):
+            _not_float_runs(bad)[shape]()
+    _not_float_runs(Fraction(95))[shape]()  # a Fraction runs
+
+
+def _kernel_sources(name):
+    """The generated source of each kernel shape over a fixture's fold step
+    and universes."""
+    task = make_task(name)
+    universes = build_universes(task)
+    q, res = ([atom.expr for atom in universe]
+              for universe in (universes.u_q, universes.u_residual))
+    kernels = {
+        "fold": interp._kernel(interp._FOLD, task.f_body),
+        "filter": interp._kernel(interp._FILTER, *q),
+        "test": interp._kernel(interp._TEST, *res),
+        "judge": interp._kernel(interp._JUDGE, task.f_body, *q,
+                                *task.post_conjuncts, *res,
+                                groups=(len(q), len(task.post_conjuncts))),
+        "expr": interp.compiled(q[0]),
+        **{f"truth-{u.role}": interp.truth(u) for u in
+           (universes.u_q, universes.u_residual, universes.u_psi)},
+    }
+    return {shape: _source_of(fn) for shape, fn in kernels.items()}
+
+
+@pytest.mark.parametrize("name", ["top2", "discount"])
+def test_float_leaves_read_the_fraction_slots(name):
+    """Every number these fixtures read is a `float`: each kernel reads the
+    parts of its leaves from the `_numerator` and `_denominator` slots and
+    never through the properties."""
+    for shape, source in _kernel_sources(name).items():
+        assert not re.search(r"\.(numerator|denominator)\b", source), shape
+        if shape in ("fold", "filter", "judge", "expr", "truth-q"):
+            assert "._numerator" in source and "._denominator" in source, \
+                shape
+
+
+def _float_values(value, ty):
+    """The values at the `float` positions of `value`, of type `ty`."""
+    if isinstance(ty, type(FLOAT)):
+        yield value
+    elif isinstance(ty, TTuple):
+        for item, elem in zip(value, ty.elems):
+            yield from _float_values(item, elem)
+    elif isinstance(ty, TOpt) and isinstance(value, Some):
+        yield from _float_values(value.value, ty.elem)
+
+
+def _is_float_value(value):
+    return type(value) is Fraction or value is NEG_INF
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_float_producers_give_fractions(name):
+    """The float values that enter the kernels: a task's initial value and
+    the fuzzer's column pools. Each is a `Fraction` or -inf."""
+    task = make_task(name)
+    floats = list(_float_values(task.init_values, task.acc_type))
+    for pool, ty in zip(column_pools(task, build_universes(task)),
+                        task.schema):
+        floats += [v for value in pool for v in _float_values(value, ty)]
+    assert all(map(_is_float_value, floats)), floats
+    if name in ("top2", "discount", "case_b"):
+        assert floats
+
+
+def test_decoded_float_models_are_fractions():
+    encoding = TaskEncoding(make_task("top2"))  # floats are NegInf | Fin
+    for text in ("3", "(/ 1 2)", "(- 2)", "(Fin 3)", "NegInf"):
+        value = encoding.decode(parse_sexp(text)[0], FLOAT)
+        assert _is_float_value(value), (text, value)
+
+
 def test_loop_kernels_accept_list_rows():
     task = make_task("top2")
     rows = [[Fraction(95)], [Fraction(80)], [Fraction(92)]]
@@ -650,7 +767,8 @@ def test_judges_of_one_root_list_split_differently_are_distinct():
 
 # the literal of the inner and the outer form
 NESTED_LITERALS = (Fraction(9, 10), Fraction(-3, 2))
-NESTED_VALUES = (-3, 2, Fraction(-5, 2), Fraction(7, 3), NEG_INF)
+NESTED_VALUES = (Fraction(-3), Fraction(2), Fraction(-5, 2), Fraction(7, 3),
+                 NEG_INF)
 
 
 def _lit(value):

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from pushdown_synth import fuzz
+from pushdown_synth import fuzz, interp
 from pushdown_synth.fuzz import (
     TABLE_BOUND, FoldTables, column_pools, differential_check,
 )
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.syntax import TTuple
-from pushdown_synth.typecheck import type_predicate, typecheck
+from pushdown_synth.typecheck import DslTypeError, type_predicate, typecheck
 from pushdown_synth.values import EvalError
 from perfbench.tasks import generate_tasks
 
@@ -151,23 +151,19 @@ out = filter(agg, lambda a: a[0] > 6.0)
 """
 
 
-def test_python_equal_accumulators_share_a_state():
-    """A float field that holds the int 0 (a task whose initial value is an
-    int literal) and Fraction(0) after a reset: the two accumulators are one
-    state, and the reports still match the per-trial loop."""
+def test_an_int_in_a_float_accumulator_is_an_eval_error():
+    """A float value is a `Fraction` or -inf. The checker rejects the int
+    literal `0` as a float initial value; an int put there by hand raises
+    `EvalError` once a step or `P` reads it, in both fuzzers."""
+    with pytest.raises(DslTypeError, match="type mismatch: int vs float"):
+        typecheck(parse(FLOAT_RESET.replace("(0.0,)", "(0,)")), "reset")
     typed = typecheck(parse(FLOAT_RESET), "reset")
     universes = build_universes(typed)
     task = dataclasses.replace(typed, init_values=(0,))
-    pools = column_pools(task, universes)
-    tables = FoldTables(task, pools, [], [task.post_pred], [])
-    keep_a = pools[0].index(Fraction(3))   # 1 <= 3 <= 5: a unchanged
-    reset = pools[0].index(Fraction(0))    # < 1: a[0] * 0.0
-    tables.mismatch([(keep_a,), (reset,)])
-    # Bottom and one state for both the int 0 and Fraction(0)
-    assert len(tables.values) == 2 and type(tables.values[1][0]) is int
-    for q in ([], [0]):
-        for res in ([0], [1], [0, 1]):
-            _assert_same_report(task, universes, q, res, 1000, len(res))
+    for module in (fuzz, fuzz_reference):
+        with pytest.raises(EvalError, match=interp._NOT_FLOAT):
+            module.differential_check(task, universes, [], [], trials=200,
+                                      seed=1)
 
 
 TOP3_LIST = """

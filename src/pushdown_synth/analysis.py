@@ -737,6 +737,17 @@ def _fresh_binder(counter=[0]):
     return f"v{counter[0]}"
 
 
+def _null_tested(e: Expr):
+    """The operand of a null test, `IsNone(x)` or its normal form `x ==
+    None`; None for any other expression."""
+    if isinstance(e, IsNone):
+        return e.operand
+    if isinstance(e, BinOp) and e.op == "==" and isinstance(e.right, Lit) \
+            and e.right.kind == "none":
+        return e.left
+    return None
+
+
 def _clause_display(lits, binders=None) -> Expr:
     """DSL-printable form of a clause: optional payload accesses become
     match. Binders are named by ``binders``, else by `_fresh_binder`."""
@@ -751,12 +762,10 @@ def _clause_display(lits, binders=None) -> Expr:
 
     def branch(lit, is_none):
         # returns transformed literal, or True/False when decided
-        decided = None
-        if isinstance(lit, IsNone) and expr_key(lit.operand) == key:
-            return is_none
-        if isinstance(lit, Not) and isinstance(lit.operand, IsNone) \
-                and expr_key(lit.operand.operand) == key:
-            return not is_none
+        positive = not isinstance(lit, Not)
+        tested = _null_tested(lit if positive else lit.operand)
+        if tested is not None and expr_key(tested) == key:
+            return is_none if positive else not is_none
         if is_none and any(
             isinstance(n, SomeVal) and expr_key(n.operand) == key
             for n in walk(lit)

@@ -27,8 +27,8 @@ Such arithmetic read by another rational form stays unboxed (Leroy, POPL
 > y` compares `(x._numerator * 9 + x._denominator * 10) * y._denominator`
 with `y._numerator * x._denominator * 10` and builds no `Fraction`. A value
 is boxed only where it escapes, into a tuple, a result or any other node.
-A value that breaks the contract (an int, a bool or a Python float where a
-`float` is read) has no slots: each generated function turns the
+A value that breaks the contract (an int, a bool or a Python float whose
+parts a `float` leaf reads) has no slots: each generated function turns the
 `AttributeError` into an `EvalError`, at no cost per row.
 
 A literal operand's parts are ints fixed when the source is built. Any other
@@ -568,8 +568,8 @@ class _Generator:
         `-`, `*` as a `Fraction` of them. The form, or each operand of a
         comparison, is read as `p * leaf + q` (`_affine`): only the leaf is
         evaluated, into a temporary whose parts are read from it (`parts`),
-        and its literals give the parts' known coefficients. Denominators are positive, so the cross-multiplied
-        comparison is exact.
+        and its literals give the parts' known coefficients. Denominators
+        are positive, so the cross-multiplied comparison is exact.
 
         Leaves are evaluated left first. One under arithmetic raises on
         -inf as soon as it is read; a comparison operand that is -inf

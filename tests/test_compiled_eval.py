@@ -28,7 +28,7 @@ from pushdown_synth.parser import parse_expression
 from pushdown_synth.smt import parse_sexp
 from pushdown_synth.syntax import (
     BOOL, FLOAT, INT, STR, BinOp, CoerceSome, Cond, Index, IsNone, Lit, Name,
-    Not, SomeVal, TOpt, TTuple, TupleExpr, walk,
+    Not, SomeVal, TFloat, TOpt, TTuple, TupleExpr, walk,
 )
 from pushdown_synth.typecheck import compile_bool, type_predicate
 from pushdown_synth.values import NEG_INF, NONE, Some
@@ -662,7 +662,7 @@ def test_float_leaves_read_the_fraction_slots(name):
 
 def _float_values(value, ty):
     """The values at the `float` positions of `value`, of type `ty`."""
-    if isinstance(ty, type(FLOAT)):
+    if isinstance(ty, TFloat):
         yield value
     elif isinstance(ty, TTuple):
         for item, elem in zip(value, ty.elems):

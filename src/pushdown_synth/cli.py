@@ -356,6 +356,13 @@ def build_arg_parser():
             raise argparse.ArgumentTypeError(f"must not be negative: {value}")
         return value
 
+    def seconds(text):
+        value = float(text)
+        if not value >= 0:  # NaN too, which no clock ever passes
+            raise argparse.ArgumentTypeError(
+                f"must not be negative or NaN: {value}")
+        return value
+
     def milliseconds(text):
         value = int(text)
         if value < 1:
@@ -374,9 +381,9 @@ def build_arg_parser():
                         help="emit worklist (synth) and fuzz-table (diff) "
                              "events on stderr"),
         "--dump-universe": dict(action="store_true"),
-        "--budget-s": dict(type=float, default=600.0,
+        "--budget-s": dict(type=seconds, default=600.0,
                            help="synthesis wall-clock budget"),
-        "--max-calls": dict(type=int, default=20000,
+        "--max-calls": dict(type=count, default=20000,
                             help="synthesis solver-call budget"),
         "--trials": dict(type=count, default=2000,
                          help="differential trials"),

@@ -323,6 +323,27 @@ def test_negative_trials_is_a_usage_error(tmp_path, capsys):
     assert read_records(out)[0]["diff"]["trials"] == 0
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--budget-s", "nan", "must not be negative or NaN: nan"),
+    ("--budget-s", "-1", "must not be negative or NaN: -1.0"),
+    ("--max-calls", "-1", "must not be negative: -1"),
+])
+def test_a_nan_or_negative_budget_is_a_usage_error(option, value, message,
+                                                   tmp_path, capsys):
+    """A NaN wall budget would never pass, so synth would run with no
+    deadline; a negative one, like a negative call cap, would stop synth
+    before its first query. A zero budget is still a budget record."""
+    out = tmp_path / "records.json"
+    argv = ["synth", "--solver", "builtin", "--out", str(out),
+            fixture_path("discount")]
+    assert run(argv[:1] + [option, value] + argv[1:]) == 2
+    assert f"{option}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv[:1] + [option, "0"] + argv[1:]) == 1
+    record = read_records(out)[0]
+    assert (record["status"], record["stats"]["solver_calls"]) == ("budget", 0)
+
+
 @pytest.mark.parametrize("timeout", ["0", "-5"])
 def test_timeout_below_one_ms_is_a_usage_error(timeout, tmp_path, capsys):
     """A query whose deadline has passed before it starts is no timeout."""

@@ -10,20 +10,29 @@ folds too (Hopcroft & Karp, 1971), so a frame whose path through the pairs
 of states has been seen is judged by one dict lookup per row and a cached
 verdict. At seed 7 with 10,000 trials that is 98.7% of the frames of the
 reference triple top2, 92.3% on top2_wrong and 99.1-99.8% on discount,
-frequent and count_taut. The accumulators of case_a and case_b rarely
-repeat, so their tables fill up (at trials 1,311 and 997) while saving
-little; as RE2's lazy DFA falls back to a direct matcher when its state
-cache thrashes (Cox, "Regular Expression Matching in the Wild", 2010), the
-rest of such a call judges each frame whole. Such a "spilled" frame goes to
-one generated function (`interp.frame_judge`, built at the first spill)
-that folds both pipelines in one loop over the rows. Should it raise, the
-frame is judged again in the per-trial loop's order, which raises the error
-that loop would.
+frequent and count_taut.
+
+A cache that builds too few reusable states for the input it consumes costs
+more than it saves: RE2's lazy DFA then gives up on it and runs a direct
+matcher (Cox, "Regular Expression Matching in the Wild", 2010). So the tables
+of a call are full once they hold more accumulator states than frames
+judged, plus `STATE_SLACK`, as well as once a frame could take them past
+`TABLE_BOUND`, their memory cap. Over 10,000 trials at seeds 7, 11 and
+100-106 the tables of the five converging reference triples hold at most
+105 states (top2_wrong; top2 36, discount 14), so they never fill; the
+accumulators of case_a and case_b rarely repeat, and their tables fill after
+47-71 and 59-79 frames (54 and 69 at seed 7). The rest of such a call judges
+each frame whole. Such a "spilled" frame goes to one generated function
+(`interp.frame_judge`, built at the first spill) that folds both pipelines
+in one loop over the rows. Should it raise, the frame is judged again in the
+per-trial loop's order, which raises the error that loop would.
 
 Frames are drawn with `getrandbits` exactly as `Random.randint` and
 `Random.choice` draw on CPython 3.10 and later, so a seed gives the frames
 of that per-trial sampler (`tests/fuzz_reference.py`, which the tests pin
-this one to).
+this one to). A call draws through two generated samplers (`pool_draws`),
+one for the frames of pool indices that the tables take and one for the
+spilled frames of values, each with its column draws unrolled.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .interp import LiftResult, eval_fold, filter_rows, frame_judge, lift_eval
 from .syntax import Lit, TBool, TFloat, TInt, TOpt, TStr, walk
@@ -41,6 +51,10 @@ from .values import NONE, Some, fmt_value, values_equal
 # the call judges every frame whole; the states and the pairs never outnumber
 # their transitions by more than one (Bottom, and the pair of two Bottoms).
 TABLE_BOUND = 4096
+# The tables are also full once they hold more accumulator states than
+# frames judged, plus this slack: the states then grow with the frames, and
+# a frame's path rarely repeats
+STATE_SLACK = 128
 # the most rows a sampled frame has
 FRAME_ROWS = 8
 
@@ -120,47 +134,70 @@ def _pool_for(ty, consts, task):
     raise ValueError(f"cannot build a sampling pool for column type {ty}")
 
 
-def pool_draws(pools):
-    """Each pool with its length and that length's bit count, the draw plan
-    of `sample_dataframe`, built once for a caller that samples many frames."""
-    return [(pool, len(pool), len(pool).bit_length()) for pool in pools]
+def pool_draws(pools, max_len: int = FRAME_ROWS):
+    """The draw plan of `sample_dataframe` on `pools` and `max_len`, built
+    once for a caller that samples many frames: a generated function
+    `getrandbits -> frame` with the length draw and each column's draw
+    unrolled, every pool's size and bit count a literal. A pool given as
+    `range(n)` yields the drawn index itself, with no lookup."""
+    if max_len < 0:
+        raise ValueError(f"max_len must not be negative, got {max_len}")
+    direct = tuple(isinstance(pool, range) and pool == range(len(pool))
+                   for pool in pools)
+    return _sampler(tuple(map(len, pools)), direct, max_len)(*pools)
+
+
+@lru_cache(maxsize=64)
+def _sampler(sizes, direct, max_len):
+    """The factory `(*pools) -> sampler` of one shape of pools: the sampler
+    makes the `getrandbits` calls of `randint(0, max_len)` and then, row by
+    row, those of `choice` on each pool. An index below `n` is
+    `getrandbits(n.bit_length())`, redrawn while not below `n`; on an empty
+    pool `choice` raises before it draws."""
+    bits = (max_len + 1).bit_length()
+    lines = [f"length = getrandbits({bits})",
+             f"while length > {max_len}:",
+             f"    length = getrandbits({bits})",
+             "frame = []",
+             "for _ in range(length):"]
+    cells = []
+    for column, (n, plain) in enumerate(zip(sizes, direct)):
+        if not n:
+            lines.append("    raise IndexError("
+                         "'Cannot choose from an empty sequence')")
+            break
+        i = f"i{column}"
+        lines += [f"    {i} = getrandbits({n.bit_length()})",
+                  f"    while {i} >= {n}:",
+                  f"        {i} = getrandbits({n.bit_length()})"]
+        cells.append(i if plain else f"p{column}[{i}]")
+    else:
+        lines.append(f"    frame.append(({''.join(c + ', ' for c in cells)}))")
+    pools = "".join(f"p{column}, " for column in range(len(sizes)))
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (f"def _make({pools}):\n"
+              f"    def sample(getrandbits):\n{body}"
+              f"        return frame\n"
+              f"    return sample\n")
+    namespace = {}
+    exec(compile(source, f"<sampler {sizes} {max_len}>", "exec"), namespace)
+    return namespace["_make"]
 
 
 def sample_dataframe(rng: random.Random, pools, max_len: int = FRAME_ROWS,
                      draws=None):
     """A frame of 0 to `max_len` rows whose cells are drawn uniformly from
     their columns' pools, the length first, then the cells row by row;
-    `draws`, if given, is `pool_draws(pools)`.
+    `draws`, if given, is `pool_draws(pools, max_len)`.
 
     Each index below `n` is drawn as CPython's `Random.randint` and
     `Random.choice` draw it (3.10 and later): `getrandbits(n.bit_length())`,
     redrawn while not below `n`. So the random stream and the frames are
     those of `rng.randint(0, max_len)` and `rng.choice(pool)`, the sampler in
     `tests/fuzz_reference.py` that the tests pin this one to."""
-    if max_len < 0:
-        raise ValueError(f"max_len must not be negative, got {max_len}")
-    getrandbits = rng.getrandbits
-    bits = (max_len + 1).bit_length()
-    length = getrandbits(bits)
-    while length > max_len:
-        length = getrandbits(bits)
-    if not length:
-        return []
     if draws is None:
-        draws = pool_draws(pools)
-    frame = []
-    for _ in range(length):
-        row = []
-        for pool, n, bits in draws:
-            i = getrandbits(bits)
-            while i >= n:
-                if not n:
-                    # as `choice` does: a draw below 0 would never end
-                    raise IndexError("Cannot choose from an empty sequence")
-                i = getrandbits(bits)
-            row.append(pool[i])
-        frame.append(tuple(row))
-    return frame
+        draws = pool_draws(pools, max_len)
+    return draws(rng.getrandbits)
 
 
 def _frozen(value):
@@ -195,9 +232,11 @@ class FoldTables:
     walking, never an evaluation.
 
     The tables only grow, and `full` tells the caller when the next frame
-    could take one past `TABLE_BOUND`. Then, as RE2's lazy DFA stops
-    building its state cache when it thrashes and runs a direct matcher
-    (Cox, 2010), the caller judges the remaining frames whole.
+    could take one past `TABLE_BOUND`, or when they hold more states than
+    frames judged plus `STATE_SLACK`, so that a frame's path rarely repeats.
+    Then, as RE2's lazy DFA stops building its state cache when it thrashes
+    and runs a direct matcher (Cox, 2010), the caller judges the remaining
+    frames whole.
 
     Accumulators are interned by their value, as hash-consing interns terms
     (Filliâtre & Conchon, ML Workshop 2006), so Python-equal values share a
@@ -235,6 +274,7 @@ class FoldTables:
         self.transitions = 0  # one fold step each
         self.pair_transitions = 0  # entries of `psucc`
         self.pair_hits = 0    # frames whose whole path was in the pair table
+        self.frames = 0       # frames judged
 
     def stats(self):
         """The size of each table (each transition is one one-row fold step
@@ -246,11 +286,16 @@ class FoldTables:
 
     def full(self, frame_rows):
         """Whether a frame of at most `frame_rows` rows could take a table
-        past `TABLE_BOUND`: it adds at most as many rows, twice as many
-        transitions (its two folds) and as many pair transitions."""
+        past `TABLE_BOUND` (it adds at most as many rows, twice as many
+        transitions, its two folds, and as many pair transitions), or the
+        tables hold more states than frames judged plus `STATE_SLACK`. The
+        states of a converging fold stop growing; tables that gain `k > 1`
+        states a frame fill after about `STATE_SLACK / (k - 1)` frames, long
+        before their volume would reach `TABLE_BOUND`."""
         return (len(self.rows) + frame_rows > TABLE_BOUND
                 or self.transitions + 2 * frame_rows > TABLE_BOUND
-                or self.pair_transitions + frame_rows > TABLE_BOUND)
+                or self.pair_transitions + frame_rows > TABLE_BOUND
+                or len(self.values) > self.frames + STATE_SLACK)
 
     def _add_row(self, indices):
         rid = self.row_ids[indices] = len(self.rows)
@@ -311,6 +356,7 @@ class FoldTables:
         frame of column-pool index tuples: the verdict of the pair the frame
         ends in if the pair table holds its whole path, else that of
         `_resume` from the last pair it reached."""
+        self.frames += 1
         psucc = self.psucc
         pair = 0
         for depth, indices in enumerate(frame):
@@ -377,14 +423,15 @@ def differential_check(task, universes, q_indices, residual_indices,
                        trials: int = 10000, seed: int = 0) -> DiffReport:
     """Sample dataframes and compare the lifted original against the lifted
     rewritten pipeline, pointwise; deterministic under the seed. Frames are
-    drawn as column-pool indices (`sample_dataframe` consumes the same
-    random stream on a pool of indices as on the pool), and each is judged
-    through the call's `FoldTables` until they are `full`. The frames after
-    that are drawn as values and judged whole by `frame_judge`, or, on a
-    frame where it raises, in the reference order."""
+    drawn as column-pool indices, from `range` pools (`sample_dataframe`
+    consumes the same random stream on a pool of indices as on the pool),
+    and each is judged through the call's `FoldTables` until they are
+    `full`. The frames after that are drawn as values, through a second
+    plan, and judged whole by `frame_judge`, or, on a frame where it
+    raises, in the reference order."""
     rng = random.Random(seed)
     pools = column_pools(task, universes)
-    index_pools = [list(range(len(pool))) for pool in pools]
+    index_pools = [range(len(pool)) for pool in pools]
     q_exprs = [universes.u_q[i].expr for i in sorted(q_indices)]
     res_exprs = [universes.u_residual[i].expr for i in sorted(residual_indices)]
     p_exprs = [task.post_pred] if task.post_pred is not None else []

@@ -375,27 +375,45 @@ def test_the_judge_compares_values_as_lift_results_do(monkeypatch):
 
 @pytest.mark.parametrize("max_len", [0, 1, 8])
 def test_sampler_draws_the_frames_of_randint_and_choice(max_len):
+    """Called plain and with the generated plan of `pool_draws`, on pools
+    of values, of indices and of `range`s (whose plan yields the index),
+    each pool alone and all together: the frames and the random state
+    after them are those of `randint` and `choice`."""
     sizes = (1, 2, 7, 8, 13, 16, 1107)
     index_pools = [list(range(n)) for n in sizes]
+    range_pools = [range(n) for n in sizes]
     value_pools = [[Fraction(i, 3) if n % 2 else f"v{i}" for i in range(n)]
                    for n in sizes]
-    for pools in ([[p] for p in index_pools] + [[p] for p in value_pools]
-                  + [index_pools, value_pools]):
-        got, want = random.Random(max_len), random.Random(max_len)
-        for _ in range(200):
-            assert fuzz.sample_dataframe(got, pools, max_len) == \
-                fuzz_reference.sample_dataframe(want, pools, max_len)
-        assert got.getstate() == want.getstate()
+    shapes = [index_pools, range_pools, value_pools]
+    for pools in [[p] for shape in shapes for p in shape] + shapes:
+        draws = fuzz.pool_draws(pools, max_len)
+        for plan in (None, draws):
+            got, want = random.Random(max_len), random.Random(max_len)
+            for _ in range(200):
+                assert fuzz.sample_dataframe(got, pools, max_len, plan) == \
+                    fuzz_reference.sample_dataframe(want, pools, max_len)
+            assert got.getstate() == want.getstate()
 
 
 def test_sampler_errors_match_randint_and_choice():
-    for sample in (fuzz.sample_dataframe, fuzz_reference.sample_dataframe):
+    samplers = (fuzz.sample_dataframe, fuzz_reference.sample_dataframe,
+                lambda rng, pools, max_len: fuzz.sample_dataframe(
+                    rng, pools, max_len, fuzz.pool_draws(pools, max_len)))
+    for sample in samplers:
         with pytest.raises(ValueError):
             sample(random.Random(0), [[1, 2]], -1)
-        # an empty pool fails once a row is drawn, and only then
-        assert sample(random.Random(0), [[1], []], 0) == []
+        for pools in ([[1], []], [range(1), range(0)]):
+            # an empty pool fails once a row is drawn, and only then
+            assert sample(random.Random(0), pools, 0) == []
+            with pytest.raises(IndexError):
+                sample(random.Random(0), pools, 8)  # a frame of 6 rows
+    # the plan draws the row's cells before the empty pool's, as `choice`
+    # does, and no more
+    rngs = random.Random(0), random.Random(0)
+    for rng, sample in zip(rngs, samplers[1:]):
         with pytest.raises(IndexError):
-            sample(random.Random(0), [[1], []], 8)  # a frame of 6 rows
+            sample(rng, [[1], []], 8)
+    assert rngs[0].getstate() == rngs[1].getstate()
 
 
 # -- the work the tables save
@@ -403,13 +421,14 @@ def test_sampler_errors_match_randint_and_choice():
 
 # `eval_fold`, `filter_rows` and `lift_eval` calls at seed 7, 10,000 trials;
 # the per-trial loop took 56,713 fold steps on top2's frames. case_a's
-# tables fill at trial 1,311 and case_b's at 997: each later frame is judged
-# by one call of the generated judge, and calls none of the three
+# tables hold more states than frames judged plus `STATE_SLACK` after 54
+# frames and case_b's after 69: each later frame is judged by one call of
+# the generated judge, and calls none of the three
 EVALUATIONS = {
     "top2": (252, 7, 44),
     "discount": (182, 13, 17),
-    "case_a": (4085, 87, 1824),
-    "case_b": (4082, 1076, 1775),
+    "case_a": (224, 80, 100),
+    "case_b": (292, 224, 120),
     "frequent": (77, 12, 13),
     "top2_wrong": (1365, 13, 113),
     "count_taut": (40, 5, 16),
@@ -464,9 +483,10 @@ def test_the_pair_table_judges_most_top2_frames(monkeypatch):
     assert report.tables["spilled"] == 0
 
 
-def test_tables_stay_within_their_bound_on_case_b():
-    """case_b's accumulators rarely repeat: its tables fill before trial
+def test_tables_stay_within_their_bound_on_case_b(monkeypatch):
+    """With the state test off, case_b's tables fill by volume before trial
     1,500, and no table passes the bound."""
+    monkeypatch.setattr(fuzz, "STATE_SLACK", TABLE_BOUND)
     spec = REFERENCE["case_b"]
     task = make_task(spec["fixture"])
     universes = build_universes(task)
@@ -476,3 +496,66 @@ def test_tables_stay_within_their_bound_on_case_b():
     assert tables["spilled"] > 10000 - 1500
     assert max(tables["rows"], tables["states"] - 1, tables["transitions"],
                tables["pairs"] - 1) <= TABLE_BOUND
+
+
+# -- when a call spills on state growth
+
+SPILL_SEEDS = (7, 11, *range(100, 107))
+CONVERGING = ("top2", "discount", "frequent", "count_taut", "top2_wrong")
+
+
+@pytest.mark.parametrize("kind", CONVERGING)
+def test_converging_triples_never_spill(kind):
+    """These triples' accumulators converge (top2_wrong's tables hold 105
+    states after 10,000 frames, the others' 36 or fewer), so their tables
+    judge every frame."""
+    spec = REFERENCE[kind]
+    task = make_task(spec["fixture"])
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes, spec)
+    for seed in SPILL_SEEDS:
+        report = differential_check(task, universes, q, res, trials=10000,
+                                    seed=seed)
+        assert report.tables["spilled"] == 0, seed
+        assert report.tables["states"] <= fuzz.STATE_SLACK
+
+
+@pytest.mark.parametrize("kind", ["case_a", "case_b"])
+def test_low_repeat_triples_spill_before_frame_100(kind):
+    """case_a's and case_b's accumulators rarely repeat: within their first
+    100 frames their tables hold more states than frames judged plus
+    `STATE_SLACK`, at each of these seeds, and the report is still the
+    per-trial loop's."""
+    spec = REFERENCE[kind]
+    task = make_task(spec["fixture"])
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes, spec)
+    for seed in SPILL_SEEDS:
+        report = differential_check(task, universes, q, res, trials=10000,
+                                    seed=seed)
+        tabled = 10000 - report.tables["spilled"]
+        assert tabled < 100, seed
+        assert report.tables["states"] > tabled + fuzz.STATE_SLACK
+    _assert_same_report(task, universes, q, res, 10000, 7)
+
+
+# a running sum over widely spread constants: a frame's path rarely leads
+# to a sum seen before, so the tables gain states several times as fast as
+# frames
+RUNNING_SUM = """
+df = (int,)
+agg = fold(df, (0,), lambda a, r: (a[0] + r[0],))
+out = filter(agg, lambda a: a[0] > 1 and a[0] < 1000 and not a[0] == 1000000)
+"""
+
+
+def test_a_running_sum_spills_within_its_first_frames():
+    task = typecheck(parse(RUNNING_SUM), "running_sum")
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes,
+                             {"q": ["r[0] > 2"], "residual": ["a[0] > 1"]})
+    for seed in range(4):
+        report = _assert_same_report(task, universes, q, res, 2000, seed)
+        tabled = 2000 - report.tables["spilled"]
+        assert tabled < fuzz.STATE_SLACK
+        assert report.tables["states"] > tabled + fuzz.STATE_SLACK

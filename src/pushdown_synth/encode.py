@@ -253,10 +253,10 @@ class TaskEncoding:
             sx = _real_sexp(Fraction(v))
             return ["Fin", sx] if self.float_adt else sx
         if isinstance(ty, TStr):
-            ctor = self._str_ctors.get(v)
-            if ctor is None:
-                raise EncodeError(f"string label {v!r} not in program constants")
-            return ctor
+            # the program only tells a string apart from its labels, so any
+            # string it does not name (the fuzzer's "unrelated-label") is
+            # the first spare element; it decodes as that spare
+            return self._str_ctors.get(v, "S_other0")
         if isinstance(ty, TOpt):
             info = self.sort_of(ty)
             if v is NONE:

@@ -30,9 +30,11 @@ per-trial loop's order, which raises the error that loop would.
 Frames are drawn with `getrandbits` exactly as `Random.randint` and
 `Random.choice` draw on CPython 3.10 and later, so a seed gives the frames
 of that per-trial sampler (`tests/fuzz_reference.py`, which the tests pin
-this one to). A call draws through two generated samplers (`pool_draws`),
-one for the frames of pool indices that the tables take and one for the
-spilled frames of values, each with its column draws unrolled.
+this one to). The frames that the pair table judges are drawn and walked in
+one generated loop (`_walker`), like the inner loop of RE2's DFA. Python
+draws (`sample_dataframe`) and judges only the first frame of a call, the
+frames after a miss, frames on unjudged pairs and the first ten mismatches.
+The loop and the samplers emit their unrolled draws from `_generated`.
 """
 
 from __future__ import annotations
@@ -147,13 +149,12 @@ def pool_draws(pools, max_len: int = FRAME_ROWS):
     return _sampler(tuple(map(len, pools)), direct, max_len)(*pools)
 
 
-@lru_cache(maxsize=64)
-def _sampler(sizes, direct, max_len):
-    """The factory `(*pools) -> sampler` of one shape of pools: the sampler
-    makes the `getrandbits` calls of `randint(0, max_len)` and then, row by
-    row, those of `choice` on each pool. An index below `n` is
-    `getrandbits(n.bit_length())`, redrawn while not below `n`; on an empty
-    pool `choice` raises before it draws."""
+def _generated(name, head, tail, sizes, direct, max_len, row_lines=()):
+    """The function whose source is `head`, lines that draw a `frame` with
+    the `getrandbits` calls of `randint(0, max_len)` and then, row by row,
+    of `choice` on each pool, running `row_lines` on each `row`, and `tail`.
+    An index below `n` is `getrandbits(n.bit_length())`, redrawn while not
+    below `n`; on an empty pool `choice` raises before it draws."""
     bits = (max_len + 1).bit_length()
     lines = [f"length = getrandbits({bits})",
              f"while length > {max_len}:",
@@ -172,29 +173,53 @@ def _sampler(sizes, direct, max_len):
                   f"        {i} = getrandbits({n.bit_length()})"]
         cells.append(i if plain else f"p{column}[{i}]")
     else:
-        lines.append(f"    frame.append(({''.join(c + ', ' for c in cells)}))")
-    pools = "".join(f"p{column}, " for column in range(len(sizes)))
+        lines += [f"    row = ({''.join(c + ', ' for c in cells)})",
+                  "    frame.append(row)", *(f"    {x}" for x in row_lines)]
     body = "".join(f"        {line}\n" for line in lines)
-    source = (f"def _make({pools}):\n"
-              f"    def sample(getrandbits):\n{body}"
-              f"        return frame\n"
-              f"    return sample\n")
     namespace = {}
-    exec(compile(source, f"<sampler {sizes} {max_len}>", "exec"), namespace)
-    return namespace["_make"]
+    exec(compile(head + body + tail, name, "exec"), namespace)
+    return namespace.popitem()[1]
+
+
+@lru_cache(maxsize=64)
+def _sampler(sizes, direct, max_len):
+    """The factory `(*pools) -> sampler` of one shape of pools."""
+    pools = "".join(f"p{column}, " for column in range(len(sizes)))
+    return _generated(f"<sampler {sizes} {max_len}>",
+                      f"def _make({pools}):\n    def sample(getrandbits):\n",
+                      "        return frame\n    return sample\n",
+                      sizes, direct, max_len)
+
+
+@lru_cache(maxsize=64)
+def _walker(sizes, max_len):
+    """The walk loop of one shape of `range` pools, `walk(getrandbits, psucc,
+    verdicts, budget, stop) -> (walked, mismatches, frame)`. It draws up to
+    `budget` frames as the sampler does, looking each row up in `psucc` once
+    drawn; `frame` is the first to leave the table, end on a pair with no
+    verdict or, if `stop`, mismatch (None if none does), after `walked`."""
+    return _generated(
+        f"<walk {sizes} {max_len}>",
+        "def walk(getrandbits, psucc, verdicts, budget, stop):\n"
+        "    mismatches = 0\n"
+        "    for walked in range(budget):\n"
+        "        pair = 0\n",
+        "        verdict = None if pair is None else verdicts[pair]\n"
+        "        if verdict is None or verdict and stop:\n"
+        "            return walked, mismatches, frame\n"
+        "        mismatches += verdict\n"
+        "    return budget, mismatches, None\n",
+        sizes, (True,) * len(sizes), max_len,
+        ["if pair is not None:", "    pair = psucc[pair].get(row)"])
 
 
 def sample_dataframe(rng: random.Random, pools, max_len: int = FRAME_ROWS,
                      draws=None):
     """A frame of 0 to `max_len` rows whose cells are drawn uniformly from
     their columns' pools, the length first, then the cells row by row;
-    `draws`, if given, is `pool_draws(pools, max_len)`.
-
-    Each index below `n` is drawn as CPython's `Random.randint` and
-    `Random.choice` draw it (3.10 and later): `getrandbits(n.bit_length())`,
-    redrawn while not below `n`. So the random stream and the frames are
-    those of `rng.randint(0, max_len)` and `rng.choice(pool)`, the sampler in
-    `tests/fuzz_reference.py` that the tests pin this one to."""
+    `draws`, if given, is `pool_draws(pools, max_len)`. The random stream
+    and the frames are those of `rng.randint(0, max_len)` and
+    `rng.choice(pool)` on CPython 3.10 and later (`_generated`)."""
     if draws is None:
         draws = pool_draws(pools, max_len)
     return draws(rng.getrandbits)
@@ -426,9 +451,11 @@ def differential_check(task, universes, q_indices, residual_indices,
     drawn as column-pool indices, from `range` pools (`sample_dataframe`
     consumes the same random stream on a pool of indices as on the pool),
     and each is judged through the call's `FoldTables` until they are
-    `full`. The frames after that are drawn as values, through a second
-    plan, and judged whole by `frame_judge`, or, on a frame where it
-    raises, in the reference order."""
+    `full`. After a frame that the pair table judged, the walk loop draws
+    and judges the next frames up to one that needs Python (`_walker`).
+    The frames after that are drawn as values, through a second plan, and
+    judged whole by `frame_judge`, or, on a frame where it raises, in the
+    reference order."""
     rng = random.Random(seed)
     pools = column_pools(task, universes)
     index_pools = [range(len(pool)) for pool in pools]
@@ -437,12 +464,25 @@ def differential_check(task, universes, q_indices, residual_indices,
     p_exprs = [task.post_pred] if task.post_pred is not None else []
     tables = FoldTables(task, pools, q_exprs, p_exprs, res_exprs)
     draws = pool_draws(index_pools)
+    walk = _walker(tuple(map(len, pools)), FRAME_ROWS)
     mismatch_count = 0
     examples = []
-    tabled = 0
+    tabled = hits = 0
     while tabled < trials and not tables.full(FRAME_ROWS):
+        if tables.pair_hits > hits:  # the pair table judged the last frame
+            walked, missed, frame = walk(
+                rng.getrandbits, tables.psucc, tables.verdicts,
+                trials - tabled, len(examples) < 10)
+            tabled += walked
+            tables.frames += walked
+            tables.pair_hits += walked
+            mismatch_count += missed
+            if frame is None:
+                break
+        else:
+            frame = sample_dataframe(rng, index_pools, FRAME_ROWS, draws)
         tabled += 1
-        frame = sample_dataframe(rng, index_pools, FRAME_ROWS, draws)
+        hits = tables.pair_hits
         if tables.mismatch(frame):
             mismatch_count += 1
             if len(examples) < 10:

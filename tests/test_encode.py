@@ -94,6 +94,18 @@ def test_decode_reads_the_forms_a_solver_prints(real_enc, f_enc):
     assert _printed(real_enc, "S_other0", STR) == "⟨S_other0⟩"
 
 
+def test_a_string_the_program_does_not_name_is_the_first_spare(real_enc):
+    """The fuzzer's pool stand-in for an unnamed string, and any other, is
+    the spare `S_other0`, inside a value too; decoding is unchanged."""
+    for label in ("unrelated-label", "", "S_other0", "high "):
+        assert real_enc.value_sexp(label, STR) == "S_other0"
+        assert real_enc.decode(real_enc.value_sexp(label, STR), STR) == \
+            "⟨S_other0⟩"
+    assert real_enc.value_sexp(Some("unrelated-label"), TOpt(STR))[1] == \
+        "S_other0"
+    assert real_enc.value_sexp("high", STR) != "S_other0"
+
+
 def test_malformed_model_terms_raise_solver_error(real_enc):
     with pytest.raises(SolverError):
         real_enc.decode("true", ACC)  # a tuple needs its constructor

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import random
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -225,22 +227,34 @@ def _raising_cases():
 
 def _raised(monkeypatch, task, universes, q, res, seed):
     """The error each of the two fuzzers raises on the triple, and after how
-    many sampled frames; the raising frame is the last one."""
+    many frames, counted by the random stream: the frames of
+    `fuzz_reference.sample_dataframe` that take a fresh generator to the
+    state the fuzzer's generator is in after the raise. The raising frame
+    is the last one."""
+    pools = column_pools(task, universes)
     outcomes = []
     for module in (fuzz, fuzz_reference):
-        frames = []
-        sample = module.sample_dataframe
+        rngs = []
 
-        def counted(*args, _sample=sample, _frames=frames):
-            _frames.append(_sample(*args))
-            return _frames[-1]
+        def recorded(seed):
+            rngs.append(random.Random(seed))
+            return rngs[-1]
 
-        monkeypatch.setattr(module, "sample_dataframe", counted)
+        monkeypatch.setattr(module, "random",
+                            SimpleNamespace(Random=recorded))
         with pytest.raises(EvalError) as err:
             module.differential_check(task, universes, q, res,
                                       trials=200, seed=seed)
-        outcomes.append((str(err.value), len(frames)))
-        monkeypatch.setattr(module, "sample_dataframe", sample)
+        monkeypatch.setattr(module, "random", random)
+        [rng] = rngs
+        replay = random.Random(seed)
+        for frames in range(201):
+            if replay.getstate() == rng.getstate():
+                break
+            fuzz_reference.sample_dataframe(replay, pools)
+        else:
+            raise AssertionError("the raise is not at a frame's end")
+        outcomes.append((str(err.value), frames))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] > 1  # not every frame raises
     if task.name == "raising_post":
@@ -416,6 +430,37 @@ def test_sampler_errors_match_randint_and_choice():
     assert rngs[0].getstate() == rngs[1].getstate()
 
 
+@pytest.mark.parametrize("max_len", [0, 1, 8])
+def test_the_walk_loop_draws_the_frames_of_the_sampler(max_len):
+    """From an empty pair table, where no pair has a verdict, the walk loop
+    returns the first frame it draws, before walking any: that frame and
+    the random state after it are those of `sample_dataframe` on `range`
+    pools. On an empty pool it raises as the sampler does, after the same
+    draws."""
+    shapes = [(n,) for n in (1, 2, 3, 4, 5, 7, 8, 9, 13)]
+    for sizes in [*shapes, (41, 27), (87, 5, 6)]:
+        walk = fuzz._walker(sizes, max_len)
+        pools = [range(n) for n in sizes]
+        got, want = random.Random(max_len), random.Random(max_len)
+        for _ in range(200):
+            assert walk(got.getrandbits, [{}], [None], 5, True) == \
+                (0, 0, fuzz.sample_dataframe(want, pools, max_len))
+            assert got.getstate() == want.getstate()
+    walk = fuzz._walker((3, 0), max_len)
+    rngs = random.Random(3), random.Random(3)
+    draws = (lambda: walk(rngs[0].getrandbits, [{}], [False], 1, True),
+             lambda: fuzz.sample_dataframe(rngs[1], [range(3), range(0)],
+                                           max_len))
+    raised = []
+    for draw in draws:
+        with pytest.raises(IndexError) if max_len else nullcontext() as err:
+            for _ in range(20):  # a frame of these 20 has a row
+                draw()
+        raised.append(None if err is None else str(err.value))
+    assert raised[0] == raised[1]
+    assert rngs[0].getstate() == rngs[1].getstate()
+
+
 # -- the work the tables save
 
 
@@ -432,6 +477,17 @@ EVALUATIONS = {
     "frequent": (77, 12, 13),
     "top2_wrong": (1365, 13, 113),
     "count_taut": (40, 5, 16),
+}
+
+# the tables of three of those calls, the frames the pair table judged
+# (walked or not) among them
+TABLES = {
+    "top2": {"rows": 7, "states": 36, "transitions": 252, "pairs": 36,
+             "pair_hits": 9868, "spilled": 0},
+    "top2_wrong": {"rows": 13, "states": 105, "transitions": 1365,
+                   "pairs": 105, "pair_hits": 9230, "spilled": 0},
+    "count_taut": {"rows": 5, "states": 9, "transitions": 40, "pairs": 9,
+                   "pair_hits": 9982, "spilled": 0},
 }
 
 
@@ -466,14 +522,24 @@ def test_folds_each_distinct_transition_once(kind, monkeypatch):
     assert tuple(calls[name] for name in names) == EVALUATIONS[kind]
     assert folds == [1] * report.tables["transitions"]
     assert calls["judge"] == report.tables["spilled"]
+    assert TABLES.get(kind, report.tables) == report.tables
 
 
 def test_the_pair_table_judges_most_top2_frames(monkeypatch):
-    """The call never spills, so it generates no judge."""
+    """The call never spills, so it generates no judge. Python draws the
+    first frame and those after a frame that left the pair table; the walk
+    loop draws the rest."""
     def refused(*args):
         raise AssertionError("a judge was generated")
 
+    drawn = []
+
+    def counted(*args, _sample=fuzz.sample_dataframe):
+        drawn.append(_sample(*args))
+        return drawn[-1]
+
     monkeypatch.setattr(fuzz, "frame_judge", refused)
+    monkeypatch.setattr(fuzz, "sample_dataframe", counted)
     spec = REFERENCE["top2"]
     task = make_task(spec["fixture"])
     universes = build_universes(task)
@@ -481,6 +547,9 @@ def test_the_pair_table_judges_most_top2_frames(monkeypatch):
     report = differential_check(task, universes, q, res, trials=10000, seed=7)
     assert report.tables["pair_hits"] >= 9000
     assert report.tables["spilled"] == 0
+    misses = 10000 - report.tables["pair_hits"]
+    # one more than the misses, unless the last frame is one
+    assert len(drawn) in (misses, misses + 1)
 
 
 def test_tables_stay_within_their_bound_on_case_b(monkeypatch):

@@ -288,7 +288,8 @@ def _diff_task(args, task, universes, record, session):
     record["diff"] = report.to_json()
     trace = _trace_fn(args)
     if trace is not None:
-        trace({"event": "fuzz-tables", "task": task.name, **report.tables})
+        trace({"event": "fuzz-tables", "task": task.name, **report.tables,
+               "exhaustive": report.exhaustive})
 
 
 def cmd_diff(args):

@@ -1,4 +1,5 @@
-"""Random-dataframe differential validation of pushdown solutions.
+"""Differential validation of pushdown solutions, exhaustive over short
+frames where it can be, else on random dataframes.
 
 Sampling is boundary-directed: every comparison constant relevant to a column
 appears in its pool, along with values between and beyond adjacent constants.
@@ -6,26 +7,42 @@ So every sampled row comes from a small, fixed set, and the fold is a
 deterministic automaton over it: the fuzzer builds that automaton lazily,
 evaluating each (accumulator, row) step once, as lazy DFA construction does
 (Thompson, CACM 1968). It tables the product of the original and rewritten
-folds too (Hopcroft & Karp, 1971), so a frame whose path through the pairs
-of states has been seen is judged by one dict lookup per row and a cached
-verdict. At seed 7 with 10,000 trials that is 98.7% of the frames of the
-reference triple top2, 92.3% on top2_wrong and 99.1-99.8% on discount,
-frequent and count_taut.
+folds too (Hopcroft & Karp, 1971), with a cached mismatch verdict per pair
+of states.
 
-A cache that builds too few reusable states for the input it consumes costs
-more than it saves: RE2's lazy DFA then gives up on it and runs a direct
-matcher (Cox, "Regular Expression Matching in the Wild", 2010). So the tables
-of a call are full once they hold more accumulator states than frames
-judged, plus `STATE_SLACK`, as well as once a frame could take them past
-`TABLE_BOUND`, their memory cap. Over 10,000 trials at seeds 7, 11 and
-100-106 the tables of the five converging reference triples hold at most
-105 states (top2_wrong; top2 36, discount 14), so they never fill; the
-accumulators of case_a and case_b rarely repeat, and their tables fill after
-47-71 and 59-79 frames (54 and 69 at seed 7). The rest of such a call judges
-each frame whole. Such a "spilled" frame goes to one generated function
-(`interp.frame_judge`, built at the first spill) that folds both pipelines
-in one loop over the rows. Should it raise, the frame is judged again in the
-per-trial loop's order, which raises the error that loop would.
+A call first explores that product breadth-first over the whole row
+alphabet, up to `FRAME_ROWS` rows, the longest frame the sampler draws, and
+stops early at a level that reaches no new pair (a fixpoint), as
+bounded-exhaustive testing does (Boyapati et al., Korat, ISSTA 2002). If no
+pair it reaches mismatches, every frame the seeded sampler could draw
+matches: the call is settled, draws no frame, and reports what sampling
+would. On the reference triples, top2 reaches a fixpoint at depth 2 with 36
+pairs and discount at depth 1 with 14; the counters frequent (10 pairs) and
+count_taut (9) are explored to depth 8. At its first mismatching pair the
+exploration stops with the shortest frame to it as a counterexample
+(top2_wrong, after 61 pairs), which fails the report whatever sampling
+finds. It gives up
+when an evaluation raises, when the tables are full (below), or when its
+next level would take more pair transitions than `TABLE_BOUND` or than the
+call has trials: case_a (87 rows) after its first level, case_b (1,107) once
+its tables are full, after 128 transitions. Then, and after a
+counterexample, the call samples from the tables the exploration filled.
+
+A frame whose path through the pairs has been seen is judged by one dict
+lookup per row and a cached verdict. A cache that builds too few reusable
+states for the input it consumes costs more than it saves: RE2's lazy DFA
+then gives up on it and runs a direct matcher (Cox, "Regular Expression
+Matching in the Wild", 2010). So the tables of a call are full once they
+hold more accumulator states than frames judged, plus `STATE_SLACK`, as well
+as once a frame could take them past `TABLE_BOUND`, their memory cap.
+top2_wrong's tables hold 105 states after 10,000 frames and never fill; the
+accumulators of case_a and case_b rarely repeat, and their tables fill
+within their first frames (after 19 and before the first at seed 7). The
+rest of such a call judges each frame whole. Such a "spilled" frame goes to
+one generated function (`interp.frame_judge`, built at the first spill) that
+folds both pipelines in one loop over the rows. Should it raise, the frame
+is judged again in the per-trial loop's order, which raises the error that
+loop would.
 
 Frames are drawn with `getrandbits` exactly as `Random.randint` and
 `Random.choice` draw on CPython 3.10 and later, so a seed gives the frames
@@ -43,6 +60,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .interp import LiftResult, eval_fold, filter_rows, frame_judge, lift_eval
 from .syntax import Lit, TBool, TFloat, TInt, TOpt, TStr, walk
@@ -71,10 +90,14 @@ class DiffReport:
     # sizes and work of the fold tables (`FoldTables.stats`) and the number
     # of frames judged whole (`spilled`); not in the record
     tables: dict = field(default_factory=dict)
+    # what the exploration of the pair table proved (`FoldTables.explore`),
+    # None if it gave up or there were no trials
+    exhaustive: dict | None = None
 
     @property
     def ok(self):
-        return self.mismatch_count == 0
+        return self.mismatch_count == 0 and \
+            "counterexample" not in (self.exhaustive or {})
 
     def to_json(self):
         return {
@@ -82,6 +105,7 @@ class DiffReport:
             "mismatches": self.mismatch_count,
             "seed": self.seed,
             "examples": self.mismatches,
+            "exhaustive": self.exhaustive,
         }
 
 
@@ -254,7 +278,8 @@ class FoldTables:
     once needed (`P` on the original state, then `P'` on the rewritten one).
     A frame whose whole path is in `psucc` costs one dict lookup per row.
     Pairs are only recorded from steps already evaluated, so they save
-    walking, never an evaluation.
+    walking, never an evaluation. `explore` records, before any frame, the
+    pairs and transitions of every frame of up to `FRAME_ROWS` rows.
 
     The tables only grow, and `full` tells the caller when the next frame
     could take one past `TABLE_BOUND`, or when they hold more states than
@@ -303,11 +328,11 @@ class FoldTables:
 
     def stats(self):
         """The size of each table (each transition is one one-row fold step
-        evaluated), and how many frames the pair table judged alone, from a
-        path it held whole."""
+        evaluated), how many frames the tables judged, and how many of those
+        the pair table judged alone, from a path it held whole."""
         return {"rows": len(self.rows), "states": len(self.values),
                 "transitions": self.transitions, "pairs": len(self.pairs),
-                "pair_hits": self.pair_hits}
+                "frames": self.frames, "pair_hits": self.pair_hits}
 
     def full(self, frame_rows):
         """Whether a frame of at most `frame_rows` rows could take a table
@@ -391,9 +416,7 @@ class FoldTables:
             pair = nxt
         self.pair_hits += 1
         verdict = self.verdicts[pair]
-        if verdict is None:
-            verdict = self.verdicts[pair] = self._verdict(*self.pairs[pair])
-        return verdict
+        return self._judge(pair) if verdict is None else verdict
 
     def _resume(self, frame, depth, pair):
         """The verdict of a frame whose first `depth` rows lead to `pair` and
@@ -443,19 +466,109 @@ class FoldTables:
         verdict = verdicts[pair] = self._verdict(states[-1], kept_state)
         return verdict
 
+    def explore(self, limit):
+        """Every pair that a frame of at most `FRAME_ROWS` rows reaches,
+        breadth-first from pair 0 on fresh tables. Each transition is filled
+        as `_resume` fills it, and each pair's verdict is judged as the pair
+        is reached. A level that reaches no new pair is a fixpoint: then no
+        frame of any length over the row alphabet reaches another pair.
+
+        The result is `{depth, fixpoint, pairs, transitions}`: every frame
+        of at most `depth` rows is explored (at a fixpoint, every pair is
+        reached within `depth` rows). At the first mismatching pair the
+        exploration stops, and the result also holds `counterexample`, the
+        shortest frame to it, as index tuples; `depth` is its length. None
+        means that the exploration gave up: an evaluation raised, the tables
+        are `full`, or the next level, its frontier times the alphabet,
+        would take the pair transitions past `limit` or `TABLE_BOUND`. The
+        alphabet is built only once its first level fits."""
+        sizes = tuple(map(len, self.pools))
+        size = prod(sizes)
+        succ, kept, step = self.succ, self.kept, self._step
+        pair_ids, pairs, psucc, verdicts = \
+            self.pair_ids, self.pairs, self.psucc, self.verdicts
+        parents = [None]  # pair id -> (parent pair id, index tuple)
+        alphabet = None
+        frontier, depth = [0], 0
+
+        def explored(depth, fixpoint, **counterexample):
+            return {"depth": depth, "fixpoint": fixpoint, "pairs": len(pairs),
+                    "transitions": self.pair_transitions, **counterexample}
+
+        try:
+            while frontier and depth < FRAME_ROWS:
+                if self.pair_transitions + len(frontier) * size > \
+                        min(limit, TABLE_BOUND):
+                    return None
+                if alphabet is None:
+                    alphabet = [(indices, self._add_row(indices))
+                                for indices in product(*map(range, sizes))]
+                reached = []
+                for pair in frontier:
+                    state, kept_state = pairs[pair]
+                    out = psucc[pair]
+                    for indices, rid in alphabet:
+                        if self.full(1):
+                            return None
+                        nxt = succ[state].get(rid)
+                        to_state = step(state, rid) if nxt is None else nxt
+                        to_kept = kept_state
+                        keep = kept[rid]
+                        if keep is None:
+                            keep = self._keep(rid)
+                        if keep:
+                            nxt = succ[kept_state].get(rid)
+                            to_kept = step(kept_state, rid) if nxt is None \
+                                else nxt
+                        key = to_state, to_kept
+                        nxt = pair_ids.get(key)
+                        if nxt is None:
+                            nxt = pair_ids[key] = len(pairs)
+                            pairs.append(key)
+                            psucc.append({})
+                            verdicts.append(None)
+                            parents.append((pair, indices))
+                            reached.append(nxt)
+                        out[indices] = nxt
+                        self.pair_transitions += 1
+                        if verdicts[nxt] is None and self._judge(nxt):
+                            frame = []
+                            while nxt:
+                                nxt, indices = parents[nxt]
+                                frame.append(indices)
+                            return explored(depth + 1, False,
+                                            counterexample=frame[::-1])
+                frontier = reached
+                depth += 1
+        except Exception:
+            # an evaluation raised: the sampled frames raise what the
+            # per-trial loop raises, if one of them does
+            return None
+        if frontier:
+            return explored(depth, False)
+        return explored(depth - 1, True)
+
+    def _judge(self, pair):
+        """The verdict of `pair`, judged and recorded."""
+        verdict = self.verdicts[pair] = self._verdict(*self.pairs[pair])
+        return verdict
+
 
 def differential_check(task, universes, q_indices, residual_indices,
                        trials: int = 10000, seed: int = 0) -> DiffReport:
-    """Sample dataframes and compare the lifted original against the lifted
-    rewritten pipeline, pointwise; deterministic under the seed. Frames are
-    drawn as column-pool indices, from `range` pools (`sample_dataframe`
-    consumes the same random stream on a pool of indices as on the pool),
-    and each is judged through the call's `FoldTables` until they are
-    `full`. After a frame that the pair table judged, the walk loop draws
-    and judges the next frames up to one that needs Python (`_walker`).
-    The frames after that are drawn as values, through a second plan, and
-    judged whole by `frame_judge`, or, on a frame where it raises, in the
-    reference order."""
+    """Compare the lifted original against the lifted rewritten pipeline,
+    pointwise, on `trials` seeded frames; deterministic under the seed.
+    First the call's `FoldTables` explore every frame of up to `FRAME_ROWS`
+    rows, spending at most one pair transition per trial. If no such frame
+    mismatches, the report is settled and no frame is drawn. Otherwise, or
+    if the exploration gave up, frames are drawn as column-pool indices,
+    from `range` pools (`sample_dataframe` consumes the same random stream
+    on a pool of indices as on the pool), and each is judged through the
+    tables until they are `full`. After a frame that the pair table judged,
+    the walk loop draws and judges the next frames up to one that needs
+    Python (`_walker`). The frames after that are drawn as values, through
+    a second plan, and judged whole by `frame_judge`, or, on a frame where
+    it raises, in the reference order."""
     rng = random.Random(seed)
     pools = column_pools(task, universes)
     index_pools = [range(len(pool)) for pool in pools]
@@ -463,6 +576,18 @@ def differential_check(task, universes, q_indices, residual_indices,
     res_exprs = [universes.u_residual[i].expr for i in sorted(residual_indices)]
     p_exprs = [task.post_pred] if task.post_pred is not None else []
     tables = FoldTables(task, pools, q_exprs, p_exprs, res_exprs)
+
+    def printed(frame):
+        return [[fmt_value(pool[i]) for pool, i in zip(pools, indices)]
+                for indices in frame]
+
+    exhaustive = tables.explore(trials) if trials > 0 else None
+    if exhaustive is not None:
+        if "counterexample" not in exhaustive:
+            return DiffReport(trials=trials, mismatch_count=0, seed=seed,
+                              tables={**tables.stats(), "spilled": 0},
+                              exhaustive=exhaustive)
+        exhaustive["counterexample"] = printed(exhaustive["counterexample"])
     draws = pool_draws(index_pools)
     walk = _walker(tuple(map(len, pools)), FRAME_ROWS)
     mismatch_count = 0
@@ -486,10 +611,7 @@ def differential_check(task, universes, q_indices, residual_indices,
         if tables.mismatch(frame):
             mismatch_count += 1
             if len(examples) < 10:
-                examples.append([
-                    [fmt_value(pool[i]) for pool, i in zip(pools, indices)]
-                    for indices in frame
-                ])
+                examples.append(printed(frame))
     if tabled < trials:
         judge = frame_judge(task, q_exprs, p_exprs, res_exprs)
         draws = pool_draws(pools)
@@ -513,4 +635,5 @@ def differential_check(task, universes, q_indices, residual_indices,
         seed=seed,
         mismatches=examples,
         tables={**tables.stats(), "spilled": trials - tabled},
+        exhaustive=exhaustive,
     )

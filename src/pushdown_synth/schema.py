@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# a frame as `diff` prints it: rows of printed values
+FRAME = {"type": "array",
+         "items": {"type": "array", "items": {"type": "string"}}}
+
 RESULT_SCHEMA = {
     "type": "object",
     "required": ["task", "status", "stats"],
@@ -14,7 +18,28 @@ RESULT_SCHEMA = {
         "certified_residual_atoms": {"type": "array", "items": {"type": "string"}},
         "invariant_atoms": {"type": "array", "items": {"type": "string"}},
         "rewritten": {"type": "string"},
-        "diff": {"type": "object"},
+        "diff": {
+            "type": "object",
+            "required": ["trials", "mismatches", "seed", "examples",
+                         "exhaustive"],
+            "properties": {
+                "trials": {"type": "integer"},
+                "mismatches": {"type": "integer"},
+                "seed": {"type": "integer"},
+                "examples": {"type": "array", "items": FRAME},
+                "exhaustive": {
+                    "type": ["object", "null"],
+                    "required": ["depth", "fixpoint", "pairs", "transitions"],
+                    "properties": {
+                        "depth": {"type": "integer"},
+                        "fixpoint": {"type": "boolean"},
+                        "pairs": {"type": "integer"},
+                        "transitions": {"type": "integer"},
+                        "counterexample": FRAME,
+                    },
+                },
+            },
+        },
         "screen": {"type": "object"},
         "error": {"type": "string"},
         "universes": {"type": "object"},
@@ -51,6 +76,10 @@ def _check(value, schema, path):
             raise SchemaError(f"{path}: {value!r} not in {schema['enum']}")
         return
     kind = schema.get("type")
+    if isinstance(kind, list):  # `[type, "null"]`: the type, or null
+        if value is None:
+            return
+        kind = kind[0]
     if kind == "object":
         if not isinstance(value, dict):
             raise SchemaError(f"{path}: expected object")
@@ -70,6 +99,9 @@ def _check(value, schema, path):
     elif kind == "string":
         if not isinstance(value, str):
             raise SchemaError(f"{path}: expected string")
+    elif kind == "boolean":
+        if not isinstance(value, bool):
+            raise SchemaError(f"{path}: expected boolean")
     elif kind == "integer":
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError(f"{path}: expected integer")

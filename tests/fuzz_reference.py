@@ -25,22 +25,27 @@ def sample_dataframe(rng: random.Random, pools, max_len: int = 8):
     ]
 
 
+def differs(task, universes, q_indices, residual_indices, frame):
+    """Whether the lifted original and rewritten pipelines differ on a
+    frame of values."""
+    q_exprs = [universes.u_q[i].expr for i in sorted(q_indices)]
+    res_exprs = [universes.u_residual[i].expr for i in sorted(residual_indices)]
+    p_exprs = [task.post_pred] if task.post_pred is not None else []
+    lhs = lift_eval(p_exprs, eval_fold(task, frame))
+    kept = filter_rows(q_exprs, frame, task.n_columns)
+    return lhs != lift_eval(res_exprs, eval_fold(task, kept))
+
+
 def differential_check(task, universes, q_indices, residual_indices,
                        trials: int = 10000, seed: int = 0,
                        max_len: int = 8) -> DiffReport:
     rng = random.Random(seed)
     pools = column_pools(task, universes)
-    q_exprs = [universes.u_q[i].expr for i in sorted(q_indices)]
-    res_exprs = [universes.u_residual[i].expr for i in sorted(residual_indices)]
-    p_exprs = [task.post_pred] if task.post_pred is not None else []
     mismatch_count = 0
     examples = []
     for _ in range(trials):
         frame = sample_dataframe(rng, pools, max_len)
-        lhs = lift_eval(p_exprs, eval_fold(task, frame))
-        kept = filter_rows(q_exprs, frame, task.n_columns)
-        rhs = lift_eval(res_exprs, eval_fold(task, kept))
-        if lhs != rhs:
+        if differs(task, universes, q_indices, residual_indices, frame):
             mismatch_count += 1
             if len(examples) < 10:
                 examples.append(

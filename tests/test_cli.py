@@ -495,6 +495,31 @@ def test_schema_validator_rejects_bad_records():
         validate_record({"task": "x", "status": "solved"})
 
 
+def test_diff_records_match_the_schema(tmp_path):
+    """A `diff` settled by exploration (discount), one sampled after the
+    exploration found a counterexample (top2_wrong) and one whose tables
+    spill (case_b) validate; a depth that is not an integer does not."""
+    triples = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                          / "reference.json").read_text())["triples"]
+    records = {}
+    for kind in ("discount", "top2_wrong", "case_b"):
+        spec = triples[kind]
+        tfile = tmp_path / f"{kind}.json"
+        tfile.write_text(json.dumps({"q": spec["q"],
+                                     "residual": spec["residual"]}))
+        out = tmp_path / f"{kind}.ndjson"
+        run(["diff", "--triple", str(tfile), "--out", str(out),
+             fixture_path(spec["fixture"])])
+        records[kind], = read_records(out)
+        validate_record(records[kind])
+    assert records["discount"]["diff"]["exhaustive"]["fixpoint"]
+    assert records["top2_wrong"]["diff"]["exhaustive"]["counterexample"]
+    assert records["case_b"]["diff"]["exhaustive"] is None
+    records["discount"]["diff"]["exhaustive"]["depth"] = "1"
+    with pytest.raises(SchemaError, match="exhaustive.depth: expected integer"):
+        validate_record(records["discount"])
+
+
 def test_trace_events_on_stderr(tmp_path, capsys):
     out = tmp_path / "rec.json"
     code = run([
@@ -770,8 +795,38 @@ def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
     top2 = events[0]
     assert top2["event"] == "fuzz-tables"
     assert set(top2) == {"event", "task", "rows", "states", "transitions",
-                         "spilled", "pairs", "pair_hits"}
-    # 10,000 frames of up to 8 rows: 1,365 distinct one-row fold steps, and
-    # 9,230 frames judged from a path the pair table held
-    assert (top2["transitions"], top2["spilled"]) == (1365, 0)
-    assert (top2["pairs"], top2["pair_hits"]) == (105, 9230)
+                         "spilled", "pairs", "frames", "pair_hits",
+                         "exhaustive"}
+    # the exploration stops at the first mismatching pair, reached by two
+    # rows, after 70 of the 13 rows' pair transitions
+    assert top2["exhaustive"] == {
+        "depth": 2, "fixpoint": False, "pairs": 61, "transitions": 70,
+        "counterexample": [["90.5"], ["90.5"]]}
+    assert top2["exhaustive"] == \
+        json.loads(records[True].splitlines()[0])["diff"]["exhaustive"]
+    # then 10,000 frames of up to 8 rows, sampled from the tables the
+    # exploration filled: 1,365 distinct one-row fold steps, and 9,244 frames
+    # judged from a path the pair table held
+    assert (top2["transitions"], top2["frames"], top2["spilled"]) == \
+        (1365, 10000, 0)
+    assert (top2["pairs"], top2["pair_hits"]) == (105, 9244)
+
+
+def test_a_settled_diff_draws_no_frame(tmp_path, capsys):
+    """discount's exploration reaches a fixpoint: the record says so, and
+    its trace shows that no frame was drawn."""
+    tfile = tmp_path / "triple.json"
+    tfile.write_text(json.dumps({"q": ["r[0] >= 1000.0"], "residual": []}))
+    out = tmp_path / "diff.json"
+    assert run(["diff", "--triple", str(tfile), "--trace", "--out", str(out),
+                fixture_path("discount")]) == 0
+    record, = read_records(out)
+    validate_record(record)
+    exhaustive = {"depth": 1, "fixpoint": True, "pairs": 14,
+                  "transitions": 182}
+    assert record["diff"] == {"trials": 2000, "mismatches": 0, "seed": 0,
+                              "examples": [], "exhaustive": exhaustive}
+    event, = [json.loads(line)
+              for line in capsys.readouterr().err.splitlines()]
+    assert (event["frames"], event["spilled"], event["exhaustive"]) == \
+        (0, 0, exhaustive)

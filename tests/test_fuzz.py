@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pushdown_synth import fuzz, interp
+from pushdown_synth import cli, fuzz, interp
 from pushdown_synth.fuzz import (
     TABLE_BOUND, FoldTables, column_pools, differential_check,
 )
@@ -19,7 +19,7 @@ from pushdown_synth.analysis import build_universes
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.syntax import TTuple
 from pushdown_synth.typecheck import DslTypeError, type_predicate, typecheck
-from pushdown_synth.values import EvalError
+from pushdown_synth.values import EvalError, fmt_value
 from perfbench.tasks import generate_tasks
 
 import fuzz_reference
@@ -68,6 +68,7 @@ def test_zero_trials_empty_report(top2):
     task, universes = top2
     report = differential_check(task, universes, [], [], trials=0, seed=1)
     assert report.trials == 0 and report.mismatch_count == 0
+    assert report.exhaustive is None
 
 
 def test_determinism_under_seed(top2):
@@ -102,12 +103,42 @@ def _triple_indices(task, universes, spec):
             add(universes.u_residual, spec["residual"], {"a": task.acc_type}))
 
 
+SAMPLED = ("trials", "mismatches", "seed", "examples")
+
+
 def _assert_same_report(task, universes, q, res, trials, seed):
+    """The sampled fields of the call are the per-trial loop's, whether
+    the exploration settled it or not, and a counterexample it found
+    mismatches in the per-trial loop's judgement too."""
     got = differential_check(task, universes, q, res, trials=trials, seed=seed)
     want = fuzz_reference.differential_check(task, universes, q, res,
                                              trials=trials, seed=seed)
-    assert got.to_json() == want.to_json()
+    got_json, want_json = got.to_json(), want.to_json()
+    assert {k: got_json[k] for k in SAMPLED} == \
+        {k: want_json[k] for k in SAMPLED}
+    if got.exhaustive is None:
+        return got
+    if "counterexample" in got.exhaustive:
+        assert _reference_differs(task, universes, q, res,
+                                  got.exhaustive["counterexample"])
+    else:  # settled: no frame was drawn
+        assert got.tables["frames"] == got.tables["spilled"] == 0
     return got
+
+
+def _reference_differs(task, universes, q, res, printed):
+    """Whether the per-trial loop judges the frame printed as `printed` a
+    mismatch."""
+    pools = column_pools(task, universes)
+    frame = [tuple(next(v for v in pool if fmt_value(v) == cell)
+                   for pool, cell in zip(pools, row)) for row in printed]
+    return fuzz_reference.differs(task, universes, q, res, frame)
+
+
+def _no_exploration(monkeypatch):
+    """Every call samples from fresh tables, as if its exploration gave up
+    before the first level."""
+    monkeypatch.setattr(FoldTables, "explore", lambda self, limit: None)
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE))
@@ -298,7 +329,9 @@ def test_spilled_frames_give_the_reference_answers(monkeypatch):
     judges the rest whole. top2_wrong's report at 64, and at 16 (full after
     the first frame with a row) the three raising triples' errors, are still
     those of the per-trial loop, the errors raised on spilled frames. A
-    capped count fills only its pair table at 100."""
+    capped count fills only its pair table at 100. The calls sample from
+    fresh tables."""
+    _no_exploration(monkeypatch)
     monkeypatch.setattr(fuzz, "TABLE_BOUND", 64)
     spec = REFERENCE["top2_wrong"]
     task = make_task(spec["fixture"])
@@ -461,33 +494,167 @@ def test_the_walk_loop_draws_the_frames_of_the_sampler(max_len):
     assert rngs[0].getstate() == rngs[1].getstate()
 
 
+# -- what the exploration of the pair table proves
+
+# at 10,000 trials: top2 and discount reach a fixpoint, frequent's and
+# count_taut's counters are explored to `FRAME_ROWS`, top2_wrong stops at its
+# first mismatching pair, and case_a and case_b give up (see `EVALUATIONS`)
+EXPLORED = {
+    "top2": {"depth": 2, "fixpoint": True, "pairs": 36, "transitions": 252},
+    "discount": {"depth": 1, "fixpoint": True, "pairs": 14,
+                 "transitions": 182},
+    "frequent": {"depth": 8, "fixpoint": False, "pairs": 10,
+                 "transitions": 108},
+    "count_taut": {"depth": 8, "fixpoint": False, "pairs": 9,
+                   "transitions": 40},
+    "top2_wrong": {"depth": 2, "fixpoint": False, "pairs": 61,
+                   "transitions": 70, "counterexample": [["90.5"], ["90.5"]]},
+    "case_a": None,
+    "case_b": None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPLORED))
+def test_the_exploration_on_the_reference_triples(kind, monkeypatch):
+    """A settled call draws no frame, walks none and judges none whole."""
+    spec = REFERENCE[kind]
+    task = make_task(spec["fixture"])
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes, spec)
+    settled = EXPLORED[kind] is not None and \
+        "counterexample" not in EXPLORED[kind]
+    if settled:
+        def refused(*args):
+            raise AssertionError("a frame was drawn")
+
+        for name in ("sample_dataframe", "_walker", "frame_judge"):
+            monkeypatch.setattr(fuzz, name, refused)
+    report = differential_check(task, universes, q, res, trials=10000, seed=7)
+    assert report.exhaustive == EXPLORED[kind]
+    assert report.ok == (spec["verdict"] == "solved")
+
+
+# a count of the rows equal to 5 that needs 8 of them: one frame in about
+# 4 * 10^9 has 8 rows that are all 5 (the int pool has 12 values), so
+# sampling misses the mismatch that `Q` makes when it drops one of them
+EIGHT_FIVES = """
+df = (int, bool)
+agg = fold(df, (0,), lambda a, r: (a[0] + 1,) if r[0] == 5 else a)
+out = filter(agg, lambda a: a[0] >= 8)
+"""
+
+
+def test_a_mismatch_on_long_rare_frames_fails_the_record(tmp_path):
+    task = typecheck(parse(EIGHT_FIVES), "eight_fives")
+    universes = build_universes(task)
+    spec = {"q": ["r[0] == 5", "r[1]"], "residual": ["a[0] >= 8"]}
+    q, res = _triple_indices(task, universes, spec)
+    report = _assert_same_report(task, universes, q, res, 2000, 3)
+    assert report.mismatch_count == 0  # as in the per-trial loop
+    frame = [["5", "True"]] * 7 + [["5", "False"]]
+    assert report.exhaustive == {"depth": 8, "fixpoint": False, "pairs": 39,
+                                 "transitions": 710, "counterexample": frame}
+    assert not report.ok
+    source = tmp_path / "eight_fives.pdsl"
+    source.write_text(EIGHT_FIVES)
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps(spec))
+    out = tmp_path / "record.json"
+    assert cli.run(["diff", "--triple", str(triple), "--seed", "3",
+                    "--out", str(out), str(source)]) == 1
+    record = json.loads(out.read_text())
+    assert record["status"] == "fail"
+    diff = record["diff"]
+    assert (diff["mismatches"], diff["examples"]) == (0, [])
+    assert diff["exhaustive"]["counterexample"] == frame
+
+
+# the fold reads past the end of its one-item list on the eighth row equal
+# to 5: one frame in about 10^9 has 8 rows that are all 5 (the pool has 10
+# values)
+EIGHTH_FIVE_RAISES = """
+df = (int,)
+agg = fold(df, (0, [0]), lambda a, r:
+  ((a[0] + 1, a[1]) if a[0] < 7 else (a[0] + a[1][1], a[1]))
+  if r[0] == 5 else a)
+out = filter(agg, lambda a: a[0] >= 3)
+"""
+
+
+def test_an_error_on_an_unsampled_frame_stops_the_exploration():
+    """The exploration gives up at the raise, and the sampled report is the
+    per-trial loop's, which draws no raising frame."""
+    task = typecheck(parse(EIGHTH_FIVE_RAISES), "eighth_five")
+    universes = build_universes(task)
+    with pytest.raises(EvalError, match="list index 1 out of range"):
+        interp.eval_fold(task, [(5,)] * 8)
+    q, res = _triple_indices(task, universes,
+                             {"q": ["r[0] == 5"], "residual": ["a[0] >= 3"]})
+    for seed in range(3):
+        report = _assert_same_report(task, universes, q, res, 2000, seed)
+        assert report.exhaustive is None
+        assert report.tables["frames"] == 2000
+
+
+def test_the_exploration_gives_up_within_its_budget(monkeypatch):
+    """top2's 252 pair transitions are more than 200 trials; case_b's
+    alphabet of 1,107 rows is more than 1,000 trials, so it is never built;
+    and at 10,000 trials case_b's tables are full after 128 transitions.
+    Each call's report is still the per-trial loop's."""
+    explore = FoldTables.explore
+    explored = []
+
+    def tracked(self, limit):
+        result = explore(self, limit)
+        explored.append((result, len(self.rows), self.pair_transitions))
+        return result
+
+    monkeypatch.setattr(FoldTables, "explore", tracked)
+    for kind, trials, rows, transitions in (("top2", 200, 7, 56),
+                                            ("case_b", 1000, 0, 0),
+                                            ("case_b", 10000, 1107, 128)):
+        spec = REFERENCE[kind]
+        task = make_task(spec["fixture"])
+        universes = build_universes(task)
+        q, res = _triple_indices(task, universes, spec)
+        _assert_same_report(task, universes, q, res, trials, 5)
+        assert explored.pop() == (None, rows, transitions)
+
+
 # -- the work the tables save
 
 
 # `eval_fold`, `filter_rows` and `lift_eval` calls at seed 7, 10,000 trials;
-# the per-trial loop took 56,713 fold steps on top2's frames. case_a's
-# tables hold more states than frames judged plus `STATE_SLACK` after 54
-# frames and case_b's after 69: each later frame is judged by one call of
-# the generated judge, and calls none of the three
+# the per-trial loop took 56,713 fold steps on top2's frames. The exploration
+# settles top2, discount, frequent and count_taut: each distinct pair
+# transition of a frame of at most 8 rows is evaluated once, and no frame is
+# drawn. top2_wrong's exploration stops at its first mismatching pair, and
+# its frames are sampled from the tables it filled. case_a's exploration gives
+# up before its second level (87 rows, then 87 times its frontier would pass
+# `TABLE_BOUND`), and case_b's once its tables hold more states than frames
+# judged plus `STATE_SLACK`, after 128 transitions; case_a's tables are full
+# after 19 sampled frames and case_b's before the first. Each later frame is
+# judged by one call of the generated judge, and calls none of the three
 EVALUATIONS = {
     "top2": (252, 7, 44),
     "discount": (182, 13, 17),
-    "case_a": (224, 80, 100),
-    "case_b": (292, 224, 120),
-    "frequent": (77, 12, 13),
+    "case_a": (158, 87, 203),
+    "case_b": (128, 128, 241),
+    "frequent": (108, 12, 17),
     "top2_wrong": (1365, 13, 113),
     "count_taut": (40, 5, 16),
 }
 
-# the tables of three of those calls, the frames the pair table judged
-# (walked or not) among them
+# the tables of three of those calls, the frames the tables judged and those
+# the pair table judged (walked or not) among them
 TABLES = {
     "top2": {"rows": 7, "states": 36, "transitions": 252, "pairs": 36,
-             "pair_hits": 9868, "spilled": 0},
+             "frames": 0, "pair_hits": 0, "spilled": 0},
     "top2_wrong": {"rows": 13, "states": 105, "transitions": 1365,
-                   "pairs": 105, "pair_hits": 9230, "spilled": 0},
+                   "pairs": 105, "frames": 10000, "pair_hits": 9244,
+                   "spilled": 0},
     "count_taut": {"rows": 5, "states": 9, "transitions": 40, "pairs": 9,
-                   "pair_hits": 9982, "spilled": 0},
+                   "frames": 0, "pair_hits": 0, "spilled": 0},
 }
 
 
@@ -526,9 +693,10 @@ def test_folds_each_distinct_transition_once(kind, monkeypatch):
 
 
 def test_the_pair_table_judges_most_top2_frames(monkeypatch):
-    """The call never spills, so it generates no judge. Python draws the
-    first frame and those after a frame that left the pair table; the walk
-    loop draws the rest."""
+    """Sampled from fresh tables, the call never spills, so it generates no
+    judge. Python draws the first frame and those after a frame that left
+    the pair table; the walk loop draws the rest."""
+    _no_exploration(monkeypatch)
     def refused(*args):
         raise AssertionError("a judge was generated")
 
@@ -574,10 +742,11 @@ CONVERGING = ("top2", "discount", "frequent", "count_taut", "top2_wrong")
 
 
 @pytest.mark.parametrize("kind", CONVERGING)
-def test_converging_triples_never_spill(kind):
+def test_converging_triples_never_spill(kind, monkeypatch):
     """These triples' accumulators converge (top2_wrong's tables hold 105
-    states after 10,000 frames, the others' 36 or fewer), so their tables
-    judge every frame."""
+    states after 10,000 frames, the others' 36 or fewer), so their tables,
+    sampled from fresh, judge every frame."""
+    _no_exploration(monkeypatch)
     spec = REFERENCE[kind]
     task = make_task(spec["fixture"])
     universes = build_universes(task)

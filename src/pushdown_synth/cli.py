@@ -11,7 +11,9 @@ import itertools
 import json
 import statistics
 import sys
+import time
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 
 from .analysis import (
@@ -120,20 +122,22 @@ def _trace_fn(args):
     return fn
 
 
-def _run_files(args, paths, run_task, needs_session=True):
+def _run_files(args, paths, run_task, needs_session=True, timed=True):
     """For each file: load the task, build its universes once, and call
     ``run_task(args, task, universes, record, session)`` with a fresh record
     and a solver session (None unless ``needs_session``); the record's
-    ``stats.backend`` names the session's backend. A DSL, SMT-encoding,
-    evaluation, solver, I/O or text-encoding error, or an expression nested
-    past the recursion limit, becomes the file's error record, which keeps
-    the universe sizes if they were built, the stats of the work done
-    before the error and any ``--dump-universe`` dump. Emits and returns
-    the records. The sessions of one run append to one
+    ``stats.backend`` names the session's backend, and its ``stats.wall_ms``
+    the file's elapsed time if ``timed`` (else ``run_task`` sets it). A DSL,
+    SMT-encoding, evaluation, solver, I/O or text-encoding error, or an
+    expression nested past the recursion limit, becomes the file's error
+    record, which keeps the universe sizes if they were built, the stats of
+    the work done before the error and any ``--dump-universe`` dump. Emits
+    and returns the records. The sessions of one run append to one
     ``--smt-log`` transcript, emptied before the first session opens."""
     fresh_log = args.smt_log if needs_session else None
     records = []
     for path in paths:
+        start = time.perf_counter()
         stats = _base_stats((0, 0, 0))  # until the universes are built
         record = {}
         try:
@@ -155,6 +159,8 @@ def _run_files(args, paths, run_task, needs_session=True):
         except RecursionError:
             record = _error_record(path, "expression is nested too deeply",
                                    stats, record)
+        if timed:
+            record["stats"]["wall_ms"] = (time.perf_counter() - start) * 1e3
         records.append(record)
     _emit(records, args)
     return records
@@ -207,7 +213,7 @@ def _synth_task(args, task, universes, record, session):
 
 
 def cmd_synth(args):
-    return _exit_code(_run_files(args, args.files, _synth_task))
+    return _exit_code(_run_files(args, args.files, _synth_task, timed=False))
 
 
 def _parse_triple(path, task, universes):
@@ -302,7 +308,7 @@ def cmd_bench(args):
     if not paths:
         sys.stderr.write(f"no .pdsl files under {args.directory}\n")
         return 2
-    records = _run_files(args, paths, _synth_task)
+    records = _run_files(args, paths, _synth_task, timed=False)
     solved = [r for r in records if r["status"] == "solved"]
     by_mode = {}
     for r in solved:
@@ -343,7 +349,10 @@ def cmd_bench(args):
     return _exit_code(records)
 
 
+@cache
 def build_arg_parser():
+    """The argument parser, built once per process: `run` may be called
+    any number of times."""
     parser = argparse.ArgumentParser(
         prog="pushdown-synth",
         description="Synthesize optimal pushdown decompositions for fold "

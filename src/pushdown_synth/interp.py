@@ -45,7 +45,14 @@ Neumann, VLDB 2011); `lift_eval` runs one generated conjunction.
 `judge` function folds the original and the `Q`-filtered accumulators in one
 loop, `Q` inlined, then tests `P` and `P'` and compares the lifted
 results. `truth` reads a whole universe in one call: bit k of its result is
-the truth of atom k, so the synthesizer's atom sets are ints."""
+the truth of atom k, so the synthesizer's atom sets are ints.
+
+Generated functions are cached per root. Their compiled code is shared per
+source text, in a bounded cache: roots that differ only in their constants,
+such as `x + 1 > 2` and `x + 3 > 4`, generate the same source, and a process
+that evaluates a task again reuses its code. Each reuse renames the code to
+its own generation's `<dsl line:col #n>`, under which its source is in
+`linecache` while its roots live."""
 
 from __future__ import annotations
 
@@ -54,7 +61,9 @@ import linecache
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from types import CodeType
 
 from .syntax import (
     LITERAL_TYPES, OPERATORS, BinOp, Cond, CoerceSome, Expr, Index, Insert,
@@ -300,6 +309,22 @@ _SPLIT_DEPTH = 24  # tree levels per generated function; see `_Generator.emit`
 _SERIAL = itertools.count(1)
 
 
+@lru_cache(maxsize=64)
+def _code(source):
+    """The compiled code of a generated source. The source names each
+    constant by a generated identifier, bound in the namespace of the
+    generation that runs it, so roots that differ only in constants share
+    it."""
+    return compile(source, "<dsl>", "exec")
+
+
+def _renamed(code, filename):
+    """`code` and every function code nested in it, named `filename`."""
+    return code.replace(co_filename=filename, co_consts=tuple(
+        _renamed(c, filename) if isinstance(c, CodeType) else c
+        for c in code.co_consts))
+
+
 class _Generator:
     """Builds and compiles the source of one generated function.
 
@@ -341,7 +366,7 @@ class _Generator:
         source = "".join(self.defs)
         span = f"{self.roots[0].span} " if self.roots else ""
         filename = f"<dsl {span}#{next(_SERIAL)}>"
-        exec(compile(source, filename, "exec"), self.namespace)
+        exec(_renamed(_code(source), filename), self.namespace)
         # the source stays readable to tracebacks and profilers while the
         # roots live
         linecache.cache[filename] = (len(source), None,

@@ -1,13 +1,16 @@
 """Command-line behavior: subcommands, exit codes, record schema."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pushdown_synth import cli
+from pushdown_synth import cli, interp
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.builtin import BuiltinSession
 from pushdown_synth.cli import run
@@ -28,6 +31,28 @@ def fixture_path(name):
 
 def read_records(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def untimed(path):
+    """The records of `path` as JSON text without `stats.wall_ms`, the one
+    field that differs between two runs of a command."""
+    records = read_records(path)
+    for record in records:
+        del record["stats"]["wall_ms"]
+    return [json.dumps(record) for record in records]
+
+
+def reference_triples():
+    return json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "reference.json").read_text())["triples"]
+
+
+def triple_file(tmp_path, kind, spec):
+    """The file of a reference triple's `q` and `residual`."""
+    tfile = tmp_path / f"{kind}.json"
+    tfile.write_text(json.dumps({"q": spec["q"],
+                                 "residual": spec["residual"]}))
+    return tfile
 
 
 def test_synth_top2(tmp_path):
@@ -499,17 +524,13 @@ def test_diff_records_match_the_schema(tmp_path):
     """A `diff` settled by exploration (discount), one sampled after the
     exploration found a counterexample (top2_wrong) and one whose tables
     spill (case_b) validate; a depth that is not an integer does not."""
-    triples = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
-                          / "reference.json").read_text())["triples"]
+    triples = reference_triples()
     records = {}
     for kind in ("discount", "top2_wrong", "case_b"):
         spec = triples[kind]
-        tfile = tmp_path / f"{kind}.json"
-        tfile.write_text(json.dumps({"q": spec["q"],
-                                     "residual": spec["residual"]}))
         out = tmp_path / f"{kind}.ndjson"
-        run(["diff", "--triple", str(tfile), "--out", str(out),
-             fixture_path(spec["fixture"])])
+        run(["diff", "--triple", str(triple_file(tmp_path, kind, spec)),
+             "--out", str(out), fixture_path(spec["fixture"])])
         records[kind], = read_records(out)
         validate_record(records[kind])
     assert records["discount"]["diff"]["exhaustive"]["fixpoint"]
@@ -788,8 +809,9 @@ def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
         out = tmp_path / f"diff{len(trace)}.json"
         run(["diff", "--triple", str(tfile), "--trials", "10000", "--seed",
              "7", *trace, "--out", str(out), fixture_path("top2"), str(copy)])
-        records[bool(trace)] = out.read_text()
-    assert records[True] == records[False]  # tracing leaves records alone
+        records[bool(trace)] = out
+    # tracing leaves records alone
+    assert untimed(records[True]) == untimed(records[False])
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert len(events) == 2 and events[0] == {**events[1], "task": "top2"}
     top2 = events[0]
@@ -803,7 +825,7 @@ def test_diff_trace_reports_the_fuzz_tables(tmp_path, capsys):
         "depth": 2, "fixpoint": False, "pairs": 61, "transitions": 70,
         "counterexample": [["90.5"], ["90.5"]]}
     assert top2["exhaustive"] == \
-        json.loads(records[True].splitlines()[0])["diff"]["exhaustive"]
+        read_records(records[True])[0]["diff"]["exhaustive"]
     # then 10,000 frames of up to 8 rows, sampled from the tables the
     # exploration filled: 1,365 distinct one-row fold steps, and 9,244 frames
     # judged from a path the pair table held
@@ -830,3 +852,57 @@ def test_a_settled_diff_draws_no_frame(tmp_path, capsys):
               for line in capsys.readouterr().err.splitlines()]
     assert (event["frames"], event["spilled"], event["exhaustive"]) == \
         (0, 0, exhaustive)
+
+
+@pytest.mark.parametrize("command", ["diff", "verify", "screen"])
+def test_a_record_outside_synth_holds_its_file_time(tmp_path, command):
+    spec = reference_triples()["discount"]
+    triple = ["--triple", str(triple_file(tmp_path, "discount", spec))]
+    options = {"diff": ["--trials", "100", *triple],
+               "verify": ["--solver", "builtin", *triple],
+               "screen": ["--solver", "builtin"]}[command]
+    out = tmp_path / "record.json"
+    run([command, *options, "--out", str(out), fixture_path("discount")])
+    record, = read_records(out)
+    validate_record(record)
+    assert record["stats"]["wall_ms"] > 0
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    """After a usage error and `--help` in this process, a valid `diff`
+    gives the record that a fresh process gives."""
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+    spec = reference_triples()["top2_wrong"]
+    argv = ["diff", "--triple", str(triple_file(tmp_path, "top2_wrong", spec)),
+            fixture_path("top2")]
+    assert run([*argv[:1], "--trials", "-1", *argv[1:]]) == 2
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pushdown-synth")
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert run([*argv, "--out", str(here)]) == 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from pushdown_synth.cli import "
+         "run; sys.exit(run(sys.argv[1:]))", *argv, "--out", str(fresh)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))})
+    assert untimed(here) == untimed(fresh)
+    assert cli.build_arg_parser.cache_info().misses == 1
+
+
+def test_a_repeated_diff_gives_the_same_record(tmp_path):
+    """Two `diff` runs in one process on each reference triple give the
+    same record: neither the parser nor the generated code shared by
+    source text keeps state from the first. The second compiles no
+    source."""
+    for kind, spec in reference_triples().items():
+        argv = ["diff", "--triple", str(triple_file(tmp_path, kind, spec)),
+                fixture_path(spec["fixture"])]
+        outs = [tmp_path / f"{kind}{k}.ndjson" for k in range(2)]
+        compiles = []
+        for out in outs:
+            code = run([*argv, "--out", str(out)])
+            assert code == (0 if spec["verdict"] == "solved" else 1)
+            compiles.append(interp._code.cache_info().misses)
+        assert compiles[0] == compiles[1]
+        assert untimed(outs[0]) == untimed(outs[1])

@@ -952,28 +952,61 @@ def test_discount_boxes_a_fraction_only_where_it_is_kept(monkeypatch):
     assert source.count("_Fraction(") == 1
 
 
-@pytest.mark.parametrize("source,env", [
-    ("1.0 / a[0] > 2.0", {"a": (Fraction(0),)}),
-    ("y > 1", {"x": 1}),
-], ids=["helper", "unbound"])
-def test_tracebacks_name_the_dsl_expression(source, env):
-    expr = parse_expression(source)
-    with pytest.raises(values.EvalError) as info:
-        interp.eval_expr(expr, env)
-    text = "".join(traceback.format_exception(info.value))
-    assert f'File "<dsl {expr.span} #' in text
-    assert "return " in text  # the generated line, read from linecache
+# two roots on different lines whose generated source is the same: they
+# differ only in their constants
+TWINS = ("x + 1 > 2", "\n\n  x + 3 > 2")
+
+
+def test_roots_with_the_same_source_share_one_compile(monkeypatch):
+    compiles = []
+
+    def counted(*args):
+        compiles.append(args[0])
+        return compile(*args)
+
+    interp._code.cache_clear()
+    monkeypatch.setattr(interp, "compile", counted, raising=False)
+    first, second = map(parse_expression, TWINS)
+    fns = interp.compiled(first), interp.compiled(second)
+    assert len(compiles) == 1
+    # each answers with its own constants: x + 1 > 2 and x + 3 > 2
+    assert [fn({"x": 0}) for fn in fns] == [False, True]
+    assert [fn({"x": 2}) for fn in fns] == [True, True]
+    assert fns[0].__code__.co_code == fns[1].__code__.co_code
+    assert fns[0].__code__.co_filename != fns[1].__code__.co_filename
+
+
+@pytest.mark.parametrize("source,env,twin", [
+    ("1.0 / a[0] > 2.0", {"a": (Fraction(0),)}, None),
+    ("y > 1", {"x": 1}, None),
+    ("\n  y + 3 > 2", {"x": 1}, "y + 1 > 2"),
+], ids=["helper", "unbound", "shared"])
+def test_tracebacks_name_the_dsl_expression(source, env, twin):
+    """With `twin`, a root on another line that generates the same source
+    is evaluated first; each traceback names its own root's span."""
+    for expr in map(parse_expression, filter(None, (twin, source))):
+        with pytest.raises(values.EvalError) as info:
+            interp.eval_expr(expr, env)
+        text = "".join(traceback.format_exception(info.value))
+        assert f'File "<dsl {expr.span} #' in text
+        assert "return " in text  # the generated line, read from linecache
 
 
 def test_generated_source_leaves_linecache_with_its_root():
-    expr = parse_expression("x + 1 > 2")
-    filenames = [fn.__code__.co_filename for fn in
-                 (interp.compiled(expr), interp._kernel(interp._TEST, expr))]
-    assert len(set(filenames)) == 2
-    assert all(name in linecache.cache for name in filenames)
-    del expr
-    gc.collect()
-    assert not any(name in linecache.cache for name in filenames)
+    """The source of each generated function is in linecache while its root
+    lives: for one root, and for two whose functions share their code."""
+    for sources in (TWINS[:1], TWINS):
+        roots = list(map(parse_expression, sources))
+        filenames = [[fn.__code__.co_filename for fn in (
+            interp.compiled(expr), interp._kernel(interp._TEST, expr))]
+            for expr in roots]
+        assert len(set(sum(filenames, []))) == 2 * len(roots)
+        for k in range(len(roots)):
+            assert all(name in linecache.cache
+                       for names in filenames[k:] for name in names)
+            roots[k] = None
+            gc.collect()
+            assert not any(name in linecache.cache for name in filenames[k])
 
 
 def test_generated_functions_leave_the_cache_with_their_root():

@@ -61,11 +61,13 @@ from .interp import LiftResult, eval_fold, filter_rows, frame_judge, lift_eval
 from .syntax import Lit, TBool, TFloat, TInt, TOpt, TStr, walk
 from .values import NONE, Some, fmt_value, values_equal
 
-# The tables of one `differential_check` call only grow. From the first pair
-# transition that could take them past this many transitions, pair
-# transitions or rows, the exploration gives up and the call judges every
-# frame whole; the states and the pairs never outnumber their transitions by
-# more than one (Bottom, and the pair of two Bottoms).
+# The tables of one `differential_check` call only grow, and no table grows
+# past this many entries. The exploration gives up, and the call judges
+# every frame whole, before a level whose pair transitions (its frontier
+# times the alphabet, so the rows too) would pass it, and before a pair
+# transition whose fold steps could take the transitions past it; the states
+# and the pairs never outnumber their transitions by more than one (Bottom,
+# and the pair of two Bottoms).
 TABLE_BOUND = 4096
 # The tables are also full once they hold more accumulator states than this:
 # the accumulators then rarely repeat, and a frame's path would rarely repeat
@@ -274,9 +276,10 @@ class FoldTables:
     rewritten one). A frame whose whole path is in `psucc` costs one dict
     lookup per row.
 
-    The tables only grow, and `full` tells `explore` to give up once the
-    next transition could take one past `TABLE_BOUND`, or once they hold
-    more than `STATE_SLACK` states, so that a frame's path would rarely
+    The tables only grow. `explore` bounds each level's pair transitions,
+    and `full` tells it to give up once the next pair transition's fold
+    steps could take the transitions past `TABLE_BOUND`, or once the tables
+    hold more than `STATE_SLACK` states, so that a frame's path would rarely
     repeat. Then, as RE2's lazy DFA stops building its state cache when it
     thrashes and runs a direct matcher (Cox, 2010), the caller judges every
     frame whole.
@@ -323,16 +326,15 @@ class FoldTables:
                 "transitions": self.transitions, "pairs": len(self.pairs)}
 
     def full(self):
-        """Whether one more pair transition could take a table past
-        `TABLE_BOUND` (it adds one pair transition and at most two
-        transitions, its two fold steps, to the alphabet's rows), or the
-        tables hold more than `STATE_SLACK` states. The states of a
-        converging fold stop growing long before; those of a fold whose
-        accumulators rarely repeat reach the cap long before their volume
-        would reach `TABLE_BOUND`."""
-        return (len(self.rows) + 1 > TABLE_BOUND
-                or self.transitions + 2 > TABLE_BOUND
-                or self.pair_transitions + 1 > TABLE_BOUND
+        """Whether one more pair transition could take the transitions past
+        `TABLE_BOUND` (it adds at most two, its two fold steps), or the
+        tables hold more than `STATE_SLACK` states. The rows and the pair
+        transitions need no check here: `explore` builds the alphabet and
+        starts a level only if the level's pair transitions stay within
+        `TABLE_BOUND`. The states of a converging fold stop growing long
+        before; those of a fold whose accumulators rarely repeat reach the
+        cap long before their volume would reach `TABLE_BOUND`."""
+        return (self.transitions + 2 > TABLE_BOUND
                 or len(self.values) > STATE_SLACK)
 
     def _step(self, state, rid):

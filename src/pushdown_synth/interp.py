@@ -37,6 +37,23 @@ operand is first tested with `is` for UNDEF (only in a root that holds a
 domain's order and arithmetic raises. `==`, `/` and arithmetic between two
 non-literal numbers keep Python's operators or their helpers.
 
+A `Some` is allocated inline, `(_put(t := _new(_Some), x) or t)`: a bare
+`object.__new__` instance, its `value` slot set by the slot's own setter,
+with no call of the dataclass's `__init__`. It equals `Some(x)` in type,
+`==`, hash and repr, and stays frozen.
+
+A `match` on a pure read, a local or a constant index of a tuple-typed
+local, tests it once per root (dominator-based value numbering; Click, PLDI
+1995). Such a scrutinee is keyed by `(local, index)`, not by its source
+text, in which every constant has a name of its own. A later match on the
+same key that an earlier one dominates, one whose evaluation is certain to
+come after the earlier one's, reuses its `_s`/`_b` locals: inside one of
+its branches it is just that branch, and elsewhere `(none_body if _s is
+_NONE else bind_body)`, with no `isinstance`, payload read or raise, since
+the earlier test has already raised on a value that is neither. What a
+root knows holds to its end, or to the end of a split-off function, and
+never leaves a `Cond` or `match` branch.
+
 `eval_fold` and `filter_rows` each run one generated loop over the rows,
 with the fold step or the conjunction of the row predicates inlined in its
 body (per-row code fused into the loop, as in data-centric query compilation;
@@ -296,7 +313,11 @@ def _insert(seq, val):
     return seq[:lo] + [val] + seq[lo:]
 
 
+# `_new` and `_put` build a `Some` without its `__init__`: a bare instance,
+# then its value set by the slot's own descriptor, which the frozen
+# `__setattr__` does not guard
 _RUNTIME = {"_U": UNDEF, "_NONE": NONE, "_NI": NEG_INF, "_Some": Some,
+            "_new": object.__new__, "_put": Some.__dict__["value"].__set__,
             "_Fraction": Fraction, "_fail": _fail, "_index": _index,
             "_suffix": _suffix, "_insert": _insert,
             "_values_equal": values_equal}
@@ -344,6 +365,10 @@ class _Generator:
         self.namespace = dict(_RUNTIME)
         self.defs = []
         self.pending = []  # split-off subtrees: (name, args, expr, scope, guard)
+        # scrutinee key -> (`_s` local, `_b` local, the branch taken: "none",
+        # "some" or None outside both) of each match whose test has run; see
+        # `match`
+        self.tested = {}
         self._fresh = itertools.count()
 
     def fresh(self, prefix):
@@ -362,6 +387,7 @@ class _Generator:
         self.define("_dsl", args, lines)
         while self.pending:
             name, args, expr, scope, self.guard = self.pending.pop()
+            self.tested = {}
             self.define(name, args, [f"return {self.emit(expr, scope, 0)}"])
         source = "".join(self.defs)
         span = f"{self.roots[0].span} " if self.roots else ""
@@ -453,8 +479,10 @@ class _Generator:
                 f"        {self.fail(_BAD_ROW)}", f"    {r} = tuple(_row)"]
 
     def root(self, expr: Expr, scope: dict) -> str:
-        """The source of one root, with `guard` set for it."""
+        """The source of one root, with `guard` set for it and no scrutinee
+        tested yet."""
         self.guard = any(isinstance(node, SomeVal) for node in walk(expr))
+        self.tested = {}
         return self.emit(expr, scope, 0)
 
     def conjunction(self, scope, roots=None) -> str:
@@ -515,8 +543,8 @@ class _Generator:
             return self.binop(expr, scope, depth)
         if isinstance(expr, Cond):
             test = self.emit(expr.test, scope, depth)
-            then = self.emit(expr.then, scope, depth)
-            other = self.emit(expr.other, scope, depth)
+            then = self.branch(expr.then, scope, depth)
+            other = self.branch(expr.other, scope, depth)
             if not guard:
                 return f"({then} if {test} else {other})"
             t = self.fresh("_t")
@@ -547,7 +575,9 @@ class _Generator:
             item = self.emit(expr.item, scope, depth)
             return f"_insert({target}, {item})"
         if isinstance(expr, CoerceSome):
-            return f"_Some({self.emit(expr.operand, scope, depth)})"
+            t = self.fresh("_t")
+            operand = self.emit(expr.operand, scope, depth)
+            return f"(_put({t} := _new(_Some), {operand}) or {t})"
         if isinstance(expr, SomeVal):
             operand = self.emit(expr.operand, scope, depth)
             t = self.fresh("_t")
@@ -674,14 +704,63 @@ class _Generator:
             return y
         return f"{x} * {y}"
 
+    def branch(self, expr: Expr, scope, depth, key=None, fact=None):
+        """The source of a subtree that runs only on one branch of a `Cond`
+        or `match`, with `fact` known of the scrutinee `key` in it: what it
+        learns of the scrutinees it tests does not leave it."""
+        known = self.tested
+        self.tested = {**known, key: fact} if key is not None else dict(known)
+        source = self.emit(expr, scope, depth)
+        self.tested = known
+        return source
+
+    @staticmethod
+    def read_key(expr: Expr, scope: dict):
+        """`(local, index)` for a scrutinee that reads a constant index of a
+        tuple-typed local, `(local, None)` for one that reads a local; else
+        None."""
+        index = None
+        if isinstance(expr, Index) and isinstance(expr.base.ty, TTuple):
+            expr, index = expr.base, expr.index
+        local = scope.get(expr.ident) if isinstance(expr, Name) else None
+        return None if local is None else (local, index)
+
     def match(self, expr: Match, scope, depth):
-        scrutinee = self.emit(expr.scrutinee, scope, depth)
+        """A test of the scrutinee for None, else for a `Some` whose payload
+        the bind case's binder takes, else a raise.
+
+        A scrutinee that is a pure read, a local or a constant index of a
+        tuple-typed local, is keyed by `(local, index)` in `tested` once its
+        test has run: a later match on it in the same root, which that test
+        dominates (its evaluation is certain to come first), reuses its
+        `_s`/`_b` locals and tests nothing the first did not. Inside a
+        branch of the first it is just that branch; elsewhere it is
+        `none_body if _s is _NONE else bind_body`, as a value that is
+        neither has already raised. The facts hold until the end of the root
+        or the split-off function, and never leave a branch."""
         none_case = next(c for c in expr.cases if c.pattern is None)
         bind_case = next(c for c in expr.cases if c.pattern is not None)
-        none_body = self.emit(none_case.body, scope, depth)
-        s, binder = self.fresh("_s"), self.fresh("_b")
-        bind_body = self.emit(bind_case.body,
-                              {**scope, bind_case.pattern: binder}, depth)
+        key = self.read_key(expr.scrutinee, scope)
+        known = self.tested.get(key)
+        if known is None:
+            scrutinee = self.emit(expr.scrutinee, scope, depth)
+            s, binder = self.fresh("_s"), self.fresh("_b")
+            taken = None
+        else:
+            s, binder, taken = known
+        bound = {**scope, bind_case.pattern: binder}
+        if taken is not None:  # inside the first match's branch
+            if taken == "none":
+                return self.emit(none_case.body, scope, depth)
+            return self.emit(bind_case.body, bound, depth)
+        none_body = self.branch(none_case.body, scope, depth, key,
+                                (s, binder, "none"))
+        bind_body = self.branch(bind_case.body, bound, depth, key,
+                                (s, binder, "some"))
+        if known is not None:
+            return f"({none_body} if {s} is _NONE else {bind_body})"
+        if key is not None:
+            self.tested[key] = s, binder, None
         not_optional = self.fail("match scrutinee is not Optional")
         # `(b := payload) is b` always holds: it binds the payload before
         # the body runs

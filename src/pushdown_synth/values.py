@@ -46,6 +46,10 @@ class _NoneVal:
 NONE = _NoneVal()
 
 
+# Generated kernels (`interp`) allocate a `Some` without `__init__`: a bare
+# `object.__new__` instance whose `value` slot is set through the slot's
+# descriptor. So it must stay a plain frozen record of that one slot, with no
+# `__post_init__` and no other field.
 @dataclass(frozen=True, slots=True)
 class Some:
     value: "Value"

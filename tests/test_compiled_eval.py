@@ -6,6 +6,7 @@ the same value (compared by `repr`, so types count too), the same UNDEF, and
 the same exception with the same message.
 """
 
+import dataclasses
 import gc
 import itertools
 import linecache
@@ -488,6 +489,121 @@ def test_nested_match_in_a_kernel():
         (Some(4), Some(3)))).is_bottom
 
 
+# Scrutinees tested once per root: a later match on a local, or on a constant
+# index of a tuple-typed one, reuses the test of an earlier match it is
+# certain to run after. Each case runs as a fold step, where `a` and `r` are
+# locals, and is checked against the walker; an int stands where an
+# Optional belongs.
+
+OPT_PAIR = {"a": TTuple((TOpt(INT), TOpt(INT))), "r": TTuple((INT,))}
+OPT_STATES = list(itertools.product((NONE, Some(-2), Some(7), 5), repeat=2))
+NOT_OPTIONAL = ("EvalError", "match scrutinee is not Optional")
+
+
+def _opt_step(source):
+    return type_predicate(parse_expression(source), OPT_PAIR, expect=None)
+
+
+def _step_outcome(expr, a, row):
+    """The fold kernel's step on `row` from `a`, against the walker's."""
+    fold = interp._kernel(interp._FOLD, expr)
+    compiled = _outcome(lambda: fold([row], a, len(row)))
+    assert compiled == _outcome(tree_eval.eval_expr, expr,
+                                {"a": a, "r": tuple(row)}), (a, row)
+    return compiled
+
+
+def _scrutinee_tests(fn):
+    """How many scrutinee tests a generated function's source holds."""
+    return len(re.findall(r"isinstance\(_s\d+, _Some\)", _source_of(fn)))
+
+
+# (source, scrutinee tests in its fold kernel): a[0] matched again in a
+# later tuple item and inside a[1]'s match; a[0] matched in an untaken
+# `Cond` branch or `match` branch, then again after it, which tests again
+REMATCHES = [
+    ("((match a[0]: case None: r[0] case v: v + r[0]),"
+     " (match a[0]: case None: 0 case w: w * 2),"
+     " (match a[1]: case None: 1 case u:"
+     "  (match a[0]: case None: u case v: v - u)))", 2),
+    ("((match a[0]: case None: 0 case v: v) if r[0] > 0 else 5,"
+     " (match a[0]: case None: 1 case w: w))", 2),
+    ("((match a[1]: case None: (match a[0]: case None: 0 case v: v)"
+     "  case u: u),"
+     " (match a[0]: case None: 1 case w: w))", 3),
+]
+
+
+@pytest.mark.parametrize("source,tests", REMATCHES,
+                         ids=["later-item", "after-cond", "after-match"])
+def test_a_scrutinee_matched_again_agrees_with_walker(source, tests):
+    expr = _opt_step(source)
+    outcomes = {_step_outcome(expr, a, row)
+                for a in OPT_STATES for row in ((0,), (3,))}
+    assert NOT_OPTIONAL in outcomes and len(outcomes) > 2
+    assert _scrutinee_tests(interp._kernel(interp._FOLD, expr)) == tests
+
+
+def test_case_a_cross_matches_agree_with_walker():
+    """case_a's step matches a[2] and then a[3] inside it, and a[3] and
+    then a[2] inside it, which reuses the first test of a[2]; every mix of
+    None, payloads and a non-Optional in the two fields."""
+    task = make_task("case_a")
+    fields = (NONE, Some(1985), Some(1999), Some(2003), 1990)
+    outcomes = set()
+    for lo, hi in itertools.product(fields, repeat=2):
+        for row in (("time", 1970), ("price", 1990), ("x", 2010)):
+            outcomes.add(_step_outcome(task.f_body, (2, 3, lo, hi), row))
+    assert NOT_OPTIONAL in outcomes and len(outcomes) > 10
+
+
+def test_a_rematch_split_past_the_depth_tests_again():
+    """A chain of `Cond`s deeper than `_SPLIT_DEPTH` ends in two matches on
+    a[0]: the split-off function that holds them cannot see the first
+    item's test, so it tests once itself and reuses that test."""
+    inner = ("(match a[0]: case None: 0 case v: v)"
+             " + (match a[0]: case None: 1 case w: w)")
+    for k in range(interp._SPLIT_DEPTH + 6):
+        inner = f"({k} if r[0] > {k} else {inner})"
+    expr = _opt_step(f"((match a[0]: case None: 0 case v: v), {inner})")
+    for a in OPT_STATES:
+        for row in ((-1,), (4,)):
+            _step_outcome(expr, a, row)
+    fn = interp._kernel(interp._FOLD, expr)
+    assert _source_of(fn).count("def ") > 1
+    assert _scrutinee_tests(fn) == 2
+
+
+def test_an_undefined_scrutinee_raises_as_the_walker_does():
+    """In a guarded root a binder may hold UNDEF, the payload of `Some`
+    around an undefined `SomeVal`: the first match on it raises, and the
+    second, which reuses its test, is never reached."""
+    expr = parse_expression(
+        "match a[0]: case None: 0 case w:"
+        " (match w: case None: 1 case u: 2) + (match w: case None: 3"
+        " case u: 4)")
+    expr.scrutinee = CoerceSome(operand=SomeVal(operand=expr.scrutinee))
+    outcomes = [_step_outcome(expr, (x,), ())
+                for x in (NONE, Some(NONE), Some(Some(5)), Some(7))]
+    assert outcomes == [NOT_OPTIONAL, ("value", "4"), ("value", "6"),
+                        NOT_OPTIONAL]
+    assert _scrutinee_tests(interp._kernel(interp._FOLD, expr)) == 2
+
+
+def test_a_kernel_built_some_is_a_some():
+    """case_b's step builds its `Some`s inline, without `__init__`: each is
+    a `Some` in type, equality, hash and repr, and stays frozen."""
+    built = interp.eval_fold(make_task("case_b"), [(Fraction(7), 40)]).value
+    some = built[1]
+    assert type(some) is Some
+    assert some == Some(40) and Some(40) == some and some != Some(41)
+    assert hash(some) == hash(Some(40)) and repr(some) == "Some(40)"
+    assert values.values_equal(some, Some(40))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        some.value = 41
+    assert some.value == 40
+
+
 HOSTILE = 'say "hi"\n__import__(\'os\').system("true")'
 
 
@@ -641,11 +757,27 @@ def _kernel_sources(name):
         "judge": interp._kernel(interp._JUDGE, task.f_body, *q,
                                 *task.post_conjuncts, *res,
                                 groups=(len(q), len(task.post_conjuncts))),
-        "expr": interp.compiled(q[0]),
+        **({"expr": interp.compiled(q[0])} if q else {}),
         **{f"truth-{u.role}": interp.truth(u) for u in
            (universes.u_q, universes.u_residual, universes.u_psi)},
     }
     return {shape: _source_of(fn) for shape, fn in kernels.items()}
+
+
+@pytest.mark.parametrize("name,tests", [("case_a", 3), ("case_b", 2)])
+def test_each_scrutinee_is_tested_once_per_fold_step(name, tests):
+    """case_b's step matches a[1] and a[3] twice each, and case_a's matches
+    a[2] a second time where its first test has run: their fold kernels
+    test 2 and 3 scrutinees, not 4 each."""
+    task = make_task(name)  # the source stays in linecache while it lives
+    assert _scrutinee_tests(interp._kernel(interp._FOLD, task.f_body)) == \
+        tests
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kernels_allocate_some_inline(name):
+    for shape, source in _kernel_sources(name).items():
+        assert "_Some(" not in source, shape
 
 
 @pytest.mark.parametrize("name", ["top2", "discount"])

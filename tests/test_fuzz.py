@@ -6,6 +6,7 @@ import random
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -748,6 +749,35 @@ def test_tables_stay_within_their_bound_on_case_b(monkeypatch):
     assert tables["spilled"] == 10000
     assert max(tables["rows"], tables["states"] - 1, tables["transitions"],
                tables["pairs"] - 1) <= TABLE_BOUND
+
+
+def test_an_alphabet_as_large_as_the_bound_explores_its_first_level(
+        monkeypatch):
+    """With `TABLE_BOUND` at case_a's alphabet of 87 rows, the first level
+    fits the bound: the exploration builds the alphabet and steps each row
+    from Bottom, one fold step a row, up to the last, whose two fold steps
+    the fold-transition check reserves. No rows or pair-transition check
+    stops it at its first transition. The report is the per-trial loop's."""
+    spec = REFERENCE["case_a"]
+    task = make_task(spec["fixture"])
+    universes = build_universes(task)
+    q, res = _triple_indices(task, universes, spec)
+    size = prod(map(len, column_pools(task, universes)))
+    assert size == 87
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", size)
+    explore = FoldTables.explore
+    explored = []
+
+    def tracked(self, limit):
+        result = explore(self, limit)
+        explored.append((result, len(self.rows), self.pair_transitions,
+                         self.transitions))
+        return result
+
+    monkeypatch.setattr(FoldTables, "explore", tracked)
+    report = _assert_same_report(task, universes, q, res, 2000, 7)
+    assert explored == [((None, False), size, size - 1, size - 1)]
+    assert report.tables["spilled"] == 2000
 
 
 # -- when a call spills on state growth

@@ -10,7 +10,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional as Opt
+from operator import attrgetter
+from typing import NamedTuple, Optional as Opt
 
 from .syntax import (
     BOOL, FLOAT, INT, MIRRORED, OPERATORS,
@@ -57,18 +58,23 @@ def mk_eq(a: Expr, b: Expr) -> Expr:
 
 
 class NormalMemo:
-    """Normal forms and canonical keys, memoized by node identity.
+    """Normal forms, canonical keys and disjunct facts, memoized by node
+    identity. `normalize` and `expr_key` make a memo per call unless given
+    one; `build_universes` passes one to every call of the build, so each
+    part its candidates share is normalized and keyed once. An entry holds
+    its node, so no id is reused while the memo lives; a node must not
+    change once memoized.
 
-    `normalize` and `expr_key` make a memo per call unless given one. A
-    universe build passes one memo to all of its calls, so each typed part
-    its candidates share is normalized and keyed once. An entry holds its
-    node, so no id is reused while the memo lives; a node must not change
-    once memoized, and the memo is dropped with the build."""
+    An `or`'s disjuncts are the normal forms of its raw leaves, each
+    flattened (`disjuncts`), never a part's already reduced `or`: `x > 3 or
+    x == 5` is `x > 3`, yet beside `not (x == 5)` the whole is a tautology
+    only while `x == 5` stays. `facts` keeps what `_or_core` reads of one."""
 
     def __init__(self):
         self._forms = {}
         self._keys = {}
-        self._negated_keys = {}
+        self._facts = {}
+        self._disjuncts = {}
 
     def normalize(self, e: Expr) -> Expr:
         hit = self._forms.get(id(e))
@@ -82,13 +88,41 @@ class NormalMemo:
             hit = self._keys[id(e)] = (e, _key(e, self))
         return hit[1]
 
-    def negated_key(self, e: Expr) -> str:
-        """The key of the normal form of `e`'s negation."""
-        hit = self._negated_keys.get(id(e))
+    def facts(self, e: Expr) -> Facts:
+        hit = self._facts.get(id(e))
         if hit is None:
-            key = self.key(self.normalize(negate(e)))
-            hit = self._negated_keys[id(e)] = (e, key)
+            term = number = None
+            if isinstance(e, BinOp) and e.op in MIRRORED:
+                number = _const_of(e.right)
+                if number is not None:
+                    term = self.key(e.left)
+            negated = self.key(self.normalize(negate(e)))
+            hit = Facts(self.key(e), negated, e, term, number)
+            self._facts[id(e)] = hit
+        return hit
+
+    def disjuncts(self, e: Expr) -> tuple:
+        """The facts of the normal forms of `e`'s raw `or` leaves, each
+        flattened, in order."""
+        hit = self._disjuncts.get(id(e))
+        if hit is None:
+            if isinstance(e, BinOp) and e.op == "or":
+                out = self.disjuncts(e.left) + self.disjuncts(e.right)
+            else:
+                out = tuple(map(self.facts, _flatten("or", self.normalize(e))))
+            hit = self._disjuncts[id(e)] = (e, out)
         return hit[1]
+
+
+class Facts(NamedTuple):
+    """What `_or_core` reads of a disjunct: its key, the key of its
+    negation's normal form, the node, and, when it compares a term with a
+    number, the term's key and the number."""
+    key: str
+    negated: Opt[str]
+    node: Expr
+    term: Opt[str] = None
+    number: Opt[Fraction] = None
 
 
 def expr_key(e: Expr, memo: Opt[NormalMemo] = None) -> str:
@@ -167,14 +201,19 @@ def _normalize(e: Expr, memo: NormalMemo) -> Expr:
     if isinstance(e, Not):
         neg = negate(memo.normalize(e.operand))
         return neg if isinstance(neg, Not) else memo.normalize(neg)
-    if isinstance(e, BinOp) and e.op in ("and", "or"):
+    if isinstance(e, BinOp) and e.op == "or":
+        out = _or_core(memo.disjuncts(e), memo)
+        return bool_lit(True) if out is None else mk_or(*(f.node for f in out))
+    if isinstance(e, BinOp) and e.op == "and":
         # a literal may itself normalize into a chain of the same operator
-        lits = [
-            sub
-            for x in _flatten(e.op, e)
-            for sub in _flatten(e.op, memo.normalize(x))
-        ]
-        return _rebuild_chain(e.op, lits, memo)
+        out = {}
+        for x in _flatten("and", e):
+            for lit in _flatten("and", memo.normalize(x)):
+                if not (isinstance(lit, Lit) and lit.kind == "bool"):
+                    out.setdefault(memo.key(lit), lit)
+                elif not lit.value:
+                    return bool_lit(False)
+        return mk_and(*(out[k] for k in sorted(out)))
     if isinstance(e, BinOp) and e.op in (">", ">=", "<", "<=", "=="):
         left, right = normalize_term(e.left), normalize_term(e.right)
         lc, rc = _const_of(left), _const_of(right)
@@ -223,6 +262,8 @@ def _normalize(e: Expr, memo: NormalMemo) -> Expr:
                 left, right = right, left
         if memo.key(left) == memo.key(right):
             return bool_lit(op in (">=", "<=", "=="))
+        if op == e.op and left is e.left and right is e.right and e.ty is BOOL:
+            return e  # unchanged: its keys and facts are memoized once
         return BinOp(op=op, left=left, right=right, ty=BOOL)
     if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
         return normalize_term(e)
@@ -238,9 +279,12 @@ def normalize_term(e: Expr) -> Expr:
         lc, rc = _const_of(left), _const_of(right)
         if lc is not None and rc is not None and (e.op != "/" or rc != 0):
             return _mk_num_lit(OPERATORS[e.op](lc, rc), left)
+        if left is e.left and right is e.right:
+            return e
         return BinOp(op=e.op, left=left, right=right, ty=e.ty)
     if isinstance(e, SomeVal):
-        return SomeVal(operand=normalize_term(e.operand), ty=e.ty)
+        operand = normalize_term(e.operand)
+        return e if operand is e.operand else SomeVal(operand=operand, ty=e.ty)
     return e
 
 
@@ -250,58 +294,54 @@ def _flatten(op: str, e: Expr):
     return [e]
 
 
-def _rebuild_chain(op: str, lits, memo: NormalMemo) -> Expr:
-    unit = op == "and"  # True is the unit of and, False of or
-    out = []
-    seen = set()
-    for lit in lits:
+def _or_core(facts, memo: NormalMemo):
+    """The facts of an `or`'s disjuncts, `False` and repeated keys dropped
+    (the first kept), intervals merged, sorted by key; None when the `or`
+    is a tautology. The one `or` reduction of `normalize` and `add`."""
+    kept = {}
+    for f in facts:
+        lit = f.node
         if isinstance(lit, Lit) and lit.kind == "bool":
-            if lit.value == unit:
-                continue
-            return bool_lit(not unit)
-        key = memo.key(lit)
-        if key in seen:
+            if lit.value:
+                return None
             continue
-        seen.add(key)
-        out.append(lit)
-    if op == "or":
-        neg_keys = {memo.negated_key(lit) for lit in out}
-        if seen & neg_keys:
-            return bool_lit(True)
+        kept.setdefault(f.key, f)
+    out = list(kept.values())
+    if any(f.negated in kept for f in out):
+        return None
+    if sum(f.term is not None for f in out) > 1:
         out = _simplify_or_intervals(out, memo)
-        if out is True:
-            return bool_lit(True)
-    out.sort(key=memo.key)
-    return (mk_and if op == "and" else mk_or)(*out)
+        if out is None:
+            return None
+    out.sort(key=attrgetter("key"))
+    return out
 
 
-def _simplify_or_intervals(lits, memo: NormalMemo):
+def _simplify_or_intervals(facts, memo: NormalMemo):
     """Absorb/merge same-term comparison disjuncts; detect tautologies.
 
-    Returns True when the disjunction covers everything, else the reduced list.
+    Returns None when the disjunction covers everything, else the facts of
+    the reduced list.
     """
     groups = {}
-    passthrough = []
-    for lit in lits:
-        if isinstance(lit, BinOp) and lit.op in (">", ">=", "<", "<=", "=="):
-            c = _const_of(lit.right)
-            if c is not None:
-                groups.setdefault(memo.key(lit.left), []).append(lit)
-                continue
-        passthrough.append(lit)
-    out = list(passthrough)
+    out = []
+    for f in facts:
+        if f.term is None:
+            out.append(f)
+        else:
+            groups.setdefault(f.term, []).append(f)
     for _, items in sorted(groups.items()):
         if len(items) == 1:
             out.append(items[0])
             continue
-        is_int = _is_int_expr(items[0].left)
+        is_int = _is_int_expr(items[0].node.left)
         lower = None  # strongest upper ray: (const, inclusive) meaning term >= / > const
         upper = None  # (const, inclusive) meaning term <= / < const
         points = []
-        for lit in items:
-            c = _const_of(lit.right)
+        for f in items:
+            lit, c = f.node, f.number
             if lit.op == "==":
-                points.append((c, lit))
+                points.append((c, f))
                 continue
             cand = (c, lit.op in (">=", "<="))
             if lit.op in (">", ">="):
@@ -319,30 +359,32 @@ def _simplify_or_intervals(lits, memo: NormalMemo):
             up_c, up_inc = upper  # term < / <= up_c
             # union covers everything iff the rays overlap or touch
             if lo_c < up_c:
-                return True
+                return None
             if lo_c == up_c and (lo_inc or up_inc):
-                return True
+                return None
             if is_int and lo_c.denominator == 1 and up_c.denominator == 1:
                 lowest_kept = lo_c if lo_inc else lo_c + 1
                 highest_kept = up_c if up_inc else up_c - 1
                 if highest_kept >= lowest_kept - 1:
-                    return True
-        base = items[0].left
-        kept = []
+                    return None
+        base = items[0].node.left
+        rays = []
         if lower is not None:
-            kept.append(BinOp(op=">=" if lower[1] else ">", left=base,
+            rays.append(BinOp(op=">=" if lower[1] else ">", left=base,
                               right=_mk_num_lit(lower[0], base), ty=BOOL))
         if upper is not None:
-            kept.append(BinOp(op="<=" if upper[1] else "<", left=base,
+            rays.append(BinOp(op="<=" if upper[1] else "<", left=base,
                               right=_mk_num_lit(upper[0], base), ty=BOOL))
-        for c, lit in points:
+        # a merged ray is only keyed and built
+        kept = [Facts(memo.key(ray), None, ray) for ray in rays]
+        for c, f in points:
             absorbed = False
             if lower is not None and (c > lower[0] or (c == lower[0] and lower[1])):
                 absorbed = True
             if upper is not None and (c < upper[0] or (c == upper[0] and upper[1])):
                 absorbed = True
             if not absorbed:
-                kept.append(lit)
+                kept.append(f)
         out.extend(kept)
     return out
 
@@ -381,13 +423,27 @@ class Universe:
 
     def add(self, expr: Expr, display: Opt[Expr] = None,
             memo: Opt[NormalMemo] = None) -> Opt[Atom]:
+        """The atom of `expr`'s normal form, or None when that is trivial.
+        An `or` goes key-first: its key is folded from its reduced disjuncts'
+        keys, and its chain is built only for a key no atom holds yet."""
         memo = memo or NormalMemo()
-        expr = memo.normalize(expr)
-        if is_trivially_true(expr) or is_trivially_false(expr):
-            return None
-        key = memo.key(expr)
-        if key in self._by_key:
-            return self._by_key[key]
+        if isinstance(expr, BinOp) and expr.op == "or":
+            out = _or_core(memo.disjuncts(expr), memo)
+            if not out:
+                return None
+            key = out[0].key  # `_key` of the chain `mk_or` would build
+            for k in [f.key for f in out[1:]]:
+                key = f"(or {k} {key})" if k < key else f"(or {key} {k})"
+            if key in self._by_key:
+                return self._by_key[key]
+            expr = mk_or(*(f.node for f in out))
+        else:
+            expr = memo.normalize(expr)
+            if is_trivially_true(expr) or is_trivially_false(expr):
+                return None
+            key = memo.key(expr)
+            if key in self._by_key:
+                return self._by_key[key]
         atom = Atom(
             index=len(self.atoms),
             role=self.role,
@@ -845,14 +901,15 @@ def _collect_guards(body: Expr) -> list:
     return guards
 
 
-def build_universe_q(task: PipelineTask, dep: DepInfo):
+def build_universe_q(task: PipelineTask, dep: DepInfo,
+                     memo: Opt[NormalMemo] = None):
     """Pre-filter atom pool: substituted P conjuncts, their disjunction, the
     disjunction of the UDF's guard conjuncts, the combined disjunction, and
     per-row-field disjunctions of related substituted P conjuncts."""
     env = {"r": TTuple(tuple(task.schema))}
 
     def finalize(expr):
-        expr = normalize(expr)
+        expr = normalize(expr, memo)
         if is_trivially_true(expr) or is_trivially_false(expr):
             return None
         if not _fields(expr)[0]:
@@ -900,12 +957,13 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
         lits = clause_literals(expr)
         reads = [_payload_reads(lit) for lit in lits]
         if not any(reads):
-            universe.add(expr)
+            universe.add(expr, memo=memo)
             return
         guarded = [
             mk_and(*(mk_not(IsNone(operand=x, ty=BOOL)) for x in xs), lit)
             for lit, xs in zip(lits, reads)]
-        universe.add(mk_or(*guarded), display=_clause_display(lits))
+        universe.add(mk_or(*guarded), display=_clause_display(lits),
+                     memo=memo)
 
     for expr in sub_p:
         add(expr)
@@ -927,7 +985,8 @@ def build_universe_q(task: PipelineTask, dep: DepInfo):
     return universe, dropped
 
 
-def build_universe_residual(task: PipelineTask) -> Universe:
+def build_universe_residual(task: PipelineTask,
+                            memo: Opt[NormalMemo] = None) -> Universe:
     """Residual atom pool: initializer disequalities, then P's CNF conjuncts.
 
     Index order matters: the residual worklist breaks cardinality ties
@@ -936,9 +995,10 @@ def build_universe_residual(task: PipelineTask) -> Universe:
     universe = Universe("residual")
     for i, (ty, init) in enumerate(zip(task.acc_type.elems, task.init_values)):
         target = Index(base=acc, index=i, ty=ty)
-        universe.add(mk_not(mk_eq(target, value_to_lit(init, ty))))
+        universe.add(mk_not(mk_eq(target, value_to_lit(init, ty))), memo=memo)
     for conj in task.post_conjuncts:
-        universe.add(conj, display=_clause_display(clause_literals(conj)))
+        universe.add(conj, display=_clause_display(clause_literals(conj)),
+                     memo=memo)
     return universe
 
 
@@ -946,12 +1006,13 @@ def _is_sentinel(v: Value) -> bool:
     return v is NONE or v is NEG_INF
 
 
-def build_universe_invariant(task: PipelineTask, dep: DepInfo) -> Universe:
+def build_universe_invariant(task: PipelineTask, dep: DepInfo,
+                             memo: Opt[NormalMemo] = None) -> Universe:
     """Invariant atom pool: per-component equalities plus implication families
     drawn from the post-filter's atomic formulas, monotonicity bounds, and
     sentinel-initializer tests."""
     arity = task.arity
-    memo = NormalMemo()
+    memo = memo or NormalMemo()
 
     # single-component P clauses
     clauses_of = {i: [] for i in range(arity)}
@@ -1114,12 +1175,13 @@ class Universes:
 
 def build_universes(task: PipelineTask) -> Universes:
     dep = infer_dep_info(task)
-    u_q, dropped = build_universe_q(task, dep)
-    u_residual = build_universe_residual(task)
-    u_psi = build_universe_invariant(task, dep)
+    memo = NormalMemo()
+    u_q, dropped = build_universe_q(task, dep, memo)
+    u_residual = build_universe_residual(task, memo)
+    u_psi = build_universe_invariant(task, dep, memo)
     p_indices = []
     for conj in task.post_conjuncts:
-        atom = u_residual._by_key.get(expr_key(normalize(conj)))
+        atom = u_residual._by_key.get(memo.key(memo.normalize(conj)))
         if atom is not None:
             p_indices.append(atom.index)
     return Universes(

@@ -325,16 +325,20 @@ class FoldTables:
         return {"rows": len(self.rows), "states": len(self.values),
                 "transitions": self.transitions, "pairs": len(self.pairs)}
 
-    def full(self):
-        """Whether one more pair transition could take the transitions past
-        `TABLE_BOUND` (it adds at most two, its two fold steps), or the
-        tables hold more than `STATE_SLACK` states. The rows and the pair
-        transitions need no check here: `explore` builds the alphabet and
-        starts a level only if the level's pair transitions stay within
+    def full(self, state, kept_state, rid):
+        """Whether the pair transition from (`state`, `kept_state`) on row
+        `rid` could take the transitions past `TABLE_BOUND` (it adds the
+        fold steps `succ` misses: at most one when the two states are one),
+        or the tables hold more than `STATE_SLACK` states. The rows and the
+        pair transitions need no check here: `explore` builds the alphabet
+        and starts a level only if the level's pair transitions stay within
         `TABLE_BOUND`. The states of a converging fold stop growing long
         before; those of a fold whose accumulators rarely repeat reach the
         cap long before their volume would reach `TABLE_BOUND`."""
-        return (self.transitions + 2 > TABLE_BOUND
+        succ = self.succ
+        steps = (rid not in succ[state]) + (
+            kept_state != state and rid not in succ[kept_state])
+        return (self.transitions + steps > TABLE_BOUND
                 or len(self.values) > STATE_SLACK)
 
     def _step(self, state, rid):
@@ -436,7 +440,7 @@ class FoldTables:
                     state, kept_state = pairs[pair]
                     out = psucc[pair]
                     for rid, indices in enumerate(alphabet):
-                        if self.full():
+                        if self.full(state, kept_state, rid):
                             return found, False
                         nxt = succ[state].get(rid)
                         to_state = step(state, rid) if nxt is None else nxt

@@ -11,8 +11,8 @@ only when no word character follows it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .syntax import CALL_FORMS, OPERATOR_LEVELS, TYPE_KEYWORDS, Span
 
@@ -41,8 +41,9 @@ _TOKEN = re.compile("|".join(f"(?P<{group}>{pattern})" for group, pattern in (
 )))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A lexed token: a tuple, the cheapest immutable record to build."""
+
     kind: str  # IDENT, INT, FLOAT, STRING, keyword text, or symbol text
     text: str
     value: object

@@ -755,9 +755,11 @@ def test_an_alphabet_as_large_as_the_bound_explores_its_first_level(
         monkeypatch):
     """With `TABLE_BOUND` at case_a's alphabet of 87 rows, the first level
     fits the bound: the exploration builds the alphabet and steps each row
-    from Bottom, one fold step a row, up to the last, whose two fold steps
-    the fold-transition check reserves. No rows or pair-transition check
-    stops it at its first transition. The report is the per-trial loop's."""
+    from Bottom, one fold step a row, the last one included, since a
+    transition from a pair of two equal states misses at most one fold
+    step. No rows or pair-transition check stops it at its first
+    transition; the second level would pass the bound, so it gives up
+    there. The report is the per-trial loop's."""
     spec = REFERENCE["case_a"]
     task = make_task(spec["fixture"])
     universes = build_universes(task)
@@ -776,7 +778,7 @@ def test_an_alphabet_as_large_as_the_bound_explores_its_first_level(
 
     monkeypatch.setattr(FoldTables, "explore", tracked)
     report = _assert_same_report(task, universes, q, res, 2000, 7)
-    assert explored == [((None, False), size, size - 1, size - 1)]
+    assert explored == [((None, False), size, size, size)]
     assert report.tables["spilled"] == 2000
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional as Opt
 
+from .pretty import fmt_expr
 from .syntax import (
     BOOL, FLOAT, INT, MIRRORED, OPERATORS,
     BinOp, Case, Cond, CoerceSome, Expr, Index, Insert, IsNone, ListExpr,
@@ -410,8 +411,6 @@ class Atom:
     key: str
 
     def __repr__(self):
-        from .pretty import fmt_expr
-
         return f"Atom#{self.index}[{self.role}]({fmt_expr(self.display)})"
 
 
@@ -921,19 +920,13 @@ def build_universe_q(task: PipelineTask, dep: DepInfo,
     for conj in task.post_conjuncts:
         lits = _relax_clause(clause_literals(conj), dep)
         try:
-            sub = _substitute_clause(lits, dep)
+            expr = finalize(mk_or(*_substitute_clause(lits, dep)))
         except _SubstFail:
-            from .pretty import fmt_expr
-
-            dropped.append(fmt_expr(conj))
-            continue
-        expr = finalize(mk_or(*sub))
+            expr = None
         if expr is None:
-            from .pretty import fmt_expr
-
             dropped.append(fmt_expr(conj))
-            continue
-        sub_p.append(expr)
+        else:
+            sub_p.append(expr)
 
     sub_f = []
     for guard in _collect_guards(_resolve_binders(task.f_body)):
@@ -986,8 +979,9 @@ def build_universe_q(task: PipelineTask, dep: DepInfo,
 
 
 def build_universe_residual(task: PipelineTask,
-                            memo: Opt[NormalMemo] = None) -> Universe:
-    """Residual atom pool: initializer disequalities, then P's CNF conjuncts.
+                            memo: Opt[NormalMemo] = None):
+    """Residual atom pool: initializer disequalities, then P's CNF conjuncts;
+    and the ascending indices of the atoms P's conjuncts give.
 
     Index order matters: the residual worklist breaks cardinality ties
     lexicographically, so the weaker disequality forms come first."""
@@ -996,10 +990,11 @@ def build_universe_residual(task: PipelineTask,
     for i, (ty, init) in enumerate(zip(task.acc_type.elems, task.init_values)):
         target = Index(base=acc, index=i, ty=ty)
         universe.add(mk_not(mk_eq(target, value_to_lit(init, ty))), memo=memo)
-    for conj in task.post_conjuncts:
-        universe.add(conj, display=_clause_display(clause_literals(conj)),
-                     memo=memo)
-    return universe
+    p_atoms = [universe.add(conj, memo=memo,
+                            display=_clause_display(clause_literals(conj)))
+               for conj in task.post_conjuncts]
+    return universe, tuple(sorted(
+        {atom.index for atom in p_atoms if atom is not None}))
 
 
 def _is_sentinel(v: Value) -> bool:
@@ -1165,7 +1160,6 @@ class Universes:
     u_q: Universe
     u_residual: Universe
     u_psi: Universe
-    dep: DepInfo
     dropped_q: list = field(default_factory=list)
     p_indices: tuple = ()
 
@@ -1177,18 +1171,12 @@ def build_universes(task: PipelineTask) -> Universes:
     dep = infer_dep_info(task)
     memo = NormalMemo()
     u_q, dropped = build_universe_q(task, dep, memo)
-    u_residual = build_universe_residual(task, memo)
+    u_residual, p_indices = build_universe_residual(task, memo)
     u_psi = build_universe_invariant(task, dep, memo)
-    p_indices = []
-    for conj in task.post_conjuncts:
-        atom = u_residual._by_key.get(memo.key(memo.normalize(conj)))
-        if atom is not None:
-            p_indices.append(atom.index)
     return Universes(
         u_q=u_q,
         u_residual=u_residual,
         u_psi=u_psi,
-        dep=dep,
         dropped_q=dropped,
-        p_indices=tuple(sorted(set(p_indices))),
+        p_indices=p_indices,
     )

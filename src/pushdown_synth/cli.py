@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .analysis import (
-    build_universes, is_trivially_false, normalize, printable,
+    NormalMemo, build_universes, is_trivially_false, normalize, printable,
 )
 from .bmc import screen
 from .encode import EncodeError, TaskContext
@@ -231,14 +231,15 @@ def _parse_triple(path, task, universes):
     acc_env = {"a": task.acc_type}
     psi_env = {"a1": task.acc_type, "a2": task.acc_type}
     row_env = {"r": TTuple(tuple(task.schema))}
+    memo = NormalMemo()  # each supplied atom is normalized once
 
     def conj(role, universe, env):
         indices = []
         for text in spec.get(role, []):
             expr = type_predicate(parse_expression(text), env)
-            if is_trivially_false(normalize(expr)):
+            if is_trivially_false(normalize(expr, memo)):
                 raise DslTypeError(f"supplied {role} atom {text!r} is false")
-            atom = universe.add(expr)
+            atom = universe.add(expr, memo=memo)
             if atom is None:
                 continue  # trivially true atoms add nothing
             indices.append(atom.index)

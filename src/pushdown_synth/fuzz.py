@@ -64,16 +64,19 @@ from .values import NONE, Some, fmt_value, values_equal
 # The tables of one `differential_check` call only grow, and no table grows
 # past this many entries. The exploration gives up, and the call judges
 # every frame whole, before a level whose pair transitions (its frontier
-# times the alphabet, so the rows too) would pass it, and before a pair
-# transition whose fold steps could take the transitions past it; the states
-# and the pairs never outnumber their transitions by more than one (Bottom,
-# and the pair of two Bottoms).
+# times the alphabet, so the rows too) would pass it, and before a fold step
+# that would take the transitions past it; the states and the pairs never
+# outnumber their transitions by more than one (Bottom, and Bottom's pair).
 TABLE_BOUND = 4096
 # The tables are also full once they hold more accumulator states than this:
 # the accumulators then rarely repeat, and a frame's path would rarely repeat
 STATE_SLACK = 128
 # the most rows a sampled frame has
 FRAME_ROWS = 8
+
+
+class _Full(Exception):
+    """A fold step would take the fold tables past their bounds."""
 
 
 @dataclass
@@ -277,12 +280,12 @@ class FoldTables:
     lookup per row.
 
     The tables only grow. `explore` bounds each level's pair transitions,
-    and `full` tells it to give up once the next pair transition's fold
-    steps could take the transitions past `TABLE_BOUND`, or once the tables
-    hold more than `STATE_SLACK` states, so that a frame's path would rarely
-    repeat. Then, as RE2's lazy DFA stops building its state cache when it
-    thrashes and runs a direct matcher (Cox, 2010), the caller judges every
-    frame whole.
+    and gives up when `_step`, where the states grow, raises `_Full` before
+    a fold step that would take the transitions past `TABLE_BOUND`, or
+    once the tables hold more than `STATE_SLACK` states, so that a frame's
+    path would rarely repeat. Then, as RE2's lazy DFA stops building its
+    state cache when it thrashes and runs a direct matcher (Cox, 2010), the
+    caller judges every frame whole.
 
     Accumulators are interned by their value, as hash-consing interns terms
     (Filliâtre & Conchon, ML Workshop 2006), so Python-equal values share a
@@ -325,26 +328,13 @@ class FoldTables:
         return {"rows": len(self.rows), "states": len(self.values),
                 "transitions": self.transitions, "pairs": len(self.pairs)}
 
-    def full(self, state, kept_state, rid):
-        """Whether the pair transition from (`state`, `kept_state`) on row
-        `rid` could take the transitions past `TABLE_BOUND` (it adds the
-        fold steps `succ` misses: at most one when the two states are one),
-        or the tables hold more than `STATE_SLACK` states. The rows and the
-        pair transitions need no check here: `explore` builds the alphabet
-        and starts a level only if the level's pair transitions stay within
-        `TABLE_BOUND`. The states of a converging fold stop growing long
-        before; those of a fold whose accumulators rarely repeat reach the
-        cap long before their volume would reach `TABLE_BOUND`."""
-        succ = self.succ
-        steps = (rid not in succ[state]) + (
-            kept_state != state and rid not in succ[kept_state])
-        return (self.transitions + steps > TABLE_BOUND
-                or len(self.values) > STATE_SLACK)
-
     def _step(self, state, rid):
-        """The state after row `rid` from `state`: one fold step, tabled.
-        A row that leaves the accumulator as it was needs no hashing."""
+        """The state after row `rid` from `state`: one fold step, tabled,
+        unless the tables are full (`_Full`; see the class). A row that
+        leaves the accumulator as it was needs no hashing."""
         values = self.values
+        if self.transitions >= TABLE_BOUND or len(values) > STATE_SLACK:
+            raise _Full
         start = values[state]
         value = eval_fold(self.task, [self.rows[rid]], start=start).value
         # a fold of one row from Bottom is defined even if it equals init
@@ -405,11 +395,11 @@ class FoldTables:
         snapshot of the same fields at that pair, with `counterexample`, the
         shortest frame to it, as index tuples; `depth` is its length. The
         exploration then goes on filling the tables. It gives up, and is
-        not complete, when an evaluation raises, the tables are `full`, or
-        the next level, its frontier times the alphabet, would take the
-        pair transitions past `limit` or `TABLE_BOUND`; `exhaustive` is
-        then the counterexample's snapshot, or None. The alphabet is built
-        only once its first level fits."""
+        not complete, when an evaluation raises, the tables are full
+        (`_Full`), or the next level, its frontier times the alphabet, would
+        take the pair transitions past `limit` or `TABLE_BOUND`;
+        `exhaustive` is then the counterexample's snapshot, or None. The
+        alphabet is built only once its first level fits."""
         sizes = tuple(map(len, self.pools))
         size = prod(sizes)
         succ, step = self.succ, self._step
@@ -440,8 +430,6 @@ class FoldTables:
                     state, kept_state = pairs[pair]
                     out = psucc[pair]
                     for rid, indices in enumerate(alphabet):
-                        if self.full(state, kept_state, rid):
-                            return found, False
                         nxt = succ[state].get(rid)
                         to_state = step(state, rid) if nxt is None else nxt
                         to_kept = kept_state
@@ -475,8 +463,8 @@ class FoldTables:
                 frontier = reached
                 depth += 1
         except Exception:
-            # an evaluation raised: the sampled frames raise what the
-            # per-trial loop raises, if one of them does
+            # the tables are full (`_Full`) or an evaluation raised: the
+            # sampled frames raise what the per-trial loop raises, if any
             return found, False
         if found is None:
             found = explored(depth, False) if frontier else \

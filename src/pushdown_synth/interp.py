@@ -47,12 +47,11 @@ local, tests it once per root (dominator-based value numbering; Click, PLDI
 1995). Such a scrutinee is keyed by `(local, index)`, not by its source
 text, in which every constant has a name of its own. A later match on the
 same key that an earlier one dominates, one whose evaluation is certain to
-come after the earlier one's, reuses its `_s`/`_b` locals: inside one of
-its branches it is just that branch, and elsewhere `(none_body if _s is
-_NONE else bind_body)`, with no `isinstance`, payload read or raise, since
-the earlier test has already raised on a value that is neither. What a
-root knows holds to its end, or to the end of a split-off function, and
-never leaves a `Cond` or `match` branch.
+come after the earlier one's, reuses its `_s`/`_b` locals as `(none_body
+if _s is _NONE else bind_body)`, with no `isinstance`, payload read or
+raise, since the earlier test has already raised on a value that is
+neither. What a root knows holds to its end, or to the end of a split-off
+function, and never leaves a `Cond` or `match` branch.
 
 `eval_fold` and `filter_rows` each run one generated loop over the rows,
 with the fold step or the conjunction of the row predicates inlined in its
@@ -116,12 +115,8 @@ class LiftResult:
         return "Bottom" if self.is_bottom else f"Defined({self.value!r})"
 
 
-def eval_expr(expr: Expr, env: dict) -> Value:
-    return compiled(expr)(env)
-
-
 # The shapes of generated function, each the first part of a `_COMPILED` key
-_EXPR = "expr"      # env -> the root's value
+_EXPR = "expr"      # (*values) -> the root's value, names bound as `_TRUTH`'s
 _FOLD = "fold"      # (rows, a, width) -> the root folded over the rows from a
 _FILTER = "filter"  # (rows, width) -> the rows on which every root holds
 _TEST = "test"      # a -> whether every root holds
@@ -140,18 +135,18 @@ _TRUTH = "truth"
 _COMPILED = {}
 
 
-def compiled(expr: Expr):
-    """The function `env -> Value` of a typed expression, generated on first
-    use and cached per root node for the node's lifetime."""
-    return _kernel(_EXPR, expr)
+def eval_expr(expr: Expr, env: dict) -> Value:
+    """The value of `expr` with its names bound to `env`'s values. Nothing
+    under `src/` calls it: it is the evaluator tests' entry, the one shape
+    whose names the caller chooses, each key order a kernel of its own."""
+    return _kernel(_EXPR, expr, groups=tuple(env))(*env.values())
 
 
 def _kernel(shape, *roots, groups=()):
     """The generated function of the given shape over `roots`, which
     `groups` splits into runs of the given sizes where the shape takes
-    several (the truth shape's groups name its parameters). Only the `env`
-    form reads names from a dict; in the others a name the shape does not
-    bind (`a`, `r`) is unbound."""
+    several (the expr and truth shapes' groups name their parameters). A
+    name the shape does not bind is unbound."""
     key = (shape, *groups, *map(id, roots))
     fn = _COMPILED.get(key)
     if fn is None:
@@ -349,25 +344,22 @@ def _renamed(code, filename):
 class _Generator:
     """Builds and compiles the source of one generated function.
 
-    Every DSL name resolves through `scope` (identifier -> Python local) or,
-    in the `env` form, through the dict; the shape's parameters and each
-    `match` binder get fresh locals, so a rebound binder shadows exactly as a
-    nested environment would. `guard` says whether the root being emitted
-    contains a `SomeVal`; without one no operand is ever UNDEF and no check
-    is emitted. Operands that must be tested after evaluation go through
-    walrus temporaries, and both operands of every binary node are
-    evaluated, left first."""
+    Every DSL name resolves through `scope` (identifier -> Python local);
+    the shape's parameters and each `match` binder get fresh locals, so a
+    rebound binder shadows exactly as a nested environment would. `guard`
+    says whether the root being emitted contains a `SomeVal`; without one
+    no operand is ever UNDEF and no check is emitted. Operands that must be
+    tested after evaluation go through walrus temporaries, and both operands
+    of every binary node are evaluated, left first."""
 
     def __init__(self, shape, roots, groups=()):
         self.shape, self.roots, self.groups = shape, roots, groups
-        self.env = shape == _EXPR
         self.guard = False
         self.namespace = dict(_RUNTIME)
         self.defs = []
         self.pending = []  # split-off subtrees: (name, args, expr, scope, guard)
-        # scrutinee key -> (`_s` local, `_b` local, the branch taken: "none",
-        # "some" or None outside both) of each match whose test has run; see
-        # `match`
+        # scrutinee key -> (`_s` local, `_b` local) of each match whose test
+        # has run; see `match`
         self.tested = {}
         self._fresh = itertools.count()
 
@@ -414,7 +406,9 @@ class _Generator:
     # The shapes: each returns the parameters and body lines of `_dsl`.
     def expr_shape(self):
         (root,) = self.roots
-        return ["env"], [f"return {self.root(root, {})}"]
+        params = [self.fresh("_p") for _ in self.groups]
+        scope = dict(zip(self.groups, params))
+        return params, [f"return {self.root(root, scope)}"]
 
     def fold_shape(self):
         (root,) = self.roots
@@ -507,8 +501,6 @@ class _Generator:
         if depth == _SPLIT_DEPTH:
             name = self.fresh("_f")
             args = sorted(set(scope.values()))
-            if self.env:
-                args.insert(0, "env")
             self.pending.append((name, args, expr, scope, self.guard))
             return f"{name}({', '.join(args)})"
         return self.node(expr, scope, depth + 1)
@@ -524,11 +516,7 @@ class _Generator:
             local = scope.get(expr.ident)
             if local is not None:
                 return local
-            unbound = self.fail(f"unbound name {expr.ident!r} at {expr.span}")
-            if not self.env:
-                return unbound
-            key = self.const(expr.ident)
-            return f"(env[{key}] if {key} in env else {unbound})"
+            return self.fail(f"unbound name {expr.ident!r} at {expr.span}")
         if isinstance(expr, Not):
             operand = self.emit(expr.operand, scope, depth)
             if not guard:
@@ -704,12 +692,12 @@ class _Generator:
             return y
         return f"{x} * {y}"
 
-    def branch(self, expr: Expr, scope, depth, key=None, fact=None):
+    def branch(self, expr: Expr, scope, depth):
         """The source of a subtree that runs only on one branch of a `Cond`
-        or `match`, with `fact` known of the scrutinee `key` in it: what it
-        learns of the scrutinees it tests does not leave it."""
+        or `match`: what it learns of the scrutinees it tests does not leave
+        it."""
         known = self.tested
-        self.tested = {**known, key: fact} if key is not None else dict(known)
+        self.tested = dict(known)
         source = self.emit(expr, scope, depth)
         self.tested = known
         return source
@@ -730,11 +718,10 @@ class _Generator:
         the bind case's binder takes, else a raise.
 
         A scrutinee that is a pure read, a local or a constant index of a
-        tuple-typed local, is keyed by `(local, index)` in `tested` once its
-        test has run: a later match on it in the same root, which that test
-        dominates (its evaluation is certain to come first), reuses its
-        `_s`/`_b` locals and tests nothing the first did not. Inside a
-        branch of the first it is just that branch; elsewhere it is
+        tuple-typed local, is keyed by `(local, index)` in `tested` before
+        its branches are emitted: a later match on it in the same root,
+        which that test dominates (its evaluation is certain to come first,
+        inside a branch or after the match), reuses its `_s`/`_b` locals as
         `none_body if _s is _NONE else bind_body`, as a value that is
         neither has already raised. The facts hold until the end of the root
         or the split-off function, and never leave a branch."""
@@ -745,22 +732,15 @@ class _Generator:
         if known is None:
             scrutinee = self.emit(expr.scrutinee, scope, depth)
             s, binder = self.fresh("_s"), self.fresh("_b")
-            taken = None
+            if key is not None:
+                self.tested[key] = s, binder
         else:
-            s, binder, taken = known
-        bound = {**scope, bind_case.pattern: binder}
-        if taken is not None:  # inside the first match's branch
-            if taken == "none":
-                return self.emit(none_case.body, scope, depth)
-            return self.emit(bind_case.body, bound, depth)
-        none_body = self.branch(none_case.body, scope, depth, key,
-                                (s, binder, "none"))
-        bind_body = self.branch(bind_case.body, bound, depth, key,
-                                (s, binder, "some"))
+            s, binder = known
+        none_body = self.branch(none_case.body, scope, depth)
+        bind_body = self.branch(bind_case.body,
+                                {**scope, bind_case.pattern: binder}, depth)
         if known is not None:
             return f"({none_body} if {s} is _NONE else {bind_body})"
-        if key is not None:
-            self.tested[key] = s, binder, None
         not_optional = self.fail("match scrutinee is not Optional")
         # `(b := payload) is b` always holds: it binds the payload before
         # the body runs
@@ -769,21 +749,13 @@ class _Generator:
                 f"(({binder} := {s}.value) is {binder}) else {not_optional}))")
 
 
-def eval_atom(expr: Expr, env: dict) -> bool:
-    """Ground truth value of a predicate; well-guarded atoms never stay UNDEF."""
-    val = compiled(expr)(env)
-    if val is UNDEF:
-        raise EvalError(_UNDEFINED_ATOM)
-    return bool(val)
-
-
 # the names the atoms of each universe read, in the order its kernel binds
 _NAMES = {"q": ("r",), "residual": ("a",), "psi": ("a1", "a2")}
 
 
 def truth(universe):
-    """The `_TRUTH` function of a universe's atoms, each read as `eval_atom`
-    reads it; generated on first use."""
+    """The `_TRUTH` function of a universe's atoms, each read as a
+    predicate: an atom left UNDEF raises; generated on first use."""
     return _kernel(_TRUTH, *(atom.expr for atom in universe),
                    groups=_NAMES[universe.role])
 

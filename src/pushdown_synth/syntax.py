@@ -10,11 +10,11 @@ trees, so nothing writes to an atom's nodes once its universe is built, and
 every atom node carries its type.
 
 The evaluator reads `ty` too: the function `interp` generates for a root
-(through `interp.compiled`, `eval_fold`, `filter_rows` or `lift_eval`) picks
-each comparison, index and arithmetic operator from the operands' static
-types, and is cached per root node without ever being re-specialised. So a
-node's `ty` must be final before the first evaluation of any tree that holds
-it, and a node without a `ty` is evaluated by the generic, untyped path.
+(through `eval_fold`, `filter_rows`, `lift_eval`, `frame_judge` or `truth`)
+picks each comparison, index and arithmetic operator from the operands'
+static types, and is cached per root node, never re-specialised. So a node's
+`ty` must be final before the first evaluation of any tree that holds it,
+and a node without a `ty` is evaluated by the generic, untyped path.
 
 Which fields of a node hold its children is written down once, in
 `_CHILD_FIELDS`. Equality (`structurally_equal`), traversal (`children`,

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from pushdown_synth import interp
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.encode import TaskContext
 from pushdown_synth.parser import parse
@@ -12,6 +13,7 @@ from pushdown_synth.smt import (
 )
 from pushdown_synth.synth import synthesize
 from pushdown_synth.typecheck import typecheck
+from pushdown_synth.values import EvalError
 
 FIXTURES = importlib.resources.files("pushdown_synth") / "fixtures"
 
@@ -74,6 +76,15 @@ def fixture_source(name: str) -> str:
 
 def make_task(name: str):
     return typecheck(parse(fixture_source(name)), name)
+
+
+def eval_atom(expr, env: dict) -> bool:
+    """The truth of a predicate under `env`, read alone; an atom left UNDEF
+    raises, as it does in a truth kernel."""
+    value = interp.eval_expr(expr, env)
+    if value is interp.UNDEF:
+        raise EvalError(interp._UNDEFINED_ATOM)
+    return bool(value)
 
 
 def make_context(source: str, name: str = "task", extra_q=(), extra_residual=(),

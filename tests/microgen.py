@@ -7,7 +7,7 @@ mirroring how benchmark predicates without genuine opportunities are culled.
 
 import random
 
-from pushdown_synth.analysis import Universes, build_universe_residual, infer_dep_info
+from pushdown_synth.analysis import Universes, build_universe_residual
 from pushdown_synth.encode import TaskContext
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.smt import SolverConfig, start_session
@@ -68,7 +68,6 @@ def generate_micro_task(seed: int):
         f"out = filter(agg, lambda a: {post})\n"
     )
     task = typecheck(parse(source), f"micro{seed}")
-    dep = infer_dep_info(task)
 
     row_env = {"r": TTuple(tuple(task.schema))}
     psi_env = {"a1": task.acc_type, "a2": task.acc_type}
@@ -91,7 +90,7 @@ def generate_micro_task(seed: int):
             parse_expression(f"r[0] {op} {lit} {sign} {delta}"), row_env
         ))
 
-    u_residual = build_universe_residual(task)
+    u_residual, p_indices = build_universe_residual(task)
 
     u_psi = Universe("psi")
     for i, (init, _, kind, lit) in enumerate(comps):
@@ -105,18 +104,8 @@ def generate_micro_task(seed: int):
         u_psi.add(type_predicate(
             parse_expression(f"({phi2}) or a2[{i}] == {init}"), psi_env))
 
-    p_indices = []
-    from pushdown_synth.analysis import expr_key, normalize
-    import copy
-
-    for conj in task.post_conjuncts:
-        expr = normalize(type_predicate(copy.deepcopy(conj), {"a": task.acc_type}))
-        atom = u_residual._by_key.get(expr_key(expr))
-        if atom is not None:
-            p_indices.append(atom.index)
     universes = Universes(
-        u_q=u_q, u_residual=u_residual, u_psi=u_psi, dep=dep,
-        p_indices=tuple(sorted(set(p_indices))),
+        u_q=u_q, u_residual=u_residual, u_psi=u_psi, p_indices=p_indices,
     )
     return task, universes, source
 

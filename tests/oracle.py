@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from pushdown_synth.interp import eval_atom
 from pushdown_synth.synth import (
     PushdownSolution, Run, classify_mode, collapse_residual,
 )
 from pushdown_synth.vcgen import (
     bits, mask, p_conjunction, vc_final, vc_stutter, vc_sync,
 )
+
+from conftest import eval_atom
 
 
 class CapExceeded(Exception):

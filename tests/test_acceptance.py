@@ -18,7 +18,7 @@ from pushdown_synth.synth import (
 from pushdown_synth.typecheck import type_predicate
 from pushdown_synth.vcgen import bits, check_witness, mask
 
-from conftest import FIXTURE_NAMES, atom_index, requires_z3
+from conftest import FIXTURE_NAMES, atom_index, eval_atom, requires_z3
 from microgen import micro_context
 from oracle import brute_force_optimal, brute_force_weakest_implicant
 
@@ -106,8 +106,6 @@ def _mutations(name, ctx, sol):
     Residual-subset drops must fail Final by minimality of the synthesized
     residual; stronger filters break sync atoms of the retained invariant;
     the remaining entries tamper with the certificate directly."""
-    from pushdown_synth.interp import eval_atom
-
     u_psi = ctx.universes.u_psi
     extra_q = len(ctx.universes.u_q) - 1  # the appended stronger atom
     init = ctx.task.init_values

@@ -12,7 +12,7 @@ from pushdown_synth import analysis
 from pushdown_synth.analysis import build_universes, infer_dep_info
 from pushdown_synth.encode import TaskContext
 from pushdown_synth.fuzz import column_pools, sample_dataframe
-from pushdown_synth.interp import eval_atom, eval_fold
+from pushdown_synth.interp import eval_fold
 from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.pretty import fmt_expr
 from pushdown_synth.syntax import (
@@ -21,7 +21,7 @@ from pushdown_synth.syntax import (
 from pushdown_synth.typecheck import cnf_clauses, type_predicate, typecheck
 from pushdown_synth.values import NEG_INF, NONE
 
-from conftest import atom_index, make_task
+from conftest import atom_index, eval_atom, make_task
 from test_universe_pin import SOURCES as PINNED
 
 

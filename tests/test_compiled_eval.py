@@ -3,7 +3,9 @@
 `interp.eval_expr` runs each expression as a function generated once;
 `tree_eval.eval_expr` walks the tree. On every input below both must give
 the same value (compared by `repr`, so types count too), the same UNDEF, and
-the same exception with the same message.
+the same exception with the same message. `check_kernels` does the same for
+every kernel of a task; to check the tasks of further generator seeds:
+`PYTHONPATH=src:. python tests/test_compiled_eval.py FIRST LAST`.
 """
 
 import dataclasses
@@ -47,6 +49,12 @@ def _outcome(evaluate, *args):
         return "value", repr(evaluate(*args))
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+def _expr_kernel(expr, names):
+    """The function `interp.eval_expr` runs for `expr`, its parameters bound
+    to `names` in order."""
+    return interp._kernel(interp._EXPR, expr, groups=tuple(names))
 
 
 def assert_agree(expr, env):
@@ -163,14 +171,14 @@ def test_compiled_agrees_with_walker_on_errors_and_edges(source, env):
 def test_compiled_form_is_cached_per_root_and_dies_with_it():
     expr = parse_expression("x + 1")
     fields = dict(vars(expr))
-    fn = interp.compiled(expr)
-    assert interp.compiled(expr) is fn
+    fn = _expr_kernel(expr, ["x"])
+    assert _expr_kernel(expr, ["x"]) is fn
     assert vars(expr) == fields  # nothing is stored on the node
     node = weakref.ref(expr)
     del expr
     gc.collect()
     assert node() is None  # the function does not keep its root alive
-    assert fn({"x": 2}) == 3
+    assert fn(2) == 3
 
 
 # Typed trees: the compiler picks each comparison from the operands' static
@@ -301,8 +309,8 @@ def _calls_to(function, thunk):
 ])
 def test_typed_comparisons_do_not_reach_values_equal(source, types, env):
     expr = _typed(source, **types)
-    fn = interp.compiled(expr)
-    assert _calls_to(values.values_equal, lambda: fn(env)) == 0
+    fn = _expr_kernel(expr, env)
+    assert _calls_to(values.values_equal, lambda: fn(*env.values())) == 0
 
 
 @pytest.mark.parametrize("source,types,env", [
@@ -310,8 +318,8 @@ def test_typed_comparisons_do_not_reach_values_equal(source, types, env):
     ("x == (1, 2)", {"x": TTuple((INT, INT))}, {"x": (1, 2)}),
 ])
 def test_structured_equality_keeps_values_equal(source, types, env):
-    fn = interp.compiled(_typed(source, **types))
-    assert _calls_to(values.values_equal, lambda: fn(env)) > 0
+    fn = _expr_kernel(_typed(source, **types), env)
+    assert _calls_to(values.values_equal, lambda: fn(*env.values())) > 0
 
 
 # Rational forms: an order comparison of numbers not both int works on
@@ -395,11 +403,11 @@ def test_rational_forms_call_no_fraction_operator(op):
     """On finite operands the rational forms run without entering
     `Fraction`'s comparison or arithmetic methods."""
     expr = _rational_tree(op, Fraction(9, 10), False, False)
-    fn = interp.compiled(expr)
+    fn = _expr_kernel(expr, ["x"])
     env = {"x": Fraction(7, 3)}
     for method in (Fraction._richcmp, Fraction._add, Fraction._sub,
                    Fraction._mul):
-        assert _calls_to(method, lambda: fn(env)) == 0
+        assert _calls_to(method, lambda: fn(*env.values())) == 0
     assert "numerator" in _source_of(fn)
 
 
@@ -452,7 +460,7 @@ def test_deep_trees_agree_with_walker(build, envs):
     expr = build()
     for env in envs:
         assert_agree(expr, env)
-    assert _source_of(interp.compiled(expr)).count("def ") > 1  # split
+    assert _source_of(_expr_kernel(expr, ["x"])).count("def ") > 1  # split
 
 
 NESTED_MATCH = ("match x: case None: 0 case v: "
@@ -520,7 +528,8 @@ def _scrutinee_tests(fn):
 
 # (source, scrutinee tests in its fold kernel): a[0] matched again in a
 # later tuple item and inside a[1]'s match; a[0] matched in an untaken
-# `Cond` branch or `match` branch, then again after it, which tests again
+# `Cond` branch or `match` branch, then again after it, which tests again;
+# a[0] matched again inside each branch of its own match
 REMATCHES = [
     ("((match a[0]: case None: r[0] case v: v + r[0]),"
      " (match a[0]: case None: 0 case w: w * 2),"
@@ -531,11 +540,14 @@ REMATCHES = [
     ("((match a[1]: case None: (match a[0]: case None: 0 case v: v)"
      "  case u: u),"
      " (match a[0]: case None: 1 case w: w))", 3),
+    ("((match a[0]: case None: (match a[0]: case None: r[0] case v: v)"
+     "  case w: (match a[0]: case None: 0 case v: v + w)), 1)", 1),
 ]
 
 
 @pytest.mark.parametrize("source,tests", REMATCHES,
-                         ids=["later-item", "after-cond", "after-match"])
+                         ids=["later-item", "after-cond", "after-match",
+                              "in-branch"])
 def test_a_scrutinee_matched_again_agrees_with_walker(source, tests):
     expr = _opt_step(source)
     outcomes = {_step_outcome(expr, a, row)
@@ -617,8 +629,38 @@ def test_string_literals_and_names_stay_data():
     for value in (HOSTILE, "x"):
         assert_agree(expr, {ident: value})
     assert_agree(expr, {})  # unbound: the identifier is only in the message
-    for fn in (interp.compiled(literal), interp.compiled(expr)):
+    for fn in (_expr_kernel(literal, []), _expr_kernel(expr, [ident])):
         assert "import" not in _source_of(fn)
+
+
+# `eval_expr` binds each name of its env to a parameter of the generated
+# function, as the truth kernel binds `r`, `a`, `a1` and `a2`
+
+def test_eval_expr_keeps_a_hostile_identifier_as_data():
+    ident = 'x")\nimport os\n("'
+    expr = BinOp(op="+", left=Name(ident=ident, ty=INT),
+                 right=Lit(kind="int", value=1, ty=INT), ty=INT)
+    assert interp.eval_expr(expr, {ident: 2}) == 3
+    assert interp.eval_expr(expr, {"y": 0, ident: 4}) == 5
+    assert ident not in _source_of(_expr_kernel(expr, [ident]))
+    assert _outcome(interp.eval_expr, expr, {"x": 2}) == (
+        "EvalError", f"unbound name {ident!r} at {expr.left.span}")
+
+
+def test_eval_expr_lets_a_match_binder_shadow_an_env_name():
+    expr = parse_expression("(match x: case None: y case y: y * 10) + y")
+    for x in (NONE, Some(4), 3):
+        assert_agree(expr, {"x": x, "y": 1})
+    assert interp.eval_expr(expr, {"x": Some(4), "y": 1}) == 41
+    assert interp.eval_expr(expr, {"y": 1, "x": NONE}) == 2
+
+
+def test_eval_expr_binds_one_root_under_two_key_orders():
+    expr = parse_expression("x - y * 2")
+    assert interp.eval_expr(expr, {"x": 7, "y": 3}) == 1
+    assert interp.eval_expr(expr, {"y": 3, "x": 7}) == 1
+    xy, yx = _expr_kernel(expr, ["x", "y"]), _expr_kernel(expr, ["y", "x"])
+    assert xy is not yx and xy(7, 3) == yx(3, 7) == 1
 
 
 def _tree_fold(task, frame, start):
@@ -757,7 +799,7 @@ def _kernel_sources(name):
         "judge": interp._kernel(interp._JUDGE, task.f_body, *q,
                                 *task.post_conjuncts, *res,
                                 groups=(len(q), len(task.post_conjuncts))),
-        **({"expr": interp.compiled(q[0])} if q else {}),
+        **({"expr": _expr_kernel(q[0], ["r"])} if q else {}),
         **{f"truth-{u.role}": interp.truth(u) for u in
            (universes.u_q, universes.u_residual, universes.u_psi)},
     }
@@ -946,6 +988,13 @@ def _reference_lift(preds, acc):
     return acc
 
 
+def _reference_judge(task, q, p, res, frame):
+    lhs = _reference_lift(p, _reference_fold(task, frame))
+    kept = _reference_filter(q, frame, task.n_columns)
+    rhs = _reference_lift(res, _reference_fold(task, kept))
+    return interp.LiftResult(lhs) != interp.LiftResult(rhs)
+
+
 def _fold_task(cmp, op, position, depth, guarded, init):
     """A discount-like step: the row's field, or its arithmetic form,
     compared with the accumulator's; the arithmetic form of the row's field
@@ -976,12 +1025,6 @@ def _shape_runs(shape, cmp, op, position, depth, guarded):
                                         (y,))
         return tasks[repr(y)]
 
-    def reference_judge(x, y):
-        frame = [(x, y)]
-        lhs = _reference_lift([twice], _reference_fold(task(y), frame))
-        kept = _reference_filter([rows], frame, 2)
-        rhs = _reference_lift([], _reference_fold(task(y), kept))
-        return interp.LiftResult(lhs) != interp.LiftResult(rhs)
     # `Q` compares the row's fields and `P` the fold result with itself
     return {
         "compiled": lambda x, y: (
@@ -1001,7 +1044,8 @@ def _shape_runs(shape, cmp, op, position, depth, guarded):
         "judge": lambda x, y: (
             _outcome(lambda: interp.frame_judge(task(y), [rows], [twice], [])(
                 [(x, y)])),
-            _outcome(lambda: reference_judge(x, y))),
+            _outcome(_reference_judge, task(y), [rows], [twice], [],
+                     [(x, y)])),
     }[shape]
 
 
@@ -1099,11 +1143,11 @@ def test_roots_with_the_same_source_share_one_compile(monkeypatch):
     interp._code.cache_clear()
     monkeypatch.setattr(interp, "compile", counted, raising=False)
     first, second = map(parse_expression, TWINS)
-    fns = interp.compiled(first), interp.compiled(second)
+    fns = _expr_kernel(first, ["x"]), _expr_kernel(second, ["x"])
     assert len(compiles) == 1
     # each answers with its own constants: x + 1 > 2 and x + 3 > 2
-    assert [fn({"x": 0}) for fn in fns] == [False, True]
-    assert [fn({"x": 2}) for fn in fns] == [True, True]
+    assert [fn(0) for fn in fns] == [False, True]
+    assert [fn(2) for fn in fns] == [True, True]
     assert fns[0].__code__.co_code == fns[1].__code__.co_code
     assert fns[0].__code__.co_filename != fns[1].__code__.co_filename
 
@@ -1130,7 +1174,7 @@ def test_generated_source_leaves_linecache_with_its_root():
     for sources in (TWINS[:1], TWINS):
         roots = list(map(parse_expression, sources))
         filenames = [[fn.__code__.co_filename for fn in (
-            interp.compiled(expr), interp._kernel(interp._TEST, expr))]
+            _expr_kernel(expr, ["x"]), interp._kernel(interp._TEST, expr))]
             for expr in roots]
         assert len(set(sum(filenames, []))) == 2 * len(roots)
         for k in range(len(roots)):
@@ -1144,9 +1188,90 @@ def test_generated_source_leaves_linecache_with_its_root():
 def test_generated_functions_leave_the_cache_with_their_root():
     expr = parse_expression("x + 1 > 2")
     key = id(expr)
-    interp.compiled(expr)
+    interp._kernel(interp._EXPR, expr)
     interp._kernel(interp._TEST, expr)
     assert {(interp._EXPR, key), (interp._TEST, key)} <= set(interp._COMPILED)
     del expr
     gc.collect()
     assert not any(key in ids[1:] for ids in interp._COMPILED)
+
+
+# Every kernel of a task against the walker: the fold, filter, test and
+# judge kernels over all of a universe's atoms, and each universe's truth
+# kernel, on seeded fuzzer frames and the fold states they reach
+
+def _reference_truth(universe, *values):
+    env = dict(zip(interp._NAMES[universe.role], values))
+    mask = 0
+    for atom in universe:
+        val = tree_eval.eval_expr(atom.expr, env)
+        if val is interp.UNDEF:
+            raise values.EvalError(interp._UNDEFINED_ATOM)
+        mask |= bool(val) << atom.index
+    return mask
+
+
+def _agree(generated, walked):
+    assert _outcome(generated) == _outcome(walked)
+
+
+def check_kernels(task, universes, seed, frames=4):
+    """Checks the fold, filter, test and judge kernels and the three truth
+    kernels of `task` on `frames` seeded frames. A judge that raises needs
+    only the reference judgment to raise too (see `interp.frame_judge`)."""
+    rng = random.Random(seed)
+    pools = column_pools(task, universes)
+    u_q, u_res, u_psi = universes.u_q, universes.u_residual, universes.u_psi
+    q, res = [a.expr for a in u_q], [a.expr for a in u_res]
+    post, width = list(task.post_conjuncts), task.n_columns
+    judge = interp.frame_judge(task, q, post, res)
+    states = [task.init_values]
+    for _ in range(frames):
+        frame = sample_dataframe(rng, pools)
+        _agree(lambda: interp.eval_fold(task, frame).value,
+               lambda: _reference_fold(task, frame))
+        _agree(lambda: interp.filter_rows(q, frame, width),
+               lambda: _reference_filter(q, frame, width))
+        got = _outcome(judge, frame)
+        want = _outcome(_reference_judge, task, q, post, res, frame)
+        assert got == want or "value" not in (got[0], want[0])
+        acc = task.init_values
+        for row in frame:
+            _agree(lambda: interp.truth(u_q)((1 << len(u_q)) - 1, row),
+                   lambda: _reference_truth(u_q, row))
+        for row in frame:
+            try:
+                acc = _reference_fold(task, [row], acc)
+            except values.EvalError:
+                break
+            states.append(acc)
+    for acc in states:
+        _agree(lambda: interp.lift_eval(res, interp.LiftResult(acc)),
+               lambda: interp.LiftResult(_reference_lift(res, acc)))
+        _agree(lambda: interp.truth(u_res)((1 << len(u_res)) - 1, acc),
+               lambda: _reference_truth(u_res, acc))
+        for pair in ((acc, acc), (acc, rng.choice(states))):
+            _agree(lambda: interp.truth(u_psi)((1 << len(u_psi)) - 1, *pair),
+                   lambda: _reference_truth(u_psi, *pair))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_kernel_of_a_fixture_agrees_with_walker(name):
+    task = make_task(name)
+    check_kernels(task, build_universes(task), len(name), frames=20)
+
+
+if __name__ == "__main__":
+    from perfbench.tasks import generate_tasks
+    from pushdown_synth.parser import parse
+    from pushdown_synth.typecheck import typecheck
+
+    first, last = map(int, sys.argv[1:3])
+    count = 0
+    for seed in range(first, last + 1):
+        for name, source in generate_tasks(seed):
+            task = typecheck(parse(source), name)
+            check_kernels(task, build_universes(task), seed)
+            count += 1
+    print(f"seeds {first}-{last}: the fold, filter, test, judge and truth "
+          f"kernels of {count} tasks agree with the walker")

@@ -6,6 +6,7 @@ import random
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import product
 from math import prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -749,6 +750,27 @@ def test_tables_stay_within_their_bound_on_case_b(monkeypatch):
     assert tables["spilled"] == 10000
     assert max(tables["rows"], tables["states"] - 1, tables["transitions"],
                tables["pairs"] - 1) <= TABLE_BOUND
+
+
+@pytest.mark.parametrize("bound,slack,transitions", [
+    (4, TABLE_BOUND, 4), (TABLE_BOUND, 2, 2)], ids=["bound", "slack"])
+def test_a_fold_step_past_the_caps_is_refused(monkeypatch, bound, slack,
+                                              transitions):
+    """`_step`, where the tables grow, takes the transitions up to
+    `TABLE_BOUND` and refuses the next fold step with `_Full`, as it refuses
+    any once the tables hold more than `STATE_SLACK` states. Each of these
+    case_b rows steps Bottom to a new state."""
+    monkeypatch.setattr(fuzz, "TABLE_BOUND", bound)
+    monkeypatch.setattr(fuzz, "STATE_SLACK", slack)
+    task = make_task("case_b")
+    pools = column_pools(task, build_universes(task))
+    tables = FoldTables(task, pools, [], [], [])
+    tables.rows = list(product(*pools))[::97][:8]
+    with pytest.raises(fuzz._Full):
+        for rid in range(len(tables.rows)):
+            tables._step(0, rid)
+    assert (tables.transitions, len(tables.values)) == \
+        (transitions, transitions + 1)
 
 
 def test_an_alphabet_as_large_as_the_bound_explores_its_first_level(

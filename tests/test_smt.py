@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 from pushdown_synth import smt
-from pushdown_synth.interp import eval_atom
 from pushdown_synth.smt import (
     SolverConfig, SolverCrashed, SolverError, SolverSession, decode_number,
     parse_sexp, start_session,
 )
 
 from conftest import (
-    EXIT, HANG_UP, SILENT, fake_solver, fixture_source, make_context,
+    EXIT, HANG_UP, SILENT, eval_atom, fake_solver, fixture_source,
+    make_context,
 )
 
 

@@ -1,8 +1,8 @@
 """The truth kernel of each universe against the per-atom reference.
 
 `interp.truth(universe)` reads many atoms in one generated call; the
-reference reads each atom alone with `interp.eval_atom`. On seeded rows and
-fold states the two must give the same atoms, or fail on the same one."""
+reference reads each atom alone with `conftest.eval_atom`. On seeded rows
+and fold states the two must give the same atoms, or fail on the same one."""
 
 import random
 
@@ -11,14 +11,14 @@ import pytest
 from pushdown_synth import interp
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.fuzz import column_pools, sample_dataframe
-from pushdown_synth.interp import eval_atom, eval_fold, truth
+from pushdown_synth.interp import eval_fold, truth
 from pushdown_synth.parser import parse_expression
 from pushdown_synth.synth import synthesize
 from pushdown_synth.typecheck import type_predicate
 from pushdown_synth.values import EvalError
 from pushdown_synth.vcgen import bits, check_witness, full, holds
 
-from conftest import fixture_source, make_context, make_task
+from conftest import eval_atom, fixture_source, make_context, make_task
 
 
 def _outcome(fn):

@@ -53,10 +53,20 @@ raise, since the earlier test has already raised on a value that is
 neither. What a root knows holds to its end, or to the end of a split-off
 function, and never leaves a `Cond` or `match` branch.
 
+`and` and `or` evaluate their left operand first. In a root without a
+`SomeVal`, a total right operand, one that cannot raise on values that keep
+the contract, runs only if the left one does not decide (Python's `or` and
+`and`): a value that breaks the contract in a skipped operand is not read.
+Any other right operand runs either way, and its error is raised.
+
 `eval_fold` and `filter_rows` each run one generated loop over the rows,
 with the fold step or the conjunction of the row predicates inlined in its
 body (per-row code fused into the loop, as in data-centric query compilation;
-Neumann, VLDB 2011); `lift_eval` runs one generated conjunction.
+Neumann, VLDB 2011); `lift_eval` runs one generated conjunction. A loop keeps
+its tuples in registers: each column a root reads is a local bound once per
+row, the row is copied only for a root that reads it whole, and each field
+of a tuple-typed accumulator is a local that the step assigns, the tuple
+built only where it escapes (the result, a whole read, a comparison).
 `frame_judge` fuses a whole comparison of two pipelines the same way: its
 `judge` function folds the original and the `Q`-filtered accumulators in one
 loop, `Q` inlined, then tests `P` and `P'` and compares the lifted
@@ -349,8 +359,12 @@ class _Generator:
     rebound binder shadows exactly as a nested environment would. `guard`
     says whether the root being emitted contains a `SomeVal`; without one
     no operand is ever UNDEF and no check is emitted. Operands that must be
-    tested after evaluation go through walrus temporaries, and both operands
-    of every binary node are evaluated, left first."""
+    tested after evaluation go through walrus temporaries. Both operands of
+    every binary node are evaluated, left first, but for the total right
+    operands `connective` skips. In a row loop `r` is `_row`: a typed read
+    `r[k]` is column k's local (`columns`), or `_row[k]` in a split-off,
+    and a whole read copies the row. An accumulator with fields (`step`)
+    reads `a[i]` as field i's local and a whole `a` as their tuple."""
 
     def __init__(self, shape, roots, groups=()):
         self.shape, self.roots, self.groups = shape, roots, groups
@@ -361,6 +375,9 @@ class _Generator:
         # scrutinee key -> (`_s` local, `_b` local) of each match whose test
         # has run; see `match`
         self.tested = {}
+        self.columns = {}  # column index -> its local; None in split-offs
+        self.fields = {}   # accumulator local -> its field locals
+        self.may_raise = False  # whether emitted code may raise; `connective`
         self._fresh = itertools.count()
 
     def fresh(self, prefix):
@@ -377,6 +394,7 @@ class _Generator:
     def function(self):
         args, lines = getattr(self, f"{self.shape}_shape")()
         self.define("_dsl", args, lines)
+        self.columns = None
         while self.pending:
             name, args, expr, scope, self.guard = self.pending.pop()
             self.tested = {}
@@ -412,17 +430,18 @@ class _Generator:
 
     def fold_shape(self):
         (root,) = self.roots
-        a, r = self.fresh("_p"), self.fresh("_p")
-        step = self.root(root, {"a": a, "r": r})
-        return ["_rows", a, "_width"], [
-            *self.row_loop(r), f"    {a} = {step}", f"return {a}"]
+        a = self.fresh("_p")
+        step = self.step_root(root, a)
+        return ["_rows", "_init", "_width"], [
+            self.assign(a, "_init"), *self.row_loop(step),
+            f"return {self.whole(a)}"]
 
     def filter_shape(self):
-        r = self.fresh("_p")
-        test = self.conjunction({"r": r})
+        test = self.conjunction({"r": "_row"})
         return ["_rows", "_width"], [
-            "_kept = []", *self.row_loop(r), f"    if {test}:",
-            "        _kept.append(_row)", "return _kept"]
+            "_kept = []",
+            *self.row_loop([f"if {test}:", "    _kept.append(_row)"]),
+            "return _kept"]
 
     def test_shape(self):
         a = self.fresh("_p")
@@ -437,23 +456,24 @@ class _Generator:
         step, *rest = self.roots
         n_q, n_p = self.groups
         q, p, res = rest[:n_q], rest[n_q:n_q + n_p], rest[n_q + n_p:]
-        a, b, r = self.fresh("_p"), self.fresh("_p"), self.fresh("_p")
+        a, b = self.fresh("_p"), self.fresh("_p")
+        stepped = self.step_root(step, a)
+        kept = self.conjunction({"r": "_row"}, q)
+        own = self.step_root(step, b)
+        body = [*stepped, f"if {kept}:",
+                "    if _prefix:", f"        {self.assign(b, self.whole(a))}",
+                "    else:", *_indent(own, 2),
+                "    _any = True",
+                "else:", "    _prefix = False"]
         return ["_rows", "_width", "_init"], [
             "if not _rows:", "    return False",
-            f"{a} = {b} = _init",
+            self.assign(a, "_init"), self.assign(b, "_init"),
             "_prefix = True", "_any = False",
-            *self.row_loop(r),
-            f"    {a} = {self.root(step, {'a': a, 'r': r})}",
-            f"    if {self.conjunction({'r': r}, q)}:",
-            "        if _prefix:", f"            {b} = {a}",
-            "        else:",
-            f"            {b} = {self.root(step, {'a': b, 'r': r})}",
-            "        _any = True",
-            "    else:", "        _prefix = False",
+            *self.row_loop(body),
             f"_lhs = not not ({self.conjunction({'a': a}, p)})",
             f"_rhs = _any and not not ({self.conjunction({'a': b}, res)})",
             "if _lhs and _rhs:",
-            f"    return not ({a} is {b} or _values_equal({a}, {b}))",
+            f"    return not _values_equal({self.whole(a)}, {self.whole(b)})",
             "return _lhs is not _rhs"]
 
     def truth_shape(self):
@@ -466,11 +486,15 @@ class _Generator:
                       f"    _mask |= {1 << k}"]
         return ["_want", *params], [*lines, "return _mask"]
 
-    def row_loop(self, r):
-        """The head of a loop binding each row of `_rows`, once its width
-        is checked, to `r` as a tuple."""
+    def row_loop(self, body):
+        """A loop over the rows of `_rows` that checks each row's width,
+        binds each column the roots read to its local (`columns`) and runs
+        `body`, the lines of those roots."""
         return ["for _row in _rows:", "    if len(_row) != _width:",
-                f"        {self.fail(_BAD_ROW)}", f"    {r} = tuple(_row)"]
+                f"        {self.fail(_BAD_ROW)}",
+                *(f"    {c} = _row[{self.const(k)}]"
+                  for k, c in self.columns.items()),
+                *_indent(body)]
 
     def root(self, expr: Expr, scope: dict) -> str:
         """The source of one root, with `guard` set for it and no scrutinee
@@ -478,6 +502,57 @@ class _Generator:
         self.guard = any(isinstance(node, SomeVal) for node in walk(expr))
         self.tested = {}
         return self.emit(expr, scope, 0)
+
+    def step_root(self, expr: Expr, a) -> list:
+        """The lines of the fold step `expr` on `a` in a row loop, set up as
+        `root` sets up a root. A step without a `SomeVal` whose tuple type
+        is the one it reads `a` at keeps each field of `a` in a local
+        (`fields`) across the loop; one walk decides both."""
+        nodes = list(walk(expr))
+        self.guard = any(isinstance(node, SomeVal) for node in nodes)
+        self.tested = {}
+        reads = [n.ty for n in nodes if isinstance(n, Name) and n.ident == "a"]
+        if not self.guard and isinstance(expr.ty, TTuple) and reads and \
+                all(ty == expr.ty for ty in reads) and a not in self.fields:
+            self.fields[a] = [self.fresh("_v") for _ in expr.ty.elems]
+        return self.step(expr, {"a": a, "r": "_row"}, 0)
+
+    def step(self, expr: Expr, scope: dict, depth: int) -> list:
+        """The lines that set the accumulator `a` of `scope` to the value of
+        the fold step `expr`. When `a` has fields, a tuple literal assigns
+        those whose value changes, a `Cond` becomes `if`/`else`, the bare
+        `a` assigns nothing, and any other form is evaluated and unpacked;
+        a `Cond` or tuple literal `_SPLIT_DEPTH` levels down is such another
+        form, which `emit` splits off."""
+        a = scope["a"]
+        fields = self.fields.get(a)
+        if fields is None:
+            return [f"{a} = {self.emit(expr, scope, depth)}"]
+        if isinstance(expr, Name) and scope.get(expr.ident) == a:
+            return []
+        if depth < _SPLIT_DEPTH and isinstance(expr, Cond):
+            test = self.emit(expr.test, scope, depth + 1)
+            then, other = (self.branch(e, scope, depth + 1, self.step)
+                           for e in (expr.then, expr.other))
+            return [f"if {test}:", *_indent(then or ["pass"]),
+                    *(["else:", *_indent(other)] if other else [])]
+        if depth < _SPLIT_DEPTH and isinstance(expr, TupleExpr):
+            items = [self.emit(e, scope, depth + 1) for e in expr.items]
+            changed = [(f, v) for f, v in zip(fields, items) if f != v]
+            return [f"{', '.join(f for f, _ in changed)} = "
+                    f"{', '.join(v for _, v in changed)}"] if changed else []
+        return [self.assign(a, self.emit(expr, scope, depth))]
+
+    def assign(self, a, value) -> str:
+        """The statement that sets the accumulator `a` to the source
+        `value`: field by field when it has fields."""
+        fields = self.fields.get(a)  # as targets: the display's inside
+        return f"{a if fields is None else _tuple(fields)[1:-1]} = {value}"
+
+    def whole(self, a) -> str:
+        """The source of the accumulator `a` as one value."""
+        fields = self.fields.get(a)
+        return a if fields is None else _tuple(fields)
 
     def conjunction(self, scope, roots=None) -> str:
         """The roots (by default all of them) joined by Python's `and`:
@@ -495,13 +570,15 @@ class _Generator:
 
     def emit(self, expr: Expr, scope: dict, depth: int) -> str:
         """The source of `expr`. A subtree `_SPLIT_DEPTH` levels down becomes
-        a function of its own, called with the locals in scope and generated
-        after the current one: every body stays well inside CPython's
-        nesting limits, and generation recurses at most that deep."""
+        a function of its own, called with the locals in scope (field locals
+        for an accumulator's) and generated after the current one: bodies
+        stay inside CPython's nesting limits, generation recurses no deeper."""
         if depth == _SPLIT_DEPTH:
             name = self.fresh("_f")
-            args = sorted(set(scope.values()))
+            args = sorted({local for v in scope.values()
+                           for local in self.fields.get(v, (v,))})
             self.pending.append((name, args, expr, scope, self.guard))
+            self.may_raise = True
             return f"{name}({', '.join(args)})"
         return self.node(expr, scope, depth + 1)
 
@@ -510,13 +587,17 @@ class _Generator:
         if isinstance(expr, Lit):
             convert = LITERALS.get(expr.kind)
             if convert is None:
+                self.may_raise = True
                 return self.fail(f"bad literal kind {expr.kind}")
             return self.const(convert(expr.value))
         if isinstance(expr, Name):
             local = scope.get(expr.ident)
-            if local is not None:
-                return local
-            return self.fail(f"unbound name {expr.ident!r} at {expr.span}")
+            if local is None:
+                self.may_raise = True
+                return self.fail(f"unbound name {expr.ident!r} at {expr.span}")
+            if local in self.fields:
+                return _tuple(self.fields[local])
+            return "tuple(_row)" if local == "_row" else local
         if isinstance(expr, Not):
             operand = self.emit(expr.operand, scope, depth)
             if not guard:
@@ -541,26 +622,38 @@ class _Generator:
         if isinstance(expr, Match):
             return self.match(expr, scope, depth)
         if isinstance(expr, TupleExpr):
-            items = [self.emit(e, scope, depth) for e in expr.items]
-            return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+            return _tuple([self.emit(e, scope, depth) for e in expr.items])
         if isinstance(expr, ListExpr):
             items = [self.emit(e, scope, depth) for e in expr.items]
             return f"[{', '.join(items)}]"
         if isinstance(expr, Index):
             # a tuple-typed base is indexed directly (the checker bounds the
-            # index) unless it may be UNDEF; a name never is
-            base = self.emit(expr.base, scope, depth)
+            # index) unless it may be UNDEF; a name never is. A name's field
+            # or column is read from its local.
+            tupled = isinstance(expr.base.ty, TTuple)
+            local = scope.get(expr.base.ident) \
+                if tupled and isinstance(expr.base, Name) else None
+            if local in self.fields:
+                return self.fields[local][expr.index]
+            if local == "_row" and self.columns is not None:
+                if expr.index not in self.columns:
+                    self.columns[expr.index] = self.fresh("_c")
+                return self.columns[expr.index]
+            base = "_row" if local == "_row" else \
+                self.emit(expr.base, scope, depth)
             i = self.const(expr.index)
-            if isinstance(expr.base.ty, TTuple) and (
-                    not guard or isinstance(expr.base, Name)):
+            if tupled and (not guard or isinstance(expr.base, Name)):
                 return f"{base}[{i}]"
+            self.may_raise = True
             return f"_index({base}, {i})"
         if isinstance(expr, SliceFrom):
             base = self.emit(expr.base, scope, depth)
+            self.may_raise = True
             return f"_suffix({base}, {self.const(expr.start)})"
         if isinstance(expr, Insert):
             target = self.emit(expr.target, scope, depth)
             item = self.emit(expr.item, scope, depth)
+            self.may_raise = True
             return f"_insert({target}, {item})"
         if isinstance(expr, CoerceSome):
             t = self.fresh("_t")
@@ -568,20 +661,33 @@ class _Generator:
             return f"(_put({t} := _new(_Some), {operand}) or {t})"
         if isinstance(expr, SomeVal):
             operand = self.emit(expr.operand, scope, depth)
+            self.may_raise = True
             t = self.fresh("_t")
             return f"({t}.value if isinstance(({t} := {operand}), _Some) " \
                    f"else _U)"
         if isinstance(expr, IsNone):
             return f"({self.emit(expr.operand, scope, depth)} is _NONE)"
+        self.may_raise = True
         return self.fail(f"cannot evaluate {type(expr).__name__}")
 
     def connective(self, expr: BinOp, scope, depth):
-        """`and` and `or` do not short-circuit: both operands are evaluated,
-        left first, so an error on either side is raised."""
+        """`and` and `or`, left operand first. In an unguarded root a total
+        right operand, whose source sets no `may_raise` (arithmetic but int
+        with int, `/`, a list `_index`, `_suffix` or `_insert`, `SomeVal`, a
+        failing literal, an unbound name, a split-off), runs only if the
+        left one does not decide: a value that breaks the contract in it
+        may go unread, and its scrutinee tests dominate nothing after it.
+        Any other right operand runs either way, so its error is raised."""
         bitwise = "|" if expr.op == "or" else "&"
         left = self.emit(expr.left, scope, depth)
+        known, may_raise = self.tested, self.may_raise
+        self.tested, self.may_raise = dict(known), False
         right = self.emit(expr.right, scope, depth)
+        total, self.may_raise = not self.may_raise, self.may_raise or may_raise
         if not self.guard:
+            if total:
+                self.tested = known
+                return f"({left} {expr.op} {right})"
             return f"((not not {left}) {bitwise} (not not {right}))"
         decisive = "True" if expr.op == "or" else "False"
         a, b = self.fresh("_t"), self.fresh("_t")
@@ -595,6 +701,8 @@ class _Generator:
         left = self.emit(expr.left, scope, depth)
         right = self.emit(expr.right, scope, depth)
         if helper is not None:
+            # the arithmetic helpers raise; the order helpers do not
+            self.may_raise |= expr.op not in _COMPARE
             helper = self.const(helper)
         if self.guard:
             a, b = self.fresh("_t"), self.fresh("_t")
@@ -636,6 +744,7 @@ class _Generator:
                 checks.append(f"({bound} is {'_U' if self.guard else '_NI'})")
                 continue
             # under arithmetic: False, or raises on -inf
+            self.may_raise = True
             check = f"{bound} is _NI and {self.fail(_NEG_INF_ARITH)}"
             checks.append(f"({check} or {t} is _U)" if self.guard else
                           f"({check})")
@@ -692,13 +801,13 @@ class _Generator:
             return y
         return f"{x} * {y}"
 
-    def branch(self, expr: Expr, scope, depth):
+    def branch(self, expr: Expr, scope, depth, emit=None):
         """The source of a subtree that runs only on one branch of a `Cond`
-        or `match`: what it learns of the scrutinees it tests does not leave
-        it."""
+        or `match`, by `emit` (by default `self.emit`): what it learns of
+        the scrutinees it tests does not leave it."""
         known = self.tested
         self.tested = dict(known)
-        source = self.emit(expr, scope, depth)
+        source = (emit or self.emit)(expr, scope, depth)
         self.tested = known
         return source
 
@@ -749,6 +858,15 @@ class _Generator:
                 f"(({binder} := {s}.value) is {binder}) else {not_optional}))")
 
 
+def _tuple(items):
+    """The source of a tuple display of the given item sources."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _indent(lines, levels=1):
+    return ["    " * levels + line for line in lines]
+
+
 # the names the atoms of each universe read, in the order its kernel binds
 _NAMES = {"q": ("r",), "residual": ("a",), "psi": ("a1", "a2")}
 
@@ -787,12 +905,13 @@ def frame_judge(task, q_exprs, p_exprs, res_exprs):
     rows): the same fold steps from the same states (on a prefix of kept
     rows the rewritten fold's states are the original's, so it takes them
     over), `Q` on every row, `P` only on a frame with rows and `P'` only on
-    one with a kept row. So when it returns, the reference judgment returns
-    the same verdict; when it raises, the reference judgment raises too,
-    though perhaps another error, and a caller that reports that error
-    judges the frame again in the reference order. The function is cached
-    per roots, so the task's initial accumulator and width are passed to it
-    on each call."""
+    one with a kept row; an `and` or `or` skips only a total operand, which
+    raises in neither on values that keep the evaluator's contract. So when
+    it returns, the reference judgment returns the same verdict; when it
+    raises, the reference judgment raises too, though perhaps another
+    error, and a caller that reports that error judges the frame again in
+    the reference order. The function is cached per roots, so the task's
+    initial accumulator and width are passed to it on each call."""
     judge = _kernel(_JUDGE, task.f_body, *q_exprs, *p_exprs, *res_exprs,
                     groups=(len(q_exprs), len(p_exprs)))
     init, width = task.init_values, task.n_columns

@@ -27,17 +27,17 @@ from pushdown_synth import interp, values
 from pushdown_synth.analysis import build_universes
 from pushdown_synth.encode import TaskEncoding
 from pushdown_synth.fuzz import column_pools, sample_dataframe
-from pushdown_synth.parser import parse_expression
+from pushdown_synth.parser import parse, parse_expression
 from pushdown_synth.smt import parse_sexp
 from pushdown_synth.syntax import (
     BOOL, FLOAT, INT, STR, BinOp, CoerceSome, Cond, Index, IsNone, Lit, Name,
-    Not, SomeVal, TFloat, TOpt, TTuple, TupleExpr, walk,
+    Not, SomeVal, TFloat, TList, TOpt, TTuple, TupleExpr, walk,
 )
-from pushdown_synth.typecheck import compile_bool, type_predicate
+from pushdown_synth.typecheck import compile_bool, type_predicate, typecheck
 from pushdown_synth.values import NEG_INF, NONE, Some
 
 import tree_eval
-from conftest import make_task
+from conftest import FIXTURES as FIXTURE_DIR, make_task
 from perfbench.tasks import generate_frame
 from test_normalize import _predicate, _rand_env
 
@@ -1100,6 +1100,242 @@ def test_a_left_operand_raises_before_the_right_one_runs(shape):
             assert _outcome(run) == ("EvalError", expected), (cmp, op)
 
 
+# `and`/`or` in a root without `SomeVal`: a right operand that may raise on
+# values that keep the contract runs even when the left one decides, so
+# every kernel shape raises what the walker raises; a total one is Python's
+# short-circuit. The quadruple holds -inf, a zero, a two-item list and a
+# payload.
+
+QUAD = TTuple((FLOAT, FLOAT, TList(INT), TOpt(INT)))
+QUAD_VALUE = (NEG_INF, Fraction(0), [1, 2], Some(5))
+
+
+def _quotient(base):
+    """`1.0 / base[1] > 0.0`, built past the checker, which takes only a
+    nonzero literal divisor."""
+    field = Index(base=Name(ident=base, ty=QUAD), index=1, ty=FLOAT)
+    quotient = BinOp(op="/", left=_lit(Fraction(1)), right=field, ty=FLOAT)
+    return BinOp(op=">", left=quotient, right=_lit(Fraction(0)), ty=BOOL)
+
+
+# right operands over a base that raise on QUAD_VALUE, each with the
+# walker's message
+PARTIAL_OPERANDS = [
+    (lambda b: _typed(f"{b}[0] * 2.0 > 1.0", **{b: QUAD}),
+     "arithmetic on -inf"),
+    (_quotient, "division by zero"),
+    (lambda b: _typed(f"{b}[2][5] > 0", **{b: QUAD}),
+     "list index 5 out of range"),
+]
+
+
+def _decided(op, right, guarded, base):
+    """`left op right(base)`, whose left operand decides `op` on
+    QUAD_VALUE: `True` for `or`, `False` for `and`. Guarded, the left
+    operand reads the payload of field 3."""
+    left = _typed(f"{base}[1] {'==' if op == 'or' else '>'} 0.0",
+                  **{base: QUAD})
+    if guarded:
+        field = Index(base=Name(ident=base, ty=QUAD), index=3, ty=TOpt(INT))
+        left = BinOp(op=">", left=SomeVal(operand=field, ty=INT),
+                     right=Lit(kind="int", value=3 if op == "or" else 9,
+                               ty=INT), ty=BOOL)
+    return BinOp(op=op, left=left, right=right(base), ty=BOOL)
+
+
+def _decided_runs(op, right, guarded):
+    """The walker's run of `left op right` and each kernel shape's: the
+    fold steps on it as its `Cond`'s test, the judge filters by it."""
+    def pred(base):
+        return _decided(op, right, guarded, base)
+    step = type_predicate(parse_expression(
+        "(a[0], a[1] + 1.0, a[2], a[3]) if True else a"), {"a": QUAD},
+        expect=None)
+    step.test = pred("a")
+    task = SimpleNamespace(f_body=step, init_values=QUAD_VALUE, n_columns=4)
+    row, frame = pred("r"), [QUAD_VALUE]
+    return {
+        "walker": lambda: tree_eval.eval_expr(pred("x"), {"x": QUAD_VALUE}),
+        "compiled": lambda: interp.eval_expr(pred("x"), {"x": QUAD_VALUE}),
+        "fold": lambda: interp.eval_fold(task, frame),
+        "filter": lambda: interp.filter_rows([row], frame, 4),
+        "test": lambda: interp.lift_eval([pred("a")],
+                                         interp.LiftResult(QUAD_VALUE)),
+        "judge": lambda: interp.frame_judge(task, [row], [], [])(frame),
+        "truth": lambda: interp._kernel(interp._TRUTH, row,
+                                        groups=("r",))(1, QUAD_VALUE),
+    }
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+@pytest.mark.parametrize("right,message", PARTIAL_OPERANDS,
+                         ids=["neg-inf", "zero", "index"])
+@pytest.mark.parametrize("op", ["or", "and"])
+def test_a_right_operand_that_may_raise_runs_when_the_left_decides(
+        op, right, message, guarded):
+    for shape, run in _decided_runs(op, right, guarded).items():
+        assert _outcome(run) == ("EvalError", message), shape
+
+
+def test_a_skipped_total_operand_reads_nothing():
+    """A total right operand that the left one makes irrelevant does not
+    run: an int where its float belongs goes unread, as it does in the
+    walker, while one the left operand does not skip is an error."""
+    row = (95, Fraction(0), [1, 2], NONE)
+    skipped = _typed("r[1] == 0.0 or r[0] > 1.0", r=QUAD)
+    assert interp.filter_rows([skipped], [row], 4) == [row]
+    assert tree_eval.eval_expr(skipped, {"r": row}) is True
+    read = _typed("r[1] == 0.0 and r[0] > 1.0", r=QUAD)
+    with pytest.raises(values.EvalError, match=interp._NOT_FLOAT):
+        interp.filter_rows([read], [row], 4)
+
+
+def test_a_scrutinee_tested_in_a_skipped_operand_is_tested_again():
+    """A match inside a short-circuited right operand may not run, so a
+    later match on the same column tests it again; reusing its locals would
+    read the previous row's payload."""
+    root = _typed("(r[1] == 0 or (match r[0]: case None: False case v: v > 0))"
+                  " and (match r[0]: case None: True case w: w < 5)",
+                  r=TTuple((TOpt(INT), INT)))
+    frame = [(Some(9), 1), (NONE, 0), (Some(2), 0), (Some(3), 1), (7, 1)]
+    for rows in (frame[:-1], frame):
+        assert _outcome(interp.filter_rows, [root], rows, 2) == \
+            _outcome(_reference_filter, [root], rows, 2)
+    assert _outcome(interp.filter_rows, [root], frame, 2) == NOT_OPTIONAL
+    source = _source_of(interp._kernel(interp._FILTER, root))
+    assert len(re.findall(r"isinstance\(_s\d+, _Some\)", source)) == 2
+
+
+def test_case_a_filters_with_a_short_circuit():
+    """case_a's reference `Q` is four total disjuncts: its filter kernel
+    joins them with Python's `or` and evaluates no `|`."""
+    from perfbench.workloads import load_reference, rewritten_source
+    spec = load_reference()["triples"]["case_a"]
+    source = (FIXTURE_DIR / "case_a.pdsl").read_text()
+    task = typecheck(parse(rewritten_source(source, spec["q"], [])), "case_a")
+    (q,) = task.prefilters
+    kernel = _source_of(interp._kernel(interp._FILTER, q))
+    assert kernel.count(" or ") == 3 and "|" not in kernel
+
+
+# Row loops keep their tuples in registers: each column a root reads is a
+# local bound once per row, and a tuple-typed accumulator's fields are
+# locals across the loop. Each case agrees with the walker.
+
+def _loop_runs(task, frame, q):
+    """The fold, filter and judge kernels of `task` and `q` on `frame`,
+    each against its reference."""
+    width = task.n_columns
+    _agree(lambda: interp.eval_fold(task, frame).value,
+           lambda: _reference_fold(task, frame))
+    _agree(lambda: interp.filter_rows(q, frame, width),
+           lambda: _reference_filter(q, frame, width))
+    got = _outcome(interp.frame_judge(task, q, [], []), frame)
+    want = _outcome(_reference_judge, task, q, [], [], frame)
+    assert got == want or "value" not in (got[0], want[0])
+
+
+def _loop_task(step, init, **types):
+    return SimpleNamespace(
+        f_body=type_predicate(parse_expression(step), types, expect=None),
+        init_values=init, n_columns=len(types["r"].elems))
+
+
+def _field_assignments(source):
+    return len(re.findall(r"^ +_v\d+(?:, _v\d+)* = ", source, re.M))
+
+
+def test_top2_keeps_its_fields_when_the_step_is_a():
+    """top2's step is `(r[0], a[0])`, `(a[0], r[0])` or the bare `a`: its
+    fold kernel unpacks the start once and assigns both fields, then only
+    `a[1]`, and nothing on `else a`."""
+    task = make_task("top2")
+    rows = [(Fraction(v),) for v in (95, 80, 92, 10, 99, 99)] + [(NEG_INF,)]
+    q = [_float_row_pred("r[0] > 90.0")]
+    for k in range(len(rows)):
+        _loop_runs(task, rows[k:] + rows[:k], q)
+    source = _source_of(interp._kernel(interp._FOLD, task.f_body))
+    assert _field_assignments(source) == 3
+
+
+@pytest.mark.parametrize("step,init,acc", [
+    ("(a[0] + r[0] if r[0] > 0 else a[0],)", (0,), TTuple((INT,))),
+    ("a + r[0] if r[0] > 0 else a", 0, INT),
+    ("(a[0] + r[0], a[1]) if r[0] > 0 else (a[1], a[0])", (0, 1),
+     TTuple((INT, INT))),
+], ids=["one-field", "int", "swap"])
+def test_field_locals_agree_with_walker(step, init, acc):
+    task = _loop_task(step, init, a=acc, r=TTuple((INT,)))
+    q = [_typed("r[0] > -2", r=TTuple((INT,)))]
+    for frame in ([(3,), (-1,), (5,)], [(-3,)], [(1,), (2,), (-2,), (4,)]):
+        _loop_runs(task, frame, q)
+    source = _source_of(interp._kernel(interp._FOLD, task.f_body))
+    assert bool(_field_assignments(source)) == isinstance(acc, TTuple)
+
+
+def test_an_optional_column_matched_twice_is_tested_once():
+    """Two matches on column 0 in one step: the second reuses the first
+    test, keyed by the row and the index, in the fold and judge kernels."""
+    types = {"a": TTuple((INT, INT)), "r": TTuple((TOpt(INT), INT))}
+    task = _loop_task(
+        "((match r[0]: case None: a[0] case v: a[0] + v),"
+        " (match r[0]: case None: a[1] + r[1] case w: w))", (0, 0), **types)
+    q = [_typed("r[1] > 0", r=types["r"])]
+    for frame in ([(Some(2), 1), (NONE, 3), (Some(-4), 0)],
+                  [(NONE, 1), (5, 1)]):
+        _loop_runs(task, frame, q)
+    assert _scrutinee_tests(interp._kernel(interp._FOLD, task.f_body)) == 1
+    judge = interp._kernel(interp._JUDGE, task.f_body, *q, groups=(1, 0))
+    assert _scrutinee_tests(judge) == 2
+
+
+def test_a_step_split_past_the_depth_reads_its_columns_and_fields():
+    """A `Cond` chain deeper than `_SPLIT_DEPTH`, whose innermost step reads
+    column 1 and the whole `a` and `r` only there: the split-off function
+    gets the row and the field locals."""
+    inner = "(a[0] + r[1], a[1]) if a == r else (a[1], a[0] - 1)"
+    for k in range(interp._SPLIT_DEPTH + 6):
+        inner = f"(a[0] + {k}, a[1]) if r[0] > {k} else {inner}"
+    types = {"a": TTuple((INT, INT)), "r": TTuple((INT, INT))}
+    task = _loop_task(inner, (0, 0), **types)
+    q = [_typed("r[1] > 0 or r == (0, 0)", r=types["r"])]
+    for frame in ([(-1, 0), (-1, 3), (40, 1), (5, 2)],
+                  [(-1, 2), (0, 0), (0, -1), (-5, 0)]):
+        _loop_runs(task, frame, q)
+    source = _source_of(interp._kernel(interp._FOLD, task.f_body))
+    assert source.count("def ") > 1
+
+
+def test_roots_of_different_widths_bind_only_the_columns_they_read():
+    """Roots that type `r` one and three columns wide, on rows three wide:
+    the filter kernel binds the two columns they read, not the row."""
+    preds = [_typed("r[0] > 1", r=TTuple((INT,))),
+             _typed("r[2] < 5", r=TTuple((INT, INT, INT)))]
+    frame = [(2, 0, 4), (2, 9, 6), (0, 0, 0)]
+    assert interp.filter_rows(preds, frame, 3) == [frame[0]]
+    source = _source_of(interp._kernel(interp._FILTER, *preds))
+    assert source.count("= _row[") == 2 and "tuple(_row)" not in source
+
+
+@pytest.mark.parametrize("bad", [("time",), ("time", 1990, 3), ()],
+                         ids=["short", "long", "empty"])
+def test_a_wrong_width_row_raises_before_its_columns_are_read(bad):
+    task = make_task("case_a")
+    q = [_typed('r[1] <= 1990 or r[0] == "price"', r=TTuple((STR, INT)))]
+    frame = [("price", 1990), bad, ("time", 1980)]
+    for run in (lambda: interp.eval_fold(task, frame),
+                lambda: interp.filter_rows(q, frame, 2),
+                lambda: interp.frame_judge(task, q, [], [])(frame)):
+        assert _outcome(run) == ("EvalError", interp._BAD_ROW)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_loop_kernels_copy_no_row(name):
+    sources = _kernel_sources(name)
+    for shape in ("fold", "filter", "judge"):
+        assert "tuple(_row)" not in sources[shape], shape
+
+
 def test_discount_boxes_a_fraction_only_where_it_is_kept(monkeypatch):
     """Over a pipeline-sized frame, discount's fold builds one `Fraction`
     per row on which `r[0] * 0.9 > a[0]` holds, for the value it keeps, and
@@ -1263,8 +1499,6 @@ def test_every_kernel_of_a_fixture_agrees_with_walker(name):
 
 if __name__ == "__main__":
     from perfbench.tasks import generate_tasks
-    from pushdown_synth.parser import parse
-    from pushdown_synth.typecheck import typecheck
 
     first, last = map(int, sys.argv[1:3])
     count = 0
